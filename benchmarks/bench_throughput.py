@@ -18,14 +18,16 @@ Two entry points share one workload definition:
 Measured paths (schema 2):
 
 * ``fast_dram_model`` — the raw vectorised DRAM device service loop;
-* ``epoch_simulator_fused`` — the fused multi-epoch fast path on the
-  standard hot/uniform mix (migration on);
-* ``epoch_simulator_fused_migrating`` — the fused path under a
-  *drifting* hot set that keeps a SwapPlan in flight for most epochs;
-  asserts the fused path covered every epoch (``stepwise_epochs == 0``)
-  so a regression to the stepwise fallback fails loudly rather than
-  showing up as a silent slowdown;
-* ``epoch_simulator_unfused`` — the exact per-epoch reference loop;
+* ``epoch_simulator_fused`` — the epoch loop with one multi-epoch
+  segmented flush per chunk, on the standard hot/uniform mix
+  (migration on);
+* ``epoch_simulator_fused_migrating`` — the same under a *drifting* hot
+  set that keeps a SwapPlan in flight for most epochs; asserts every
+  epoch took the multi-epoch flush (``stepwise_epochs == 0``) so a
+  regression to the per-epoch flush fails loudly rather than showing up
+  as a silent slowdown;
+* ``epoch_simulator_unfused`` — the same loop with a per-epoch flush
+  (``fused=False``);
 * ``sharded_x4`` — :class:`repro.campaign.ShardedSimulator` with four
   address-space shards in worker processes. Only expect a speedup over
   the fused path on hosts with >= 4 usable cores (see the ``reference``
@@ -114,7 +116,7 @@ def _run_fused_migrating(trace):
     # workload actually migrates, and the fused path covered every epoch
     assert res.swaps_triggered > 0, "migrating benchmark stopped migrating"
     assert res.stepwise_epochs == 0 and res.fused_epochs > 0, (
-        "migration-active epochs fell back to the stepwise loop"
+        "migration-active epochs fell back to the per-epoch flush"
     )
     return res
 

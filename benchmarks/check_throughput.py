@@ -9,13 +9,13 @@ recorded best-of accesses/sec, with wider per-path overrides in
 Raw accesses/sec varies with host speed, so the check also enforces
 machine-independent invariants:
 
-* the fused epoch path must stay at least ``--min-fused-ratio``
-  (default 1.3x) faster than the unfused reference loop on the *same*
-  host — a regression that slips under the absolute tolerance on fast
-  hardware still trips this;
+* the multi-epoch flush must stay at least ``--min-fused-ratio``
+  (default 1.3x) faster than the per-epoch flush on the *same* host — a
+  regression that slips under the absolute tolerance on fast hardware
+  still trips this;
 * the migration-active fused path asserts inside the benchmark that no
-  epoch fell back to the stepwise loop (``stepwise_epochs == 0``), so a
-  fusion-coverage regression fails the measurement itself;
+  epoch fell back to the per-epoch flush (``stepwise_epochs == 0``), so
+  a fusion-coverage regression fails the measurement itself;
 * ``sharded_x4``'s absolute floor is only enforced when this host has
   at least as many CPUs as the baseline host (recorded in the
   snapshot's ``reference.host`` block) — sharding buys wall-clock with

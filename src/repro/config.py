@@ -348,10 +348,11 @@ class RASConfig:
     predictive page retirement, and off-package write-endurance.
 
     Everything defaults off (``enabled=False``); the simulator's default
-    path — including the fused fast path and every published number —
+    path — including the multi-epoch flush and every published number —
     is bit-identical unless a run opts in. With ``enabled=True`` the
-    simulator runs stepwise and attaches a
-    :class:`~repro.ras.controller.RasController`.
+    simulator attaches a :class:`~repro.ras.controller.RasController`
+    and flushes DRAM service every epoch, because patrol scrubs go
+    through the devices between epochs.
     """
 
     enabled: bool = False
@@ -429,8 +430,10 @@ class RASConfig:
 class DisturbConfig:
     """Row-disturbance (rowhammer) modelling knobs — all opt-in.
 
-    With ``enabled=True`` the simulator runs stepwise and attaches a
-    :class:`~repro.ras.disturb.DisturbController`: per-row activation
+    With ``enabled=True`` the simulator attaches a
+    :class:`~repro.ras.disturb.DisturbController` and flushes DRAM
+    service every epoch (victim refreshes go through the devices between
+    epochs): per-row activation
     telemetry (leaky buckets, like the RAS CE telemetry) watches every
     bank's activate stream; rows whose buckets cross ``act_threshold``
     between refreshes flip bits in their physical neighbours, visible to

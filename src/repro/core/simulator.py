@@ -5,7 +5,8 @@ paper's swap-trigger unit). Within an epoch everything is vectorised:
 translation via the table's dense mirrors, region split, per-region
 DRAM service, with per-access-time overrides for the (at most one)
 in-flight migration. At each epoch boundary the migration engine
-evaluates the hottest-coldest trigger.
+evaluates the hottest-coldest trigger. DRAM service is flushed once per
+chunk, or once per epoch when a boundary hook reads its result.
 
 Resilience hooks (all governed by :class:`~repro.config.ResilienceConfig`
 and off by default) run at the same boundary: seeded fault injection via
@@ -29,7 +30,7 @@ if TYPE_CHECKING:
 from ..config import SystemConfig
 from ..dram.refresh import RefreshSchedule
 from ..errors import SimulationError, TranslationTableError, WatchdogError
-from ..memctrl.heterogeneous import HeterogeneousController
+from ..memctrl.heterogeneous import ONE_EPOCH, HeterogeneousController
 from ..migration.engine import MigrationEngine
 from ..resilience.degradation import (
     AUDIT_FAILED,
@@ -61,8 +62,8 @@ class SimulationResult:
     cross_boundary_migrated_bytes: int = 0
     #: per-epoch mean latency series (for convergence plots)
     epoch_latency: list[float] = field(default_factory=list)
-    #: how many epochs ran through each execution path (the fused fast
-    #: path must cover migration-active epochs; see bench_throughput)
+    #: epochs flushed in a multi-epoch segmented flush vs one at a time
+    #: (every epoch lands in exactly one; see bench_throughput)
     fused_epochs: int = 0
     stepwise_epochs: int = 0
     #: row-buffer hit rates observed by each region's device
@@ -124,9 +125,6 @@ class EpochSimulator:
         self.config = config
         self.migrate = migrate
         self.detailed_dram = detailed_dram
-        #: allow the fused multi-epoch fast path (bit-identical; the flag
-        #: exists so equivalence tests and benchmarks can force either path)
-        self.fused = fused
         self.controller = HeterogeneousController(
             config, detailed=detailed_dram, translation_overhead=migrate
         )
@@ -147,12 +145,6 @@ class EpochSimulator:
             from ..ras import RasController
 
             self._ras = RasController(config, self.engine, self.controller)
-        #: optional data-content shadow memory (pure bookkeeping: it
-        #: never feeds back into routing or timing, but it does force
-        #: the stepwise epoch loop)
-        self.shadow = None
-        if track_data:
-            self._attach_shadow()
         #: row-disturbance orchestrator (None keeps the default path
         #: identical, like RAS)
         self._disturb = None
@@ -163,7 +155,26 @@ class EpochSimulator:
                 config, self.engine, self.controller
             )
             self._disturb.ras = self._ras
-            self._disturb.shadow = self.shadow
+        #: optional data-content shadow memory (pure bookkeeping: it
+        #: never feeds back into routing or timing)
+        self.shadow = None
+        if track_data:
+            self._attach_shadow()
+        #: flush DRAM service once per epoch instead of once per chunk
+        #: exactly when something at the epoch boundary reads serviced
+        #: latency or device state: the watchdog budget, RAS patrol scrubs
+        #: and disturbance victim refreshes (both go through the devices),
+        #: and the event-driven device, which rebuilds its banks on every
+        #: service() call. Both granularities are bit-identical;
+        #: ``fused=False`` forces the per-epoch flush for equivalence
+        #: tests and benchmarks.
+        self._flush_per_epoch = (
+            not fused
+            or bool(config.resilience.epoch_cycle_budget)
+            or self._ras is not None
+            or self._disturb is not None
+            or detailed_dram
+        )
         self._sb_shift = log2_exact(config.migration.subblock_bytes)
         self._last_time = -(1 << 62)
         self._epoch_index = 0
@@ -179,8 +190,7 @@ class EpochSimulator:
 
         self.shadow = ShadowMemory(self.engine.table)
         self.engine.shadow = self.shadow
-        self.controller.shadow = self.shadow
-        if getattr(self, "_disturb", None) is not None:
+        if self._disturb is not None:
             self._disturb.shadow = self.shadow
 
     def attach_faults(self, plan: FaultPlan) -> None:
@@ -226,27 +236,6 @@ class EpochSimulator:
             self.run_into(chunk, result)
         return result
 
-    def _should_fuse(self) -> bool:
-        """Whether the fused multi-epoch fast path applies.
-
-        The fused path defers all DRAM servicing to one segmented flush;
-        anything that consumes per-epoch latency at the boundary (fault
-        plans, watchdog budgets, table audits) or a device without the
-        segmented entry point forces the stepwise loop.
-        """
-        resilience = self.config.resilience
-        return (
-            self.fused
-            and self._fault_plan is None
-            and self.shadow is None
-            and self._ras is None
-            and self._disturb is None
-            and not resilience.audit_interval
-            and not resilience.epoch_cycle_budget
-            and hasattr(self.controller.onpkg_model.device, "service_segmented")
-            and hasattr(self.controller.offpkg_model.device, "service_segmented")
-        )
-
     def run_into(self, trace: TraceChunk, result: SimulationResult) -> None:
         n = len(trace)
         if n and int(trace.time[0]) < self._last_time:
@@ -268,10 +257,7 @@ class EpochSimulator:
                         "trace touches a reserved RAS spare page; spares "
                         "are controller-private and carry no program data"
                     )
-            if self._should_fuse():
-                self._run_fused(trace, result)
-            else:
-                self._run_epochwise(trace, result)
+            self._run_epochs(trace, result)
             result.duration_cycles += int(trace.time[-1]) - duration_ref
         result.swaps_suppressed_busy = self.engine.swaps_suppressed_busy
         result.swaps_suppressed_cold = self.engine.swaps_suppressed_cold
@@ -290,130 +276,34 @@ class EpochSimulator:
         if self._disturb is not None:
             result.disturb = self._disturb.report()
 
-    def _run_epochwise(self, trace: TraceChunk, result: SimulationResult) -> None:
-        """Reference per-epoch loop (resilience hooks live here)."""
-        interval = self.config.migration.swap_interval
-        resilience = self.config.resilience
-        amap = self.controller.amap
-        n = len(trace)
-        # derive per-access arrays once per chunk; epochs take views
-        pages_all = amap.page_of(trace.addr)
-        offsets_all = amap.offset_of(trace.addr)
-        subblocks_all = offsets_all >> self._sb_shift
-        result.stepwise_epochs += -(-n // interval) if n else 0
-        for start in range(0, n, interval):
-            stop = min(start + interval, n)
-            epoch = trace[start:stop]
-            t0 = int(epoch.time[0])
-            epoch_index = self._epoch_index
-            self._epoch_index += 1
+    def _run_epochs(self, trace: TraceChunk, result: SimulationResult) -> None:
+        """The epoch loop.
 
-            pending_dram_errors = 0
-            if self._fault_plan is not None:
-                pending_dram_errors = self._apply_faults(epoch_index, t0, result)
+        Per epoch, in order: apply faults, expire the finished migration,
+        translate and route every access (``resolve_into``), feed the
+        shadow memory, charge the in-flight migration's stall or copy
+        interference, run the boundary hooks (ECC, RAS, disturbance,
+        watchdog, audit) and let the migration engine observe the epoch
+        and maybe swap.
 
-            active = self.engine.active
-            if active is not None and active.end <= t0:
-                active = None  # finished before this epoch: mirrors suffice
-
-            latency, on, machine = self.controller.service_chunk(
-                epoch, self.engine.table, active,
-                pages=pages_all[start:stop],
-                offsets=offsets_all[start:stop],
-                subblocks=subblocks_all[start:stop],
-            )
-            now = int(epoch.time[-1]) + 1
-            epoch_cycles = int(latency.sum())
-            if pending_dram_errors:
-                epoch_cycles += self._run_ecc(
-                    pending_dram_errors, epoch_index, now, result
-                )
-
-            n_on = int(np.count_nonzero(on))
-            if self._ras is not None:
-                # CE correction + patrol-scrub cycles count against this
-                # epoch (and its watchdog budget); a retirement's copy-out
-                # instead stalls subsequent accesses via the engine
-                epoch_cycles += self._ras.end_epoch(
-                    epoch_index, now,
-                    machine=machine, on=on, writes=epoch.rw != 0,
-                    n_on=n_on, n_total=len(epoch),
-                )
-
-            if self._disturb is not None:
-                # activation folding + the mitigation ladder; victim
-                # refreshes and throttling charge this epoch's cycles,
-                # escalation rides the RAS/migration machinery instead
-                epoch_cycles += self._disturb.end_epoch(
-                    epoch_index, now,
-                    pages=pages_all[start:stop], machine=machine, on=on,
-                    offsets=offsets_all[start:stop],
-                )
-
-            if resilience.epoch_cycle_budget and (
-                epoch_cycles > resilience.epoch_cycle_budget
-            ):
-                detail = (
-                    f"epoch {epoch_index} (t=[{t0}, {now})) spent "
-                    f"{epoch_cycles} cycles, budget "
-                    f"{resilience.epoch_cycle_budget}"
-                )
-                if resilience.watchdog_action == "raise":
-                    raise WatchdogError(detail)
-                self._events.append(
-                    DegradationEvent(
-                        time=now, epoch=epoch_index, kind=WATCHDOG_BREACH,
-                        detail=detail, recovered=True,
-                    )
-                )
-
-            result.n_accesses += len(epoch)
-            result.total_latency += epoch_cycles
-            result.onpkg_accesses += n_on
-            result.offpkg_accesses += len(epoch) - n_on
-            result.epoch_latency.append(float(latency.mean()))
-
-            if resilience.audit_interval and (
-                (epoch_index + 1) % resilience.audit_interval == 0
-            ):
-                self._audit(epoch_index, now)
-
-            if self.migrate:
-                if not self.engine.quarantined:
-                    pages = pages_all[start:stop]
-                    times = epoch.time
-                    on_idx = np.flatnonzero(on)
-                    off_idx = np.flatnonzero(~on)
-                    # on-package observations are per *slot*; slots == machine page
-                    self.engine.observe_epoch(
-                        slots=machine[on_idx],
-                        slot_times=times[on_idx],
-                        offpkg_pages=pages[off_idx],
-                        off_times=times[off_idx],
-                        off_subblocks=subblocks_all[start:stop][off_idx],
-                    )
-                decision = self.engine.maybe_swap(now)
-                if decision.triggered:
-                    result.swaps_triggered += 1
-            self._last_time = int(epoch.time[-1])
-
-    def _run_fused(self, trace: TraceChunk, result: SimulationResult) -> None:
-        """Fused fast path: run the per-epoch *control* pass (resolution,
-        stall windows, monitor updates, swap trigger) with deferred DRAM
-        servicing, then flush every access through each region's device
-        in one segmented call whose segments are the epoch boundaries.
-
-        Bit-identical to :meth:`_run_epochwise` because latency never
-        feeds back into control flow — trigger decisions depend only on
-        address resolution, access times and monitor state — and
-        :meth:`~repro.dram.fastmodel.FastDevice.service_segmented`
-        guarantees per-segment-exact device behaviour.
+        DRAM service flushes through
+        :meth:`~repro.memctrl.heterogeneous.HeterogeneousController.service_resolved`
+        either per epoch, before the boundary hooks, or once per chunk in
+        one segmented call whose segments are the epoch boundaries (see
+        ``_flush_per_epoch``). The two are bit-identical because latency
+        never feeds back into control flow — trigger decisions depend only
+        on address resolution, access times and monitor state — and
+        :meth:`~repro.dram.fastmodel.FastDevice.service_segmented` is exact
+        per segment.
         """
         interval = self.config.migration.swap_interval
-        amap = self.controller.amap
+        resilience = self.config.resilience
+        controller = self.controller
+        amap = controller.amap
         engine = self.engine
+        per_epoch = self._flush_per_epoch
         n = len(trace)
-        # whole-chunk precomputed arrays + flush scratch buffers
+        # whole-chunk precomputed arrays + flush buffers; epochs take views
         # (contiguous: the structured-array field views are strided)
         times_all = np.ascontiguousarray(trace.time)
         pages_all = amap.page_of(trace.addr)
@@ -421,8 +311,8 @@ class EpochSimulator:
         subblocks_all = offsets_all >> self._sb_shift
         writes_all = trace.rw != 0
         if np.any(np.diff(times_all) < 0):
-            # stalls only floor times to a common value, so this global
-            # check covers every epoch the stepwise loop would check
+            # stalls only floor times to a common value, so this one check
+            # covers every epoch's effective arrival times too
             raise SimulationError("chunk times must be non-decreasing")
         # effective arrival times: aliases times_all until a stall window
         # actually has to push accesses forward (N design only)
@@ -430,69 +320,132 @@ class EpochSimulator:
         on_all = np.empty(n, dtype=bool)
         machine_all = np.empty(n, dtype=np.int64)
         extra = np.zeros(n, dtype=np.int64)  # stall + interference cycles
-        interference = self.config.migration.interference_cycles
+        latency = np.empty(n, dtype=np.int64) if per_epoch else None
+        # ECC/RAS/disturbance cycles: in the total, in no epoch's mean
+        boundary_cycles = 0
 
         epoch_starts = np.arange(0, n, interval, dtype=np.int64)
-        result.fused_epochs += int(epoch_starts.shape[0])
+        if per_epoch:
+            result.stepwise_epochs += int(epoch_starts.shape[0])
+        else:
+            result.fused_epochs += int(epoch_starts.shape[0])
         for start in range(0, n, interval):
             stop = min(start + interval, n)
             t0 = int(times_all[start])
+            epoch_index = self._epoch_index
             self._epoch_index += 1
+
+            pending_dram_errors = 0
+            if self._fault_plan is not None:
+                pending_dram_errors = self._apply_faults(epoch_index, t0, result)
 
             active = engine.active
             if active is not None and active.end <= t0:
                 active = None  # finished before this epoch: mirrors suffice
 
             tview = times_all[start:stop]
+            pages = pages_all[start:stop]
+            subblocks = subblocks_all[start:stop]
+            writes = writes_all[start:stop]
             on = on_all[start:stop]
             machine = machine_all[start:stop]
-            self.controller.resolve_into(
-                pages_all[start:stop], tview, subblocks_all[start:stop],
-                engine.table, active, on, machine,
+            controller.resolve_into(
+                pages, tview, subblocks, engine.table, active, on, machine
             )
+            if self.shadow is not None:
+                # checked at *original* access times: a stalled access
+                # still reads whatever the location holds once the stall
+                # window (during which data and routing flip together)
+                # has drained
+                self.shadow.process(tview, pages, subblocks, on, machine, writes)
 
             if active is not None:
-                if active.stall:
-                    # N design: execution halts while the swap copies data;
-                    # stalled accesses issue together at the stall's end
-                    stalled = (tview >= active.start) & (tview < active.end)
-                    if stalled.any():
-                        if eff_times is times_all:
-                            eff_times = times_all.copy()  # repro-lint: disable=hot-path-copy - copy-on-write, at most once per chunk
-                        extra[start:stop][stalled] = active.end - tview[stalled]
-                        eff_times[start:stop][stalled] = active.end
-                else:
-                    # background copy traffic shares the DDR channel
-                    off_win = ~on
-                    off_win &= tview >= active.start
-                    off_win &= tview < active.end
-                    extra[start:stop][off_win] = interference
+                stalled = controller.migration_windows(
+                    active, tview, on, extra[start:stop]
+                )
+                if stalled is not None:
+                    if eff_times is times_all:
+                        eff_times = times_all.copy()  # repro-lint: disable=hot-path-copy - copy-on-write, at most once per chunk
+                    eff_times[start:stop][stalled] = active.end
 
+            if per_epoch:
+                latency[start:stop] = controller.service_resolved(
+                    on, machine, offsets_all[start:stop],
+                    eff_times[start:stop], writes, ONE_EPOCH,
+                    extra[start:stop],
+                )
             now = int(tview[-1]) + 1
+            cycles = 0  # this epoch's boundary-hook cycles
+            if pending_dram_errors:
+                cycles += self._run_ecc(
+                    pending_dram_errors, epoch_index, now, result
+                )
+            if self._ras is not None:
+                # CE correction + patrol-scrub cycles count against this
+                # epoch (and its watchdog budget); a retirement's copy-out
+                # instead stalls subsequent accesses via the engine
+                cycles += self._ras.end_epoch(
+                    epoch_index, now, machine=machine, on=on, writes=writes,
+                    n_on=int(np.count_nonzero(on)), n_total=stop - start,
+                )
+            if self._disturb is not None:
+                # activation folding + the mitigation ladder; victim
+                # refreshes and throttling charge this epoch's cycles,
+                # escalation rides the RAS/migration machinery instead
+                cycles += self._disturb.end_epoch(
+                    epoch_index, now, pages=pages, machine=machine, on=on,
+                    offsets=offsets_all[start:stop],
+                )
+            boundary_cycles += cycles
+            budget = resilience.epoch_cycle_budget
+            if budget:
+                # a budget always flushes per epoch, so latency is filled
+                epoch_cycles = int(latency[start:stop].sum()) + cycles
+                if epoch_cycles > budget:
+                    detail = (
+                        f"epoch {epoch_index} (t=[{t0}, {now})) spent "
+                        f"{epoch_cycles} cycles, budget {budget}"
+                    )
+                    if resilience.watchdog_action == "raise":
+                        raise WatchdogError(detail)
+                    self._events.append(
+                        DegradationEvent(
+                            time=now, epoch=epoch_index, kind=WATCHDOG_BREACH,
+                            detail=detail, recovered=True,
+                        )
+                    )
+
+            if resilience.audit_interval and (
+                (epoch_index + 1) % resilience.audit_interval == 0
+            ):
+                self._audit(epoch_index, now)
+
             if self.migrate:
                 if not engine.quarantined:
+                    # on-package observations are per *slot*; slots ==
+                    # machine page
                     on_idx = np.flatnonzero(on)
                     off_idx = np.flatnonzero(~on)
                     engine.observe_epoch(
                         slots=machine[on_idx],
                         slot_times=tview[on_idx],
-                        offpkg_pages=pages_all[start:stop][off_idx],
+                        offpkg_pages=pages[off_idx],
                         off_times=tview[off_idx],
-                        off_subblocks=subblocks_all[start:stop][off_idx],
+                        off_subblocks=subblocks[off_idx],
                     )
                 decision = engine.maybe_swap(now)
                 if decision.triggered:
                     result.swaps_triggered += 1
             self._last_time = int(tview[-1])
 
-        # flush: every region services its accesses in one segmented call
-        latency = self.controller.service_resolved(
-            on_all, machine_all, offsets_all, eff_times, writes_all,
-            epoch_starts, extra,
-        )
+        if not per_epoch:
+            latency = controller.service_resolved(
+                on_all, machine_all, offsets_all, eff_times, writes_all,
+                epoch_starts, extra,
+            )
         n_on = int(np.count_nonzero(on_all))
         result.n_accesses += n
-        result.total_latency += int(latency.sum())
+        result.total_latency += int(latency.sum()) + boundary_cycles
         result.onpkg_accesses += n_on
         result.offpkg_accesses += n - n_on
         # per-epoch means: int64 epoch sums stay far below 2**53, so the
@@ -514,11 +467,7 @@ class EpochSimulator:
         for ev in self._fault_plan.events_for_epoch(epoch_index):
             self._faults_injected += 1
             if ev.kind is FaultKind.ABORT_SWAP:
-                # getattr(): fault plans pickled before micro-boundary
-                # aborts existed carry no subblocks field
-                self.engine.inject_abort(
-                    ev.param, subblocks=getattr(ev, "subblocks", 0)
-                )
+                self.engine.inject_abort(ev.param, subblocks=ev.subblocks)
             elif ev.kind is FaultKind.STUCK_P_BIT:
                 table.set_pending(ev.param % table.n_slots, True)
             elif ev.kind is FaultKind.STUCK_F_BIT:
@@ -629,20 +578,13 @@ class EpochSimulator:
         self._events = list(state["events"])
         self.engine.load_state_dict(state["engine"])
         self.controller.load_state_dict(state["controller"])
-        # .get(): checkpoints written before the shadow memory existed.
         # restore_simulator builds the target with default arguments, so
-        # a tracked run re-wires its shadow here instead of in __init__.
-        shadow_state = state.get("shadow")
-        if shadow_state is not None:
+        # a tracked run re-wires its shadow here instead of in __init__
+        if state["shadow"] is not None:
             if self.shadow is None:
                 self._attach_shadow()
-            self.shadow.load_state_dict(shadow_state)
-        # .get(): checkpoints written before the RAS subsystem existed
-        ras_state = state.get("ras")
-        if ras_state is not None and self._ras is not None:
-            self._ras.load_state_dict(ras_state)
-        # .get(): checkpoints written before row-disturbance existed
-        disturb_state = state.get("disturb")
-        if disturb_state is not None and self._disturb is not None:
-            self._disturb.load_state_dict(disturb_state)
-            self._disturb.shadow = self.shadow
+            self.shadow.load_state_dict(state["shadow"])
+        if state["ras"] is not None and self._ras is not None:
+            self._ras.load_state_dict(state["ras"])
+        if state["disturb"] is not None and self._disturb is not None:
+            self._disturb.load_state_dict(state["disturb"])

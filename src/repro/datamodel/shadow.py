@@ -3,8 +3,8 @@
 :mod:`repro.analysis.protocol` checks the swap protocol *statically*
 against a symbolic versioned memory. This module is the same model made
 *live*: a :class:`ShadowMemory` mirrors every macro page's data as
-per-4KB-sub-block ``(page, write_generation)`` cells, the memory
-controller feeds it every routed demand access, and the migration
+per-4KB-sub-block ``(page, write_generation)`` cells, the epoch loop
+feeds it every routed demand access, and the migration
 engine feeds it every copy its plans perform — at the cycle the copy
 lands, so a read that races a half-landed fill is checked against what
 the machine location *actually holds at that time*.
@@ -31,9 +31,9 @@ Accesses to the reserved page Ω carry no architectural data and are
 ignored.
 
 The shadow is pure bookkeeping: it never influences routing, timing or
-any simulated number. ``EpochSimulator(track_data=True)`` wires it in
-(and forces the stepwise epoch loop); the default leaves every code
-path byte-identical.
+any simulated number, and it reads no serviced latency, so DRAM service
+still flushes once per chunk. ``EpochSimulator(track_data=True)`` wires
+it in; the default leaves every code path byte-identical.
 """
 
 from __future__ import annotations

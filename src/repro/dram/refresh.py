@@ -19,7 +19,7 @@ This gives exact preempt/resume semantics: work crossing a window
 boundary is suspended for tRFC and resumes, no matter whether the bank
 was idle, queued, or mid-burst when the window opened. Because the warp
 is a pure function of global time (not of per-call state), the fused
-segmented fast path stays bit-identical to the stepwise oracle: warping
+segmented flush stays bit-identical to a per-epoch flush: warping
 commutes with segment boundaries.
 
 The same schedule prices refresh-vs-migration-copy contention: a swap

@@ -11,9 +11,9 @@ migration story must survive refresh intact.
 
 The per-design x per-mode grid fans out through the campaign
 supervisor (``repro-experiments refresh --jobs N --manifest PATH``
-resumes like ``table4``). The simulations run the fused fast path: the
-time-warp refresh model commutes with segment boundaries, so the fused
-and stepwise schedules agree bit-for-bit (see
+resumes like ``table4``). The simulations take the multi-epoch flush:
+the time-warp refresh model commutes with segment boundaries, so the
+multi-epoch and per-epoch flushes agree bit-for-bit (see
 ``tests/test_fused_equivalence.py``).
 """
 

@@ -20,13 +20,16 @@ import numpy as np
 from ..address import AddressMap
 from ..config import SystemConfig
 from ..dram.latency import LatencyModel
-from ..errors import SimulationError
 from ..migration.engine import ActiveMigration
 from ..migration.overhead import translation_cycles
 from ..migration.table import TranslationTable
 from ..trace.record import TraceChunk
 from ..units import log2_exact
 from .routing import RegionRouter
+
+#: ``seg_starts`` of a one-epoch flush (read-only: shared by every caller)
+ONE_EPOCH = np.zeros(1, dtype=np.int64)
+ONE_EPOCH.flags.writeable = False
 
 
 class HeterogeneousController:
@@ -35,8 +38,6 @@ class HeterogeneousController:
     def __init__(self, config: SystemConfig, *, detailed: bool = False,
                  translation_overhead: bool = True):
         self.config = config
-        #: static (no-migration) systems decode regions from MSBs for free
-        self.translation_overhead = translation_overhead
         self.amap: AddressMap = config.address_map()
         self.router = RegionRouter(self.amap)
         self.onpkg_model = LatencyModel(
@@ -46,9 +47,16 @@ class HeterogeneousController:
             config.latency, config.offpkg_dram, onpkg=False, detailed=detailed
         )
         self._sb_shift = log2_exact(self.amap.subblock_bytes)
-        #: optional data-content mirror (set by EpochSimulator
-        #: track_data=True); fed every routed access, never read back
-        self.shadow = None
+        #: per-access table lookup cost; static (no-migration) systems
+        #: decode regions from MSBs for free
+        self._translation = (
+            translation_cycles(
+                config.migration.os_assisted,
+                hw_cycles=config.migration.hw_translation_cycles,
+            )
+            if translation_overhead
+            else 0
+        )
         self.accesses = 0
         self.total_latency = 0
         self.onpkg_accesses = 0
@@ -59,7 +67,7 @@ class HeterogeneousController:
 
         The tenancy scheduler diffs consecutive snapshots around each
         tenant's trace chunk to attribute controller work per tenant —
-        valid on both loop flavours because the fused flush also settles
+        valid at either flush granularity because the simulator settles
         these counters within ``run_into`` before it returns.
         """
         return (
@@ -101,12 +109,12 @@ class HeterogeneousController:
         on_out: np.ndarray,
         machine_out: np.ndarray,
     ) -> None:
-        """:meth:`resolve_chunk` over precomputed per-access arrays.
+        """Per-access ``(on_package, machine_page)`` honouring in-flight swaps.
 
-        Writes ``(on_package, machine_page)`` into the caller's output
-        views — this is what lets the fused epoch loop resolve straight
-        into preallocated whole-flush scratch buffers. ``subblocks`` may
-        be ``None`` when ``active`` carries no fill in flight.
+        Writes into the caller's output views — this is what lets the
+        epoch loop resolve straight into preallocated whole-flush
+        buffers. ``subblocks`` may be ``None`` when ``active`` carries no
+        fill in flight.
         """
         if pages.size and pages.min() < 0:
             table.resolve_many(pages)  # raises the domain-specific error
@@ -141,116 +149,63 @@ class HeterogeneousController:
                 on_out[mask] = served_on
                 machine_out[mask] = np.where(served_on, fill.slot, fill.old_machine)
 
-    def resolve_chunk(
+    def migration_windows(
         self,
-        chunk: TraceChunk,
-        table: TranslationTable,
-        active: ActiveMigration | None,
-        *,
-        pages: np.ndarray | None = None,
-        subblocks: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-access ``(on_package, machine_page)`` honouring in-flight swaps."""
-        if pages is None:
-            pages = self.amap.page_of(chunk.addr)
-        if (
-            subblocks is None
-            and active is not None
-            and active.fill is not None
-        ):
-            subblocks = self.amap.offset_of(chunk.addr) >> self._sb_shift
-        n = pages.shape[0]
-        on = np.empty(n, dtype=bool)
-        machine = np.empty(n, dtype=np.int64)
-        self.resolve_into(pages, chunk.time, subblocks, table, active, on, machine)
-        return on, machine
+        active: ActiveMigration,
+        times: np.ndarray,
+        on: np.ndarray,
+        extra: np.ndarray,
+    ) -> np.ndarray | None:
+        """Charge the in-flight migration's cycles into ``extra`` (in place).
+
+        N design: execution halts while the swap copies data, so an
+        access inside the stall window waits for its end; returns that
+        window's mask (the caller issues those accesses at
+        ``active.end``), or None when nothing stalled. Other designs: the
+        background copy traffic shares the DDR channel, so off-package
+        accesses inside the copy window pay ``interference_cycles``.
+        """
+        if active.stall:
+            stalled = (times >= active.start) & (times < active.end)
+            if not stalled.any():
+                return None
+            extra[stalled] = active.end - times[stalled]
+            return stalled
+        window = ~on
+        window &= times >= active.start
+        window &= times < active.end
+        extra[window] = self.config.migration.interference_cycles
+        return None
 
     def service_chunk(
         self,
         chunk: TraceChunk,
         table: TranslationTable,
         active: ActiveMigration | None = None,
-        *,
-        pages: np.ndarray | None = None,
-        offsets: np.ndarray | None = None,
-        subblocks: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Latency of each access in a time-ordered chunk.
+        """Latency of each access in a time-ordered chunk, as one epoch.
 
         Returns ``(latencies, onpkg_mask, machine_page)``. The chunk must
         not start before previously serviced chunks (device state is
-        persistent). ``pages``/``offsets``/``subblocks`` accept arrays
-        the caller already derived from ``chunk.addr`` (the epoch loop
-        precomputes them once per trace chunk).
+        persistent).
         """
         n = len(chunk)
-        if n == 0:
-            return (
-                np.zeros(0, dtype=np.int64),
-                np.zeros(0, dtype=bool),
-                np.zeros(0, dtype=np.int64),
-            )
-        on, machine = self.resolve_chunk(
-            chunk, table, active, pages=pages, subblocks=subblocks
-        )
-        if offsets is None:
-            offsets = self.amap.offset_of(chunk.addr)
+        pages = self.amap.page_of(chunk.addr)
+        offsets = self.amap.offset_of(chunk.addr)
         times = chunk.time
-        writes = chunk.rw != 0
-        if self.shadow is not None:
-            # the shadow checks at *original* access times: a stalled
-            # access still reads whatever the location holds once the
-            # stall window (during which data and routing flip together)
-            # has drained, and the op queue flushes by land time
-            if pages is None:
-                pages = self.amap.page_of(chunk.addr)
-            if subblocks is None:
-                subblocks = offsets >> self._sb_shift
-            self.shadow.process(times, pages, subblocks, on, machine, writes)
-        latency = np.zeros(n, dtype=np.int64)
-
-        # N design: execution halts while the swap copies data
-        stall_extra = None
-        if active is not None and active.stall:
-            stall_extra = np.zeros(n, dtype=np.int64)
-            stalled = (times >= active.start) & (times < active.end)
-            stall_extra[stalled] = active.end - times[stalled]
-            times = times + stall_extra  # issue after the stall
-
-        if np.any(np.diff(times) < 0):
-            # stalls only push times forward to a common floor, so order
-            # is preserved; anything else is a caller bug
-            raise SimulationError("chunk times must be non-decreasing")
-
-        n_on = int(np.count_nonzero(on))
-        if n_on:
-            sel = np.flatnonzero(on)
-            local = self.router.onpkg_local_address(machine[sel], offsets[sel])
-            latency[sel] = self.onpkg_model.access_latency(
-                local, times[sel], writes[sel]
-            )
-        if n_on < n:
-            sel = np.flatnonzero(~on)
-            local = self.router.offpkg_local_address(machine[sel], offsets[sel])
-            lat = self.offpkg_model.access_latency(local, times[sel], writes[sel])
-            if active is not None and not active.stall:
-                # background copy traffic shares the DDR channel
-                window = (times[sel] >= active.start) & (times[sel] < active.end)
-                lat = lat + window * self.config.migration.interference_cycles
-            latency[sel] = lat
-
-        if self.translation_overhead:
-            latency += translation_cycles(
-                self.config.migration.os_assisted,
-                hw_cycles=self.config.migration.hw_translation_cycles,
-            )
-        if stall_extra is not None:
-            latency += stall_extra
-
-        self.accesses += n
-        self.total_latency += int(latency.sum())
-        self.onpkg_accesses += n_on
-        self.offpkg_accesses += n - n_on
+        on = np.empty(n, dtype=bool)
+        machine = np.empty(n, dtype=np.int64)
+        self.resolve_into(
+            pages, times, offsets >> self._sb_shift, table, active, on, machine
+        )
+        extra = np.zeros(n, dtype=np.int64)
+        if active is not None:
+            stalled = self.migration_windows(active, times, on, extra)
+            if stalled is not None:
+                times = np.where(stalled, active.end, times)  # issue after the stall
+        latency = self.service_resolved(
+            on, machine, offsets, times, chunk.rw != 0, ONE_EPOCH, extra
+        )
         return latency, on, machine
 
     def service_resolved(
@@ -263,81 +218,48 @@ class HeterogeneousController:
         seg_starts: np.ndarray,
         extra: np.ndarray,
     ) -> np.ndarray:
-        """Deferred region servicing for the fused epoch loop.
+        """Flush resolved accesses through each region's device.
 
-        The control pass already resolved routing per epoch; this flushes
-        the accumulated accesses through each region's device in one
-        segmented call whose segments are the original epoch boundaries
-        (``seg_starts``, global indices into the flush). ``times`` are
+        ``seg_starts`` are the epoch boundaries (global indices into the
+        flush, starting at 0). One segment is one ``device.service()``
+        call; more are one :meth:`FastDevice.service_segmented` call,
+        bit-identical to a ``service()`` call per segment. ``times`` are
         effective arrival times (stalls applied); ``extra`` carries the
-        per-access additive cycles the control pass computed (stall +
-        interference). Bit-identical to the per-epoch
-        :meth:`service_chunk` sequence by :meth:`FastDevice.service_segmented`'s
-        contract. Counters and translation overhead are applied here.
+        per-access stall + interference cycles of
+        :meth:`migration_windows`. Counters and translation overhead are
+        applied here.
         """
         n = on.shape[0]
         n_on = int(np.count_nonzero(on))
-        if n_on == n or n_on == 0:
-            # single-region flush: no select/gather/scatter round-trip
-            model = self.onpkg_model if n_on else self.offpkg_model
+        latency = np.empty(n, dtype=np.int64)
+        for model, local_address, count, onpkg in (
+            (self.onpkg_model, self.router.onpkg_local_address, n_on, True),
+            (self.offpkg_model, self.router.offpkg_local_address, n - n_on, False),
+        ):
+            if count == 0:
+                continue
+            if count == n:
+                # single-region flush: no select/gather/scatter round-trip
+                sel, segs = slice(None), seg_starts
+            else:
+                sel = np.flatnonzero(on if onpkg else ~on)
+                segs = np.searchsorted(sel, seg_starts)
+                segs = segs[segs < count]
             dev = model.device
-            local = (
-                self.router.onpkg_local_address(machine, offsets)
-                if n_on
-                else self.router.offpkg_local_address(machine, offsets)
-            )
-            wr = writes if dev.geometry.timing.t_wr else None
-            latency = dev.service_segmented(
-                local, times, seg_starts, wr, assume_monotone=True
-            )
-            latency += model.path_overhead
-            if self.translation_overhead:
-                latency += translation_cycles(
-                    self.config.migration.os_assisted,
-                    hw_cycles=self.config.migration.hw_translation_cycles,
-                )
-            latency += extra
-            self.accesses += n
-            self.total_latency += int(latency.sum())
-            self.onpkg_accesses += n_on
-            self.offpkg_accesses += n - n_on
-            return latency
-
-        latency = np.zeros(n, dtype=np.int64)
-        if n_on:
-            sel = np.flatnonzero(on)
-            local = self.router.onpkg_local_address(machine[sel], offsets[sel])
-            segs = np.searchsorted(sel, seg_starts)
-            segs = segs[segs < sel.shape[0]]
-            dev = self.onpkg_model.device
             # the write gather is dead weight when the region charges no
             # write recovery
             wr = writes[sel] if dev.geometry.timing.t_wr else None
-            latency[sel] = (
-                dev.service_segmented(
+            local = local_address(machine[sel], offsets[sel])
+            if segs.shape[0] == 1:
+                # the event-driven device has only this entry point
+                lat = dev.service(local, times[sel], wr)
+            else:
+                lat = dev.service_segmented(
                     local, times[sel], segs, wr, assume_monotone=True
                 )
-                + self.onpkg_model.path_overhead
-            )
-        if n_on < n:
-            sel = np.flatnonzero(~on)
-            local = self.router.offpkg_local_address(machine[sel], offsets[sel])
-            segs = np.searchsorted(sel, seg_starts)
-            segs = segs[segs < sel.shape[0]]
-            dev = self.offpkg_model.device
-            wr = writes[sel] if dev.geometry.timing.t_wr else None
-            latency[sel] = (
-                dev.service_segmented(
-                    local, times[sel], segs, wr, assume_monotone=True
-                )
-                + self.offpkg_model.path_overhead
-            )
-
-        if self.translation_overhead:
-            latency += translation_cycles(
-                self.config.migration.os_assisted,
-                hw_cycles=self.config.migration.hw_translation_cycles,
-            )
+            lat += model.path_overhead
+            latency[sel] = lat
+        latency += self._translation
         latency += extra
 
         self.accesses += n

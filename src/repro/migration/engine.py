@@ -1050,8 +1050,7 @@ class MigrationEngine:
         self.swaps_triggered = state["swaps_triggered"]
         self.swaps_suppressed_busy = state["swaps_suppressed_busy"]
         self.swaps_suppressed_cold = state["swaps_suppressed_cold"]
-        # .get(): checkpoints written before the tenancy subsystem
-        self.swaps_suppressed_qos = state.get("swaps_suppressed_qos", 0)
+        self.swaps_suppressed_qos = state["swaps_suppressed_qos"]
         self.swaps_failed = state["swaps_failed"]
         self.migrated_bytes = state["migrated_bytes"]
         self.cross_boundary_bytes = state["cross_boundary_bytes"]
@@ -1060,14 +1059,13 @@ class MigrationEngine:
         self.degradation_events = list(state["degradation_events"])
         self.epochs_observed = state["epochs_observed"]
         self._abort_at_step = state["abort_at_step"]
-        # .get(): checkpoints written before data-safe abort recovery
-        self._abort_subblocks = state.get("abort_subblocks", 0)
-        self.abort_recoveries = state.get("abort_recoveries", 0)
-        self.recovery_bytes = state.get("recovery_bytes", 0)
-        self.frames_retired = state.get("frames_retired", 0)
-        self.retired_bytes = state.get("retired_bytes", 0)
-        self.tenants_released = state.get("tenants_released", 0)
-        self.reclaimed_bytes = state.get("reclaimed_bytes", 0)
+        self._abort_subblocks = state["abort_subblocks"]
+        self.abort_recoveries = state["abort_recoveries"]
+        self.recovery_bytes = state["recovery_bytes"]
+        self.frames_retired = state["frames_retired"]
+        self.retired_bytes = state["retired_bytes"]
+        self.tenants_released = state["tenants_released"]
+        self.reclaimed_bytes = state["reclaimed_bytes"]
         sb = dict(state["last_subblock"])
         if sb:
             pages = np.array(sorted(sb), dtype=np.int64)

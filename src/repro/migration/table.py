@@ -583,13 +583,8 @@ class TranslationTable:
         self._slot_of = dict(state["slot_of"])
         self.machine_of = state["machine_of"].copy()
         self.onpkg = state["onpkg"].copy()
-        # pre-RAS snapshots carry no retirement state (back-compat)
-        retired = state.get("retired")
-        self.retired = (
-            retired.copy() if retired is not None
-            else np.zeros(self.n_slots, dtype=bool)
-        )
-        self.remap = dict(state.get("remap", {}))
+        self.retired = state["retired"].copy()
+        self.remap = dict(state["remap"])
         self._empty_cache_valid = False
         self._retired_cache = None
 

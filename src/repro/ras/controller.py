@@ -1,7 +1,8 @@
 """The runtime RAS orchestrator wired into the epoch simulator.
 
-Once per epoch boundary (stepwise loop only — an enabled RAS subsystem
-disables the fused fast path) the controller:
+Once per epoch boundary, after that epoch's DRAM service has been
+flushed (an enabled RAS subsystem makes the simulator flush per epoch),
+the controller:
 
 1. folds the epoch's off-package demand writes into the wear model;
 2. draws background CE arrivals (seeded Bernoulli per usable frame) and

@@ -34,7 +34,9 @@ from typing import Any
 from ..errors import CheckpointError
 
 CHECKPOINT_MAGIC = b"RPCKPT01"
-CHECKPOINT_VERSION = 1
+#: 2: every subsystem's state is always present (version 1 files, which
+#: predate RAS, tenancy and data-safe abort recovery, are refused)
+CHECKPOINT_VERSION = 2
 _PREFIX = struct.Struct("<8sI32s")
 
 

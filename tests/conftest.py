@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 
 from repro.address import AddressMap
 from repro.config import MigrationConfig, SystemConfig
+from repro.core.simulator import SimulationResult
+from repro.resilience.checkpoint import CHECKPOINT_MAGIC, save_checkpoint
 from repro.trace.record import TraceChunk, make_chunk
 from repro.units import KB, MB
 
@@ -63,3 +67,12 @@ def synthetic_trace(
 @pytest.fixture
 def skewed_trace() -> TraceChunk:
     return synthetic_trace()
+
+
+def write_v1_checkpoint(path, simulator) -> None:
+    """A checkpoint of ``simulator`` whose header claims format version 1
+    (the schema before RAS, tenancy and data-safe abort state)."""
+    save_checkpoint(path, simulator, SimulationResult())
+    with open(path, "r+b") as fh:
+        fh.seek(len(CHECKPOINT_MAGIC))
+        fh.write(struct.pack("<I", 1))

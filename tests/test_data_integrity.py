@@ -149,18 +149,17 @@ class TestCleanDifferential:
         _, tracked = run_tracked(config("live"), trace)
         a, b = dataclasses.asdict(plain), dataclasses.asdict(tracked)
         a.pop("data_violations"), b.pop("data_violations")
-        # track_data forces the stepwise loop, so the loop-coverage
-        # counters legitimately differ — but they must partition the
-        # same epoch count
-        assert a.pop("fused_epochs") == b.pop("stepwise_epochs")
-        assert b.pop("fused_epochs") == a.pop("stepwise_epochs") == 0
+        # the shadow reads no serviced latency, so both runs take the
+        # deferred multi-epoch flush
+        assert a["fused_epochs"] == b["fused_epochs"] == 8
+        assert a["stepwise_epochs"] == b["stepwise_epochs"] == 0
         assert a == b
 
-    def test_track_data_disables_the_fused_loop(self):
-        assert repro.EpochSimulator(config("live"))._should_fuse()
+    def test_track_data_keeps_the_fused_loop(self):
         sim = repro.EpochSimulator(config("live"), track_data=True)
-        assert not sim._should_fuse()
         assert sim.shadow is not None
+        result = sim.run(write_trace(config("live"), n_epochs=3))
+        assert (result.fused_epochs, result.stepwise_epochs) == (3, 0)
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,11 @@
-"""Fused multi-epoch fast path must be bit-identical to the stepwise loop.
+"""The multi-epoch flush must be bit-identical to flushing every epoch.
 
-The fused path defers all DRAM servicing to one segmented flush per
-chunk; these tests pin the contract from the optimisation work: not a
-single simulated number may change — total latency, the full
-``epoch_latency`` series, swap counters, row-hit rates, everything.
+The epoch loop defers DRAM servicing to one segmented flush per chunk
+unless something at the epoch boundary reads serviced latency or device
+state; ``fused=False`` flushes every epoch. These tests pin the
+contract: not a single simulated number may change — total latency, the
+full ``epoch_latency`` series, swap counters, row-hit rates, degradation
+events, data violations, everything.
 """
 
 import dataclasses
@@ -18,6 +20,7 @@ from repro.config import (
     onpkg_dram_timing,
 )
 from repro.core.hetero_memory import HeterogeneousMainMemory
+from repro.resilience.faults import CORE_FAULT_KINDS, FaultPlan
 from repro.trace.record import make_chunk
 from repro.units import KB, MB
 
@@ -60,9 +63,14 @@ def _scalar_fields(result):
     }
 
 
-def assert_identical(cfg, trace, *, migrate=True, chunks=1, arm=None):
-    fused = HeterogeneousMainMemory(cfg, migrate=migrate, fused=True)
-    plain = HeterogeneousMainMemory(cfg, migrate=migrate, fused=False)
+def assert_identical(cfg, trace, *, migrate=True, chunks=1, arm=None,
+                     track_data=False):
+    fused = HeterogeneousMainMemory(
+        cfg, migrate=migrate, fused=True, track_data=track_data
+    )
+    plain = HeterogeneousMainMemory(
+        cfg, migrate=migrate, fused=False, track_data=track_data
+    )
     if arm is not None:
         arm(fused)
         arm(plain)
@@ -78,8 +86,9 @@ def assert_identical(cfg, trace, *, migrate=True, chunks=1, arm=None):
             plain.simulator.run_into(trace[lo:hi], r_plain)
     assert _scalar_fields(r_fused) == _scalar_fields(r_plain)
     assert r_fused.epoch_latency == r_plain.epoch_latency
+    assert r_fused.degradation_events == r_plain.degradation_events
     # coverage: the fused simulator must never fall back to the
-    # stepwise loop (migration-active epochs included), and the two
+    # per-epoch flush (migration-active epochs included), and the two
     # counters must partition the same epoch count
     assert r_fused.stepwise_epochs == 0
     assert r_plain.fused_epochs == 0
@@ -138,15 +147,15 @@ class TestVariants:
 
 
 class TestMigrationActive:
-    """Epochs with an active SwapPlan must run through the fused path.
+    """Epochs with an active SwapPlan must take the multi-epoch flush.
 
     The matrix crosses the three paper algorithms with write traffic,
     OS-assisted translation, a one-shot abort mid-plan, and refresh on
     both tiers. Every cell goes through :func:`assert_identical`, which
     pins bit-identical ``epoch_latency`` *and* ``stepwise_epochs == 0``
     on the fused run — a regression that sends migration-active epochs
-    back to the stepwise fallback fails here, not just in the
-    throughput numbers.
+    back to a per-epoch flush fails here, not just in the throughput
+    numbers.
     """
 
     VARIANTS = ("writes", "os-assisted", "abort", "refresh")
@@ -188,6 +197,139 @@ class TestMigrationActive:
         aborted_mem.engine.inject_abort(1)
         aborted = aborted_mem.run(_trace())
         assert aborted.total_latency != clean.total_latency
+
+
+class TestDeferredConsumers:
+    """Boundary consumers that read no serviced latency or device state —
+    the shadow memory, fault plans and table audits — ride the
+    multi-epoch flush, and must agree with the per-epoch flush on every
+    field, data violations and degradation events included."""
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_track_data(self, algorithm):
+        systems = []
+        r = assert_identical(
+            _cfg(algorithm=algorithm), _trace(), track_data=True,
+            arm=systems.append,
+        )
+        fused, plain = (mem.shadow for mem in systems)
+        assert r.swaps_triggered > 0
+        assert fused.reads > 0 and fused.writes > 0
+        assert fused.violations == plain.violations
+        assert fused.generation == plain.generation
+
+    @pytest.mark.parametrize("seed", (0, 1, 2))
+    def test_fault_plan_with_audits(self, seed):
+        cfg = _cfg().with_resilience(audit_interval=3)
+        trace = _trace(seed=seed)
+        plan = FaultPlan.random(
+            seed, n_epochs=len(trace) // cfg.migration.swap_interval,
+            n_slots=cfg.address_map().n_onpkg_pages, kinds=CORE_FAULT_KINDS,
+        )
+        r = assert_identical(cfg, trace, arm=lambda mem: mem.attach_faults(plan))
+        assert r.faults_injected > 0
+        assert r.degradation_events
+
+
+#: flush-predicate cells: name -> whether the run flushes every epoch
+FLUSH_CELLS = {
+    "unfused": True,
+    "watchdog": True,
+    "ras": True,
+    "disturb": True,
+    "detailed-dram": True,
+    "default": False,
+    "no-migration": False,
+    "track-data": False,
+    "fault-plan": False,
+    "audit": False,
+    "refresh": False,
+}
+
+
+def _flush_cell_system(cell):
+    cfg, kwargs = _cfg(), {}
+    if cell == "unfused":
+        kwargs["fused"] = False
+    elif cell == "watchdog":
+        cfg = cfg.with_resilience(epoch_cycle_budget=1 << 40)
+    elif cell == "ras":
+        cfg = cfg.with_ras(enabled=True)
+    elif cell == "disturb":
+        cfg = cfg.with_disturb(enabled=True)
+    elif cell == "detailed-dram":
+        kwargs["detailed_dram"] = True
+    elif cell == "no-migration":
+        kwargs["migrate"] = False
+    elif cell == "track-data":
+        kwargs["track_data"] = True
+    elif cell == "audit":
+        cfg = cfg.with_resilience(audit_interval=3)
+    elif cell == "refresh":
+        cfg = dataclasses.replace(
+            cfg,
+            offpkg_dram=offpkg_dram_timing(refresh=True),
+            onpkg_dram=onpkg_dram_timing(refresh=True),
+        )
+    mem = HeterogeneousMainMemory(cfg, **kwargs)
+    if cell == "fault-plan":
+        mem.attach_faults(FaultPlan.random(0, n_epochs=5, n_slots=8))
+    return mem
+
+
+@pytest.mark.parametrize("cell", FLUSH_CELLS)
+def test_flush_granularity(cell):
+    """Only ``fused=False`` and consumers of per-epoch latency or device
+    state flush every epoch; everything else flushes once per chunk."""
+    # 5 epochs over low pages (RAS spares sit just below the ghost page)
+    trace = make_chunk(
+        np.arange(5_000) * 4096 % (32 * MB), time=np.arange(5_000) * 40
+    )
+    r = _flush_cell_system(cell).run(trace)
+    expected = (0, 5) if FLUSH_CELLS[cell] else (5, 0)
+    assert (r.fused_epochs, r.stepwise_epochs) == expected
+
+
+class TestDetailedDram:
+    """The event-driven device rebuilds its banks on every service()
+    call, so a ``detailed_dram`` run flushes every epoch. The numbers are
+    pinned literals recorded from the pre-unification stepwise loop."""
+
+    PINNED = {
+        "N": dict(
+            total_latency=277217889, onpkg_accesses=3744,
+            offpkg_accesses=16256, swaps_triggered=14,
+            swaps_suppressed_busy=6, migrated_bytes=2752512,
+            onpkg_row_hit_rate=0.5964209401709402,
+            offpkg_row_hit_rate=0.3788139763779528,
+            duration_cycles=798816,
+        ),
+        "N-1": dict(
+            total_latency=3586405, onpkg_accesses=2904,
+            offpkg_accesses=17096, swaps_triggered=10,
+            swaps_suppressed_busy=10, migrated_bytes=1966080,
+            onpkg_row_hit_rate=0.5399449035812672,
+            offpkg_row_hit_rate=0.09013804398689752,
+            duration_cycles=798816,
+        ),
+        "live": dict(
+            total_latency=3580421, onpkg_accesses=2957,
+            offpkg_accesses=17043, swaps_triggered=10,
+            swaps_suppressed_busy=10, migrated_bytes=1966080,
+            onpkg_row_hit_rate=0.5431180250253635,
+            offpkg_row_hit_rate=0.09053570380801503,
+            duration_cycles=798816,
+        ),
+    }
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_matches_the_pinned_numbers(self, algorithm):
+        r = HeterogeneousMainMemory(
+            _cfg(algorithm=algorithm), detailed_dram=True
+        ).run(_trace(n=20_000))
+        pinned = self.PINNED[algorithm]
+        assert {name: getattr(r, name) for name in pinned} == pinned
+        assert (r.fused_epochs, r.stepwise_epochs) == (0, 20)
 
 
 class TestRefresh:
@@ -235,9 +377,9 @@ class TestRefresh:
 
 
 class TestMultiTenant:
-    """A tenant-tagged interleaved stream must keep the fused fast path:
+    """A tenant-tagged interleaved stream must keep the multi-epoch flush:
     window translation, QoS constraints and per-tenant attribution ride
-    on ``run_into`` and may not force (or perturb) the stepwise loop."""
+    on ``run_into`` and may not force (or perturb) a per-epoch flush."""
 
     N_TENANTS = 3
 

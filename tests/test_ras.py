@@ -17,6 +17,7 @@ from repro.config import (
 from repro.core.simulator import EpochSimulator
 from repro.datamodel.shadow import ShadowMemory
 from repro.errors import (
+    CheckpointError,
     ConfigError,
     MigrationError,
     SimulationError,
@@ -32,6 +33,7 @@ from repro.ras import (
     WearModel,
     retirement_moves,
 )
+from repro.resilience.checkpoint import load_checkpoint
 from repro.resilience.faults import (
     CORE_FAULT_KINDS,
     FaultEvent,
@@ -42,7 +44,7 @@ from repro.stats.report import ras_table
 from repro.trace.record import make_chunk
 from repro.units import KB, MB
 
-from .conftest import synthetic_trace
+from .conftest import synthetic_trace, write_v1_checkpoint
 
 N_SLOTS = 8
 
@@ -374,12 +376,13 @@ class TestTableRetirement:
         assert other.retired[0] and other.remap == {0: spares[0]}
         other.audit()
 
-    def test_pre_ras_snapshot_loads_without_retirement_keys(self):
-        table, _ = self.make_table()
-        state = table.state_dict()
-        del state["retired"], state["remap"]
-        table.load_state_dict(state)
-        assert table.n_retired == 0 and table.remap == {}
+    def test_v1_checkpoint_is_rejected(self, tmp_path):
+        # version 1 predates retirement state; it is refused, not
+        # loaded with guessed defaults
+        path = tmp_path / "v1.ckpt"
+        write_v1_checkpoint(path, EpochSimulator(soak_config("live")))
+        with pytest.raises(CheckpointError, match="version 1"):
+            load_checkpoint(path)
 
 
 class TestRetirementMoves:

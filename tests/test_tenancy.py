@@ -29,8 +29,9 @@ from hypothesis import strategies as st
 
 from repro.config import MigrationConfig, SystemConfig
 from repro.core.simulator import EpochSimulator
-from repro.errors import TenancyError, TranslationTableError
+from repro.errors import CheckpointError, TenancyError, TranslationTableError
 from repro.migration.table import TranslationTable
+from repro.resilience.checkpoint import load_checkpoint
 from repro.stats.report import tenant_table
 from repro.tenancy import (
     HYPERVISOR,
@@ -46,6 +47,8 @@ from repro.tenancy import (
 from repro.trace.record import make_chunk
 from repro.units import KB, MB
 from repro.workloads.tenants import tenant_mix
+
+from .conftest import write_v1_checkpoint
 
 ALGORITHMS = ("N", "N-1", "live")
 
@@ -397,7 +400,7 @@ class TestReclamationStaleness:
         assert engine.monitor.slot_last_touch[4] == -1
         assert engine.monitor.slot_epoch_counts[4] == 0
 
-    def test_release_counters_survive_checkpoint_roundtrip(self):
+    def test_release_counters_survive_checkpoint_roundtrip(self, tmp_path):
         cfg = _cfg()
         sim = EpochSimulator(cfg)
         sim.engine.swaps_suppressed_qos = 3
@@ -409,15 +412,12 @@ class TestReclamationStaleness:
         assert fresh.swaps_suppressed_qos == 3
         assert fresh.tenants_released == 2
         assert fresh.reclaimed_bytes == 640 * KB
-        # pre-tenancy checkpoints load with zeroed counters
-        for key in ("swaps_suppressed_qos", "tenants_released",
-                    "reclaimed_bytes"):
-            del state[key]
-        legacy = EpochSimulator(cfg).engine
-        legacy.load_state_dict(state)
-        assert legacy.swaps_suppressed_qos == 0
-        assert legacy.tenants_released == 0
-        assert legacy.reclaimed_bytes == 0
+        # pre-tenancy (version 1) checkpoints are refused, not loaded
+        # with zeroed counters
+        path = tmp_path / "v1.ckpt"
+        write_v1_checkpoint(path, sim)
+        with pytest.raises(CheckpointError, match="version 1"):
+            load_checkpoint(path)
 
 
 # ---------------------------------------------------------------------------
