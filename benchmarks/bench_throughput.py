@@ -27,12 +27,7 @@ Measured paths (schema 2):
   regression to the per-epoch flush fails loudly rather than showing up
   as a silent slowdown;
 * ``epoch_simulator_unfused`` — the same loop with a per-epoch flush
-  (``fused=False``);
-* ``sharded_x4`` — :class:`repro.campaign.ShardedSimulator` with four
-  address-space shards in worker processes. Only expect a speedup over
-  the fused path on hosts with >= 4 usable cores (see the ``reference``
-  block's ``cpu_count``); on a single-core host this measures the
-  sharding overhead floor.
+  (``fused=False``).
 """
 
 import argparse
@@ -44,7 +39,6 @@ import time
 
 import numpy as np
 
-from repro.campaign.sharded import ShardedSimulator
 from repro.config import MigrationConfig, SystemConfig, offpkg_dram_timing
 from repro.core.detailed import DetailedSimulator
 from repro.core.hetero_memory import HeterogeneousMainMemory
@@ -55,10 +49,6 @@ from repro.units import KB, MB
 
 #: accesses in the standard throughput workload
 N_ACCESSES = 200_000
-
-#: top macro pages kept out of the sharded trace (they back the
-#: per-shard ghost pages; see repro.campaign.sharded.shard_records)
-SHARD_RESERVE_PAGES = 8
 
 
 def _cfg():
@@ -91,20 +81,6 @@ def _trace_migrating(n, seed=0):
     blocks = np.where(
         rng.random(n) < 0.8,
         (drift + rng.integers(0, 512, n)) % n_blocks,
-        rng.integers(0, n_blocks, n),
-    )
-    return make_chunk(blocks * 4096, time=np.cumsum(rng.integers(1, 80, n)))
-
-
-def _trace_sharded(n, seed=0):
-    """The standard mix, folded away from the top ``SHARD_RESERVE_PAGES``
-    macro pages (they back the per-shard ghost pages)."""
-    rng = np.random.default_rng(seed)
-    n_blocks = (128 * MB - SHARD_RESERVE_PAGES * 64 * KB) // 4096
-    hot = rng.integers(0, n_blocks)
-    blocks = np.where(
-        rng.random(n) < 0.8,
-        (hot + rng.integers(0, 512, n)) % n_blocks,
         rng.integers(0, n_blocks, n),
     )
     return make_chunk(blocks * 4096, time=np.cumsum(rng.integers(1, 80, n)))
@@ -169,17 +145,6 @@ def test_epoch_simulator_unfused_throughput(benchmark):
     assert res.n_accesses == N_ACCESSES
 
 
-def test_sharded_simulator_throughput(benchmark):
-    trace = _trace_sharded(N_ACCESSES)
-
-    def run():
-        sharded = ShardedSimulator(_cfg(), 4, poll_interval=0.005)
-        return sharded.run(trace)
-
-    res = benchmark.pedantic(run, rounds=2, iterations=1)
-    assert res.n_accesses == N_ACCESSES
-
-
 def test_detailed_simulator_throughput(benchmark):
     trace = _trace(5_000)
 
@@ -198,7 +163,6 @@ def _paths(n):
     """(name, callable) per measured simulation path, sharing one trace."""
     trace = _trace(n)
     trace_mig = _trace_migrating(n)
-    trace_sh = _trace_sharded(n)
     geo = DramGeometry(offpkg_dram_timing())
     return [
         ("fast_dram_model",
@@ -209,8 +173,6 @@ def _paths(n):
          lambda: _run_fused_migrating(trace_mig)),
         ("epoch_simulator_unfused",
          lambda: HeterogeneousMainMemory(_cfg(), fused=False).run(trace)),
-        ("sharded_x4",
-         lambda: ShardedSimulator(_cfg(), 4, poll_interval=0.005).run(trace_sh)),
     ]
 
 

@@ -2,9 +2,8 @@
 
 Re-measures every path in ``bench_throughput.measure`` and compares
 against the committed ``BENCH_throughput.json`` snapshot (schema 2). A
-path that falls below its per-path floor — ``--tolerance`` under the
-recorded best-of accesses/sec, with wider per-path overrides in
-``PATH_TOLERANCE`` for the noisier paths — fails the check.
+path that falls more than ``--tolerance`` below its recorded best-of
+accesses/sec fails the check.
 
 Raw accesses/sec varies with host speed, so the check also enforces
 machine-independent invariants:
@@ -15,11 +14,7 @@ machine-independent invariants:
   still trips this;
 * the migration-active fused path asserts inside the benchmark that no
   epoch fell back to the per-epoch flush (``stepwise_epochs == 0``), so
-  a fusion-coverage regression fails the measurement itself;
-* ``sharded_x4``'s absolute floor is only enforced when this host has
-  at least as many CPUs as the baseline host (recorded in the
-  snapshot's ``reference.host`` block) — sharding buys wall-clock with
-  cores, and a smaller host measures overhead, not capability.
+  a fusion-coverage regression fails the measurement itself.
 
 Usage::
 
@@ -31,14 +26,7 @@ import json
 import os
 import sys
 
-from bench_throughput import host_metadata, measure
-
-#: per-path fractional-drop overrides (default: --tolerance).
-#: sharded_x4 rides on process spawn/IPC, the noisiest component in a
-#: shared CI runner, so it gets a wider band.
-PATH_TOLERANCE = {
-    "sharded_x4": 0.50,
-}
+from bench_throughput import measure
 
 
 def main(argv=None):
@@ -58,28 +46,18 @@ def main(argv=None):
         baseline = json.load(fh)
     fresh = measure(baseline["accesses"], args.rounds)
 
-    base_host = baseline.get("reference", {}).get("host", {})
-    base_cpus = base_host.get("cpu_count")
-    here_cpus = host_metadata()["cpu_count"]
-    fewer_cores = (
-        base_cpus is not None and here_cpus is not None and here_cpus < base_cpus
-    )
-
     failures = []
     for name, ref in sorted(baseline["paths"].items()):
         ref_aps = ref["accesses_per_sec"]
         now_aps = fresh[name]["accesses_per_sec"]
-        tol = PATH_TOLERANCE.get(name, args.tolerance)
-        floor = ref_aps * (1.0 - tol)
-        if name == "sharded_x4" and fewer_cores:
-            status = f"skipped ({here_cpus} < baseline {base_cpus} cpus)"
-        elif now_aps >= floor:
+        floor = ref_aps * (1.0 - args.tolerance)
+        if now_aps >= floor:
             status = "ok"
         else:
             status = "REGRESSED"
             failures.append(
                 f"{name}: {now_aps / 1e6:.3f} M accesses/s is more than "
-                f"{tol:.0%} below the baseline {ref_aps / 1e6:.3f} M/s"
+                f"{args.tolerance:.0%} below the baseline {ref_aps / 1e6:.3f} M/s"
             )
         print(f"{name:34s} baseline {ref_aps / 1e6:8.3f} M/s   "
               f"now {now_aps / 1e6:8.3f} M/s   {status}")

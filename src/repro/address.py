@@ -84,10 +84,6 @@ class AddressMap:
         return self.onpkg_bytes // self.macro_page_bytes
 
     @property
-    def n_offpkg_pages(self) -> int:
-        return self.n_total_pages - self.n_onpkg_pages
-
-    @property
     def subblocks_per_page(self) -> int:
         return self.macro_page_bytes // self.subblock_bytes
 
@@ -139,13 +135,3 @@ class AddressMap:
                 f"address outside [0, {self.total_bytes}): "
                 f"min={a.min() if a.size else None} max={a.max() if a.size else None}"
             )
-
-
-def interleave_bits(addr, shift: int, ways: int):
-    """Simple modulo interleave used for channel/bank hashing.
-
-    Returns ``(addr >> shift) % ways`` — vectorised.
-    """
-    if ways <= 0:
-        raise ConfigError("ways must be positive")
-    return (np.asarray(addr, dtype=np.int64) >> shift) % ways

@@ -108,17 +108,17 @@ SIGNATURES: tuple[Signature, ...] = (
               D.VIRTUAL_PAGE),
     Signature("TranslationTable.empty_slot", (), D.MACHINE_FRAME),
     # ---- machine-address routing (repro.memctrl.routing) -------------
-    Signature("MachineAddressRouter.machine_address",
+    Signature("RegionRouter.machine_address",
               (("machine_page", D.MACHINE_FRAME), ("offset", D.BYTE_ADDR)),
               D.BYTE_ADDR),
-    Signature("MachineAddressRouter.onpkg_local_address",
+    Signature("RegionRouter.onpkg_local_address",
               (("machine_page", D.MACHINE_FRAME), ("offset", D.BYTE_ADDR)),
               D.BYTE_ADDR),
-    Signature("MachineAddressRouter.offpkg_local_address",
+    Signature("RegionRouter.offpkg_local_address",
               (("machine_page", D.MACHINE_FRAME), ("offset", D.BYTE_ADDR)),
               D.BYTE_ADDR),
     # "split" collides with str.split everywhere: qualname-only
-    Signature("MachineAddressRouter.split",
+    Signature("RegionRouter.split",
               (("machine_page", D.MACHINE_FRAME),),
               (None, D.MACHINE_FRAME), match_calls=False),
     # ---- DRAM geometry (repro.dram.timing / bank) --------------------

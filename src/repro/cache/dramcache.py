@@ -69,7 +69,12 @@ class DramCacheModel:
         return (1.0 - m) * self.hit_cycles + m * (self.miss_penalty_cycles + memory_latency)
 
     def functional_cache(self) -> SetAssociativeCache:
-        """A per-set reference simulation of the 15-way layout."""
+        """A per-set reference simulation of the 15-way layout.
+
+        Oracle for the layout :meth:`effective_capacity_bytes` and
+        :meth:`miss_rate` assume: a functional cache with the same sets
+        and 15 data ways. No experiment runs it.
+        """
         sets = self.capacity_bytes // ((self.data_ways + 1) * self.line_bytes)
         cfg = CacheLevelConfig(
             capacity_bytes=sets * self.data_ways * self.line_bytes,

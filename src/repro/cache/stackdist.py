@@ -113,7 +113,3 @@ class StackDistanceProfile:
             idx = np.searchsorted(sorted_d, c_lines, side="left")
             out.append((self.n - int(idx)) / self.n)
         return out
-
-    @property
-    def cold_miss_rate(self) -> float:
-        return float((self.distances == COLD).sum() / self.n) if self.n else 0.0

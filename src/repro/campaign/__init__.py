@@ -31,12 +31,6 @@ from .manifest import (
     TaskRecord,
 )
 from .retry import DEFAULT_RETRYABLE, Clock, FakeClock, RetryPolicy
-from .sharded import (
-    ShardedSimulator,
-    merge_results,
-    shard_config,
-    shard_records,
-)
 from .supervisor import (
     SKIPPED,
     CampaignReport,
@@ -61,10 +55,6 @@ __all__ = [
     "RUNNING",
     "RetryPolicy",
     "SKIPPED",
-    "ShardedSimulator",
     "TaskOutcome",
     "TaskRecord",
-    "merge_results",
-    "shard_config",
-    "shard_records",
 ]

@@ -56,7 +56,12 @@ class _Region:
 
 
 class DetailedSimulator:
-    """The slow, exact reference implementation."""
+    """The slow, exact reference implementation.
+
+    Oracle for :class:`~repro.core.simulator.EpochSimulator` on small
+    traces: without migration the two must agree on every total, and
+    with migration on the on-package fraction. No experiment runs it.
+    """
 
     def __init__(self, config: SystemConfig, *, migrate: bool = True):
         self.config = config

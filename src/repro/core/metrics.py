@@ -60,11 +60,3 @@ def effectiveness(
         )
     return (latency_without - latency_with) / denom
 
-
-def traffic_reduction(offpkg_fraction_without: float, offpkg_fraction_with: float) -> float:
-    """Relative reduction of off-package memory traffic (the abstract's
-    headline 83% is the average effectiveness; this is the companion
-    traffic metric)."""
-    if offpkg_fraction_without <= 0:
-        return 0.0
-    return 1.0 - offpkg_fraction_with / offpkg_fraction_without

@@ -7,12 +7,11 @@ static on-package mapping, or the all-on-package ideal.
 """
 
 from .amat import MemoryOrganization, amat_for_organization
-from .system import IpcModel, IpcResult, fig5_comparison
+from .system import IpcModel, IpcResult
 
 __all__ = [
     "MemoryOrganization",
     "amat_for_organization",
     "IpcModel",
     "IpcResult",
-    "fig5_comparison",
 ]

@@ -32,7 +32,13 @@ class CoreStats:
 
 
 class BlockingCore:
-    """One core, three cache levels, blocking on every access."""
+    """One core, three cache levels, blocking on every access.
+
+    Oracle for the stack-distance AMAT of
+    :class:`~repro.cache.hierarchy.CacheHierarchy`, which
+    :class:`~repro.cpu.system.IpcModel` prices stalls with: the
+    mechanical replay it is checked against. No experiment runs it.
+    """
 
     def __init__(self, caches: CacheHierarchyConfig, memory_latency: float):
         if memory_latency < 0:

@@ -90,11 +90,3 @@ class IpcModel:
     def compare_all(self, trace: TraceChunk) -> dict[MemoryOrganization, IpcResult]:
         profile = StackDistanceProfile(trace.addr, self.caches.l3.line_bytes)
         return {org: self.evaluate(trace, org, profile) for org in MemoryOrganization}
-
-
-def fig5_comparison(
-    trace: TraceChunk, *, onpkg_capacity_bytes: int,
-    caches: CacheHierarchyConfig | None = None,
-) -> dict[MemoryOrganization, IpcResult]:
-    """One workload's Fig 5 bars."""
-    return IpcModel(caches, onpkg_capacity_bytes=onpkg_capacity_bytes).compare_all(trace)

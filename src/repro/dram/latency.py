@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import DramTiming, LatencyComponents, offpkg_dram_timing, onpkg_dram_timing
+from ..config import DramTiming, LatencyComponents
 from .fastmodel import FastDevice
 from .scheduler import EventDrivenDevice
 from .timing import DramGeometry
@@ -58,31 +58,3 @@ class LatencyModel:
     def unloaded_latency(self) -> int:
         """Latency of an isolated row-buffer-conflict access (no queuing)."""
         return self.path_overhead + self.timing.miss_cycles
-
-
-def make_offpkg_model(
-    components: LatencyComponents | None = None,
-    timing: DramTiming | None = None,
-    *,
-    detailed: bool = False,
-) -> LatencyModel:
-    return LatencyModel(
-        components or LatencyComponents(),
-        timing or offpkg_dram_timing(),
-        onpkg=False,
-        detailed=detailed,
-    )
-
-
-def make_onpkg_model(
-    components: LatencyComponents | None = None,
-    timing: DramTiming | None = None,
-    *,
-    detailed: bool = False,
-) -> LatencyModel:
-    return LatencyModel(
-        components or LatencyComponents(),
-        timing or onpkg_dram_timing(),
-        onpkg=True,
-        detailed=detailed,
-    )

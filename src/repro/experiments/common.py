@@ -133,8 +133,8 @@ def migration_stream(
     Unlike :func:`migration_trace` this never materializes the full
     trace (and never touches the trace cache): chunks are generated on
     demand with O(``chunk_accesses`` + phase) memory, for feeding
-    :meth:`repro.core.simulator.EpochSimulator.run_stream` or the
-    sharded runner on very long runs. Pick ``chunk_accesses`` as a
+    :meth:`repro.core.simulator.EpochSimulator.run_stream` on very
+    long runs. Pick ``chunk_accesses`` as a
     multiple of the simulator's ``swap_interval``
     (:func:`repro.trace.stream.aligned_chunk_size`) so chunk boundaries
     coincide with epoch boundaries.

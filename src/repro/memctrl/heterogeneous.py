@@ -188,6 +188,12 @@ class HeterogeneousController:
         Returns ``(latencies, onpkg_mask, machine_page)``. The chunk must
         not start before previously serviced chunks (device state is
         persistent).
+
+        The simulator composes :meth:`resolve_into`,
+        :meth:`migration_windows` and :meth:`service_resolved` itself;
+        this one-call composition is the reference the controller tests
+        check them against, and the ``memctrl.service_chunk`` entry point
+        the benchmark suite's tracer hooks.
         """
         n = len(chunk)
         pages = self.amap.page_of(chunk.addr)

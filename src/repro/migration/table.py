@@ -550,7 +550,12 @@ class TranslationTable:
     # snapshot / restore / recovery (resilience subsystem)
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
-        """Complete mutable state as plain arrays/values (copyable)."""
+        """Complete mutable state as plain arrays/values (copyable).
+
+        The engine's swap-rollback snapshot and checkpoint payload, and
+        the ``migration.table_snapshot`` entry point the benchmark
+        suite's tracer hooks.
+        """
         return {
             "pair": self.pair.copy(),
             "p_bit": self.p_bit.copy(),

@@ -1,11 +1,8 @@
-"""Streaming statistics and paper-style table formatting."""
+"""Paper-style table formatting."""
 
-from .accumulators import LatencyAccumulator, StreamingMean
 from .report import Table, format_cycles, ras_table, resilience_table, tenant_table
 
 __all__ = [
-    "StreamingMean",
-    "LatencyAccumulator",
     "Table",
     "format_cycles",
     "ras_table",

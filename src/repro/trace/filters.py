@@ -80,16 +80,3 @@ def interleave(
     merged = np.concatenate(parts)
     merged = merged[np.argsort(merged["time"], kind="stable")]
     return TraceChunk(merged)
-
-
-def remap_into(chunk: TraceChunk, region_bytes: int, base: int = 0) -> TraceChunk:
-    """Fold addresses into ``[base, base + region_bytes)`` preserving locality.
-
-    Used to fit a synthetic footprint into a scaled memory space: page
-    identity is preserved modulo the region, so hot pages stay hot.
-    """
-    if region_bytes <= 0:
-        raise TraceError("region_bytes must be positive")
-    rec = chunk.records.copy()
-    rec["addr"] = base + (rec["addr"] % region_bytes)
-    return TraceChunk(rec, validate=False)

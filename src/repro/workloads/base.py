@@ -131,14 +131,6 @@ class SyntheticWorkload:
         if self.cycles_per_access <= self.burst_fraction * self.burst_gap:
             raise WorkloadError("cycles_per_access too small for the burst model")
 
-    def with_footprint(self, footprint_bytes: int) -> "SyntheticWorkload":
-        """A scaled copy — used by experiment presets (see DESIGN.md §2)."""
-        from dataclasses import replace
-
-        if footprint_bytes < g.BLOCK:
-            raise WorkloadError("footprint too small")
-        return replace(self, footprint_bytes=footprint_bytes)
-
     def _part_sizes(self, n: int):
         """The deterministic phase-part decomposition of an ``n``-access
         run — shared by :meth:`generate` and :meth:`stream` so both walk

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.address import AddressMap, PHYSICAL_ADDRESS_BITS, interleave_bits
+from repro.address import AddressMap, PHYSICAL_ADDRESS_BITS
 from repro.errors import AddressError, ConfigError
 from repro.units import GB, KB, MB
 
@@ -87,10 +87,3 @@ class TestRegionDecode:
         on = tiny_amap.is_onpkg_machine_page(machine)
         assert on[: tiny_amap.n_onpkg_pages].all()
         assert not on[tiny_amap.n_onpkg_pages :].any()
-
-
-def test_interleave_bits():
-    addr = np.array([0, 8192, 16384, 24576])
-    np.testing.assert_array_equal(interleave_bits(addr, 13, 4), [0, 1, 2, 3])
-    with pytest.raises(ConfigError):
-        interleave_bits(addr, 13, 0)

@@ -8,9 +8,14 @@ planted wall-vs-useful clock comparison and a page-vs-frame address
 mix-up that the analyzer must catch with step-indexed dataflow traces.
 """
 
+import importlib
+import inspect
+import pkgutil
 import textwrap
 
 import pytest
+
+import repro
 
 from repro.analysis.domains import (
     Confidence,
@@ -25,6 +30,7 @@ from repro.analysis.domains import (
     name_tokens,
     parse_directive,
 )
+from repro.analysis.domains.signatures import SIGNATURES
 from repro.analysis.lint import Severity, lint_file, resolve_rules
 
 SIM_PATH = "src/repro/simulator/example.py"
@@ -481,3 +487,38 @@ class TestRepoIsClean:
 
         report = run_lint(["src"], select=["domain-confusion"], root=".")
         assert report.exit_code == 0, report.format_text()
+
+
+# ----------------------------------------------------------------------
+# the declared signatures name real methods
+# ----------------------------------------------------------------------
+def _classes_by_name():
+    """Every class defined in a ``repro`` module, by name."""
+    found = {}
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name.endswith(".__main__"):
+            continue
+        module = importlib.import_module(info.name)
+        for name, obj in vars(module).items():
+            if inspect.isclass(obj) and obj.__module__ == module.__name__:
+                found.setdefault(name, []).append(obj)
+    return found
+
+
+def test_signatures_resolve_to_real_methods():
+    """A stale qualname silently drops its domains from the method body
+    analysis, so each entry must name a real class attribute whose
+    parameters (after ``self``) start with the declared ones."""
+    classes = _classes_by_name()
+    stale = []
+    for sig in SIGNATURES:
+        owner, _, method = sig.qualname.rpartition(".")
+        real = [
+            list(inspect.signature(getattr(cls, method)).parameters)[1:]
+            for cls in classes.get(owner, [])
+            if hasattr(cls, method)
+        ]
+        declared = [name for name, _ in sig.params]
+        if not any(params[: len(declared)] == declared for params in real):
+            stale.append(f"{sig.qualname}: declares {declared}, found {real}")
+    assert not stale, "\n".join(stale)

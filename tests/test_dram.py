@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.config import DramTiming, LatencyComponents, offpkg_dram_timing, onpkg_dram_timing
 from repro.dram.bank import Bank
 from repro.dram.fastmodel import FastDevice
-from repro.dram.latency import LatencyModel, make_offpkg_model, make_onpkg_model
+from repro.dram.latency import LatencyModel
 from repro.dram.scheduler import EventDrivenDevice, FRFCFSScheduler
 from repro.dram.timing import DramGeometry
 from repro.errors import ConfigError, SimulationError
@@ -187,21 +187,24 @@ class TestQueuingClaims:
 
 class TestLatencyModel:
     def test_path_overheads(self):
-        assert make_offpkg_model().path_overhead == 34
-        assert make_onpkg_model().path_overhead == 20
+        parts = LatencyComponents()
+        assert LatencyModel(parts, offpkg_dram_timing(), onpkg=False).path_overhead == 34
+        assert LatencyModel(parts, onpkg_dram_timing(), onpkg=True).path_overhead == 20
 
     def test_unloaded_latency_composition(self):
-        m = make_offpkg_model()
+        m = LatencyModel(LatencyComponents(), offpkg_dram_timing(), onpkg=False)
         assert m.unloaded_latency() == 34 + offpkg_dram_timing().miss_cycles
 
     def test_access_latency_adds_path(self):
-        m = make_onpkg_model()
+        m = LatencyModel(LatencyComponents(), onpkg_dram_timing(), onpkg=True)
         lat = m.access_latency(np.array([0]), np.array([0]))
         assert lat[0] == onpkg_dram_timing().miss_cycles + 20
 
     def test_detailed_flag_switches_device(self):
-        assert isinstance(make_offpkg_model(detailed=True).device, EventDrivenDevice)
-        assert isinstance(make_offpkg_model().device, FastDevice)
+        parts, timing = LatencyComponents(), offpkg_dram_timing()
+        detailed = LatencyModel(parts, timing, onpkg=False, detailed=True)
+        assert isinstance(detailed.device, EventDrivenDevice)
+        assert isinstance(LatencyModel(parts, timing, onpkg=False).device, FastDevice)
 
 
 class TestRefresh:

@@ -7,7 +7,7 @@ import pytest
 from repro.config import MigrationConfig, SystemConfig
 from repro.core.detailed import DetailedSimulator
 from repro.core.hetero_memory import HeterogeneousMainMemory, baseline_latency
-from repro.core.metrics import EffectivenessReport, effectiveness, traffic_reduction
+from repro.core.metrics import EffectivenessReport, effectiveness
 from repro.core.simulator import EpochSimulator
 from repro.errors import SimulationError
 from repro.trace.record import make_chunk
@@ -141,10 +141,6 @@ class TestMetrics:
         r = EffectivenessReport("pgbench", 107.0, 156.0, 127.0, 125.0)
         assert r.effectiveness == pytest.approx((156 - 127) / (156 - 125))
         assert "pgbench" in r.row()
-
-    def test_traffic_reduction(self):
-        assert traffic_reduction(0.8, 0.2) == pytest.approx(0.75)
-        assert traffic_reduction(0.0, 0.0) == 0.0
 
 
 class TestDetailedCrossValidation:

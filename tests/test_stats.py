@@ -1,52 +1,9 @@
-"""Tests for streaming accumulators and the report table."""
+"""Tests for the report table."""
 
-import numpy as np
 import pytest
 
-from repro.errors import ReproError, SimulationError
-from repro.stats.accumulators import LatencyAccumulator, StreamingMean
+from repro.errors import ReproError
 from repro.stats.report import Table, format_cycles
-
-
-class TestStreamingMean:
-    def test_matches_numpy(self):
-        rng = np.random.default_rng(0)
-        m = StreamingMean()
-        all_vals = []
-        for _ in range(5):
-            chunk = rng.integers(1, 1000, 100)
-            m.add(chunk)
-            all_vals.append(chunk)
-        vals = np.concatenate(all_vals)
-        assert m.mean == pytest.approx(vals.mean())
-        assert m.min == vals.min() and m.max == vals.max()
-        assert m.count == vals.size
-
-    def test_empty(self):
-        m = StreamingMean()
-        m.add(np.array([]))
-        assert m.mean == 0.0 and m.count == 0
-
-
-class TestLatencyAccumulator:
-    def test_average_and_percentiles(self):
-        rng = np.random.default_rng(1)
-        acc = LatencyAccumulator()
-        vals = rng.integers(50, 500, 10000)
-        acc.add(vals)
-        assert acc.average == pytest.approx(vals.mean())
-        p50 = acc.percentile(50)
-        assert np.percentile(vals, 40) < p50 < np.percentile(vals, 60) * 1.1
-
-    def test_percentile_bounds(self):
-        acc = LatencyAccumulator()
-        with pytest.raises(SimulationError):
-            acc.percentile(101)
-        assert acc.percentile(50) == 0.0  # empty
-
-    def test_rejects_bad_config(self):
-        with pytest.raises(SimulationError):
-            LatencyAccumulator(max_latency=0)
 
 
 class TestReportFormatting:

@@ -8,7 +8,7 @@ from repro.errors import TraceError
 from repro.trace.record import READ, TRACE_DTYPE, WRITE, TraceChunk, make_chunk
 from repro.trace.io import TraceReader, TraceWriter, read_trace, write_trace
 from repro.trace.stats import access_skew, compute_stats, footprint_bytes, page_access_counts
-from repro.trace.filters import concat, downsample, interleave, remap_into, time_window
+from repro.trace.filters import concat, downsample, interleave, time_window
 
 
 class TestRecord:
@@ -192,9 +192,3 @@ class TestFilters:
 
     def test_interleave_empty(self):
         assert len(interleave([])) == 0
-
-    def test_remap_into_preserves_page_identity(self):
-        c = make_chunk([5 << 20, (5 << 20) + 64])
-        r = remap_into(c, 1 << 20)
-        assert r.addr[1] - r.addr[0] == 64
-        assert (r.addr < (1 << 20)).all()

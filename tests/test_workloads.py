@@ -157,12 +157,6 @@ class TestSyntheticWorkload:
         chunk = wl.generate(1000, seed=0)
         assert chunk.cpu.min() >= 0 and chunk.cpu.max() < wl.n_cpus
 
-    def test_with_footprint(self):
-        wl = npb_workload("FT.C").with_footprint(FOOTPRINT)
-        assert wl.footprint_bytes == FOOTPRINT
-        with pytest.raises(WorkloadError):
-            wl.with_footprint(1)
-
     def test_needs_a_phase(self):
         with pytest.raises(WorkloadError):
             SyntheticWorkload("x", FOOTPRINT, phases=())
