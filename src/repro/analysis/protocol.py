@@ -703,11 +703,7 @@ def _model_recovery(m: _Machine, pre_state: dict) -> list[CopyStep]:
     from ..migration.recovery import recovery_moves  # local: import cycle
 
     table = m.table
-    pre = TranslationTable(
-        m.amap, reserve_empty_slot=table._reserve_empty_slot,
-        reserved_pages=table.reserved_pages,
-    )
-    pre.load_state_dict(pre_state)
+    pre = table.clone(pre_state)
 
     content: dict[Location, int | None] = {}
     for loc, cells in m.contents.items():

@@ -55,10 +55,6 @@ from .policies import EpochMonitor
 from .recovery import recovery_plan
 from .table import EMPTY, TranslationTable
 
-#: largest page space for which the epoch fold uses dense (bincount)
-#: aggregation; bigger configurations keep the sort-based np.unique pass
-_DENSE_FOLD_PAGES = 1 << 16
-
 
 @dataclass(frozen=True)
 class FillInfo:
@@ -88,8 +84,9 @@ class FillInfo:
 class ActiveMigration:
     """One in-flight (or just-completed) swap with its routing timelines."""
 
-    #: None for a plan-less stall window (abort recovery started without
-    #: a schedulable plan, or a RAS frame retirement's copy-out)
+    #: None for every plan-less stall window: a data-safe abort's
+    #: copy-back, a RAS frame retirement's copy-out, a tenant release's
+    #: reclamation copies
     plan: SwapPlan | None
     start: int
     end: int
@@ -97,9 +94,9 @@ class ActiveMigration:
     #: page -> [(change_time, on_package, machine_page)], time-ascending;
     #: resolution before the first entry is the pre-swap state
     timelines: dict[int, list[tuple[int, bool, int]]] = field(default_factory=dict)
-    #: True for the copy-back window of a data-safe abort recovery or a
-    #: frame retirement: the table already holds the final state (no
-    #: timelines), but execution stalls while the copies drain
+    #: True for a plan-less stall window: the table already holds the
+    #: final state (no timelines), but execution stalls while the copies
+    #: drain
     recovery: bool = False
     #: lazy array form of the timelines (built on first resolution; the
     #: timelines are final once the plan walk that built them returns)
@@ -192,8 +189,10 @@ class MigrationEngine:
         #: fed every copy the plans perform, at the cycle it lands
         self.shadow = None
         #: optional RAS wear model (set by RasController): counts every
-        #: copy's destination writes and, when its penalty weight is
-        #: positive, biases the hottest-page swap-candidate ranking
+        #: copy's destination writes (swaps, aborted prefixes, abort
+        #: copy-backs, retirements, reclamations) and, when its penalty
+        #: weight is positive, biases the hottest-page swap-candidate
+        #: ranking
         self.wear = None
         #: optional row-disturbance controller (set by DisturbController):
         #: when its migration bias is positive, aggressively-activated
@@ -212,13 +211,6 @@ class MigrationEngine:
         # multi-tenant reclamation accounting
         self.tenants_released = 0
         self.reclaimed_bytes = 0
-        # last-touched sub-block per off-package page, as parallel sorted
-        # arrays (one np.unique pass per epoch, no per-epoch dict build)
-        self._last_sb_pages: np.ndarray | None = None
-        self._last_sb_vals: np.ndarray | None = None
-        # dense per-page scratch for the epoch fold (small page spaces
-        # only; values are always written before they are read)
-        self._fold_scratch: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     def observe_epoch(
@@ -229,92 +221,37 @@ class MigrationEngine:
         off_times: np.ndarray,
         off_subblocks: np.ndarray | None = None,
     ) -> None:
-        """Feed one epoch's accesses to the recency/frequency trackers."""
-        off = np.asarray(offpkg_pages, dtype=np.int64)
-        if off.size:
-            off_times = np.asarray(off_times, dtype=np.int64)
-            n_total = self.amap.n_total_pages
-            # dense fold for small page spaces: np.flatnonzero of the
-            # count vector is exactly np.unique's sorted page list, and
-            # with non-decreasing epoch times the *last* write per page
-            # is the per-page maximum that np.maximum.at computes —
-            # both checked, so the sorting fallback stays bit-identical
-            dense = n_total <= _DENSE_FOLD_PAGES and bool(
-                (off_times[1:] >= off_times[:-1]).all()
-            )
-            if dense:
-                counts_dense = np.bincount(off, minlength=n_total)
-                pages = np.flatnonzero(counts_dense)
-                counts = counts_dense[pages]
-                scratch = self._fold_scratch
-                if scratch is None or scratch.shape[0] != n_total:
-                    scratch = self._fold_scratch = np.zeros(
-                        n_total, dtype=np.int64
-                    )
-                scratch[off] = off_times
-                last = scratch[pages]
-            else:
-                # one unique pass shared between the monitor's frequency
-                # aggregation and the critical-block recency bookkeeping
-                pages, inverse, counts = np.unique(
-                    off, return_inverse=True, return_counts=True
-                )
-                last = np.zeros(pages.shape[0], dtype=np.int64)
-                np.maximum.at(last, inverse, off_times)
-            self.monitor.fold_epoch(slots, slot_times, pages, counts, last)
-            if off_subblocks is not None:
-                self._last_sb_pages = pages
-                if dense:
-                    scratch[off] = np.arange(off.shape[0], dtype=np.int64)
-                    self._last_sb_vals = np.asarray(off_subblocks)[scratch[pages]]
-                else:
-                    last_idx = np.zeros(pages.shape[0], dtype=np.int64)
-                    last_idx[inverse] = np.arange(off.shape[0])
-                    self._last_sb_vals = np.asarray(off_subblocks)[last_idx]
-            else:
-                self._last_sb_pages = None
-                self._last_sb_vals = None
-        else:
-            empty = np.zeros(0, dtype=np.int64)
-            self.monitor.fold_epoch(slots, slot_times, empty, empty, empty)
-            self._last_sb_pages = None
-            self._last_sb_vals = None
-
-    def _mru_first_subblock(self, page: int) -> int:
-        """Last sub-block the given off-package page was touched at (for
-        critical-block-first fills); 0 when unseen this epoch."""
-        pages = self._last_sb_pages
-        if pages is None:
-            return 0
-        i = int(np.searchsorted(pages, page))
-        if i < pages.shape[0] and int(pages[i]) == page:
-            return int(self._last_sb_vals[i])
-        return 0
+        """Feed one epoch's accesses to the monitor's recency/frequency
+        fold (:meth:`EpochMonitor.observe_epoch`)."""
+        self.monitor.observe_epoch(
+            slots, slot_times, offpkg_pages, off_times, off_subblocks
+        )
 
     def maybe_swap(self, now: int) -> SwapDecision:
         """Epoch-boundary evaluation: trigger a hottest-coldest swap?
 
-        Failures (a torn plan application, an injected abort) are
-        contained here: the table rolls back to its pre-swap state, the
-        failure is recorded as a :class:`DegradationEvent`, and after
+        Every outcome closes the monitor's epoch. Failures (a torn plan
+        application, an injected abort) are contained here: the table
+        rolls back to its pre-swap state, the failure is recorded as a
+        :class:`DegradationEvent`, and after
         ``resilience.max_consecutive_failures`` of them in a row the
         engine quarantines itself (static-mapping degraded mode).
         """
         self.epochs_observed += 1
-        if self.quarantined:
-            self.monitor.new_epoch()
-            return SwapDecision(False, "migration quarantined (degraded mode)")
         try:
+            if self.quarantined:
+                return SwapDecision(False, "migration quarantined (degraded mode)")
             decision = self._evaluate_swap(now)
         except MigrationError as exc:
             self.swaps_failed += 1
-            self.monitor.new_epoch()
             # a data-safe recovered abort left the system fully
             # consistent (routing AND data), so it never counts toward
             # the quarantine threshold
             recovered = getattr(exc, "recovered", False)
             self._note_failure(now, f"swap failed: {exc}", count=not recovered)
             return SwapDecision(False, f"swap failed: {exc}")
+        finally:
+            self.monitor.new_epoch()
         if decision.triggered:
             self.consecutive_failures = 0
         return decision
@@ -390,31 +327,16 @@ class MigrationEngine:
         self.shadow.flush(horizon)
         self.shadow.drop_pending()
         try:
-            target = self._reset_target_table()
+            # the state reset_identity produces, retirement (which
+            # quarantine cannot undo: the frames are physically dead)
+            # carried over
+            target = self.table.clone()
+            target.reset_identity()
             steps = recovery_plan(self.table, [], target_table=target)
         except (MigrationError, TranslationTableError):
             return
         for step in steps:
             self.shadow.apply_copy(step.src, step.dst)
-
-    def _reset_target_table(self) -> TranslationTable:
-        """A fresh table in the exact state :meth:`TranslationTable.
-        reset_identity` produces — retirement (which quarantine cannot
-        undo: the frames are physically dead) carried over."""
-        target = TranslationTable(
-            self.amap, reserve_empty_slot=False,
-            reserved_pages=self.table.reserved_pages,
-        )
-        for slot in sorted(self.table.remap):
-            target.retire_slot(slot, self.table.remap[slot])
-        if self.table._reserve_empty_slot:
-            usable = np.flatnonzero(~target.retired)
-            if usable.size == 0:
-                raise TranslationTableError(
-                    "every on-package frame is retired; no empty slot possible"
-                )
-            target.set_empty(int(usable[-1]))
-        return target
 
     def inject_abort(self, at_copy_step: int, *, subblocks: int = 0) -> None:
         """Arm a one-shot fault: the next scheduled swap aborts at the
@@ -427,46 +349,37 @@ class MigrationEngine:
     def _evaluate_swap(self, now: int) -> SwapDecision:
         if self.active is not None and self.active.in_flight(now):
             self.swaps_suppressed_busy += 1
-            self.monitor.new_epoch()
             return SwapDecision(False, "previous swap still in flight (P/F busy)")
 
-        wear_penalty = None
+        # the hottest-page ranking's score penalty, one term per active
+        # bias, summed. Endurance-aware: penalise pages whose off-package
+        # machine frame has absorbed many writes (the demoted LRU page
+        # would be written right back onto it). Hammer-aware: an
+        # aggressor page's *negative* penalty (a bonus) pulls it
+        # on-package, where disturbance is cheap to mitigate.
+        terms = []
         if self.wear is not None and self.wear.penalty_weight > 0:
-            # endurance-aware candidate ranking: penalise pages whose
-            # off-package machine frame has absorbed many writes (the
-            # demoted LRU page would be written right back onto it)
-            wear_penalty = lambda pages: self.wear.penalty(  # noqa: E731
-                self.table.machine_of[np.asarray(pages, dtype=np.int64)]
-            )
-        score_penalty = wear_penalty
+            terms.append(lambda pages: self.wear.penalty(self.table.machine_of[pages]))
         if self.disturb is not None and self.disturb.bias_weight > 0:
-            # hammer-aware ranking: an aggressor page's *negative*
-            # penalty (a bonus) pulls it on-package, where disturbance
-            # is cheap to mitigate; composes with the wear penalty
-            score_penalty = lambda pages, _wear=wear_penalty: (  # noqa: E731
-                -self.disturb.page_bonus(pages)
-                if _wear is None
-                else _wear(pages) - self.disturb.page_bonus(pages)
-            )
-        hottest = self.monitor.hottest_page(wear_penalty=score_penalty)
+            terms.append(lambda pages: -self.disturb.page_bonus(pages))
+        penalty = None
+        if terms:
+            penalty = lambda pages: sum(term(pages) for term in terms)  # noqa: E731
+        hottest = self.monitor.hottest_page(penalty=penalty)
         if hottest is None:
-            self.monitor.new_epoch()
             return SwapDecision(False, "no off-package accesses this epoch")
         mru_page, mru_count = hottest
 
         # never migrate the reserved ghost page
         if mru_page == self.amap.ghost_page:
-            self.monitor.new_epoch()
             return SwapDecision(False, "hottest page is the reserved Ω page")
 
         # nor a RAS spare, nor a page whose home frame is retired (it
         # lives at its spare for good; promoting it would need a frame
         # its pairing invariant no longer has)
         if mru_page in self.table.reserved_pages:
-            self.monitor.new_epoch()
             return SwapDecision(False, "hottest page is a reserved spare page")
         if self.table.is_retired_home(mru_page):
-            self.monitor.new_epoch()
             return SwapDecision(
                 False, f"hottest page {mru_page}'s home frame is retired"
             )
@@ -476,7 +389,6 @@ class MigrationEngine:
         # its fill was in flight) — hardware drops it from the multi-queue
         # at migration time; here we skip the stale candidate
         if bool(self.table.onpkg[mru_page]):
-            self.monitor.new_epoch()
             return SwapDecision(False, f"hottest page {mru_page} already on-package")
 
         qos_veto: str | None = None
@@ -485,7 +397,6 @@ class MigrationEngine:
             qos_veto, qos_exclude = self.qos.constrain(mru_page)
         if qos_veto is not None:
             self.swaps_suppressed_qos += 1
-            self.monitor.new_epoch()
             return SwapDecision(False, f"QoS: {qos_veto}", mru=mru_page)
 
         empty = self.table.empty_slot()
@@ -495,14 +406,12 @@ class MigrationEngine:
         if len(exclude) >= self.table.n_slots:
             # degenerate geometry: every slot is retired or the empty
             # one — there is nothing to demote, so nothing to swap
-            self.monitor.new_epoch()
             return SwapDecision(False, "no occupied on-package slot to demote")
         if qos_exclude:
             exclude |= qos_exclude
             if len(exclude) >= self.table.n_slots:
                 # at quota with no own slot to recycle: suppress
                 self.swaps_suppressed_qos += 1
-                self.monitor.new_epoch()
                 return SwapDecision(
                     False,
                     "QoS: every demotion candidate is excluded",
@@ -511,14 +420,12 @@ class MigrationEngine:
         lru_slot = self.monitor.coldest_slot(exclude=exclude)
         lru_page = self.table.page_in_slot(lru_slot)
         if lru_page == EMPTY:
-            self.monitor.new_epoch()
             return SwapDecision(False, "coldest slot is empty")
 
         if self.config.hottest_coldest_trigger:
             lru_count = self.monitor.slot_epoch_count(lru_slot)
             if mru_count <= lru_count:
                 self.swaps_suppressed_cold += 1
-                self.monitor.new_epoch()
                 return SwapDecision(
                     False,
                     f"MRU count {mru_count} <= LRU count {lru_count}",
@@ -526,9 +433,7 @@ class MigrationEngine:
                     lru=lru_page,
                 )
 
-        first_subblock = self._mru_first_subblock(mru_page)
-        self._schedule(now, mru_page, lru_page, first_subblock)
-        self.monitor.new_epoch()
+        self._schedule(now, mru_page, lru_page, self.monitor.last_subblock(mru_page))
         return SwapDecision(True, "hottest-coldest swap", mru=mru_page, lru=lru_page)
 
     # ------------------------------------------------------------------
@@ -667,30 +572,22 @@ class MigrationEngine:
                     step.apply(self.table)
                     self._record_changes(timelines, before, t)
         except (FaultInjectionError, TranslationTableError) as exc:
-            # the executed copy prefix physically happened: it wore its
-            # destinations regardless of how the abort is handled
-            self._observe_copy_wear(executed)
+            # the executed copy prefix physically happened, however the
+            # abort is handled: it wore its destinations, and its data
+            # lands in the shadow at once (no access runs before the
+            # rollback)
+            self._observe_copy_wear(dst for _, dst, _ in executed)
+            if self.shadow is not None:
+                self.shadow.flush(now)
+                for _, kind, payload in shadow_ops:
+                    if kind == "copy":
+                        self.shadow.apply_copy(*payload)
             recovered = False
             if self.resilience.data_safe_abort:
-                end = self._recover_abort(
-                    now, t, snapshot, executed, shadow_ops, exc
-                )
-                # the copy-back window stalls execution like an N-design
-                # exchange; the table is already back at the snapshot
-                self.active = ActiveMigration(
-                    plan=plan, start=now, end=end, fill=None, timelines={},
-                    recovery=True,
-                )
+                self._recover_abort(now, t, snapshot, executed, exc)
                 recovered = isinstance(exc, FaultInjectionError)
             else:
-                if self.shadow is not None:
-                    # bare rollback: the executed copies physically
-                    # happened — mirror them so the shadow exposes
-                    # exactly what the memory now holds
-                    self.shadow.flush(now)
-                    for _, kind, payload in shadow_ops:
-                        if kind == "copy":
-                            self.shadow.apply_copy(*payload)
+                # bare rollback: routing only, no copy-back window
                 self.table.load_state_dict(snapshot)
             raise SwapAbortError(str(exc), recovered=recovered) from exc
 
@@ -718,7 +615,7 @@ class MigrationEngine:
                 # copy engine quiesces and its forwarding links die
                 self.shadow.schedule(t, "close", ())
 
-        self._observe_copy_wear(executed)
+        self._observe_copy_wear(dst for _, dst, _ in executed)
         self.active = ActiveMigration(
             plan=plan, start=now, end=t, fill=None if plan.stall else fill,
             timelines=timelines,
@@ -729,17 +626,39 @@ class MigrationEngine:
         if incoming_end is None:
             raise MigrationError("swap plan has no incoming copy")  # pragma: no cover
 
-    def _observe_copy_wear(self, executed: list[tuple]) -> None:
-        """Count executed copies' destination writes in the wear model.
+    def _observe_copy_wear(self, destinations) -> None:
+        """Count copy destinations' writes in the wear model.
 
-        Every plan copy moves one whole macro page; destinations in the
+        Every copy moves one whole macro page; destinations in the
         off-package array (``("mach", p)``) wear that machine frame.
         """
         if self.wear is None:
             return
-        for _src, dst, _complete in executed:
+        for dst in destinations:
             if dst is not None and dst[0] == "mach":
                 self.wear.observe_copy(dst[1], self.amap.macro_page_bytes)
+
+    def _stall_copies(self, now: int, start: int, steps: list[CopyStep]) -> int:
+        """Run ``steps`` back to back from ``start`` under a plan-less
+        stall window opened at ``now``; returns the cycle it closes.
+
+        Nothing executes inside the window, so the copies land in the
+        shadow at once and the table may already hold the final state.
+        Each copy wears its destination and is priced by
+        :meth:`_copy_duration`.
+        """
+        if self.shadow is not None:
+            self.shadow.flush(now)
+            for step in steps:
+                self.shadow.apply_copy(step.src, step.dst)
+        self._observe_copy_wear(step.dst for step in steps)
+        end = start
+        for step in steps:
+            end += self._copy_duration(end, step)
+        self.active = ActiveMigration(
+            plan=None, start=now, end=end, fill=None, recovery=True
+        )
+        return end
 
     # ------------------------------------------------------------------
     # RAS predictive frame retirement
@@ -768,25 +687,9 @@ class MigrationEngine:
         steps = retirement_moves(
             self.table, slot, spare, self.amap.macro_page_bytes
         )
-        if self.shadow is not None:
-            # the copy-out runs under stall: nothing executes inside the
-            # window, so the data lands synchronously
-            self.shadow.flush(now)
-            for step in steps:
-                self.shadow.apply_copy(step.src, step.dst)
         occupant = self.table.retire_slot(slot, spare)
-        if self.wear is not None:
-            for step in steps:
-                if step.dst is not None and step.dst[0] == "mach":
-                    self.wear.observe_copy(step.dst[1], step.nbytes)
-        end = now
-        for s in steps:
-            end += self._copy_duration(end, s)
+        end = self._stall_copies(now, now, steps)
         nbytes = sum(s.nbytes for s in steps)
-        self.active = ActiveMigration(
-            plan=None, start=now, end=end, fill=None, timelines={},
-            recovery=True,
-        )
         self.frames_retired += 1
         self.retired_bytes += nbytes
         self.degradation_events.append(
@@ -811,21 +714,11 @@ class MigrationEngine:
 
         The epoch fold (:meth:`observe_epoch`) runs before the
         boundary's :meth:`maybe_swap`, and a tenant release is legal in
-        between: without this purge the monitor's ``np.unique``-derived
-        page arrays — and the critical-block recency arrays kept beside
-        them — could nominate a page whose tenant is gone, promoting a
-        dead page into a live slot.
+        between: without this purge the monitor could nominate a page
+        whose tenant is gone, promoting a dead page into a live slot.
         """
         parr = np.array(sorted({int(p) for p in pages}), dtype=np.int64)
         self.monitor.forget_pages(parr, slots=slots)
-        if self._last_sb_pages is not None and parr.size:
-            keep = ~np.isin(self._last_sb_pages, parr)
-            if not bool(keep.all()):
-                self._last_sb_pages = self._last_sb_pages[keep]
-                self._last_sb_vals = self._last_sb_vals[keep]
-                if self._last_sb_pages.size == 0:
-                    self._last_sb_pages = None
-                    self._last_sb_vals = None
 
     def release_tenant(self, now: int, pages, *, scrub: bool = True) -> int:
         """Reclaim a departed tenant's translation state (hypervisor path).
@@ -844,39 +737,28 @@ class MigrationEngine:
                 "a swap is in flight (P/F busy); reclamation must wait"
             )
         outcome = self.table.release_pages(pages)
-        if self.shadow is not None:
-            # the copies run under stall: nothing executes inside the
-            # window, so the data lands synchronously
-            self.shadow.flush(now)
-            for src, dst in outcome.moves:
-                self.shadow.apply_copy(src, dst)
-            if scrub:
-                for p in sorted({int(q) for q in pages}):
-                    on, machine = self.table.resolve(p)
-                    loc = ("slot", machine) if on else ("mach", machine)
-                    self.shadow.scrub_page(p, loc)
-        end = now
-        nbytes = 0
-        for src, dst in outcome.moves:
-            step = CopyStep(
+        steps = [
+            CopyStep(
                 label="reclaim",
                 nbytes=self.amap.macro_page_bytes,
                 cross_boundary=not (src[0] == "slot" and dst[0] == "slot"),
                 src=src,
                 dst=dst,
             )
-            if self.wear is not None and dst[0] == "mach":
-                self.wear.observe_copy(dst[1], step.nbytes)
-            end += self._copy_duration(end, step)
-            nbytes += step.nbytes
-        if outcome.moves:
-            self.active = ActiveMigration(
-                plan=None, start=now, end=end, fill=None, timelines={},
-                recovery=True,
-            )
+            for src, dst in outcome.moves
+        ]
+        end = now
+        if steps:
+            end = self._stall_copies(now, now, steps)
+        if self.shadow is not None and scrub:
+            self.shadow.flush(now)
+            for p in sorted({int(q) for q in pages}):
+                on, machine = self.table.resolve(p)
+                loc = ("slot", machine) if on else ("mach", machine)
+                self.shadow.scrub_page(p, loc)
         self.forget_pages(pages, slots=outcome.undone_slots)
         self.tenants_released += 1
-        self.reclaimed_bytes += nbytes
+        self.reclaimed_bytes += sum(s.nbytes for s in steps)
         return end
 
     def _collect_shadow_copy(
@@ -915,9 +797,8 @@ class MigrationEngine:
         t_abort: int,
         snapshot: dict,
         executed: list[tuple],
-        shadow_ops: list[tuple[int, str, tuple]],
         exc: Exception,
-    ) -> int:
+    ) -> None:
         """Data-safe late abort: copy surviving duplicates home, then
         restore the pre-swap table.
 
@@ -929,34 +810,20 @@ class MigrationEngine:
         only live copy in the bounce buffer under a bit-identical table.
         The recovery planner replays the executed copy prefix over the
         pre-swap content map and emits copy-back moves, preferring the
-        surviving on-package duplicate; their transfer time stalls
-        execution exactly like an N-design exchange. Returns the cycle
-        the copy-back window closes.
+        surviving on-package duplicate; they run from the abort under a
+        stall window opened at the swap's start, like an N-design
+        exchange.
         """
-        pre = TranslationTable(
-            self.amap, reserve_empty_slot=self.table._reserve_empty_slot,
-            reserved_pages=self.table.reserved_pages,
-        )
-        pre.load_state_dict(snapshot)
         try:
-            steps = recovery_plan(pre, executed, prefer_table=self.table)
+            steps = recovery_plan(
+                self.table.clone(snapshot), executed, prefer_table=self.table
+            )
         except (MigrationError, TranslationTableError):  # pragma: no cover
             # unrepairable mid-state; fall back to bare rollback (the
             # shadow, if tracking, will expose whatever was lost)
             steps = []
-        if self.shadow is not None:
-            # everything up to the abort physically happened, and the
-            # copy-back runs under stall — apply both synchronously
-            self.shadow.flush(now)
-            for _, kind, payload in shadow_ops:
-                if kind == "copy":
-                    self.shadow.apply_copy(*payload)
-            for step in steps:
-                self.shadow.apply_copy(step.src, step.dst)
         self.table.load_state_dict(snapshot)
-        end = t_abort
-        for s in steps:
-            end += self._copy_duration(end, s)
+        end = self._stall_copies(now, t_abort, steps)
         nbytes = sum(s.nbytes for s in steps)
         self.abort_recoveries += 1
         self.recovery_bytes += nbytes
@@ -970,7 +837,6 @@ class MigrationEngine:
                 recovered=True,
             )
         )
-        return end
 
     def _affected_pages(self, plan: SwapPlan) -> set[int]:
         pages = {plan.mru, plan.lru}
@@ -1034,13 +900,6 @@ class MigrationEngine:
             "retired_bytes": self.retired_bytes,
             "tenants_released": self.tenants_released,
             "reclaimed_bytes": self.reclaimed_bytes,
-            "last_subblock": (
-                {}
-                if self._last_sb_pages is None
-                else dict(
-                    zip(self._last_sb_pages.tolist(), self._last_sb_vals.tolist())
-                )
-            ),
         }
 
     def load_state_dict(self, state: dict) -> None:
@@ -1066,13 +925,3 @@ class MigrationEngine:
         self.retired_bytes = state["retired_bytes"]
         self.tenants_released = state["tenants_released"]
         self.reclaimed_bytes = state["reclaimed_bytes"]
-        sb = dict(state["last_subblock"])
-        if sb:
-            pages = np.array(sorted(sb), dtype=np.int64)
-            self._last_sb_pages = pages
-            self._last_sb_vals = np.array(
-                [sb[p] for p in pages.tolist()], dtype=np.int64
-            )
-        else:
-            self._last_sb_pages = None
-            self._last_sb_vals = None

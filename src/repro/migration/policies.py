@@ -52,11 +52,18 @@ class ExactPolicies:
         return self.clock.state_bits + self.mq.state_bits
 
 
+#: largest page-id span for which the epoch fold aggregates densely
+#: (bincount); wider spans keep the sort-based np.unique pass
+_DENSE_FOLD_PAGES = 1 << 16
+
+
 class EpochMonitor:
     """Vectorised epoch statistics feeding the swap trigger.
 
-    Keeps, across epochs, each slot's last-touch time and accumulates the
-    current epoch's per-page counts for off-package accesses.
+    Keeps, across epochs, each slot's last-touch time. Per epoch it
+    keeps each off-package page touched, with its access count,
+    last-touch time and last-touched sub-block (the critical-first fill
+    start), as parallel arrays sorted by page.
     """
 
     def __init__(self, n_slots: int):
@@ -65,9 +72,10 @@ class EpochMonitor:
         self.n_slots = n_slots
         self.slot_last_touch = np.full(n_slots, -1, dtype=np.int64)
         self.slot_epoch_counts = np.zeros(n_slots, dtype=np.int64)
-        self._off_pages = np.zeros(0, dtype=np.int64)
-        self._off_counts = np.zeros(0, dtype=np.int64)
-        self._off_last = np.zeros(0, dtype=np.int64)
+        # dense per-page scratch for the epoch fold (values are always
+        # written before they are read)
+        self._fold_scratch: np.ndarray | None = None
+        self.new_epoch()
 
     def observe_epoch(
         self,
@@ -75,29 +83,13 @@ class EpochMonitor:
         slot_times: np.ndarray,
         offpkg_pages: np.ndarray,
         off_times: np.ndarray,
+        off_subblocks: np.ndarray | None = None,
     ) -> None:
-        """Fold one epoch's accesses into the monitor (all arrays 1-D)."""
-        off = np.asarray(offpkg_pages, dtype=np.int64)
-        if off.size:
-            pages, inverse, counts = np.unique(off, return_inverse=True, return_counts=True)
-            last = np.zeros(pages.shape[0], dtype=np.int64)
-            np.maximum.at(last, inverse, np.asarray(off_times, dtype=np.int64))
-        else:
-            pages = counts = last = np.zeros(0, dtype=np.int64)
-        self.fold_epoch(slots, slot_times, pages, counts, last)
+        """Fold one epoch's accesses into the monitor (all arrays 1-D).
 
-    def fold_epoch(
-        self,
-        slots: np.ndarray,
-        slot_times: np.ndarray,
-        off_pages: np.ndarray,
-        off_counts: np.ndarray,
-        off_last: np.ndarray,
-    ) -> None:
-        """:meth:`observe_epoch` with the off-package page aggregation
-        (unique pages, per-page counts and last-touch times) already
-        computed — the migration engine shares one ``np.unique`` pass
-        between the monitor and its own recency bookkeeping."""
+        ``off_subblocks`` runs parallel to ``offpkg_pages``; without it
+        every page's last-touched sub-block reads 0.
+        """
         slots = np.asarray(slots, dtype=np.int64)
         if slots.size:
             st = np.asarray(slot_times, dtype=np.int64)
@@ -111,9 +103,52 @@ class EpochMonitor:
                 # last touch per slot: maximum time per slot id
                 np.maximum.at(self.slot_last_touch, slots, st)
             self.slot_epoch_counts += np.bincount(slots, minlength=self.n_slots)
-        self._off_pages = off_pages
-        self._off_counts = off_counts
-        self._off_last = off_last
+
+        off = np.asarray(offpkg_pages, dtype=np.int64)
+        if not off.size:
+            empty = np.zeros(0, dtype=np.int64)
+            self._off_pages = self._off_counts = empty
+            self._off_last = self._off_subblocks = empty
+            return
+        off_times = np.asarray(off_times, dtype=np.int64)
+        n = off.shape[0]
+        # dense fold for small page spans: np.flatnonzero of the count
+        # vector is exactly np.unique's sorted page list, and with
+        # non-decreasing epoch times the *last* write per page is the
+        # per-page maximum that np.maximum.at computes — both checked,
+        # so the sorting fallback stays bit-identical
+        dense = int(off.max()) < _DENSE_FOLD_PAGES and bool(
+            (off_times[1:] >= off_times[:-1]).all()
+        )
+        if dense:
+            counts_dense = np.bincount(off)
+            pages = np.flatnonzero(counts_dense)
+            counts = counts_dense[pages]
+            scratch = self._fold_scratch
+            if scratch is None:
+                scratch = self._fold_scratch = np.zeros(
+                    _DENSE_FOLD_PAGES, dtype=np.int64
+                )
+            scratch[off] = off_times
+            last = scratch[pages]
+            scratch[off] = np.arange(n, dtype=np.int64)
+            last_idx = scratch[pages]
+        else:
+            pages, inverse, counts = np.unique(
+                off, return_inverse=True, return_counts=True
+            )
+            last = np.zeros(pages.shape[0], dtype=np.int64)
+            np.maximum.at(last, inverse, off_times)
+            last_idx = np.zeros(pages.shape[0], dtype=np.int64)
+            last_idx[inverse] = np.arange(n)
+        self._off_pages = pages
+        self._off_counts = counts
+        self._off_last = last
+        self._off_subblocks = (
+            np.zeros(pages.shape[0], dtype=np.int64)
+            if off_subblocks is None
+            else np.asarray(off_subblocks)[last_idx]
+        )
 
     def coldest_slot(self, exclude: set[int] | None = None) -> int:
         """Slot with the oldest last touch (never-touched slots first)."""
@@ -125,27 +160,35 @@ class EpochMonitor:
             raise MigrationError("all slots excluded")
         return int(order[0])
 
-    def hottest_page(self, wear_penalty=None) -> tuple[int, int] | None:
+    def hottest_page(self, penalty=None) -> tuple[int, int] | None:
         """``(page, epoch_count)`` of the hottest off-package page.
 
-        ``wear_penalty`` (RAS wear leveling) maps a page array to a
-        per-page score penalty: candidates are ranked by
-        ``count - penalty`` so a worn-out machine page loses the swap
-        even when slightly hotter. The *returned* count is always the
-        raw epoch count, so the hottest-coldest trigger comparison is
-        unchanged. ``None`` keeps the selection bit-identical to the
-        endurance-blind ranking.
+        ``penalty`` maps a page array to a per-page score penalty (RAS
+        wear plus any negative row-disturbance bonus): candidates are
+        ranked by ``count - penalty``, so a worn-out machine page loses
+        the swap even when slightly hotter. The *returned* count is
+        always the raw epoch count, so the hottest-coldest trigger
+        comparison is unchanged. ``None`` keeps the selection
+        bit-identical to the plain count ranking.
         """
         if self._off_pages.size == 0:
             return None
-        if wear_penalty is None:
+        if penalty is None:
             # highest count, most recent touch breaking ties
             idx = np.lexsort((self._off_last, self._off_counts))[-1]
         else:
             score = self._off_counts.astype(np.float64)
-            score -= np.asarray(wear_penalty(self._off_pages), dtype=np.float64)
+            score -= np.asarray(penalty(self._off_pages), dtype=np.float64)
             idx = np.lexsort((self._off_last, score))[-1]
         return int(self._off_pages[idx]), int(self._off_counts[idx])
+
+    def last_subblock(self, page: int) -> int:
+        """Sub-block ``page`` was last touched at this epoch (where a
+        critical-block-first fill starts); 0 when unseen."""
+        i = int(np.searchsorted(self._off_pages, page))
+        if i < self._off_pages.shape[0] and int(self._off_pages[i]) == page:
+            return int(self._off_subblocks[i])
+        return 0
 
     def slot_epoch_count(self, slot: int) -> int:
         return int(self.slot_epoch_counts[slot])
@@ -155,12 +198,12 @@ class EpochMonitor:
         self._off_pages = np.zeros(0, dtype=np.int64)
         self._off_counts = np.zeros(0, dtype=np.int64)
         self._off_last = np.zeros(0, dtype=np.int64)
+        self._off_subblocks = np.zeros(0, dtype=np.int64)
 
     def forget_pages(self, pages: np.ndarray, slots=()) -> None:
         """Purge released pages/slots from the monitor (tenant churn).
 
-        The off-package fold (the ``np.unique``-derived page arrays set
-        by :meth:`fold_epoch`) survives until the boundary's swap
+        The off-package fold survives until the boundary's swap
         evaluation consumes it, and a tenant release is legal in
         between — without this filter a freed page could win the
         hottest ranking and be promoted after its owner is gone.
@@ -174,6 +217,7 @@ class EpochMonitor:
                 self._off_pages = self._off_pages[keep]
                 self._off_counts = self._off_counts[keep]
                 self._off_last = self._off_last[keep]
+                self._off_subblocks = self._off_subblocks[keep]
         for slot in slots:
             self.slot_last_touch[slot] = -1
             self.slot_epoch_counts[slot] = 0
@@ -186,6 +230,7 @@ class EpochMonitor:
             "off_pages": self._off_pages.copy(),
             "off_counts": self._off_counts.copy(),
             "off_last": self._off_last.copy(),
+            "off_subblocks": self._off_subblocks.copy(),
         }
 
     def load_state_dict(self, state: dict) -> None:
@@ -196,3 +241,4 @@ class EpochMonitor:
         self._off_pages = state["off_pages"].copy()
         self._off_counts = state["off_counts"].copy()
         self._off_last = state["off_last"].copy()
+        self._off_subblocks = state["off_subblocks"].copy()

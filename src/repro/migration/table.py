@@ -593,6 +593,17 @@ class TranslationTable:
         self._empty_cache_valid = False
         self._retired_cache = None
 
+    def clone(self, state: dict | None = None) -> "TranslationTable":
+        """A same-geometry table loaded with ``state`` (a
+        :meth:`state_dict` snapshot), or with this table's current state
+        when ``state`` is None."""
+        twin = TranslationTable(
+            self.amap, reserve_empty_slot=self._reserve_empty_slot,
+            reserved_pages=self.reserved_pages,
+        )
+        twin.load_state_dict(self.state_dict() if state is None else state)
+        return twin
+
     def reset_identity(self) -> int:
         """Roll back to the boot-time identity mapping (quarantine path).
 
@@ -615,13 +626,7 @@ class TranslationTable:
         self._fill_page = None
         self._fill_source = None
         self._slot_of = {p: p for p in range(n) if not self.retired[p]}
-        total = self.amap.n_total_pages
-        self.machine_of = np.arange(total, dtype=np.int64)
-        self.onpkg = np.zeros(total, dtype=bool)
-        self.onpkg[:n] = True
-        for page, spare in self.remap.items():
-            self.machine_of[page] = spare
-            self.onpkg[page] = False
+        self._rebuild_mirrors()
         if self._reserve_empty_slot:
             usable = np.flatnonzero(~self.retired)
             if usable.size == 0:

@@ -34,9 +34,11 @@ from typing import Any
 from ..errors import CheckpointError
 
 CHECKPOINT_MAGIC = b"RPCKPT01"
-#: 2: every subsystem's state is always present (version 1 files, which
-#: predate RAS, tenancy and data-safe abort recovery, are refused)
-CHECKPOINT_VERSION = 2
+#: 3: the migration monitor owns each epoch's last-touched sub-blocks
+#: (version 2 kept them on the engine). Older files are refused: version
+#: 2's engine state no longer loads, and version 1 predates RAS, tenancy
+#: and data-safe abort recovery.
+CHECKPOINT_VERSION = 3
 _PREFIX = struct.Struct("<8sI32s")
 
 

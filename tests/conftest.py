@@ -10,7 +10,11 @@ import pytest
 from repro.address import AddressMap
 from repro.config import MigrationConfig, SystemConfig
 from repro.core.simulator import SimulationResult
-from repro.resilience.checkpoint import CHECKPOINT_MAGIC, save_checkpoint
+from repro.resilience.checkpoint import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
+    save_checkpoint,
+)
 from repro.trace.record import TraceChunk, make_chunk
 from repro.units import KB, MB
 
@@ -69,10 +73,15 @@ def skewed_trace() -> TraceChunk:
     return synthetic_trace()
 
 
-def write_v1_checkpoint(path, simulator) -> None:
-    """A checkpoint of ``simulator`` whose header claims format version 1
-    (the schema before RAS, tenancy and data-safe abort state)."""
+#: every checkpoint format version this build refuses to read
+LEGACY_CHECKPOINT_VERSIONS = tuple(range(1, CHECKPOINT_VERSION))
+
+
+def write_checkpoint_version(path, simulator, version: int) -> None:
+    """A checkpoint of ``simulator`` whose header claims format
+    ``version`` (1: before RAS, tenancy and data-safe abort state; 2:
+    sub-block recency on the engine, not the monitor)."""
     save_checkpoint(path, simulator, SimulationResult())
     with open(path, "r+b") as fh:
         fh.seek(len(CHECKPOINT_MAGIC))
-        fh.write(struct.pack("<I", 1))
+        fh.write(struct.pack("<I", version))

@@ -1,6 +1,8 @@
 """Tests for the migration engine: triggers, scheduling, timelines,
 and a long-run stress property (invariants across hundreds of swaps)."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,115 @@ class TestTrigger:
         # monitor thinks it's off-package (stale mid-epoch observation)
         d = e.maybe_swap(now=10)
         assert not d.triggered
+
+
+HOT = N_SLOTS + 3
+
+
+def feed_epoch(engine: MigrationEngine, page: int, count: int = 5, t0: int = 0):
+    """One epoch: ``count`` accesses to off-package ``page`` plus two
+    on-package slot touches, so both the page fold and the slot counts
+    hold something for the boundary to clear."""
+    engine.observe_epoch(
+        slots=np.array([0, 1], dtype=np.int64),
+        slot_times=np.array([t0, t0 + 1], dtype=np.int64),
+        offpkg_pages=np.full(count, page, dtype=np.int64),
+        off_times=np.arange(t0, t0 + count, dtype=np.int64),
+        off_subblocks=np.zeros(count, dtype=np.int64),
+    )
+
+
+class StubQoS:
+    """A capacity policy with a fixed answer for every candidate."""
+
+    def __init__(self, veto, exclude):
+        self.veto, self.exclude = veto, exclude
+
+    def constrain(self, page):
+        return self.veto, self.exclude
+
+
+def _busy(e):
+    feed_epoch(e, HOT)
+    assert e.maybe_swap(now=100).triggered
+    feed_epoch(e, HOT + 1, t0=200)
+    return e.active.end - 1
+
+
+def _retired_home(e):
+    end = e.retire_frame(10, 0, e.amap.ghost_page - 1)
+    feed_epoch(e, 0, t0=end + 1)  # page 0 now lives at the spare
+    return end + 1
+
+
+def _qos(veto, exclude):
+    def setup(e):
+        e.qos = StubQoS(veto, exclude)
+        feed_epoch(e, HOT)
+        return 1000
+    return setup
+
+
+def _cold(e):
+    feed_epoch(e, HOT, count=1)
+    e.monitor.slot_epoch_counts[:] = 5
+    return 1000
+
+
+def _aborted(e):
+    feed_epoch(e, HOT)
+    e.inject_abort(2)
+    return 1000
+
+
+def _quarantined(e):
+    e.quarantine(5, "test")
+    feed_epoch(e, HOT)
+    return 1000
+
+
+def _page(page_of, count=5):
+    def setup(e):
+        feed_epoch(e, page_of(e), count=count)
+        return 1000
+    return setup
+
+
+#: id -> (setup returning the boundary's ``now``, triggered, reason regex)
+SWAP_OUTCOMES = {
+    "busy": (_busy, False, r"^previous swap still in flight"),
+    "no-offpkg": (_page(lambda e: HOT, count=0), False, r"^no off-package accesses"),
+    "omega": (_page(lambda e: e.amap.ghost_page), False, r"reserved Ω page$"),
+    "spare": (_page(lambda e: e.amap.ghost_page - 1), False, r"reserved spare page$"),
+    "retired-home": (_retired_home, False, r"^hottest page 0's home frame is retired$"),
+    "on-package": (_page(lambda e: 2), False, r"^hottest page 2 already on-package$"),
+    "qos-veto": (_qos("over quota", set()), False, r"^QoS: over quota$"),
+    "qos-excluded": (
+        _qos(None, set(range(N_SLOTS))), False,
+        r"^QoS: every demotion candidate is excluded$",
+    ),
+    "cold": (_cold, False, r"^MRU count 1 <= LRU count 5$"),
+    "triggered": (_page(lambda e: HOT), True, r"^hottest-coldest swap$"),
+    "aborted": (_aborted, False, r"^swap failed: .*aborted at copy step 2"),
+    "quarantined": (_quarantined, False, r"^migration quarantined"),
+}
+
+
+@pytest.mark.parametrize("outcome", list(SWAP_OUTCOMES))
+def test_every_swap_outcome_closes_the_epoch(outcome):
+    """Whatever ``maybe_swap`` decides, the boundary consumes the
+    epoch's fold: no page stays a candidate and no slot keeps a count."""
+    setup, triggered, reason = SWAP_OUTCOMES[outcome]
+    base = make_engine()
+    e = MigrationEngine(
+        base.amap, base.config, reserved_pages={base.amap.ghost_page - 1}
+    )
+    now = setup(e)
+    decision = e.maybe_swap(now)
+    assert decision.triggered is triggered
+    assert re.search(reason, decision.reason), decision.reason
+    assert e.monitor.hottest_page() is None
+    assert not e.monitor.slot_epoch_counts.any()
 
 
 class TestScheduling:

@@ -79,6 +79,22 @@ class TestEpochMonitor:
         assert count == 2
         assert page == 9  # ties broken by recency (9 touched later than 7)
 
+    @pytest.mark.parametrize("base", [0, 1 << 17], ids=["dense", "sorting"])
+    def test_fold_keeps_last_touched_subblock(self, base):
+        """Both fold paths (bincount for small page ids, np.unique past
+        the dense span) keep each page's last-touched sub-block."""
+        m = EpochMonitor(2)
+        m.observe_epoch(
+            slots=np.array([]), slot_times=np.array([]),
+            offpkg_pages=base + np.array([7, 9, 7, 9, 5]),
+            off_times=np.array([1, 2, 3, 4, 5]),
+            off_subblocks=np.array([1, 2, 3, 4, 5]),
+        )
+        assert m.hottest_page() == (base + 9, 2)
+        assert [m.last_subblock(base + p) for p in (5, 7, 8, 9)] == [5, 3, 0, 4]
+        m.new_epoch()
+        assert m.last_subblock(base + 9) == 0
+
     def test_hottest_none_without_offpkg_traffic(self):
         m = EpochMonitor(2)
         assert m.hottest_page() is None

@@ -44,7 +44,11 @@ from repro.stats.report import ras_table
 from repro.trace.record import make_chunk
 from repro.units import KB, MB
 
-from .conftest import synthetic_trace, write_v1_checkpoint
+from .conftest import (
+    LEGACY_CHECKPOINT_VERSIONS,
+    synthetic_trace,
+    write_checkpoint_version,
+)
 
 N_SLOTS = 8
 
@@ -295,7 +299,7 @@ class TestWearSteering:
         )
         assert m.hottest_page() == (10, 5)
         penalty = lambda pages: np.where(pages == 10, 2.0, 0.0)  # noqa: E731
-        page, count = m.hottest_page(wear_penalty=penalty)
+        page, count = m.hottest_page(penalty=penalty)
         assert page == 11
         assert count == 4  # raw epoch count, not the penalised score
 
@@ -376,12 +380,17 @@ class TestTableRetirement:
         assert other.retired[0] and other.remap == {0: spares[0]}
         other.audit()
 
-    def test_v1_checkpoint_is_rejected(self, tmp_path):
-        # version 1 predates retirement state; it is refused, not
-        # loaded with guessed defaults
-        path = tmp_path / "v1.ckpt"
-        write_v1_checkpoint(path, EpochSimulator(soak_config("live")))
-        with pytest.raises(CheckpointError, match="version 1"):
+    @pytest.mark.parametrize("version", LEGACY_CHECKPOINT_VERSIONS)
+    def test_legacy_checkpoint_is_rejected(self, tmp_path, version):
+        # older schemas lack (or misplace) retirement and monitor state;
+        # they are refused, not loaded with guessed defaults
+        path = tmp_path / f"v{version}.ckpt"
+        write_checkpoint_version(
+            path, EpochSimulator(soak_config("live")), version
+        )
+        with pytest.raises(
+            CheckpointError, match=f"unsupported checkpoint version {version} "
+        ):
             load_checkpoint(path)
 
 
@@ -470,6 +479,22 @@ class TestEngineRetireFrame:
         )
         engine.retire_frame(1000, 0, spares[0])
         assert engine.wear.writes[spares[0]] == MB // 64
+
+    @pytest.mark.parametrize("algorithm", ["N-1", "live"])
+    def test_abort_copy_back_wears_its_destination(self, algorithm):
+        """A data-safe abort's copy-back writes like any other copy."""
+        engine, _ = make_ras_engine(algorithm)
+        engine.wear = WearModel(
+            engine.amap.n_total_pages, penalty_weight=0.0, window=1024
+        )
+        observe_hot_page(engine, N_SLOTS + 3)
+        engine.inject_abort(2)
+        decision = engine.maybe_swap(now=100)
+        assert decision.reason.startswith("swap failed")
+        assert engine.abort_recoveries == 1
+        # the executed prefix wrote one page to an off-package frame,
+        # and the copy-back writes one page home to another
+        assert engine.wear.total_writes == 2 * MB // 64
 
     def test_swap_never_promotes_a_retired_home(self):
         engine, spares = make_ras_engine()

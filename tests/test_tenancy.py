@@ -48,7 +48,7 @@ from repro.trace.record import make_chunk
 from repro.units import KB, MB
 from repro.workloads.tenants import tenant_mix
 
-from .conftest import write_v1_checkpoint
+from .conftest import LEGACY_CHECKPOINT_VERSIONS, write_checkpoint_version
 
 ALGORITHMS = ("N", "N-1", "live")
 
@@ -382,11 +382,11 @@ class TestReclamationStaleness:
             off_subblocks=np.zeros(50, dtype=np.int64),
         )
         assert engine.monitor.hottest_page()[0] == hot_page
-        assert engine._last_sb_pages is not None
+        assert engine.monitor._off_subblocks.size == 1
         engine.release_tenant(100, [hot_page])
         # the np.unique fold and the sub-block recency are both purged
         assert engine.monitor.hottest_page() is None
-        assert engine._last_sb_pages is None
+        assert engine.monitor._off_subblocks.size == 0
         decision = engine.maybe_swap(100)
         assert not decision.triggered
         sim.table.audit()
@@ -400,7 +400,7 @@ class TestReclamationStaleness:
         assert engine.monitor.slot_last_touch[4] == -1
         assert engine.monitor.slot_epoch_counts[4] == 0
 
-    def test_release_counters_survive_checkpoint_roundtrip(self, tmp_path):
+    def test_release_counters_survive_checkpoint_roundtrip(self):
         cfg = _cfg()
         sim = EpochSimulator(cfg)
         sim.engine.swaps_suppressed_qos = 3
@@ -412,11 +412,16 @@ class TestReclamationStaleness:
         assert fresh.swaps_suppressed_qos == 3
         assert fresh.tenants_released == 2
         assert fresh.reclaimed_bytes == 640 * KB
-        # pre-tenancy (version 1) checkpoints are refused, not loaded
-        # with zeroed counters
-        path = tmp_path / "v1.ckpt"
-        write_v1_checkpoint(path, sim)
-        with pytest.raises(CheckpointError, match="version 1"):
+
+    @pytest.mark.parametrize("version", LEGACY_CHECKPOINT_VERSIONS)
+    def test_legacy_checkpoint_is_rejected(self, tmp_path, version):
+        # older schemas (version 1 predates tenancy) are refused, not
+        # loaded with zeroed counters
+        path = tmp_path / f"v{version}.ckpt"
+        write_checkpoint_version(path, EpochSimulator(_cfg()), version)
+        with pytest.raises(
+            CheckpointError, match=f"unsupported checkpoint version {version} "
+        ):
             load_checkpoint(path)
 
 
