@@ -270,6 +270,7 @@ class EpochSimulator:
         result.quarantined = self.engine.quarantined
         result.faults_injected = self._faults_injected
         if self.shadow is not None:
+            self.shadow.process()
             result.data_violations = len(self.shadow.violations)
         if self._ras is not None:
             result.ras = self._ras.report()
@@ -280,8 +281,9 @@ class EpochSimulator:
         """The epoch loop.
 
         Per epoch, in order: apply faults, expire the finished migration,
-        translate and route every access (``resolve_into``), feed the
-        shadow memory, charge the in-flight migration's stall or copy
+        translate and route every access (``resolve_into``), buffer it in
+        the shadow memory (which checks the chunk in one pass at its
+        end), charge the in-flight migration's stall or copy
         interference, run the boundary hooks (ECC, RAS, disturbance,
         watchdog, audit) and let the migration engine observe the epoch
         and maybe swap.
@@ -356,8 +358,8 @@ class EpochSimulator:
                 # checked at *original* access times: a stalled access
                 # still reads whatever the location holds once the stall
                 # window (during which data and routing flip together)
-                # has drained
-                self.shadow.process(tview, pages, subblocks, on, machine, writes)
+                # has drained; resolved once per chunk, below
+                self.shadow.feed(tview, pages, subblocks, on, machine, writes)
 
             if active is not None:
                 stalled = controller.migration_windows(
