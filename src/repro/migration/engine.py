@@ -478,8 +478,9 @@ class MigrationEngine:
             plan = build_swap_steps(self.table, mru, lru)
         live = cfg.algorithm == MigrationAlgorithm.LIVE
 
-        # an armed abort fires at a chosen copy step (one-shot); the
-        # snapshot makes plan application transactional, so a torn swap
+        # an armed abort fires at a chosen copy step (one-shot); the undo
+        # record over the rows the plan's ops name and the pages they
+        # touch makes plan application transactional, so a torn swap
         # rolls back instead of leaving a half-written table
         abort_at: int | None = None
         abort_subblocks = 0
@@ -489,15 +490,23 @@ class MigrationEngine:
             abort_subblocks = self._abort_subblocks
             self._abort_at_step = None
             self._abort_subblocks = 0
-        snapshot = self.table.state_dict()
+        rows = {
+            args[0]
+            for s in plan.steps if isinstance(s, TableUpdate)
+            for _, args in s.ops
+        }
+        undo = self.table.undo_point(rows, self._affected_pages(plan))
 
-        affected = self._affected_pages(plan)
         # walk the plan, applying updates eagerly and recording when each
-        # affected page's resolution changes; entry 0 is the pre-swap state
-        before = {p: self.table.resolve(p) for p in affected}
-        t_begin = np.int64(-(1 << 62))
+        # affected page's resolution changes; entry 0 is the pre-swap
+        # state, read from the undo record's mirror slice
+        before = dict(zip(
+            undo["pages"].tolist(),
+            zip(undo["onpkg"].tolist(), undo["machine_of"].tolist()),
+        ))
+        t_begin = -(1 << 62)
         timelines: dict[int, list[tuple[int, bool, int]]] = {
-            p: [(int(t_begin), before[p][0], before[p][1])] for p in affected
+            p: [(t_begin, on, machine)] for p, (on, machine) in before.items()
         }
         t = now
         fill: FillInfo | None = None
@@ -584,11 +593,11 @@ class MigrationEngine:
                         self.shadow.apply_copy(*payload)
             recovered = False
             if self.resilience.data_safe_abort:
-                self._recover_abort(now, t, snapshot, executed, exc)
+                self._recover_abort(now, t, undo, executed, exc)
                 recovered = isinstance(exc, FaultInjectionError)
             else:
                 # bare rollback: routing only, no copy-back window
-                self.table.load_state_dict(snapshot)
+                self.table.rollback(undo)
             raise SwapAbortError(str(exc), recovered=recovered) from exc
 
         if plan.stall:
@@ -795,7 +804,7 @@ class MigrationEngine:
         self,
         now: int,
         t_abort: int,
-        snapshot: dict,
+        undo: dict,
         executed: list[tuple],
         exc: Exception,
     ) -> None:
@@ -814,15 +823,15 @@ class MigrationEngine:
         stall window opened at the swap's start, like an N-design
         exchange.
         """
+        pre_swap = self.table.clone()
+        pre_swap.rollback(undo)
         try:
-            steps = recovery_plan(
-                self.table.clone(snapshot), executed, prefer_table=self.table
-            )
+            steps = recovery_plan(pre_swap, executed, prefer_table=self.table)
         except (MigrationError, TranslationTableError):  # pragma: no cover
             # unrepairable mid-state; fall back to bare rollback (the
             # shadow, if tracking, will expose whatever was lost)
             steps = []
-        self.table.load_state_dict(snapshot)
+        self.table.rollback(undo)
         end = self._stall_copies(now, t_abort, steps)
         nbytes = sum(s.nbytes for s in steps)
         self.abort_recoveries += 1

@@ -151,14 +151,19 @@ class EpochMonitor:
         )
 
     def coldest_slot(self, exclude: set[int] | None = None) -> int:
-        """Slot with the oldest last touch (never-touched slots first)."""
-        order = np.lexsort((np.arange(self.n_slots), self.slot_last_touch))
+        """Slot with the oldest last touch (never-touched slots first).
+
+        Ties go to the lowest slot id: ``argmin`` returns the first
+        index of the minimum, which is the ``(last_touch, slot)`` order.
+        """
+        last = self.slot_last_touch
         if exclude:
-            for s in order:
-                if int(s) not in exclude:
-                    return int(s)
+            last = last.copy()
+            last[list(exclude)] = np.iinfo(np.int64).max
+        slot = int(np.argmin(last))
+        if exclude and slot in exclude:
             raise MigrationError("all slots excluded")
-        return int(order[0])
+        return slot
 
     def hottest_page(self, penalty=None) -> tuple[int, int] | None:
         """``(page, epoch_count)`` of the hottest off-package page.

@@ -6,8 +6,8 @@ After it, the incoming page's old home has been overwritten, and the
 restored routing points at dead data (the protocol checker's
 ``valid-copy`` counterexample). Worse, the basic N design moves data
 *before* its table update, so an exchange torn between copies leaves
-the table bit-identical to its snapshot while a page's only live copy
-sits in the controller's bounce buffer.
+the table bit-identical to its pre-swap state while a page's only live
+copy sits in the controller's bounce buffer.
 
 Recovery therefore cannot diff table states; it has to reason about
 where each page's current data physically is:
@@ -176,8 +176,9 @@ def recovery_plan(
 ) -> list[CopyStep]:
     """Convenience wrapper: recovery moves for an aborted swap.
 
-    ``pre_table`` is the pre-swap snapshot state (a table the caller
-    reconstructed from the engine's snapshot); ``executed`` the copy
+    ``pre_table`` is the pre-swap state (the engine rebuilds it as a
+    clone of the torn table rolled back to the swap's undo record);
+    ``executed`` the copy
     prefix the aborted plan performed. ``target_table`` defaults to the
     pre-swap table itself (abort recovery); the quarantine path passes a
     boot-identity table instead. ``prefer_table`` (the aborted

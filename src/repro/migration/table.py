@@ -549,12 +549,61 @@ class TranslationTable:
     # ------------------------------------------------------------------
     # snapshot / restore / recovery (resilience subsystem)
     # ------------------------------------------------------------------
+    def undo_point(self, rows, pages) -> dict:
+        """Row-scoped undo record for a swap plan about to be applied.
+
+        Captures exactly what the plan's table updates can write: the
+        ``pair``/P/F entries of ``rows``, the fill bitmap and fill
+        scalars, and the CAM and dense-mirror entries of ``pages``.
+        :meth:`rollback` restores the table to this point provided
+        nothing outside the record changed. That holds for a swap plan:
+        its ops name only ``rows`` and touch only the pages the engine
+        passes, and the only fill it can end is its own (a swap starts
+        between epochs, with no fill in flight).
+        """
+        rows = np.fromiter(set(rows), dtype=np.int64)
+        pages = np.fromiter(set(pages), dtype=np.int64)
+        return {
+            "rows": rows,
+            "pair": self.pair[rows],
+            "p_bit": self.p_bit[rows],
+            "f_bit": self.f_bit[rows],
+            "fill_bitmap": self.fill_bitmap.copy(),
+            "filling_slot": self._filling_slot,
+            "fill_page": self._fill_page,
+            "fill_source": self._fill_source,
+            "pages": pages,
+            "cam": {p: self._slot_of.get(p) for p in pages.tolist()},
+            "machine_of": self.machine_of[pages],
+            "onpkg": self.onpkg[pages],
+        }
+
+    def rollback(self, undo: dict) -> None:
+        """Restore the state captured by :meth:`undo_point`."""
+        rows, pages = undo["rows"], undo["pages"]
+        self.pair[rows] = undo["pair"]
+        self.p_bit[rows] = undo["p_bit"]
+        self.f_bit[rows] = undo["f_bit"]
+        self.fill_bitmap[:] = undo["fill_bitmap"]
+        self._filling_slot = undo["filling_slot"]
+        self._fill_page = undo["fill_page"]
+        self._fill_source = undo["fill_source"]
+        for page, slot in undo["cam"].items():
+            if slot is None:
+                self._slot_of.pop(page, None)
+            else:
+                self._slot_of[page] = slot
+        self.machine_of[pages] = undo["machine_of"]
+        self.onpkg[pages] = undo["onpkg"]
+        self._empty_cache_valid = False
+
     def state_dict(self) -> dict:
         """Complete mutable state as plain arrays/values (copyable).
 
-        The engine's swap-rollback snapshot and checkpoint payload, and
-        the ``migration.table_snapshot`` entry point the benchmark
-        suite's tracer hooks.
+        The checkpoint payload and the source of :meth:`clone`, and the
+        ``migration.table_snapshot`` entry point the benchmark suite's
+        tracer hooks. A swap does not take one: it rolls back a torn
+        plan through the row-scoped :meth:`undo_point` record.
         """
         return {
             "pair": self.pair.copy(),

@@ -141,3 +141,31 @@ class TestEpochMonitor:
         untouched = set(range(n_slots)) - set(slots)
         if untouched:
             assert cold in untouched
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda n: st.tuples(
+                # a narrow time range forces ties; -1 is "never touched"
+                st.lists(st.integers(-1, 4), min_size=n, max_size=n),
+                st.sets(st.integers(0, n - 1)),
+            )
+        )
+    )
+    def test_coldest_matches_lexsort_reference(self, case):
+        """``coldest_slot`` picks the first non-excluded slot in
+        ``(last_touch, slot)`` order, and raises once all are excluded."""
+        last_touch, exclude = case
+        n_slots = len(last_touch)
+        m = EpochMonitor(n_slots)
+        m.slot_last_touch[:] = last_touch
+        order = np.lexsort((np.arange(n_slots), m.slot_last_touch))
+        allowed = [int(s) for s in order if int(s) not in exclude]
+        if not allowed:
+            with pytest.raises(MigrationError):
+                m.coldest_slot(exclude=exclude)
+        else:
+            assert m.coldest_slot(exclude=exclude) == allowed[0]
+        assert m.coldest_slot() == int(order[0])
+        # the monitor's recency state is read, never written
+        np.testing.assert_array_equal(m.slot_last_touch, last_touch)

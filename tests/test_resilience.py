@@ -8,12 +8,14 @@ module holds the deterministic unit and acceptance tests.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import os
 
 import numpy as np
 import pytest
 
 import repro
+from repro.address import AddressMap
 from repro.config import MigrationConfig, ResilienceConfig, SystemConfig
 from repro.errors import (
     CheckpointError,
@@ -21,6 +23,12 @@ from repro.errors import (
     TranslationTableError,
     WatchdogError,
 )
+from repro.migration.algorithms import (
+    CopyStep,
+    build_basic_swap_steps,
+    build_swap_steps,
+)
+from repro.migration.engine import MigrationEngine
 from repro.resilience import (
     AUDIT_FAILED,
     MIGRATION_QUARANTINED,
@@ -36,7 +44,7 @@ from repro.resilience import (
     summarize_events,
 )
 from repro.trace.io import write_trace
-from repro.units import MB
+from repro.units import KB, MB
 
 from .conftest import synthetic_trace
 
@@ -56,6 +64,16 @@ def config(algo="live", **resilience) -> SystemConfig:
 
 def as_fields(result) -> dict:
     return dataclasses.asdict(result)
+
+
+def assert_same_state(before: dict, after: dict, where: str = "") -> None:
+    """Two table ``state_dict()`` snapshots are equal, field by field."""
+    assert before.keys() == after.keys()
+    for key, value in before.items():
+        if isinstance(value, np.ndarray):
+            np.testing.assert_array_equal(value, after[key], err_msg=f"{key} {where}")
+        else:
+            assert value == after[key], (key, where)
 
 
 # ----------------------------------------------------------------------
@@ -300,8 +318,6 @@ class TestAbortRollback:
     @pytest.mark.parametrize("algo", ["N", "N-1", "live"])
     @pytest.mark.parametrize("step", [0, 1, 5])
     def test_aborted_swap_leaves_table_untouched(self, algo, step, tiny_amap):
-        from repro.migration.engine import MigrationEngine
-
         engine = MigrationEngine(
             tiny_amap,
             MigrationConfig(
@@ -322,13 +338,7 @@ class TestAbortRollback:
         assert not decision.triggered
         assert "swap failed" in decision.reason
         assert engine.swaps_failed == 1
-        after = engine.table.state_dict()
-        for key in before:
-            value = before[key]
-            if isinstance(value, np.ndarray):
-                np.testing.assert_array_equal(value, after[key])
-            else:
-                assert value == after[key], key
+        assert_same_state(before, engine.table.state_dict())
         engine.table.audit()
         # a later hot page still migrates: one failure != quarantine
         # (wait out the data-safe recovery's copy-back stall window)
@@ -341,6 +351,114 @@ class TestAbortRollback:
             off_subblocks=np.zeros(5, dtype=np.int64),
         )
         assert engine.maybe_swap(now=later).triggered
+
+
+#: every plan shape each design can produce: the Fig 8 cases, the ghost
+#: promotion (N-1/Live only) and the MRU-partner-is-LRU overlap
+PLAN_SHAPES = {
+    "N": ("A", "B", "C", "D", "overlap"),
+    "N-1": ("A", "B", "C", "D", "G", "overlap"),
+    "live": ("A", "B", "C", "D", "G", "overlap"),
+}
+
+
+def _matrix_engine(algo: str, data_safe: bool = True):
+    return MigrationEngine(
+        AddressMap(
+            total_bytes=16 * MB, onpkg_bytes=4 * MB,
+            macro_page_bytes=1 * MB, subblock_bytes=4 * KB,
+        ),
+        MigrationConfig(algorithm=algo, macro_page_bytes=1 * MB, swap_interval=100),
+        resilience=ResilienceConfig(data_safe_abort=data_safe),
+    )
+
+
+def _plan(algo: str, table, mru: int, lru: int):
+    build = build_basic_swap_steps if algo == "N" else build_swap_steps
+    return build(table, mru, lru)
+
+
+def _shape(table, plan) -> str:
+    if plan.case.name in ("C", "D") and table.page_in_slot(plan.mru) == plan.lru:
+        return "overlap"
+    return plan.case.name
+
+
+def _steer_swap(engine, mru: int, lru: int, now: int):
+    """One epoch whose fold makes ``mru`` the hottest page and ``lru``'s
+    slot the coldest one, then the boundary's swap evaluation."""
+    lru_slot = engine.table.slot_of(lru)
+    others = np.array(
+        [s for s in range(engine.table.n_slots) if s != lru_slot], dtype=np.int64
+    )
+    engine.observe_epoch(
+        slots=others,
+        slot_times=np.full(others.shape, now - 1, dtype=np.int64),
+        offpkg_pages=np.full(5, mru, dtype=np.int64),
+        off_times=np.arange(now - 5, now, dtype=np.int64),
+        off_subblocks=np.full(5, 2, dtype=np.int64),
+    )
+    return engine.maybe_swap(now=now)
+
+
+@functools.cache
+def _warm_shapes(algo: str) -> dict:
+    """Shape -> (pre-swap table state, mru, lru), found by a seeded walk
+    of successful swaps from boot until every shape has been plannable."""
+    engine = _matrix_engine(algo)
+    table = engine.table
+    rng = np.random.default_rng(0)
+    shapes: dict = {}
+    now = 100
+    for _ in range(200):
+        pairs = [
+            (mru, lru)
+            for mru in range(table.amap.ghost_page) if not table.onpkg[mru]
+            for lru in table.resident_pages().tolist()
+        ]
+        for mru, lru in pairs:
+            shape = _shape(table, _plan(algo, table, mru, lru))
+            shapes.setdefault(shape, (table.state_dict(), mru, lru))
+        if len(shapes) == len(PLAN_SHAPES[algo]):
+            break
+        mru, lru = pairs[rng.integers(len(pairs))]
+        assert _steer_swap(engine, mru, lru, now).triggered
+        table.audit()
+        now = engine.busy_until + 100
+    return shapes
+
+
+class TestRollbackMatrix:
+    """A torn plan rolls the table back exactly, for every plan shape
+    torn at every copy step, with and without data-safe recovery."""
+
+    @pytest.mark.parametrize("data_safe", [True, False], ids=["data-safe", "bare"])
+    @pytest.mark.parametrize(
+        "algo,shape",
+        [(algo, shape) for algo, shapes in PLAN_SHAPES.items() for shape in shapes],
+    )
+    def test_torn_plan_restores_full_state(self, algo, shape, data_safe):
+        state, mru, lru = _warm_shapes(algo)[shape]
+        probe = _matrix_engine(algo)
+        probe.table.load_state_dict(state)
+        plan = _plan(algo, probe.table, mru, lru)
+        assert _shape(probe.table, plan) == shape
+        n_copies = sum(1 for s in plan.steps if isinstance(s, CopyStep))
+        # a Live abort can land mid-fill, after some sub-blocks arrived
+        landed = (0, 3) if algo == "live" else (0,)
+        for step in range(n_copies):
+            for subblocks in landed:
+                engine = _matrix_engine(algo, data_safe)
+                engine.table.load_state_dict(state)
+                before = engine.table.state_dict()
+                engine.inject_abort(step, subblocks=subblocks)
+                decision = _steer_swap(engine, mru, lru, now=1000)
+                assert "aborted at copy step" in decision.reason, (step, decision)
+                assert_same_state(
+                    before, engine.table.state_dict(), f"step {step}/{subblocks}"
+                )
+                engine.table.audit()
+                assert engine.abort_recoveries == int(data_safe)
 
 
 # ----------------------------------------------------------------------
