@@ -6,7 +6,8 @@ yields every level's hit rate *and* the post-LLC main-memory stream
 (what the paper's COTSon traces contain).
 
 The per-set reference model (:mod:`repro.cache.sets`) cross-validates
-this on small streams in ``tests/test_cache_hierarchy.py``.
+the stack-distance profile on small streams in
+``tests/test_cache.py::TestStackDistance::test_matches_fully_associative_cache``.
 """
 
 from __future__ import annotations

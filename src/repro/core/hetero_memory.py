@@ -42,12 +42,10 @@ class HeterogeneousMainMemory:
     """On-package + off-package main memory with dynamic migration."""
 
     def __init__(self, config: SystemConfig | None = None, *, migrate: bool = True,
-                 detailed_dram: bool = False, fused: bool = True,
-                 track_data: bool = False):
+                 fused: bool = True, track_data: bool = False):
         self.config = config or SystemConfig()
         self.simulator = EpochSimulator(
-            self.config, migrate=migrate, detailed_dram=detailed_dram,
-            fused=fused, track_data=track_data,
+            self.config, migrate=migrate, fused=fused, track_data=track_data,
         )
 
     def run(self, trace: TraceChunk) -> SimulationResult:
@@ -89,12 +87,12 @@ class HeterogeneousMainMemory:
         Returns ``(system, result, extra)``; feed the remaining trace
         chunks through ``system.simulator.run_into(chunk, result)``.
         """
-        from ..resilience.checkpoint import load_checkpoint, restore_simulator
+        from ..resilience.checkpoint import load_checkpoint
 
         bundle = load_checkpoint(path)
         system = cls.__new__(cls)
-        system.config = bundle.config
-        system.simulator = restore_simulator(bundle)
+        system.simulator = bundle.simulator
+        system.config = system.simulator.config
         return system, bundle.result, bundle.extra
 
     @property

@@ -12,9 +12,8 @@ Resilience hooks (all governed by :class:`~repro.config.ResilienceConfig`
 and off by default) run at the same boundary: seeded fault injection via
 an attached :class:`~repro.resilience.faults.FaultPlan`, ECC handling of
 transient DRAM errors, periodic translation-table audits with in-place
-repair, and a per-epoch cycle-budget watchdog. The complete simulator
-state round-trips through :meth:`EpochSimulator.state_dict`, which is
-what the checkpoint/resume machinery serialises.
+repair, and a per-epoch cycle-budget watchdog. A checkpoint is the
+pickled simulator itself (see :mod:`repro.resilience.checkpoint`).
 """
 
 from __future__ import annotations
@@ -120,13 +119,11 @@ class EpochSimulator:
     """Vectorised trace-driven simulator (the workhorse)."""
 
     def __init__(self, config: SystemConfig, *, migrate: bool = True,
-                 detailed_dram: bool = False, fused: bool = True,
-                 track_data: bool = False):
+                 fused: bool = True, track_data: bool = False):
         self.config = config
         self.migrate = migrate
-        self.detailed_dram = detailed_dram
         self.controller = HeterogeneousController(
-            config, detailed=detailed_dram, translation_overhead=migrate
+            config, translation_overhead=migrate
         )
         amap = config.address_map()
         self.engine = MigrationEngine(
@@ -159,21 +156,25 @@ class EpochSimulator:
         #: never feeds back into routing or timing)
         self.shadow = None
         if track_data:
-            self._attach_shadow()
+            # local import: datamodel depends on migration.table, and
+            # keeping the default path import-free keeps startup identical
+            from ..datamodel import ShadowMemory
+
+            self.shadow = ShadowMemory(self.engine.table)
+            self.engine.shadow = self.shadow
+            if self._disturb is not None:
+                self._disturb.shadow = self.shadow
         #: flush DRAM service once per epoch instead of once per chunk
         #: exactly when something at the epoch boundary reads serviced
         #: latency or device state: the watchdog budget, RAS patrol scrubs
-        #: and disturbance victim refreshes (both go through the devices),
-        #: and the event-driven device, which rebuilds its banks on every
-        #: service() call. Both granularities are bit-identical;
-        #: ``fused=False`` forces the per-epoch flush for equivalence
-        #: tests and benchmarks.
+        #: and disturbance victim refreshes (both go through the devices).
+        #: Both granularities are bit-identical; ``fused=False`` forces
+        #: the per-epoch flush for equivalence tests and benchmarks.
         self._flush_per_epoch = (
             not fused
             or bool(config.resilience.epoch_cycle_budget)
             or self._ras is not None
             or self._disturb is not None
-            or detailed_dram
         )
         self._sb_shift = log2_exact(config.migration.subblock_bytes)
         self._last_time = -(1 << 62)
@@ -182,16 +183,6 @@ class EpochSimulator:
         self._ecc = EccModel(config.resilience)
         self._events: list[DegradationEvent] = []
         self._faults_injected = 0
-
-    def _attach_shadow(self) -> None:
-        # local import: datamodel depends on migration.table, and keeping
-        # the default path import-free keeps startup identical
-        from ..datamodel import ShadowMemory
-
-        self.shadow = ShadowMemory(self.engine.table)
-        self.engine.shadow = self.shadow
-        if self._disturb is not None:
-            self._disturb.shadow = self.shadow
 
     def attach_faults(self, plan: FaultPlan) -> None:
         """Arm a seeded fault plan; epochs consult it at their boundary.
@@ -550,43 +541,3 @@ class EpochSimulator:
             self.engine.quarantine(now, f"unrepairable table: {exc}")
             return
         self.engine.note_audit_failure(now, failure)
-
-    # ------------------------------------------------------------------
-    # checkpoint support
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """Complete simulator state; restoring it into a fresh simulator
-        built from the same config continues the run bit-identically."""
-        return {
-            "last_time": self._last_time,
-            "epoch_index": self._epoch_index,
-            "faults_injected": self._faults_injected,
-            "fault_plan": self._fault_plan,
-            "events": list(self._events),
-            "engine": self.engine.state_dict(),
-            "controller": self.controller.state_dict(),
-            "shadow": None if self.shadow is None else self.shadow.state_dict(),
-            "ras": None if self._ras is None else self._ras.state_dict(),
-            "disturb": (
-                None if self._disturb is None else self._disturb.state_dict()
-            ),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self._last_time = state["last_time"]
-        self._epoch_index = state["epoch_index"]
-        self._faults_injected = state["faults_injected"]
-        self._fault_plan = state["fault_plan"]
-        self._events = list(state["events"])
-        self.engine.load_state_dict(state["engine"])
-        self.controller.load_state_dict(state["controller"])
-        # restore_simulator builds the target with default arguments, so
-        # a tracked run re-wires its shadow here instead of in __init__
-        if state["shadow"] is not None:
-            if self.shadow is None:
-                self._attach_shadow()
-            self.shadow.load_state_dict(state["shadow"])
-        if state["ras"] is not None and self._ras is not None:
-            self._ras.load_state_dict(state["ras"])
-        if state["disturb"] is not None and self._disturb is not None:
-            self._disturb.load_state_dict(state["disturb"])

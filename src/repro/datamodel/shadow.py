@@ -594,3 +594,29 @@ class ShadowMemory:
             (self._index(src), self._index(dst)) for src, dst in state["links"]
         ]
         self._ops = [(t, kind, payload, 0) for t, kind, payload in state["ops"]]
+
+    #: construction-time geometry, pickled as is; the cells travel in
+    #: the compact :meth:`state_dict` form
+    _GEOMETRY = (
+        "amap", "n_subblocks", "ghost", "_n_slots", "_buf_index", "_dead",
+    )
+
+    def __getstate__(self) -> tuple[dict, dict]:
+        # the held locations only, not the dense cell arrays: a tracked
+        # checkpoint is a third the size
+        geometry = {key: self.__dict__[key] for key in self._GEOMETRY}
+        return geometry, self.state_dict()
+
+    def __setstate__(self, state: tuple[dict, dict]) -> None:
+        geometry, snapshot = state
+        self.__dict__.update(geometry)
+        n_locs = self._buf_index + 1
+        n_cells = n_locs * self.n_subblocks
+        # load_state_dict overwrites every element
+        self._page = np.empty(n_cells, dtype=np.int64)
+        self._gen = np.empty(n_cells, dtype=np.int64)
+        self._held = np.empty(n_locs, dtype=bool)
+        self._generation = np.empty(
+            self.amap.n_total_pages * self.n_subblocks, dtype=np.int64
+        )
+        self.load_state_dict(snapshot)

@@ -1,10 +1,11 @@
 """DRAM timing substrate.
 
-Two interchangeable device models service (address, arrival-time)
-streams and return per-access latencies:
+Two device models service (address, arrival-time) streams and return
+per-access latencies:
 
 * :class:`~repro.dram.scheduler.EventDrivenDevice` — FR-FCFS [11] with
-  open-page banks; the reference model (Python-level loop, small inputs).
+  open-page banks; the reference model the tests cross-validate the
+  fast one against (Python-level loop, small inputs).
 * :class:`~repro.dram.fastmodel.FastDevice` — per-bank FIFO with
   open-page row-hit detection, solved with a vectorised Lindley
   recursion; the workhorse for multi-million-access sweeps.

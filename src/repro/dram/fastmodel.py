@@ -10,8 +10,8 @@ request's row). Writing ``S_i = cumsum(s)`` gives
 which is one sort, one cumsum and one running maximum — no Python-level
 per-access loop. The FIFO order (instead of FR-FCFS's hit-first
 reordering) slightly *underestimates* row-hit rates under load;
-``tests/test_dram_crossvalidate.py`` bounds the disagreement against the
-event-driven reference.
+``tests/test_dram.py::TestDeviceCrossValidation`` bounds the
+disagreement against the event-driven reference.
 """
 
 from __future__ import annotations
@@ -44,23 +44,6 @@ class FastDevice:
         self._ready[:] = 0
         self.row_hits = 0
         self.row_conflicts = 0
-
-    def state_dict(self) -> dict:
-        """Persistent per-queue state (for checkpoint/resume)."""
-        return {
-            "open_row": self._open_row.copy(),
-            "ready": self._ready.copy(),
-            "row_hits": self.row_hits,
-            "row_conflicts": self.row_conflicts,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        if state["open_row"].shape[0] != self._open_row.shape[0]:
-            raise SimulationError("device snapshot has a different queue count")
-        self._open_row = state["open_row"].copy()
-        self._ready = state["ready"].copy()
-        self.row_hits = state["row_hits"]
-        self.row_conflicts = state["row_conflicts"]
 
     def service(
         self,

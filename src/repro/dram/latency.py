@@ -9,7 +9,8 @@ Off-package path: controller processing + 2x controller-to-core link +
 2x package pin + PCB round trip. On-package path: controller processing
 + 2x controller-to-core link + 2x interposer pin + intra-package round
 trip — no package pins or PCB, and queuing is nearly eliminated by the
-128-bank structure (validated in ``tests/test_queuing_claims.py``).
+128-bank structure (validated in
+``tests/test_dram.py::TestQueuingClaims``).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numpy as np
 
 from ..config import DramTiming, LatencyComponents
 from .fastmodel import FastDevice
-from .scheduler import EventDrivenDevice
 from .timing import DramGeometry
 
 
@@ -31,14 +31,11 @@ class LatencyModel:
     components: LatencyComponents
     timing: DramTiming
     onpkg: bool
-    detailed: bool = False
     row_bytes: int = 8192
 
     def __post_init__(self) -> None:
         geometry = DramGeometry(self.timing, row_bytes=self.row_bytes)
-        self.device = (
-            EventDrivenDevice(geometry) if self.detailed else FastDevice(geometry)
-        )
+        self.device = FastDevice(geometry)
 
     @property
     def path_overhead(self) -> int:

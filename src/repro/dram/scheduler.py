@@ -9,8 +9,7 @@ approximation — DESIGN.md §2; the fast model can also model the bus
 explicitly via ``DramTiming.channel_bus``).
 
 This model is O(pending) per request in Python and intended for small
-traces: unit tests, cross-validation of :class:`FastDevice`, and
-detailed single-epoch studies.
+traces: unit tests and cross-validation of :class:`FastDevice`.
 """
 
 from __future__ import annotations
@@ -87,15 +86,6 @@ class EventDrivenDevice:
         self._scheduler = FRFCFSScheduler(geometry.timing)
         self.row_hits = 0
         self.row_conflicts = 0
-
-    def state_dict(self) -> dict:
-        # banks are rebuilt per service() call, so the hit counters are
-        # the only state that survives between chunks
-        return {"row_hits": self.row_hits, "row_conflicts": self.row_conflicts}
-
-    def load_state_dict(self, state: dict) -> None:
-        self.row_hits = state["row_hits"]
-        self.row_conflicts = state["row_conflicts"]
 
     def service(
         self, addr: np.ndarray, arrivals: np.ndarray,

@@ -24,13 +24,11 @@ class ConventionalController:
         timing: DramTiming | None = None,
         *,
         onpkg: bool = False,
-        detailed: bool = False,
     ):
         self.model = LatencyModel(
             components or LatencyComponents(),
             timing or offpkg_dram_timing(),
             onpkg=onpkg,
-            detailed=detailed,
         )
         self.accesses = 0
         self.total_latency = 0

@@ -35,16 +35,16 @@ ONE_EPOCH.flags.writeable = False
 class HeterogeneousController:
     """Translate-first, split-schedule memory controller."""
 
-    def __init__(self, config: SystemConfig, *, detailed: bool = False,
+    def __init__(self, config: SystemConfig, *,
                  translation_overhead: bool = True):
         self.config = config
         self.amap: AddressMap = config.address_map()
         self.router = RegionRouter(self.amap)
         self.onpkg_model = LatencyModel(
-            config.latency, config.onpkg_dram, onpkg=True, detailed=detailed
+            config.latency, config.onpkg_dram, onpkg=True
         )
         self.offpkg_model = LatencyModel(
-            config.latency, config.offpkg_dram, onpkg=False, detailed=detailed
+            config.latency, config.offpkg_dram, onpkg=False
         )
         self._sb_shift = log2_exact(self.amap.subblock_bytes)
         #: per-access table lookup cost; static (no-migration) systems
@@ -76,27 +76,6 @@ class HeterogeneousController:
             self.onpkg_accesses,
             self.offpkg_accesses,
         )
-
-    # ------------------------------------------------------------------
-    # checkpoint support
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        return {
-            "accesses": self.accesses,
-            "total_latency": self.total_latency,
-            "onpkg_accesses": self.onpkg_accesses,
-            "offpkg_accesses": self.offpkg_accesses,
-            "onpkg_device": self.onpkg_model.device.state_dict(),
-            "offpkg_device": self.offpkg_model.device.state_dict(),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self.accesses = state["accesses"]
-        self.total_latency = state["total_latency"]
-        self.onpkg_accesses = state["onpkg_accesses"]
-        self.offpkg_accesses = state["offpkg_accesses"]
-        self.onpkg_model.device.load_state_dict(state["onpkg_device"])
-        self.offpkg_model.device.load_state_dict(state["offpkg_device"])
 
     # ------------------------------------------------------------------
     def resolve_into(
@@ -257,7 +236,8 @@ class HeterogeneousController:
             wr = writes[sel] if dev.geometry.timing.t_wr else None
             local = local_address(machine[sel], offsets[sel])
             if segs.shape[0] == 1:
-                # the event-driven device has only this entry point
+                # one segment: the plain call service_segmented would
+                # delegate to anyway
                 lat = dev.service(local, times[sel], wr)
             else:
                 lat = dev.service_segmented(

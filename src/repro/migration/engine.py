@@ -880,57 +880,3 @@ class MigrationEngine:
     @property
     def busy_until(self) -> int:
         return self.active.end if self.active is not None else 0
-
-    # ------------------------------------------------------------------
-    # checkpoint support
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """Complete mutable engine state (table, monitor, in-flight swap)."""
-        return {
-            "table": self.table.state_dict(),
-            "monitor": self.monitor.state_dict(),
-            "active": self.active,
-            "swaps_triggered": self.swaps_triggered,
-            "swaps_suppressed_busy": self.swaps_suppressed_busy,
-            "swaps_suppressed_cold": self.swaps_suppressed_cold,
-            "swaps_suppressed_qos": self.swaps_suppressed_qos,
-            "swaps_failed": self.swaps_failed,
-            "migrated_bytes": self.migrated_bytes,
-            "cross_boundary_bytes": self.cross_boundary_bytes,
-            "quarantined": self.quarantined,
-            "consecutive_failures": self.consecutive_failures,
-            "degradation_events": list(self.degradation_events),
-            "epochs_observed": self.epochs_observed,
-            "abort_at_step": self._abort_at_step,
-            "abort_subblocks": self._abort_subblocks,
-            "abort_recoveries": self.abort_recoveries,
-            "recovery_bytes": self.recovery_bytes,
-            "frames_retired": self.frames_retired,
-            "retired_bytes": self.retired_bytes,
-            "tenants_released": self.tenants_released,
-            "reclaimed_bytes": self.reclaimed_bytes,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self.table.load_state_dict(state["table"])
-        self.monitor.load_state_dict(state["monitor"])
-        self.active = state["active"]
-        self.swaps_triggered = state["swaps_triggered"]
-        self.swaps_suppressed_busy = state["swaps_suppressed_busy"]
-        self.swaps_suppressed_cold = state["swaps_suppressed_cold"]
-        self.swaps_suppressed_qos = state["swaps_suppressed_qos"]
-        self.swaps_failed = state["swaps_failed"]
-        self.migrated_bytes = state["migrated_bytes"]
-        self.cross_boundary_bytes = state["cross_boundary_bytes"]
-        self.quarantined = state["quarantined"]
-        self.consecutive_failures = state["consecutive_failures"]
-        self.degradation_events = list(state["degradation_events"])
-        self.epochs_observed = state["epochs_observed"]
-        self._abort_at_step = state["abort_at_step"]
-        self._abort_subblocks = state["abort_subblocks"]
-        self.abort_recoveries = state["abort_recoveries"]
-        self.recovery_bytes = state["recovery_bytes"]
-        self.frames_retired = state["frames_retired"]
-        self.retired_bytes = state["retired_bytes"]
-        self.tenants_released = state["tenants_released"]
-        self.reclaimed_bytes = state["reclaimed_bytes"]

@@ -227,23 +227,7 @@ class EpochMonitor:
             self.slot_last_touch[slot] = -1
             self.slot_epoch_counts[slot] = 0
 
-    # -- checkpoint support ------------------------------------------------
-    def state_dict(self) -> dict:
-        return {
-            "slot_last_touch": self.slot_last_touch.copy(),
-            "slot_epoch_counts": self.slot_epoch_counts.copy(),
-            "off_pages": self._off_pages.copy(),
-            "off_counts": self._off_counts.copy(),
-            "off_last": self._off_last.copy(),
-            "off_subblocks": self._off_subblocks.copy(),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        if state["slot_last_touch"].shape[0] != self.n_slots:
-            raise MigrationError("monitor snapshot has a different slot count")
-        self.slot_last_touch = state["slot_last_touch"].copy()
-        self.slot_epoch_counts = state["slot_epoch_counts"].copy()
-        self._off_pages = state["off_pages"].copy()
-        self._off_counts = state["off_counts"].copy()
-        self._off_last = state["off_last"].copy()
-        self._off_subblocks = state["off_subblocks"].copy()
+    def __getstate__(self) -> dict:
+        # the fold scratch is written before every read: keep its 512 KB
+        # out of checkpoints (observe_epoch reallocates it on demand)
+        return {**self.__dict__, "_fold_scratch": None}

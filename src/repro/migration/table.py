@@ -600,10 +600,12 @@ class TranslationTable:
     def state_dict(self) -> dict:
         """Complete mutable state as plain arrays/values (copyable).
 
-        The checkpoint payload and the source of :meth:`clone`, and the
-        ``migration.table_snapshot`` entry point the benchmark suite's
-        tracer hooks. A swap does not take one: it rolls back a torn
-        plan through the row-scoped :meth:`undo_point` record.
+        The source of :meth:`clone` and of the protocol checker's
+        snapshots, and the ``migration.table_snapshot`` entry point the
+        benchmark suite's tracer hooks. Checkpoints pickle the table with
+        the rest of the simulator instead. A swap does not take one: it
+        rolls back a torn plan through the row-scoped :meth:`undo_point`
+        record.
         """
         return {
             "pair": self.pair.copy(),

@@ -300,32 +300,3 @@ class RasController:
             wear_max_page_writes=self.wear.max_page_writes,
             capacity_series=list(self.capacity_series),
         )
-
-    # -- checkpoint support ------------------------------------------------
-    def state_dict(self) -> dict:
-        return {
-            "telemetry": self.telemetry.state_dict(),
-            "scrubber": self.scrubber.state_dict(),
-            "wear": self.wear.state_dict(),
-            "spare_pool": list(self.spare_pool),
-            "events": list(self.events),
-            "suppressed": self.suppressed,
-            "ce_cycles": self.ce_cycles,
-            "capacity_series": list(self.capacity_series),
-            "pending_bursts": list(self._pending_bursts),
-            "pending_retire": list(self._pending_retire),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self.telemetry.load_state_dict(state["telemetry"])
-        self.scrubber.load_state_dict(state["scrubber"])
-        self.wear.load_state_dict(state["wear"])
-        self.spare_pool = list(state["spare_pool"])
-        self.events = list(state["events"])
-        self.suppressed = state["suppressed"]
-        self.ce_cycles = state["ce_cycles"]
-        self.capacity_series = list(state["capacity_series"])
-        self._pending_bursts = list(state["pending_bursts"])
-        self._pending_retire = list(state["pending_retire"])
-        # the engine's wear hook survives restore (same object)
-        self.engine.wear = self.wear

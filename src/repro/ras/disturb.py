@@ -129,17 +129,6 @@ class ActivationTelemetry:
             else:
                 level[key] = v
 
-    # -- checkpoint support ------------------------------------------------
-    def state_dict(self) -> dict:
-        return {
-            "level": dict(self.level),
-            "total_activations": self.total_activations,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self.level = dict(state["level"])
-        self.total_activations = state["total_activations"]
-
 
 @dataclass
 class DisturbReport:
@@ -511,44 +500,3 @@ class DisturbController:
             flip_cells=self.flip_cells,
             bucket_series=list(self.bucket_series),
         )
-
-    # -- checkpoint support ------------------------------------------------
-    def state_dict(self) -> dict:
-        return {
-            "telemetry": self.telemetry.state_dict(),
-            "pressure": self.pressure.copy(),
-            "victim_budget": dict(self._victim_budget),
-            "aggressor_page": dict(self._aggressor_page),
-            "pending": list(self._pending),
-            "bursts_applied": self.bursts_applied,
-            "alerts": self.alerts,
-            "victim_refreshes": self.victim_refreshes,
-            "victim_refresh_cycles": self.victim_refresh_cycles,
-            "throttles": self.throttles,
-            "throttle_cycles": self.throttle_cycles,
-            "retirements_pumped": self.retirements_pumped,
-            "pressure_boosts": self.pressure_boosts,
-            "flip_bursts": self.flip_bursts,
-            "flip_cells": self.flip_cells,
-            "bucket_series": list(self.bucket_series),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self.telemetry.load_state_dict(state["telemetry"])
-        self.pressure = state["pressure"].copy()
-        self._victim_budget = dict(state["victim_budget"])
-        self._aggressor_page = dict(state["aggressor_page"])
-        self._pending = list(state["pending"])
-        self.bursts_applied = state["bursts_applied"]
-        self.alerts = state["alerts"]
-        self.victim_refreshes = state["victim_refreshes"]
-        self.victim_refresh_cycles = state["victim_refresh_cycles"]
-        self.throttles = state["throttles"]
-        self.throttle_cycles = state["throttle_cycles"]
-        self.retirements_pumped = state["retirements_pumped"]
-        self.pressure_boosts = state["pressure_boosts"]
-        self.flip_bursts = state["flip_bursts"]
-        self.flip_cells = state["flip_cells"]
-        self.bucket_series = list(state["bucket_series"])
-        # the engine's bias hook survives restore (same object)
-        self.engine.disturb = self

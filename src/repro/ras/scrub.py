@@ -67,20 +67,3 @@ class PatrolScrubber:
     def collect_latents(self, frames: list[int]) -> int:
         """Latent CEs surfaced by scrubbing ``frames`` (removed here)."""
         return sum(self.latent.pop(f, 0) for f in frames)
-
-    # -- checkpoint support ------------------------------------------------
-    def state_dict(self) -> dict:
-        return {
-            "cursor": self.cursor,
-            "passes": self.passes,
-            "reads": self.reads,
-            "cycles": self.cycles,
-            "latent": dict(self.latent),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self.cursor = state["cursor"]
-        self.passes = state["passes"]
-        self.reads = state["reads"]
-        self.cycles = state["cycles"]
-        self.latent = dict(state["latent"])

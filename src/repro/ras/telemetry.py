@@ -58,20 +58,3 @@ class CETelemetry:
     @property
     def total(self) -> int:
         return self.ce_demand + self.ce_scrub + self.ce_burst
-
-    # -- checkpoint support ------------------------------------------------
-    def state_dict(self) -> dict:
-        return {
-            "level": self.level.copy(),
-            "lifetime": self.lifetime.copy(),
-            "ce_demand": self.ce_demand,
-            "ce_scrub": self.ce_scrub,
-            "ce_burst": self.ce_burst,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self.level = state["level"].copy()
-        self.lifetime = state["lifetime"].copy()
-        self.ce_demand = state["ce_demand"]
-        self.ce_scrub = state["ce_scrub"]
-        self.ce_burst = state["ce_burst"]

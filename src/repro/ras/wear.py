@@ -53,10 +53,3 @@ class WearModel:
     @property
     def max_page_writes(self) -> int:
         return int(self.writes.max()) if self.writes.size else 0
-
-    # -- checkpoint support ------------------------------------------------
-    def state_dict(self) -> dict:
-        return {"writes": self.writes.copy()}
-
-    def load_state_dict(self, state: dict) -> None:
-        self.writes = state["writes"].copy()

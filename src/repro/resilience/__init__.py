@@ -23,7 +23,6 @@ from .checkpoint import (
     CHECKPOINT_VERSION,
     CheckpointBundle,
     load_checkpoint,
-    restore_simulator,
     run_resumable,
     save_checkpoint,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "WATCHDOG_BREACH",
     "corrupt_trace_file",
     "load_checkpoint",
-    "restore_simulator",
     "run_resumable",
     "save_checkpoint",
     "summarize_events",

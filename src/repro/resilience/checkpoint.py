@@ -1,12 +1,13 @@
 """Versioned checkpoint/restore of a whole simulation campaign.
 
 A checkpoint captures everything a chunked-trace run needs to continue
-bit-identically: the system configuration, the simulator's complete
-mutable state (translation table, epoch monitor, in-flight migration
-timelines, DRAM device queues, fault plan) and the partially
-accumulated :class:`~repro.core.simulator.SimulationResult` — plus a
-caller-supplied ``extra`` dict (e.g. how many trace chunks were
-consumed).
+bit-identically: the pickled :class:`~repro.core.simulator.EpochSimulator`
+itself (its configuration and constructor flags, translation table,
+epoch monitor, in-flight migration timelines, DRAM device queues, fault
+plan, RAS/disturbance state and shadow memory, with every link between
+them) and the partially accumulated
+:class:`~repro.core.simulator.SimulationResult` — plus a caller-supplied
+``extra`` dict (e.g. how many trace chunks were consumed).
 
 File format::
 
@@ -34,11 +35,10 @@ from typing import Any
 from ..errors import CheckpointError
 
 CHECKPOINT_MAGIC = b"RPCKPT01"
-#: 3: the migration monitor owns each epoch's last-touched sub-blocks
-#: (version 2 kept them on the engine). Older files are refused: version
-#: 2's engine state no longer loads, and version 1 predates RAS, tenancy
-#: and data-safe abort recovery.
-CHECKPOINT_VERSION = 3
+#: 4: the payload is the pickled simulator object graph (versions 1-3
+#: stored hand-written per-component state dicts beside the constructor
+#: flags). Older files are refused: their state dicts no longer load.
+CHECKPOINT_VERSION = 4
 _PREFIX = struct.Struct("<8sI32s")
 
 
@@ -46,10 +46,7 @@ _PREFIX = struct.Struct("<8sI32s")
 class CheckpointBundle:
     """What :func:`load_checkpoint` hands back."""
 
-    config: Any                 # SystemConfig
-    migrate: bool
-    detailed_dram: bool
-    simulator_state: dict
+    simulator: Any              # EpochSimulator
     result: Any                 # SimulationResult
     extra: dict
 
@@ -60,10 +57,7 @@ def save_checkpoint(path: str | os.PathLike, simulator, result,
     payload = pickle.dumps(
         {
             "version": CHECKPOINT_VERSION,
-            "config": simulator.config,
-            "migrate": simulator.migrate,
-            "detailed_dram": simulator.detailed_dram,
-            "simulator_state": simulator.state_dict(),
+            "simulator": simulator,
             "result": result,
             "extra": dict(extra or {}),
         },
@@ -82,7 +76,10 @@ def save_checkpoint(path: str | os.PathLike, simulator, result,
 
 def load_checkpoint(path: str | os.PathLike) -> CheckpointBundle:
     """Read and verify a checkpoint file; raises :class:`CheckpointError`
-    on bad magic, unknown version, or payload corruption."""
+    on bad magic, unknown version, or payload corruption.
+
+    The payload is a pickle, and unpickling can run code: load only
+    checkpoints this program wrote."""
     path = os.fspath(path)
     try:
         with open(path, "rb") as fh:
@@ -107,25 +104,10 @@ def load_checkpoint(path: str | os.PathLike) -> CheckpointBundle:
         )
     state = pickle.loads(payload)
     return CheckpointBundle(
-        config=state["config"],
-        migrate=state["migrate"],
-        detailed_dram=state["detailed_dram"],
-        simulator_state=state["simulator_state"],
+        simulator=state["simulator"],
         result=state["result"],
         extra=state["extra"],
     )
-
-
-def restore_simulator(bundle: CheckpointBundle):
-    """Build a fresh simulator from a bundle and load its state."""
-    from ..core.simulator import EpochSimulator  # local: avoid import cycle
-
-    simulator = EpochSimulator(
-        bundle.config, migrate=bundle.migrate,
-        detailed_dram=bundle.detailed_dram,
-    )
-    simulator.load_state_dict(bundle.simulator_state)
-    return simulator
 
 
 def run_resumable(
@@ -161,7 +143,7 @@ def run_resumable(
                 f"{bundle.extra.get('chunk_records')}, cannot resume with "
                 f"{chunk_records}"
             )
-        simulator = restore_simulator(bundle)
+        simulator = bundle.simulator
         result = bundle.result
         chunks_done = bundle.extra["chunks_done"]
     else:

@@ -80,7 +80,8 @@ LEGACY_CHECKPOINT_VERSIONS = tuple(range(1, CHECKPOINT_VERSION))
 def write_checkpoint_version(path, simulator, version: int) -> None:
     """A checkpoint of ``simulator`` whose header claims format
     ``version`` (1: before RAS, tenancy and data-safe abort state; 2:
-    sub-block recency on the engine, not the monitor)."""
+    sub-block recency on the engine, not the monitor; 3: per-component
+    state dicts instead of the pickled simulator)."""
     save_checkpoint(path, simulator, SimulationResult())
     with open(path, "r+b") as fh:
         fh.seek(len(CHECKPOINT_MAGIC))

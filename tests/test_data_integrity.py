@@ -39,7 +39,6 @@ from repro.resilience import (
     FaultKind,
     FaultPlan,
     load_checkpoint,
-    restore_simulator,
     save_checkpoint,
 )
 from repro.trace.record import make_chunk
@@ -314,7 +313,7 @@ class TestShadowCheckpoint:
             sim.run_into(trace[start : start + chunk], result)
             save_checkpoint(path, sim, result)
             bundle = load_checkpoint(path)
-            sim = restore_simulator(bundle)
+            sim = bundle.simulator
             result = bundle.result
         assert sim.shadow is not None, "restore must re-attach the shadow"
         assert dataclasses.asdict(ref) == dataclasses.asdict(result)

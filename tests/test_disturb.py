@@ -4,6 +4,8 @@ retirement / migration bias), unmitigated flips surfacing through the
 shadow memory, fault injection, checkpointing, and the pinned
 CORE_FAULT_KINDS regression."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from repro.core.simulator import EpochSimulator
 from repro.errors import ConfigError
 from repro.ras import ActivationTelemetry
 from repro.ras.disturb import activation_events
+from repro.resilience.checkpoint import load_checkpoint, save_checkpoint
 from repro.resilience.degradation import (
     HAMMER_THROTTLED,
     ROW_DISTURB_FLIPS,
@@ -158,8 +161,7 @@ class TestActivationTelemetry:
     def test_bump_reset_and_round_trip(self):
         t = ActivationTelemetry(threshold=10, leak=1.0)
         t.bump(("on", 0, 3), 12.0)
-        u = ActivationTelemetry(threshold=10, leak=1.0)
-        u.load_state_dict(t.state_dict())
+        u = pickle.loads(pickle.dumps(t))
         assert u.level == t.level
         u.reset(("on", 0, 3))
         assert not u.level and t.level  # reset is local to the copy
@@ -340,7 +342,7 @@ class TestFaultsAndState:
         assert runs[0].total_latency == runs[1].total_latency
         assert runs[0].data_violations == runs[1].data_violations
 
-    def test_checkpoint_round_trip_mid_hammer(self):
+    def test_checkpoint_round_trip_mid_hammer(self, tmp_path):
         cfg = _cfg()
         full = _hammer_trace(12)
         cut = full.addr.size // 2
@@ -348,12 +350,11 @@ class TestFaultsAndState:
         second = make_chunk(full.addr[cut:], time=full.time[cut:])
 
         sim = EpochSimulator(cfg, migrate=False, track_data=True)
-        sim.run(first)
-        snapshot = sim.state_dict()
+        path = tmp_path / "mid_hammer.ckpt"
+        save_checkpoint(path, sim, sim.run(first))
         res_a = sim.run(second)
 
-        resumed = EpochSimulator(cfg, migrate=False, track_data=True)
-        resumed.load_state_dict(snapshot)
+        resumed = load_checkpoint(path).simulator
         res_b = resumed.run(second)
 
         assert res_a.total_latency == res_b.total_latency

@@ -200,12 +200,6 @@ class TestLatencyModel:
         lat = m.access_latency(np.array([0]), np.array([0]))
         assert lat[0] == onpkg_dram_timing().miss_cycles + 20
 
-    def test_detailed_flag_switches_device(self):
-        parts, timing = LatencyComponents(), offpkg_dram_timing()
-        detailed = LatencyModel(parts, timing, onpkg=False, detailed=True)
-        assert isinstance(detailed.device, EventDrivenDevice)
-        assert isinstance(LatencyModel(parts, timing, onpkg=False).device, FastDevice)
-
 
 class TestRefresh:
     """Optional tREFI/tRFC refresh windows (extension; see bench_refresh)."""

@@ -237,7 +237,6 @@ FLUSH_CELLS = {
     "watchdog": True,
     "ras": True,
     "disturb": True,
-    "detailed-dram": True,
     "default": False,
     "no-migration": False,
     "track-data": False,
@@ -257,8 +256,6 @@ def _flush_cell_system(cell):
         cfg = cfg.with_ras(enabled=True)
     elif cell == "disturb":
         cfg = cfg.with_disturb(enabled=True)
-    elif cell == "detailed-dram":
-        kwargs["detailed_dram"] = True
     elif cell == "no-migration":
         kwargs["migrate"] = False
     elif cell == "track-data":
@@ -288,48 +285,6 @@ def test_flush_granularity(cell):
     r = _flush_cell_system(cell).run(trace)
     expected = (0, 5) if FLUSH_CELLS[cell] else (5, 0)
     assert (r.fused_epochs, r.stepwise_epochs) == expected
-
-
-class TestDetailedDram:
-    """The event-driven device rebuilds its banks on every service()
-    call, so a ``detailed_dram`` run flushes every epoch. The numbers are
-    pinned literals recorded from the pre-unification stepwise loop."""
-
-    PINNED = {
-        "N": dict(
-            total_latency=277217889, onpkg_accesses=3744,
-            offpkg_accesses=16256, swaps_triggered=14,
-            swaps_suppressed_busy=6, migrated_bytes=2752512,
-            onpkg_row_hit_rate=0.5964209401709402,
-            offpkg_row_hit_rate=0.3788139763779528,
-            duration_cycles=798816,
-        ),
-        "N-1": dict(
-            total_latency=3586405, onpkg_accesses=2904,
-            offpkg_accesses=17096, swaps_triggered=10,
-            swaps_suppressed_busy=10, migrated_bytes=1966080,
-            onpkg_row_hit_rate=0.5399449035812672,
-            offpkg_row_hit_rate=0.09013804398689752,
-            duration_cycles=798816,
-        ),
-        "live": dict(
-            total_latency=3580421, onpkg_accesses=2957,
-            offpkg_accesses=17043, swaps_triggered=10,
-            swaps_suppressed_busy=10, migrated_bytes=1966080,
-            onpkg_row_hit_rate=0.5431180250253635,
-            offpkg_row_hit_rate=0.09053570380801503,
-            duration_cycles=798816,
-        ),
-    }
-
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_matches_the_pinned_numbers(self, algorithm):
-        r = HeterogeneousMainMemory(
-            _cfg(algorithm=algorithm), detailed_dram=True
-        ).run(_trace(n=20_000))
-        pinned = self.PINNED[algorithm]
-        assert {name: getattr(r, name) for name in pinned} == pinned
-        assert (r.fused_epochs, r.stepwise_epochs) == (0, 20)
 
 
 class TestRefresh:

@@ -10,19 +10,28 @@ from __future__ import annotations
 import dataclasses
 import functools
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import repro
 from repro.address import AddressMap
-from repro.config import MigrationConfig, ResilienceConfig, SystemConfig
+from repro.config import (
+    MigrationConfig,
+    ResilienceConfig,
+    SystemConfig,
+    offpkg_dram_timing,
+    onpkg_dram_timing,
+)
 from repro.errors import (
     CheckpointError,
     MigrationError,
     TranslationTableError,
     WatchdogError,
 )
+from repro.experiments import chaos_soak, hammer_soak
 from repro.migration.algorithms import (
     CopyStep,
     build_basic_swap_steps,
@@ -38,12 +47,12 @@ from repro.resilience import (
     FaultKind,
     FaultPlan,
     load_checkpoint,
-    restore_simulator,
     run_resumable,
     save_checkpoint,
     summarize_events,
 )
 from repro.trace.io import write_trace
+from repro.trace.record import make_chunk
 from repro.units import KB, MB
 
 from .conftest import synthetic_trace
@@ -97,7 +106,7 @@ class TestCheckpointDeterminism:
             save_checkpoint(path, sim, result)
             # simulate the process dying: rebuild everything from disk
             bundle = load_checkpoint(path)
-            sim = restore_simulator(bundle)
+            sim = bundle.simulator
             result = bundle.result
 
         assert as_fields(ref) == as_fields(result)
@@ -122,7 +131,7 @@ class TestCheckpointDeterminism:
             sim2.run_into(trace[start : start + INTERVAL], result)
             save_checkpoint(path, sim2, result)
             bundle = load_checkpoint(path)
-            sim2 = restore_simulator(bundle)
+            sim2 = bundle.simulator
             result = bundle.result
 
         assert as_fields(ref) == as_fields(result)
@@ -157,7 +166,7 @@ class TestCheckpointFileFormat:
         path = self._checkpoint(tmp_path)
         bundle = load_checkpoint(path)
         assert bundle.extra == {}
-        assert bundle.migrate is True
+        assert bundle.simulator.migrate is True
 
     def test_bad_magic(self, tmp_path):
         path = self._checkpoint(tmp_path)
@@ -194,6 +203,126 @@ class TestCheckpointFileFormat:
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError, match="cannot read"):
             load_checkpoint(tmp_path / "nope")
+
+
+#: finishes a checkpointed run in a fresh interpreter: loads the file,
+#: feeds the chunks it has not seen yet, checkpoints the final state
+_FINISH_IN_CHILD = """
+import sys
+from repro.resilience import load_checkpoint, save_checkpoint
+from repro.trace.io import TraceReader
+
+path, trace_path, chunk = sys.argv[1], sys.argv[2], int(sys.argv[3])
+bundle = load_checkpoint(path)
+sim, result = bundle.simulator, bundle.result
+for index, part in enumerate(TraceReader(trace_path, chunk_records=chunk)):
+    if index >= bundle.extra["chunks_done"]:
+        sim.run_into(part, result)
+save_checkpoint(path, sim, result)
+"""
+
+
+def _matrix_cell(name):
+    """``(config, simulator kwargs, fault plan, trace, swap interval)``.
+
+    ``everything`` is RAS + row disturbance + refresh + the shadow + a
+    fault plan of every kind they react to, on the chaos and hammer
+    soaks' geometry; every other cell varies one thing of the default.
+    """
+    if name == "everything":
+        hammer = hammer_soak.soak_config("live")
+        cfg = dataclasses.replace(
+            chaos_soak.soak_config("live"),
+            offpkg_dram=hammer.offpkg_dram, onpkg_dram=hammer.onpkg_dram,
+            disturb=hammer.disturb,
+        )
+        plan = FaultPlan(
+            chaos_soak.soak_fault_plan().events
+            + hammer_soak.hammer_fault_plan().events
+            + (FaultEvent(epoch=3, kind=FaultKind.ABORT_SWAP, param=1),),
+            seed=3,
+        )
+        # the hammer trace is all reads; a write mix gives the shadow
+        # generations to carry across the checkpoints
+        hammer_reads = hammer_soak.hammer_trace(24)
+        writes = np.random.default_rng(5).random(len(hammer_reads)) < 0.3
+        trace = make_chunk(hammer_reads.addr, time=hammer_reads.time, rw=writes)
+        return cfg, {"track_data": True}, plan, trace, cfg.migration.swap_interval
+    cfg = config("live")
+    if name == "refresh":
+        cfg = dataclasses.replace(
+            cfg, offpkg_dram=offpkg_dram_timing(refresh=True),
+            onpkg_dram=onpkg_dram_timing(refresh=True),
+        )
+    elif name == "os-assisted":
+        cfg = cfg.with_migration(macro_page_bytes=64 * KB)
+        assert cfg.migration.os_assisted
+    # fused=False is the flag schema 3's hand-written restore dropped
+    kwargs = {"static": {"migrate": False}, "unfused": {"fused": False}}
+    trace = synthetic_trace(n=16 * INTERVAL, seed=7)
+    return cfg, kwargs.get(name, {}), None, trace, INTERVAL
+
+
+class TestCheckpointMatrix:
+    """ROADMAP 2(c): a run checkpointed through a file at every chunk
+    boundary equals the uninterrupted run — the whole
+    ``SimulationResult`` and, when tracked, the shadow's contents — in
+    every feature combination the checkpoint must carry."""
+
+    @pytest.mark.parametrize(
+        "name, in_child",
+        [("refresh", False), ("os-assisted", False), ("static", False),
+         ("unfused", False), ("everything", False), ("everything", True)],
+        ids=["refresh", "os-assisted", "static", "unfused", "everything",
+             "everything-fresh-process"],
+    )
+    def test_resumed_run_matches_uninterrupted(self, name, in_child, tmp_path):
+        cfg, kwargs, plan, trace, interval = _matrix_cell(name)
+
+        def fresh():
+            sim = repro.EpochSimulator(cfg, **kwargs)
+            if plan is not None:
+                sim.attach_faults(plan)
+            return sim
+
+        ref_sim = fresh()
+        ref = ref_sim.run(trace)
+
+        chunk = 2 * interval
+        path = tmp_path / "ck"
+        sim, result = fresh(), repro.SimulationResult()
+        # in the child variant this process runs only the first chunk
+        stop = chunk if in_child else len(trace)
+        for index, start in enumerate(range(0, stop, chunk)):
+            sim.run_into(trace[start : start + chunk], result)
+            save_checkpoint(path, sim, result, extra={"chunks_done": index + 1})
+            bundle = load_checkpoint(path)
+            sim, result = bundle.simulator, bundle.result
+        if in_child:
+            trace_path = tmp_path / "trace.bin"
+            write_trace(trace_path, trace)
+            src = os.path.dirname(os.path.dirname(repro.__file__))
+            env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])
+            )}
+            subprocess.run(
+                [sys.executable, "-c", _FINISH_IN_CHILD, str(path),
+                 str(trace_path), str(chunk)],
+                env=env, check=True, timeout=300,
+            )
+            bundle = load_checkpoint(path)
+            sim, result = bundle.simulator, bundle.result
+
+        assert as_fields(ref) == as_fields(result)
+        assert sim.engine.shadow is sim.shadow
+        if sim.shadow is not None:
+            assert sim.shadow.state_dict() == ref_sim.shadow.state_dict()
+        if sim._ras is not None:
+            assert sim.engine.wear is sim._ras.wear
+        if sim._disturb is not None:
+            assert sim.engine.disturb is sim._disturb
+            assert sim._disturb.shadow is sim.shadow
+            assert sim._disturb.ras is sim._ras
 
 
 class TestRunResumable:

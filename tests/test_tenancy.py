@@ -28,10 +28,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.config import MigrationConfig, SystemConfig
-from repro.core.simulator import EpochSimulator
+from repro.core.simulator import EpochSimulator, SimulationResult
 from repro.errors import CheckpointError, TenancyError, TranslationTableError
 from repro.migration.table import TranslationTable
-from repro.resilience.checkpoint import load_checkpoint
+from repro.resilience.checkpoint import load_checkpoint, save_checkpoint
 from repro.stats.report import tenant_table
 from repro.tenancy import (
     HYPERVISOR,
@@ -400,15 +400,15 @@ class TestReclamationStaleness:
         assert engine.monitor.slot_last_touch[4] == -1
         assert engine.monitor.slot_epoch_counts[4] == 0
 
-    def test_release_counters_survive_checkpoint_roundtrip(self):
+    def test_release_counters_survive_checkpoint_roundtrip(self, tmp_path):
         cfg = _cfg()
         sim = EpochSimulator(cfg)
         sim.engine.swaps_suppressed_qos = 3
         sim.engine.tenants_released = 2
         sim.engine.reclaimed_bytes = 640 * KB
-        state = sim.engine.state_dict()
-        fresh = EpochSimulator(cfg).engine
-        fresh.load_state_dict(state)
+        path = tmp_path / "released.ckpt"
+        save_checkpoint(path, sim, SimulationResult())
+        fresh = load_checkpoint(path).simulator.engine
         assert fresh.swaps_suppressed_qos == 3
         assert fresh.tenants_released == 2
         assert fresh.reclaimed_bytes == 640 * KB
