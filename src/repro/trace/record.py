@@ -87,7 +87,8 @@ class TraceChunk:
             return
         if r["addr"].min() < 0:
             raise TraceError("negative physical address in trace")
-        if np.any(np.diff(r["time"]) < 0):
+        t = r["time"]
+        if np.any(t[1:] < t[:-1]):
             raise TraceError("trace timestamps are not non-decreasing")
         bad = (r["rw"] != READ) & (r["rw"] != WRITE)
         if bad.any():
