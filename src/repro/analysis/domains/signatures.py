@@ -134,8 +134,7 @@ SIGNATURES: tuple[Signature, ...] = (
     Signature("Bank.service_cycles", (("row", D.DRAM_ROW),), None),
     # "access" collides with cache/controller APIs: qualname-only
     Signature("Bank.access",
-              (("row", D.DRAM_ROW), ("arrival", D.WALL_CYCLES),
-               ("write", None)),
+              (("row", D.DRAM_ROW), ("arrival", D.WALL_CYCLES)),
               (D.WALL_CYCLES, D.WALL_CYCLES, None), match_calls=False),
 )
 

@@ -42,7 +42,6 @@ import threading
 from typing import Any, Callable, Sequence
 
 from ..errors import CampaignError, TaskCrashError, TaskTimeoutError
-from ..trace.cache import TRACE_CACHE_ENV
 from .manifest import COMPLETED, FAILED, CampaignManifest
 from .retry import Clock, RetryPolicy
 
@@ -221,11 +220,6 @@ class CampaignSupervisor:
     mp_context:
         A :mod:`multiprocessing` context; defaults to the platform
         default (``fork`` on Linux).
-    trace_cache_dir:
-        When set, exported to every worker (and the inline path) as
-        ``REPRO_TRACE_CACHE``, so the whole campaign shares one on-disk
-        trace cache — each distinct trace is generated exactly once
-        across all workers (see :mod:`repro.trace.cache`).
     """
 
     def __init__(
@@ -239,7 +233,6 @@ class CampaignSupervisor:
         poll_interval: float = _POLL_INTERVAL_S,
         mp_context=None,
         clock: Clock | None = None,
-        trace_cache_dir: str | os.PathLike | None = None,
     ):
         if jobs < 1:
             raise CampaignError(f"jobs must be >= 1, got {jobs}")
@@ -271,31 +264,11 @@ class CampaignSupervisor:
         self.poll_interval = poll_interval
         self.mp_context = mp_context or multiprocessing.get_context()
         self.clock = clock or Clock()
-        self.trace_cache_dir = (
-            os.fspath(trace_cache_dir) if trace_cache_dir is not None else None
-        )
 
     # ------------------------------------------------------------------
 
     def run(self, tasks: Sequence[CampaignTask]) -> CampaignReport:
         """Execute the campaign; never raises for individual task failures."""
-        if self.trace_cache_dir is None:
-            return self._run(tasks)
-        # workers inherit the parent environment (fork and spawn alike),
-        # so exporting here covers both the process pool and the inline
-        # path; restored afterwards to keep the parent unpolluted
-        os.makedirs(self.trace_cache_dir, exist_ok=True)
-        previous = os.environ.get(TRACE_CACHE_ENV)
-        os.environ[TRACE_CACHE_ENV] = self.trace_cache_dir
-        try:
-            return self._run(tasks)
-        finally:
-            if previous is None:
-                os.environ.pop(TRACE_CACHE_ENV, None)
-            else:
-                os.environ[TRACE_CACHE_ENV] = previous
-
-    def _run(self, tasks: Sequence[CampaignTask]) -> CampaignReport:
         ids = [t.task_id for t in tasks]
         if len(set(ids)) != len(ids):
             dupes = sorted({i for i in ids if ids.count(i) > 1})

@@ -89,13 +89,6 @@ class DramTiming:
     #: tRFC ~ 160 ns of DDR3 give ~25000 / ~512 at 3.2 GHz)
     refresh_interval: int = 0
     refresh_cycles: int = 512
-    #: write recovery (disabled by default): a WRITE occupies the bank
-    #: ``t_wr`` extra cycles after its burst (DDR3 tWR ~ 15 ns ~ 48)
-    t_wr: int = 0
-    #: per-channel data-bus serialisation (disabled by default): when on,
-    #: each access additionally occupies its channel's shared data bus for
-    #: ``io_cycles``, serialised across the channel's banks
-    channel_bus: bool = False
 
     def __post_init__(self) -> None:
         for name in ("t_cas", "t_rcd", "t_rp", "io_cycles", "n_banks", "n_channels",

@@ -45,13 +45,13 @@ class _Region:
         self.path_overhead = path_overhead
         self._banks: dict[int, Bank] = {}
 
-    def access(self, local_addr: int, arrival: int, *, write: bool = False) -> int:
+    def access(self, local_addr: int, arrival: int) -> int:
         q = int(self.geometry.queue_of(local_addr))
         bank = self._banks.get(q)
         if bank is None:
             bank = self._banks[q] = Bank(self.geometry.timing)
         row = int(self.geometry.rows_of(local_addr))
-        _, finish, _ = bank.access(row, arrival, write=write)
+        _, finish, _ = bank.access(row, arrival)
         return finish - arrival + self.path_overhead
 
 
@@ -183,9 +183,7 @@ class DetailedSimulator:
 
         addr_l = trace.addr.tolist()
         time_l = trace.time.tolist()
-        rw_l = trace.rw.tolist()
         for i, (addr, t) in enumerate(zip(addr_l, time_l)):
-            is_write = bool(rw_l[i])
             self._drain_events(t)
             page = addr >> page_shift
             offset = addr & page_mask
@@ -200,11 +198,11 @@ class DetailedSimulator:
             on, machine = self.table.resolve(page, sb)
             if on:
                 local = (machine << page_shift) | offset
-                lat = self.onpkg.access(local, t, write=is_write)
+                lat = self.onpkg.access(local, t)
                 result.onpkg_accesses += 1
             else:
                 local = ((machine - n_on) << page_shift) | offset
-                lat = self.offpkg.access(local, t, write=is_write)
+                lat = self.offpkg.access(local, t)
                 if t < self._busy_until and not stall_extra:
                     lat += cfg.migration.interference_cycles
                 result.offpkg_accesses += 1

@@ -400,8 +400,7 @@ class EpochSimulator:
             if per_epoch:
                 latency[start:stop] = controller.service_resolved(
                     on, machine, offsets_all[start:stop],
-                    eff_times[start:stop], writes, ONE_EPOCH,
-                    extra[start:stop],
+                    eff_times[start:stop], ONE_EPOCH, extra[start:stop],
                 )
             now = int(tview[-1]) + 1
             cycles = 0  # this epoch's boundary-hook cycles
@@ -469,8 +468,7 @@ class EpochSimulator:
 
         if not per_epoch:
             latency = controller.service_resolved(
-                on_all, machine_all, offsets_all, eff_times, writes_all,
-                epoch_starts, extra,
+                on_all, machine_all, offsets_all, eff_times, epoch_starts, extra,
             )
         n_on = int(np.count_nonzero(on_all))
         result.n_accesses += n

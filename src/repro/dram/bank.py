@@ -35,12 +35,11 @@ class Bank:
     def service_cycles(self, row: int) -> int:
         return self.timing.hit_cycles if self.would_hit(row) else self.timing.miss_cycles
 
-    def access(self, row: int, arrival: int, *, write: bool = False) -> tuple[int, int, bool]:
+    def access(self, row: int, arrival: int) -> tuple[int, int, bool]:
         """Service one request; returns ``(start, finish, row_hit)``.
 
         ``start`` is when the bank begins (max of arrival and readiness);
-        the bank then stays busy until ``finish``. A write adds ``t_wr``
-        recovery when the timing models it. With refresh enabled, the
+        the bank then stays busy until ``finish``. With refresh enabled, the
         request is scheduled on the useful clock of the region's
         :class:`~repro.dram.refresh.RefreshSchedule`, so a request that
         is queued or mid-service when a tREFI window opens is suspended
@@ -48,8 +47,6 @@ class Bank:
         """
         hit = self.would_hit(row)
         service = self.timing.hit_cycles if hit else self.timing.miss_cycles
-        if write:
-            service += self.timing.t_wr
         if self._refresh is not None:
             sched = self._refresh
             arrival_u = sched.useful(arrival)  # repro-domain: useful_cycles

@@ -45,17 +45,8 @@ class FastDevice:
         self.row_hits = 0
         self.row_conflicts = 0
 
-    def service(
-        self,
-        addr: np.ndarray,
-        arrivals: np.ndarray,
-        writes: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Per-access latency (cycles), aligned with the input order.
-
-        ``writes`` (optional boolean mask) charges write recovery when
-        the timing's ``t_wr`` is non-zero.
-        """
+    def service(self, addr: np.ndarray, arrivals: np.ndarray) -> np.ndarray:
+        """Per-access latency (cycles), aligned with the input order."""
         addr = np.asarray(addr, dtype=np.int64)
         arrivals = np.asarray(arrivals, dtype=np.int64)
         if addr.shape != arrivals.shape:
@@ -63,32 +54,28 @@ class FastDevice:
         n = addr.shape[0]
         if n == 0:
             return np.zeros(0, dtype=np.int64)
-        if np.any(np.diff(arrivals) < 0):
+        if np.any(arrivals[1:] < arrivals[:-1]):
             raise SimulationError("arrivals must be non-decreasing")
-        latency, _ = self._service_core(addr, arrivals, writes, None)
+        latency, _ = self._service_core(addr, arrivals, None)
         return latency
 
     def service_segmented(
-        self,
-        addr: np.ndarray,
-        arrivals: np.ndarray,
-        seg_starts: np.ndarray,
-        writes: np.ndarray | None = None,
-        *,
-        assume_monotone: bool = False,
+        self, addr: np.ndarray, arrivals: np.ndarray, seg_starts: np.ndarray
     ) -> np.ndarray:
         """Many consecutive :meth:`service` calls fused into one.
 
         Semantically **bit-identical** to calling ``service`` once per
         segment ``[seg_starts[i], seg_starts[i+1])`` in order (the fused
-        epoch loop's contract). One fused pass is exact as long as the
-        finite-queue carry cap never binds at an interior segment
-        boundary — the sequential carry is ``min(depart, arrival + cap)``
-        per queue, and the fused Lindley recursion propagates the
-        uncapped departure. The fused pass detects any interior binding
-        and, in that (overloaded) case, restores the pre-call state and
-        replays the segments sequentially; configurations with the
-        per-call channel-bus stage always take the sequential path.
+        epoch loop's contract). ``arrivals`` must be non-decreasing
+        across the whole call; unlike :meth:`service` this is not
+        re-checked (the epoch loop already checks time order once per
+        chunk). One fused pass is exact as long as the finite-queue
+        carry cap never binds at an interior segment boundary — the
+        sequential carry is ``min(depart, arrival + cap)`` per queue, and
+        the fused Lindley recursion propagates the uncapped departure.
+        The fused pass detects any interior binding and, in that
+        (overloaded) case, bails before touching the device state and
+        replays the segments sequentially.
         """
         addr = np.asarray(addr, dtype=np.int64)
         arrivals = np.asarray(arrivals, dtype=np.int64)
@@ -101,51 +88,27 @@ class FastDevice:
         if seg_starts.size == 0 or seg_starts[0] != 0:
             raise SimulationError("seg_starts must begin with 0")
         if seg_starts.size == 1:
-            return self.service(addr, arrivals, writes)
-        if self.geometry.timing.channel_bus or (
-            not assume_monotone and bool(np.any(np.diff(arrivals) < 0))
-        ):
-            # the bus stage restarts at every service() call; only the
-            # sequential replay reproduces that per-call state exactly
-            # (likewise arrivals that regress across segment boundaries;
-            # ``assume_monotone`` lets a caller that already verified
-            # global monotonicity skip the re-check)
-            return self._service_per_segment(addr, arrivals, seg_starts, writes)
-        snapshot = (
-            self._open_row.copy(), self._ready.copy(),
-            self.row_hits, self.row_conflicts,
-        )
+            return self.service(addr, arrivals)
         seg_of = np.repeat(
             np.arange(seg_starts.size, dtype=np.int64),
             np.diff(np.concatenate([seg_starts, [n]])),
         )
-        latency, exact = self._service_core(addr, arrivals, writes, seg_of)
+        latency, exact = self._service_core(addr, arrivals, seg_of)
         if exact:
             return latency
-        self._open_row, self._ready, self.row_hits, self.row_conflicts = snapshot
-        return self._service_per_segment(addr, arrivals, seg_starts, writes)
-
-    def _service_per_segment(self, addr, arrivals, seg_starts, writes):
-        """Reference sequential replay: one service() call per segment."""
-        latency = np.empty(addr.shape[0], dtype=np.int64)
-        bounds = seg_starts.tolist() + [addr.shape[0]]
+        latency = np.empty(n, dtype=np.int64)
+        bounds = seg_starts.tolist() + [n]
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             if hi > lo:
-                latency[lo:hi] = self.service(
-                    addr[lo:hi], arrivals[lo:hi],
-                    None if writes is None else writes[lo:hi],
-                )
+                latency[lo:hi] = self.service(addr[lo:hi], arrivals[lo:hi])
         return latency
 
-    def _service_core(
-        self, addr, arrivals, writes, seg_of
-    ) -> tuple[np.ndarray, bool]:
+    def _service_core(self, addr, arrivals, seg_of) -> tuple[np.ndarray, bool]:
         """The vectorised service pass over validated non-empty inputs.
 
         With ``seg_of`` (per-access segment id), also reports whether the
         fused result is exact w.r.t. per-segment sequential calls (see
-        :meth:`service_segmented`); callers guarantee ``channel_bus`` is
-        off in that mode.
+        :meth:`service_segmented`).
         """
         n = addr.shape[0]
         timing = self.geometry.timing
@@ -198,8 +161,6 @@ class FastDevice:
         service[:] = timing.miss_cycles
         if timing.hit_cycles != timing.miss_cycles:
             service[hit] = timing.hit_cycles
-        if timing.t_wr and writes is not None:
-            service += np.asarray(writes, dtype=bool)[order] * np.int64(timing.t_wr)
 
         # Lindley per queue, vectorised across the whole sorted array by
         # restarting the cumsum/cummax at queue boundaries.
@@ -268,37 +229,6 @@ class FastDevice:
         nh = int(np.count_nonzero(hit))
         self.row_hits += nh
         self.row_conflicts += n - nh
-
-        if timing.channel_bus:
-            # second serialisation stage: each access's data burst occupies
-            # its channel's shared bus for io_cycles, granted in bank-
-            # completion order. Un-contended, the burst overlaps the tail
-            # of the bank service (zero extra); contention queues it.
-            depart_cap = arr_sorted + service + np.minimum(
-                depart - arr_sorted - service, cap
-            )
-            channel = q_sorted // timing.n_banks
-            bus_order = np.lexsort((depart_cap, channel))
-            ch_s = channel[bus_order]
-            f_s = depart_cap[bus_order]
-            first = np.empty(n, dtype=bool)
-            first[0] = True
-            first[1:] = ch_s[1:] != ch_s[:-1]
-            io = np.int64(timing.io_cycles)
-            bus_arr = f_s - io
-            cs_io = np.arange(1, n + 1, dtype=np.int64) * io
-            base = np.maximum.accumulate(
-                np.where(first, cs_io - io, np.int64(np.iinfo(np.int64).min))
-            )
-            S_io = cs_io - base
-            t_bus = bus_arr - (S_io - io)
-            seg_id = np.cumsum(first) - 1
-            big = np.int64(max(1, int(t_bus.max()) - int(t_bus.min()) + 1))
-            run_bus = np.maximum.accumulate(t_bus + seg_id * big) - seg_id * big
-            bus_end = S_io + run_bus
-            extra = np.zeros(n, dtype=np.int64)
-            extra[bus_order] = bus_end - f_s
-            latency_sorted = latency_sorted + np.maximum(0, extra)
 
         latency = np.empty(n, dtype=np.int64)
         latency[order] = latency_sorted

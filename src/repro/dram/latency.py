@@ -45,12 +45,9 @@ class LatencyModel:
             else self.components.offpkg_overhead
         )
 
-    def access_latency(
-        self, addr: np.ndarray, arrivals: np.ndarray,
-        writes: np.ndarray | None = None,
-    ) -> np.ndarray:
+    def access_latency(self, addr: np.ndarray, arrivals: np.ndarray) -> np.ndarray:
         """Total per-access latency (cycles): overhead + queuing + DRAM."""
-        return self.device.service(addr, arrivals, writes) + self.path_overhead
+        return self.device.service(addr, arrivals) + self.path_overhead
 
     def unloaded_latency(self) -> int:
         """Latency of an isolated row-buffer-conflict access (no queuing)."""

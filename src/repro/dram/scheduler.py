@@ -4,9 +4,8 @@ Banks are independent servers, so FR-FCFS is simulated per bank: among
 all requests that have *arrived* when the bank becomes free, first-ready
 (row hits to the open row) win, ties broken oldest-first; if no request
 hits, the oldest pending request is chosen. Channel-bus serialisation is
-folded into the per-access ``io_cycles`` by default (documented
-approximation — DESIGN.md §2; the fast model can also model the bus
-explicitly via ``DramTiming.channel_bus``).
+folded into the per-access ``io_cycles`` (documented approximation —
+DESIGN.md §2).
 
 This model is O(pending) per request in Python and intended for small
 traces: unit tests and cross-validation of :class:`FastDevice`.
@@ -29,8 +28,7 @@ class FRFCFSScheduler:
         self.timing = timing
 
     def service(
-        self, rows: np.ndarray, arrivals: np.ndarray,
-        writes: np.ndarray | None = None,
+        self, rows: np.ndarray, arrivals: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Service requests for ONE bank.
 
@@ -40,7 +38,7 @@ class FRFCFSScheduler:
         n = rows.shape[0]
         if arrivals.shape[0] != n:
             raise SimulationError("rows and arrivals must align")
-        if n and np.any(np.diff(arrivals) < 0):
+        if n and np.any(arrivals[1:] < arrivals[:-1]):
             raise SimulationError("arrivals must be non-decreasing")
         start = np.zeros(n, dtype=np.int64)
         finish = np.zeros(n, dtype=np.int64)
@@ -69,10 +67,7 @@ class FRFCFSScheduler:
             if chosen is None:
                 chosen = pending[0]
             pending.remove(chosen)
-            is_write = bool(writes[chosen]) if writes is not None else False
-            s, f, h = bank.access(
-                int(rows[chosen]), int(arrivals[chosen]), write=is_write
-            )
+            s, f, h = bank.access(int(rows[chosen]), int(arrivals[chosen]))
             start[chosen], finish[chosen], hit[chosen] = s, f, h
             done += 1
         return start, finish, hit
@@ -87,10 +82,7 @@ class EventDrivenDevice:
         self.row_hits = 0
         self.row_conflicts = 0
 
-    def service(
-        self, addr: np.ndarray, arrivals: np.ndarray,
-        writes: np.ndarray | None = None,
-    ) -> np.ndarray:
+    def service(self, addr: np.ndarray, arrivals: np.ndarray) -> np.ndarray:
         """Per-access latency (finish - arrival) in core cycles.
 
         ``addr``/``arrivals`` must be in non-decreasing arrival order.
@@ -107,8 +99,7 @@ class EventDrivenDevice:
         rows = self.geometry.rows_of(addr)
         for q in np.unique(queues):
             sel = np.flatnonzero(queues == q)
-            w = None if writes is None else np.asarray(writes, dtype=bool)[sel]
-            _, finish, hit = self._scheduler.service(rows[sel], arrivals[sel], w)
+            _, finish, hit = self._scheduler.service(rows[sel], arrivals[sel])
             latency[sel] = finish - arrivals[sel]
             nh = int(hit.sum())
             self.row_hits += nh

@@ -1,4 +1,4 @@
-"""Shared experiment presets: scaled geometry and trace cache.
+"""Shared experiment presets: scaled geometry and per-process trace cache.
 
 The paper's trace study runs trillions of accesses against 4 GB of
 memory with 512 MB on-package. A laptop-scale Python run keeps every
@@ -18,11 +18,9 @@ EXPERIMENTS.md records the exact factors next to each result.
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 
 from ..config import SystemConfig, scaled_config
-from ..trace.cache import shared_cache
 from ..trace.record import TraceChunk
 from ..units import GB, KB, MB
 from ..workloads.registry import MIGRATION_STUDY_WORKLOADS, generate_trace
@@ -48,12 +46,8 @@ SWAP_INTERVALS = (1_000, 10_000, 100_000)
 
 #: default trace length per workload (accesses)
 DEFAULT_ACCESSES = 1_200_000
+#: trace length of the ``fast`` presets
 FAST_ACCESSES = 400_000
-
-
-def fast_mode() -> bool:
-    """Trim grids/trace lengths when REPRO_FAST is set (CI-friendly)."""
-    return os.environ.get("REPRO_FAST", "").strip() not in ("", "0", "false")
 
 
 def migration_config(onpkg_paper_mb: int = 512, **migration_kwargs) -> SystemConfig:
@@ -90,7 +84,7 @@ def scaled_footprint(workload: str, onpkg_bytes: int | None = None) -> int:
 
 
 @lru_cache(maxsize=32)
-def _migration_trace_inproc(
+def _migration_trace(
     workload: str, n: int, seed: int, onpkg_bytes: int | None
 ) -> TraceChunk:
     return generate_trace(
@@ -103,21 +97,10 @@ def migration_trace(
 ) -> TraceChunk:
     """Cached scaled trace for one migration-study workload.
 
-    With ``REPRO_TRACE_CACHE`` set (see :mod:`repro.trace.cache`), the
-    trace is shared *across processes*: whichever campaign worker asks
-    first generates and publishes it, everyone else gets a zero-copy
-    memmap of the same file. Without the env var, a per-process LRU is
-    used as before.
+    The cache is per process and keyed positionally, so ``f(w, n)`` and
+    ``f(w, n, seed=0)`` return the same object.
     """
-    cache = shared_cache()
-    if cache is None:
-        return _migration_trace_inproc(workload, n, seed, onpkg_bytes)
-    footprint = scaled_footprint(workload, onpkg_bytes)
-    return cache.get_or_create(
-        {"kind": "migration", "workload": workload, "n": n, "seed": seed,
-         "footprint": footprint},
-        lambda: generate_trace(workload, n, seed, footprint_bytes=footprint),
-    )
+    return _migration_trace(workload, n, seed, onpkg_bytes)
 
 
 def migration_stream(
@@ -131,7 +114,7 @@ def migration_stream(
     """Streamed scaled trace for one migration-study workload.
 
     Unlike :func:`migration_trace` this never materializes the full
-    trace (and never touches the trace cache): chunks are generated on
+    trace (and never touches its cache): chunks are generated on
     demand with O(``chunk_accesses`` + phase) memory, for feeding
     :meth:`repro.core.simulator.EpochSimulator.run_stream` on very
     long runs. Pick ``chunk_accesses`` as a
@@ -154,10 +137,6 @@ def migration_stream(
     return wl.stream(n, seed, chunk_accesses=chunk_accesses)
 
 
-def default_accesses() -> int:
-    return FAST_ACCESSES if fast_mode() else DEFAULT_ACCESSES
-
-
 # ---------------------------------------------------------------------------
 # Section II (Simics-style) presets: Fig 4 / Fig 5
 # ---------------------------------------------------------------------------
@@ -175,7 +154,7 @@ SECTION2_ONPKG = 1 * GB
 
 
 @lru_cache(maxsize=16)
-def _npb_trace_inproc(workload: str, n: int, seed: int) -> TraceChunk:
+def _npb_trace(workload: str, n: int, seed: int) -> TraceChunk:
     from ..workloads.npb import NPB_FOOTPRINTS_MB
 
     footprint = max(4096, NPB_FOOTPRINTS_MB[workload] * MB // CPU_SCALE)
@@ -183,21 +162,9 @@ def _npb_trace_inproc(workload: str, n: int, seed: int) -> TraceChunk:
 
 
 def npb_trace(workload: str, n: int, seed: int = 0) -> TraceChunk:
-    """Cached scaled NPB trace for the Fig 4/5 study.
-
-    Cross-process via ``REPRO_TRACE_CACHE`` like :func:`migration_trace`.
-    """
-    cache = shared_cache()
-    if cache is None:
-        return _npb_trace_inproc(workload, n, seed)
-    from ..workloads.npb import NPB_FOOTPRINTS_MB
-
-    footprint = max(4096, NPB_FOOTPRINTS_MB[workload] * MB // CPU_SCALE)
-    return cache.get_or_create(
-        {"kind": "npb", "workload": workload, "n": n, "seed": seed,
-         "footprint": footprint},
-        lambda: generate_trace(workload, n, seed, footprint_bytes=footprint),
-    )
+    """Cached scaled NPB trace for the Fig 4/5 study (per process, like
+    :func:`migration_trace`)."""
+    return _npb_trace(workload, n, seed)
 
 
 def all_migration_workloads() -> tuple[str, ...]:

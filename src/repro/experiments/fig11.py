@@ -18,10 +18,11 @@ from ..core.simulator import SimulationResult
 from ..stats.report import Table, format_cycles
 from ..units import KB
 from .common import (
+    DEFAULT_ACCESSES,
+    FAST_ACCESSES,
     GRANULARITIES,
     SWAP_INTERVALS,
     all_migration_workloads,
-    default_accesses,
     migration_config,
     migration_trace,
 )
@@ -54,7 +55,7 @@ def simulate(
 
 
 def run(fast: bool = True) -> list[Table]:
-    n = default_accesses() if not fast else min(default_accesses(), 400_000)
+    n = FAST_ACCESSES if fast else DEFAULT_ACCESSES
     grans = (4 * KB, 256 * KB, 4096 * KB) if fast else GRANULARITIES
     workloads = all_migration_workloads()[:3] if fast else all_migration_workloads()
     tables = []

@@ -13,10 +13,11 @@ from ..config import MigrationAlgorithm
 from ..stats.report import Table, format_cycles
 from ..units import KB
 from .common import (
+    DEFAULT_ACCESSES,
+    FAST_ACCESSES,
     GRANULARITIES,
     SWAP_INTERVALS,
     all_migration_workloads,
-    default_accesses,
 )
 from .fig11 import simulate
 
@@ -63,7 +64,7 @@ def latency_grid(
 
 
 def run(fast: bool = True, supervisor=None) -> list[Table]:
-    n = min(default_accesses(), 400_000) if fast else default_accesses()
+    n = FAST_ACCESSES if fast else DEFAULT_ACCESSES
     grans = (4 * KB, 64 * KB, 1024 * KB) if fast else GRANULARITIES
     workloads = all_migration_workloads()[:3] if fast else all_migration_workloads()
     tables = []

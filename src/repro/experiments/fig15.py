@@ -11,8 +11,9 @@ from ..core.hetero_memory import baseline_latency
 from ..stats.report import Table, format_cycles
 from ..units import KB
 from .common import (
+    DEFAULT_ACCESSES,
+    FAST_ACCESSES,
     all_migration_workloads,
-    default_accesses,
     migration_config,
     migration_trace,
 )
@@ -25,7 +26,7 @@ INTERVAL = 1_000
 
 
 def run(fast: bool = True) -> Table:
-    n = min(default_accesses(), 400_000) if fast else default_accesses()
+    n = FAST_ACCESSES if fast else DEFAULT_ACCESSES
     workloads = all_migration_workloads()[:3] if fast else all_migration_workloads()
     table = Table(
         "Fig 15 — avg latency vs on-package capacity (paper MB, scaled), "

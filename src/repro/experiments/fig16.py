@@ -14,7 +14,7 @@ from ..config import MigrationAlgorithm
 from ..power.energy import MemoryEnergyModel
 from ..stats.report import Table
 from ..units import KB
-from .common import all_migration_workloads, default_accesses
+from .common import DEFAULT_ACCESSES, FAST_ACCESSES, all_migration_workloads
 from .fig11 import simulate
 
 PAGES = (4 * KB, 16 * KB, 64 * KB)
@@ -22,7 +22,7 @@ INTERVALS = (1_000, 10_000, 100_000)
 
 
 def run(fast: bool = True) -> Table:
-    n = min(default_accesses(), 400_000) if fast else default_accesses()
+    n = FAST_ACCESSES if fast else DEFAULT_ACCESSES
     workloads = all_migration_workloads()[:3] if fast else all_migration_workloads()
     model = MemoryEnergyModel()
     table = Table(

@@ -11,12 +11,12 @@ from ..cache.stackdist import StackDistanceProfile
 from ..stats.report import Table
 from ..units import MB
 from ..workloads.npb import NPB_FOOTPRINTS_MB
-from .common import CPU_SCALE, FIG4_CAPACITIES, default_accesses, npb_trace
+from .common import CPU_SCALE, FAST_ACCESSES, FIG4_CAPACITIES, npb_trace
 
 
 def miss_rate_curves(n: int | None = None) -> dict[str, list[float]]:
     """Miss rate of every workload at every Fig 4 capacity (paper units)."""
-    n = n or min(default_accesses(), 400_000)
+    n = n or FAST_ACCESSES
     curves: dict[str, list[float]] = {}
     scaled = [max(4096, c // CPU_SCALE) for c in FIG4_CAPACITIES]
     for name in sorted(NPB_FOOTPRINTS_MB):

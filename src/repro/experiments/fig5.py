@@ -16,7 +16,7 @@ from ..cpu.system import IpcModel
 from ..stats.report import Table
 from ..units import KB, MB
 from ..workloads.npb import NPB_FOOTPRINTS_MB
-from .common import CPU_SCALE, SECTION2_ONPKG, default_accesses, npb_trace
+from .common import CPU_SCALE, FAST_ACCESSES, SECTION2_ONPKG, npb_trace
 
 
 def scaled_caches() -> CacheHierarchyConfig:
@@ -34,7 +34,7 @@ def scaled_caches() -> CacheHierarchyConfig:
 
 def ipc_improvements(n: int | None = None) -> dict[str, dict[MemoryOrganization, float]]:
     """Relative IPC over the baseline for each organisation (Fig 5 bars)."""
-    n = n or min(default_accesses(), 400_000)
+    n = n or FAST_ACCESSES
     model = IpcModel(
         scaled_caches(), onpkg_capacity_bytes=max(4096, SECTION2_ONPKG // CPU_SCALE)
     )

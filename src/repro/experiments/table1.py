@@ -13,11 +13,11 @@ from ..stats.report import Table
 from ..trace.stats import footprint_bytes
 from ..units import MB
 from ..workloads.npb import NPB_FOOTPRINTS_MB
-from .common import CPU_SCALE, default_accesses, npb_trace
+from .common import CPU_SCALE, npb_trace
 
 
 def run(fast: bool = True) -> Table:
-    n = min(default_accesses(), 300_000 if fast else 600_000)
+    n = 300_000 if fast else 600_000
     table = Table(
         "Table I — NPB 3.3 memory footprints (paper vs generated, scaled 1/%d)"
         % CPU_SCALE,

@@ -17,8 +17,9 @@ from ..core.metrics import EffectivenessReport
 from ..stats.report import Table
 from ..units import KB
 from .common import (
+    DEFAULT_ACCESSES,
+    FAST_ACCESSES,
     all_migration_workloads,
-    default_accesses,
     migration_config,
     migration_trace,
 )
@@ -74,7 +75,7 @@ def reports(
     """Per-workload effectiveness rows, optionally fanned out through a
     campaign supervisor (points that exhaust their retries are omitted;
     see :func:`run` for the partial-results footnote)."""
-    n = n or default_accesses()
+    n = n or DEFAULT_ACCESSES
     workloads = workloads or all_migration_workloads()
     if supervisor is None:
         return [EffectivenessReport(**point(w, n)) for w in workloads]
@@ -90,7 +91,7 @@ def reports(
 
 
 def run(fast: bool = True, supervisor=None) -> Table:
-    n = min(default_accesses(), 400_000) if fast else default_accesses()
+    n = FAST_ACCESSES if fast else DEFAULT_ACCESSES
     workloads = all_migration_workloads()[:3] if fast else all_migration_workloads()
     rows = reports(n, workloads, supervisor=supervisor)
     table = Table(

@@ -35,7 +35,7 @@ class ConventionalController:
 
     def service_chunk(self, chunk: TraceChunk) -> np.ndarray:
         """Per-access latency for one time-ordered chunk."""
-        latency = self.model.access_latency(chunk.addr, chunk.time, chunk.rw != 0)
+        latency = self.model.access_latency(chunk.addr, chunk.time)
         self.accesses += len(chunk)
         self.total_latency += int(latency.sum())
         return latency

@@ -188,9 +188,7 @@ class HeterogeneousController:
             stalled = self.migration_windows(active, times, on, extra)
             if stalled is not None:
                 times = np.where(stalled, active.end, times)  # issue after the stall
-        latency = self.service_resolved(
-            on, machine, offsets, times, chunk.rw != 0, ONE_EPOCH, extra
-        )
+        latency = self.service_resolved(on, machine, offsets, times, ONE_EPOCH, extra)
         return latency, on, machine
 
     def service_resolved(
@@ -199,7 +197,6 @@ class HeterogeneousController:
         machine: np.ndarray,
         offsets: np.ndarray,
         times: np.ndarray,
-        writes: np.ndarray,
         seg_starts: np.ndarray,
         extra: np.ndarray,
     ) -> np.ndarray:
@@ -209,7 +206,8 @@ class HeterogeneousController:
         flush, starting at 0). One segment is one ``device.service()``
         call; more are one :meth:`FastDevice.service_segmented` call,
         bit-identical to a ``service()`` call per segment. ``times`` are
-        effective arrival times (stalls applied); ``extra`` carries the
+        effective arrival times (stalls applied), non-decreasing as
+        ``service_segmented`` requires; ``extra`` carries the
         per-access stall + interference cycles of
         :meth:`migration_windows`. Counters and translation overhead are
         applied here.
@@ -231,18 +229,13 @@ class HeterogeneousController:
                 segs = np.searchsorted(sel, seg_starts)
                 segs = segs[segs < count]
             dev = model.device
-            # the write gather is dead weight when the region charges no
-            # write recovery
-            wr = writes[sel] if dev.geometry.timing.t_wr else None
             local = local_address(machine[sel], offsets[sel])
             if segs.shape[0] == 1:
                 # one segment: the plain call service_segmented would
                 # delegate to anyway
-                lat = dev.service(local, times[sel], wr)
+                lat = dev.service(local, times[sel])
             else:
-                lat = dev.service_segmented(
-                    local, times[sel], segs, wr, assume_monotone=True
-                )
+                lat = dev.service_segmented(local, times[sel], segs)
             lat += model.path_overhead
             latency[sel] = lat
         latency += self._translation

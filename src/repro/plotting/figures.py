@@ -2,8 +2,8 @@
 
     python -m repro.plotting.figures [outdir]
 
-Writes fig4/fig5/fig10/fig12-14/fig15/fig16 SVGs (fast-subset data; set
-REPRO_FAST=0 and edit the call sites for full grids).
+Writes fig4/fig5/fig10/fig12-14/fig15/fig16 SVGs from the fast-subset
+data (pass ``fast=False`` at the call sites for full grids).
 """
 
 from __future__ import annotations

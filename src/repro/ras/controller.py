@@ -209,9 +209,7 @@ class RasController:
         )
         local = self.controller.router.onpkg_local_address(machine, offsets)
         times = np.full(machine.shape, now, dtype=np.int64)
-        latency = self.controller.onpkg_model.access_latency(
-            local, times, np.zeros(machine.shape, dtype=bool)
-        )
+        latency = self.controller.onpkg_model.access_latency(local, times)
         cycles = int(latency.sum())
         latent = 0
         for frame in frames:

@@ -375,9 +375,7 @@ class DisturbController:
             if tier == "on"
             else self.controller.offpkg_model
         )
-        latency = model.access_latency(
-            local, times, np.zeros(local.shape, dtype=bool)
-        )
+        latency = model.access_latency(local, times)
         cycles = int(latency.sum())
         self.victim_refreshes += 1
         self.victim_refresh_cycles += cycles

@@ -9,8 +9,8 @@ events it yields are a pure schedule:
 * :class:`AdmitEvent` — a tenant's ``arrive_epoch`` has come; the
   consumer must allocate its window before the first chunk;
 * :class:`ChunkEvent` — one scheduling quantum of one tenant's trace
-  (``quantum_epochs`` swap intervals of accesses), timestamps rebased
-  onto the shared controller clock;
+  (one swap interval of accesses), timestamps rebased onto the shared
+  controller clock;
 * :class:`DepartEvent` — the tenant's trace is exhausted or its
   ``depart_epoch`` passed; the consumer reclaims its state.
 
@@ -66,13 +66,10 @@ class _Entry:
 class TenantScheduler:
     """Interleave tenant traces into one tagged, time-ordered stream."""
 
-    def __init__(self, swap_interval: int, quantum_epochs: int = 1):
+    def __init__(self, swap_interval: int):
         if swap_interval <= 0:
             raise TenancyError("swap_interval must be positive")
-        if quantum_epochs <= 0:
-            raise TenancyError("quantum_epochs must be positive")
         self.swap_interval = swap_interval
-        self.quantum = quantum_epochs * swap_interval
         self.epoch = 0
         self.clock = 0
         self._pending: list[_Entry] = []
@@ -105,7 +102,7 @@ class TenantScheduler:
             if spec.depart_epoch is not None and self.epoch >= spec.depart_epoch:
                 yield DepartEvent(self.epoch, spec.tenant_id)
                 continue
-            view = entry.trace[entry.cursor : entry.cursor + self.quantum]
+            view = entry.trace[entry.cursor : entry.cursor + self.swap_interval]
             if len(view) == 0:
                 yield DepartEvent(self.epoch, spec.tenant_id)
                 continue

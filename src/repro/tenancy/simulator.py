@@ -51,7 +51,6 @@ class MultiTenantSimulator:
         track_data: bool = False,
         isolation: bool = True,
         scrub_on_free: bool = True,
-        quantum_epochs: int = 1,
         solo_baselines: bool = False,
         chunk_callback=None,
     ):
@@ -62,9 +61,7 @@ class MultiTenantSimulator:
             config, migrate=migrate, fused=fused, track_data=track_data
         )
         self.registry = TenantRegistry(self.sim.table)
-        self.scheduler = TenantScheduler(
-            config.migration.swap_interval, quantum_epochs=quantum_epochs
-        )
+        self.scheduler = TenantScheduler(config.migration.swap_interval)
         self.policy = policy
         if policy is not None:
             policy.bind(self.registry, self.sim.table)

@@ -170,41 +170,6 @@ class TraceReader:
         return TraceChunk(np.concatenate([c.records for c in chunks]), validate=False)
 
 
-def open_trace_mmap(path: str | os.PathLike) -> TraceChunk:
-    """Zero-copy :class:`TraceChunk` backed by a memory-mapped file.
-
-    The records array is an ``np.memmap`` view (read-only) of the data
-    section, so opening a multi-gigabyte trace costs no RSS up front and
-    concurrent processes share one page-cache copy. The header count
-    must match the file size exactly — a torn file is an error here, not
-    a salvage candidate, because mmap consumers (the trace cache) only
-    ever see atomically-published files.
-    """
-    path = os.fspath(path)
-    with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-    if len(header) != _HEADER.size:
-        raise TraceError(
-            f"{path}: truncated header ({len(header)} of {_HEADER.size} bytes)"
-        )
-    magic, count = _HEADER.unpack(header)
-    if magic != _MAGIC:
-        raise TraceError(f"{path}: bad magic {magic!r}")
-    expected = _HEADER.size + count * TRACE_DTYPE.itemsize
-    actual = os.path.getsize(path)
-    if actual != expected:
-        raise TraceError(
-            f"{path}: header claims {count} records ({expected} bytes) but "
-            f"the file is {actual} bytes; refusing to mmap a torn file"
-        )
-    if count == 0:
-        return TraceChunk(np.empty(0, dtype=TRACE_DTYPE), validate=False)
-    records = np.memmap(
-        path, dtype=TRACE_DTYPE, mode="r", offset=_HEADER.size, shape=(count,)
-    )
-    return TraceChunk(records, validate=False)
-
-
 def write_trace(path: str | os.PathLike, chunk: TraceChunk) -> None:
     """Write a whole trace in one call."""
     with TraceWriter(path) as w:

@@ -241,77 +241,40 @@ class TestRefresh:
             DramTiming(refresh_interval=-1)
 
 
-class TestWriteRecovery:
-    """Optional tWR write-recovery modelling."""
+class TestServiceSegmented:
+    """``service_segmented`` against one ``service`` call per segment."""
 
-    def test_write_costs_more_when_enabled(self):
-        t = DramTiming(t_wr=48)
-        bank = Bank(t)
-        _, f_w, _ = bank.access(1, 0, write=True)
-        bank2 = Bank(t)
-        _, f_r, _ = bank2.access(1, 0, write=False)
-        assert f_w - f_r == 48
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(2, 200),
+        # 30 binds at most loaded boundaries (forcing the replay), 1 << 30 never
+        cap=st.sampled_from([30, 300, 1 << 30]),
+        refresh=st.booleans(),
+    )
+    def test_matches_per_segment_service(self, data, n, cap, refresh):
+        timing = DramTiming(
+            n_channels=1, n_banks=4, max_queue_wait=cap,
+            refresh_interval=3000 if refresh else 0, refresh_cycles=200,
+        )
+        fused, ref = FastDevice(DramGeometry(timing)), FastDevice(DramGeometry(timing))
+        last = 0
+        for _ in range(2):  # the second call starts from the first's state
+            gaps = data.draw(st.lists(st.integers(0, 120), min_size=n, max_size=n))
+            arrivals = last + np.cumsum(gaps, dtype=np.int64)
+            rows = data.draw(st.lists(st.integers(0, 63), min_size=n, max_size=n))
+            addr = np.array(rows, dtype=np.int64) * 4096
+            cuts = data.draw(st.lists(st.integers(0, n - 1), max_size=8))
+            seg_starts = np.array([0] + sorted(cuts), dtype=np.int64)
 
-    def test_disabled_by_default(self):
-        bank = Bank(offpkg_dram_timing())
-        _, f_w, _ = bank.access(1, 0, write=True)
-        bank2 = Bank(offpkg_dram_timing())
-        _, f_r, _ = bank2.access(1, 0, write=False)
-        assert f_w == f_r
-
-    def test_fast_model_charges_writes(self):
-        t = DramTiming(t_wr=48)
-        geo = DramGeometry(t)
-        addr = np.arange(100, dtype=np.int64) * 8192 * 64  # distinct banks/rows
-        arrivals = np.arange(100, dtype=np.int64) * 500
-        reads = FastDevice(geo).service(addr, arrivals, np.zeros(100, dtype=bool))
-        writes = FastDevice(geo).service(addr, arrivals, np.ones(100, dtype=bool))
-        assert (writes - reads == 48).all()
-
-    def test_fast_and_event_agree_with_writes(self):
-        t = DramTiming(t_wr=48)
-        geo = DramGeometry(t)
-        rng = np.random.default_rng(5)
-        addr = rng.integers(0, 1 << 20, 400) // 64 * 64
-        arrivals = np.cumsum(rng.integers(30, 200, 400))
-        w = rng.random(400) < 0.4
-        fast = FastDevice(geo).service(addr, arrivals, w)
-        event = EventDrivenDevice(geo).service(addr, arrivals, w)
-        assert abs(fast.mean() - event.mean()) < max(2.0, 0.05 * event.mean())
-
-
-class TestChannelBus:
-    """Optional per-channel data-bus serialisation."""
-
-    def test_uncontended_adds_nothing(self):
-        base = DramTiming()
-        bus = DramTiming(channel_bus=True)
-        addr = np.arange(50, dtype=np.int64) * 64
-        arrivals = np.arange(50, dtype=np.int64) * 1000  # far apart
-        a = FastDevice(DramGeometry(base)).service(addr, arrivals)
-        b = FastDevice(DramGeometry(bus)).service(addr, arrivals)
-        np.testing.assert_array_equal(a, b)
-
-    def test_contention_queues_bursts(self):
-        """Simultaneous accesses to different banks of ONE channel must
-        serialise their data bursts when the bus is modelled."""
-        base = DramTiming(n_channels=1, n_banks=8)
-        bus = DramTiming(n_channels=1, n_banks=8, channel_bus=True)
-        # 8 accesses, one per bank, all arriving together
-        addr = (np.arange(8, dtype=np.int64) * 8192)
-        arrivals = np.zeros(8, dtype=np.int64)
-        a = FastDevice(DramGeometry(base)).service(addr, arrivals)
-        b = FastDevice(DramGeometry(bus)).service(addr, arrivals)
-        assert b.sum() > a.sum()
-        # the worst access waits ~7 extra bursts
-        assert b.max() - a.max() >= 6 * base.io_cycles
-
-    def test_channels_are_independent(self):
-        bus = DramTiming(n_channels=4, n_banks=8, channel_bus=True)
-        # one access per channel, simultaneous: no shared bus -> no extra
-        addr = np.arange(4, dtype=np.int64) * 8192
-        arrivals = np.zeros(4, dtype=np.int64)
-        base = DramTiming(n_channels=4, n_banks=8)
-        a = FastDevice(DramGeometry(base)).service(addr, arrivals)
-        b = FastDevice(DramGeometry(bus)).service(addr, arrivals)
-        np.testing.assert_array_equal(a, b)
+            got = fused.service_segmented(addr, arrivals, seg_starts)
+            bounds = seg_starts.tolist() + [n]
+            want = np.concatenate([
+                ref.service(addr[lo:hi], arrivals[lo:hi])
+                for lo, hi in zip(bounds[:-1], bounds[1:])
+            ])
+            np.testing.assert_array_equal(got, want)
+            assert (fused.row_hits, fused.row_conflicts) == (ref.row_hits, ref.row_conflicts)
+            np.testing.assert_array_equal(fused._ready, ref._ready)
+            np.testing.assert_array_equal(fused._open_row, ref._open_row)
+            last = int(arrivals[-1])

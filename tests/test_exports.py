@@ -1,5 +1,5 @@
 """Every name a ``repro`` package exports in ``__all__`` resolves, and
-every test the sources and docs name exists."""
+every test and dotted ``repro.*`` name the sources and docs name exists."""
 
 import importlib
 import pkgutil
@@ -31,25 +31,54 @@ REPO = Path(__file__).resolve().parent.parent
 #: ``tests/<file>.py`` with optional ``::Class::test`` parts, which may
 #: wrap onto the next line after a ``::``
 TEST_REF = re.compile(r"tests/[\w/]+\.py((?:::\s*\w+)*)")
-#: files whose prose names tests (history files such as CHANGES.md name
-#: tests that were later deleted on purpose)
+#: a dotted module/attribute path such as ``repro.trace.stream.iter_chunks``
+DOTTED_REF = re.compile(r"(?<![\w.])repro(?:\.\w+)+")
+#: files whose prose names tests and objects (history files such as
+#: CHANGES.md name tests and modules that were later deleted on purpose)
 DOC_SOURCES = ["src/**/*.py", "docs/**/*.md", "README.md", "DESIGN.md",
                "EXPERIMENTS.md"]
 
 
-def _test_references():
+def _references(pattern, split):
+    """``(file, parts)`` for every ``pattern`` match in the doc sources,
+    the match split into its parts by the ``split`` regex."""
     refs = set()
-    for pattern in DOC_SOURCES:
-        for path in sorted(REPO.glob(pattern)):
-            for match in TEST_REF.finditer(path.read_text(encoding="utf-8")):
-                parts = re.split(r"::\s*", match.group(0))
+    for glob in DOC_SOURCES:
+        for path in sorted(REPO.glob(glob)):
+            for match in pattern.finditer(path.read_text(encoding="utf-8")):
+                parts = re.split(split, match.group(0))
                 refs.add((path.relative_to(REPO).as_posix(), tuple(parts)))
     return sorted(refs)
 
 
+def _resolves(parts):
+    """Import the longest importable module prefix, then walk attributes."""
+    for i in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ImportError:
+            continue
+        for attr in parts[i:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def test_named_objects_resolve():
+    """Every dotted ``repro.*`` module, class or function a doc names exists."""
+    refs = _references(DOTTED_REF, r"\.")
+    assert refs, "the reference pattern matched nothing"
+    dangling = [
+        f"{where}: {'.'.join(parts)}" for where, parts in refs if not _resolves(parts)
+    ]
+    assert not dangling, "docs name missing objects:\n" + "\n".join(dangling)
+
+
 def test_named_tests_exist():
     """Every test file, class and test a docstring or doc names exists."""
-    refs = _test_references()
+    refs = _references(TEST_REF, r"::\s*")
     assert refs, "the reference pattern matched nothing"
     dangling = []
     for where, (test_file, *names) in refs:
