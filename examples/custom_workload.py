@@ -59,7 +59,7 @@ def main() -> None:
 
         result = SimulationResult()
         for chunk in TraceReader(path, chunk_records=64_000):
-            system.simulator.run_into(chunk, result)
+            system.run_into(chunk, result)
 
     static = repro.baseline_latency(cfg, trace, "static")
     print(f"\nlatency: {result.average_latency:.1f} cycles/access with migration "

@@ -18,6 +18,9 @@ Quickstart::
     result = system.run(generate_trace("pgbench", 500_000))
     print(f"avg latency {result.average_latency:.0f} cycles, "
           f"{result.onpkg_fraction:.0%} served on-package")
+
+``HeterogeneousMainMemory`` is a second name for ``EpochSimulator``;
+checkpoints go through ``save_checkpoint`` / ``load_checkpoint``.
 """
 
 from .config import (

@@ -115,6 +115,23 @@ class AddressMap:
             raise AddressError("offset outside the macro page")
         return (page << self.offset_bits) | offset
 
+    def local_address(self, machine_page, offset, onpkg: bool):
+        """Address within a region: on-package machine pages are slots
+        (0-based already); off-package ones rebase to 0 at the DIMMs.
+
+        Unchecked arrays in, a fresh array out — the controller's flush
+        path composes every access here; :meth:`compose` is the checked
+        form.
+        """
+        page = np.asarray(machine_page, dtype=np.int64)
+        if onpkg:
+            addr = np.left_shift(page, self.offset_bits)
+        else:
+            addr = np.subtract(page, self.n_onpkg_pages)
+            np.left_shift(addr, self.offset_bits, out=addr)
+        np.bitwise_or(addr, offset, out=addr)
+        return addr
+
     def subblock_of(self, addr):
         """Sub-block index *within its macro page* of address(es)."""
         return self.offset_of(addr) >> log2_exact(self.subblock_bytes)

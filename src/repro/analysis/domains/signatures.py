@@ -78,6 +78,11 @@ SIGNATURES: tuple[Signature, ...] = (
               (("machine_page", D.MACHINE_FRAME),), None),
     Signature("AddressMap.check_addresses",
               (("addr", D.BYTE_ADDR),), None),
+    # region-local addresses are composed from *machine* pages
+    Signature("AddressMap.local_address",
+              (("machine_page", D.MACHINE_FRAME), ("offset", D.BYTE_ADDR),
+               ("onpkg", None)),
+              D.BYTE_ADDR),
     # ---- the translation table (repro.migration.table) ---------------
     Signature("TranslationTable.resolve",
               (("page", D.VIRTUAL_PAGE), ("subblock", D.SUBBLOCK_IDX)),
@@ -107,20 +112,6 @@ SIGNATURES: tuple[Signature, ...] = (
               (("slot", D.MACHINE_FRAME), ("spare", D.MACHINE_FRAME)),
               D.VIRTUAL_PAGE),
     Signature("TranslationTable.empty_slot", (), D.MACHINE_FRAME),
-    # ---- machine-address routing (repro.memctrl.routing) -------------
-    Signature("RegionRouter.machine_address",
-              (("machine_page", D.MACHINE_FRAME), ("offset", D.BYTE_ADDR)),
-              D.BYTE_ADDR),
-    Signature("RegionRouter.onpkg_local_address",
-              (("machine_page", D.MACHINE_FRAME), ("offset", D.BYTE_ADDR)),
-              D.BYTE_ADDR),
-    Signature("RegionRouter.offpkg_local_address",
-              (("machine_page", D.MACHINE_FRAME), ("offset", D.BYTE_ADDR)),
-              D.BYTE_ADDR),
-    # "split" collides with str.split everywhere: qualname-only
-    Signature("RegionRouter.split",
-              (("machine_page", D.MACHINE_FRAME),),
-              (None, D.MACHINE_FRAME), match_calls=False),
     # ---- DRAM geometry (repro.dram.timing / bank) --------------------
     Signature("DramGeometry.decompose",
               (("addr", D.BYTE_ADDR),), (None, None, D.DRAM_ROW)),

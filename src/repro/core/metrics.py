@@ -16,7 +16,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..config import DramTiming
 from ..errors import SimulationError
+
+
+def dram_core_latency(offpkg_row_hit_rate: float, timing: DramTiming) -> float:
+    """Average off-package DRAM service time at an observed row-hit mix
+    (a result's ``offpkg_row_hit_rate``): the Table IV "DRAM core" row."""
+    hr = offpkg_row_hit_rate
+    return hr * timing.hit_cycles + (1.0 - hr) * timing.miss_cycles
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ from ..migration.overhead import translation_cycles
 from ..migration.table import TranslationTable
 from ..trace.record import TraceChunk
 from ..units import log2_exact
-from .routing import RegionRouter
 
 #: ``seg_starts`` of a one-epoch flush (read-only: shared by every caller)
 ONE_EPOCH = np.zeros(1, dtype=np.int64)
@@ -39,7 +38,6 @@ class HeterogeneousController:
                  translation_overhead: bool = True):
         self.config = config
         self.amap: AddressMap = config.address_map()
-        self.router = RegionRouter(self.amap)
         self.onpkg_model = LatencyModel(
             config.latency, config.onpkg_dram, onpkg=True
         )
@@ -56,25 +54,6 @@ class HeterogeneousController:
             )
             if translation_overhead
             else 0
-        )
-        self.accesses = 0
-        self.total_latency = 0
-        self.onpkg_accesses = 0
-        self.offpkg_accesses = 0
-
-    def counters(self) -> tuple[int, int, int, int]:
-        """``(accesses, total_latency, onpkg, offpkg)`` snapshot.
-
-        The tenancy scheduler diffs consecutive snapshots around each
-        tenant's trace chunk to attribute controller work per tenant —
-        valid at either flush granularity because the simulator settles
-        these counters within ``run_into`` before it returns.
-        """
-        return (
-            self.accesses,
-            self.total_latency,
-            self.onpkg_accesses,
-            self.offpkg_accesses,
         )
 
     # ------------------------------------------------------------------
@@ -209,15 +188,14 @@ class HeterogeneousController:
         effective arrival times (stalls applied), non-decreasing as
         ``service_segmented`` requires; ``extra`` carries the
         per-access stall + interference cycles of
-        :meth:`migration_windows`. Counters and translation overhead are
-        applied here.
+        :meth:`migration_windows`. Translation overhead is applied here.
         """
         n = on.shape[0]
         n_on = int(np.count_nonzero(on))
         latency = np.empty(n, dtype=np.int64)
-        for model, local_address, count, onpkg in (
-            (self.onpkg_model, self.router.onpkg_local_address, n_on, True),
-            (self.offpkg_model, self.router.offpkg_local_address, n - n_on, False),
+        for model, count, onpkg in (
+            (self.onpkg_model, n_on, True),
+            (self.offpkg_model, n - n_on, False),
         ):
             if count == 0:
                 continue
@@ -229,7 +207,7 @@ class HeterogeneousController:
                 segs = np.searchsorted(sel, seg_starts)
                 segs = segs[segs < count]
             dev = model.device
-            local = local_address(machine[sel], offsets[sel])
+            local = self.amap.local_address(machine[sel], offsets[sel], onpkg)
             if segs.shape[0] == 1:
                 # one segment: the plain call service_segmented would
                 # delegate to anyway
@@ -240,17 +218,4 @@ class HeterogeneousController:
             latency[sel] = lat
         latency += self._translation
         latency += extra
-
-        self.accesses += n
-        self.total_latency += int(latency.sum())
-        self.onpkg_accesses += n_on
-        self.offpkg_accesses += n - n_on
         return latency
-
-    @property
-    def average_latency(self) -> float:
-        return self.total_latency / self.accesses if self.accesses else 0.0
-
-    @property
-    def onpkg_fraction(self) -> float:
-        return self.onpkg_accesses / self.accesses if self.accesses else 0.0

@@ -207,7 +207,7 @@ class RasController:
             np.arange(n_reads, dtype=np.int64) * self.scrubber.stride_bytes,
             len(frames),
         )
-        local = self.controller.router.onpkg_local_address(machine, offsets)
+        local = self.amap.local_address(machine, offsets, True)
         times = np.full(machine.shape, now, dtype=np.int64)
         latency = self.controller.onpkg_model.access_latency(local, times)
         cycles = int(latency.sum())

@@ -244,11 +244,7 @@ class DisturbController:
             idx = np.flatnonzero(on_mask if tier == "on" else ~on_mask)
             if idx.size == 0:
                 continue
-            router = self.controller.router
-            if tier == "on":
-                local = router.onpkg_local_address(machine[idx], offsets[idx])
-            else:
-                local = router.offpkg_local_address(machine[idx], offsets[idx])
+            local = self.amap.local_address(machine[idx], offsets[idx], tier == "on")
             queues, rows = self._geo[tier].queues_and_rows(local)
             act, order = activation_events(queues, rows)
             act_sub = order[act]  # indices into the idx-subset arrays

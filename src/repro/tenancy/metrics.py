@@ -1,10 +1,11 @@
 """Per-tenant attribution of controller and migration work.
 
-The multi-tenant simulator snapshots the controller's counters around
-every tenant chunk; the deltas accumulate here. ``solo_average_latency``
-is filled by the opt-in solo-baseline pass (the same trace prefix run
-alone on a fresh simulator), which anchors the two interference
-figures:
+The multi-tenant simulator snapshots the run result's totals around
+every tenant chunk; the deltas accumulate here, so the tenants' totals
+sum to the run's (ECC, RAS and disturbance cycles included).
+``solo_average_latency`` is filled by the opt-in solo-baseline pass (the
+same trace prefix run alone on a fresh simulator), which anchors the two
+interference figures:
 
 * **slowdown** — shared-run average latency over solo average latency;
 * **interference index** — ``max(0, slowdown - 1)``: the fraction of

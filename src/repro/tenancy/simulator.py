@@ -135,18 +135,18 @@ class MultiTenantSimulator:
         chunk = domain.translate(event.chunk)
         if self.oracle is not None:
             self.oracle.observe(event.tenant_id, chunk)
-        controller = self.sim.controller
         engine = self.sim.engine
-        before = controller.counters()
+        # the chunk's share of the run totals, boundary cycles included
+        before = (result.n_accesses, result.total_latency,
+                  result.onpkg_accesses, result.offpkg_accesses)
         swaps0 = engine.swaps_triggered
         migrated0 = engine.migrated_bytes
         self.sim.run_into(chunk, result)
-        after = controller.counters()
         m = self.metrics[event.tenant_id]
-        m.accesses += after[0] - before[0]
-        m.total_latency += after[1] - before[1]
-        m.onpkg_accesses += after[2] - before[2]
-        d_off = after[3] - before[3]
+        m.accesses += result.n_accesses - before[0]
+        m.total_latency += result.total_latency - before[1]
+        m.onpkg_accesses += result.onpkg_accesses - before[2]
+        d_off = result.offpkg_accesses - before[3]
         m.offpkg_accesses += d_off
         m.swaps_triggered += engine.swaps_triggered - swaps0
         m.migrated_bytes += engine.migrated_bytes - migrated0

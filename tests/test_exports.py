@@ -1,7 +1,9 @@
 """Every name a ``repro`` package exports in ``__all__`` resolves, and
-every test and dotted ``repro.*`` name the sources and docs name exists."""
+every test, dotted ``repro.*`` name and ``repro/…/*.py`` path the sources
+and docs name exists."""
 
 import importlib
+import itertools
 import pkgutil
 import re
 from pathlib import Path
@@ -35,15 +37,17 @@ TEST_REF = re.compile(r"tests/[\w/]+\.py((?:::\s*\w+)*)")
 DOTTED_REF = re.compile(r"(?<![\w.])repro(?:\.\w+)+")
 #: files whose prose names tests and objects (history files such as
 #: CHANGES.md name tests and modules that were later deleted on purpose)
-DOC_SOURCES = ["src/**/*.py", "docs/**/*.md", "README.md", "DESIGN.md",
-               "EXPERIMENTS.md"]
+PROSE_SOURCES = ["docs/**/*.md", "README.md", "DESIGN.md", "EXPERIMENTS.md"]
+DOC_SOURCES = ["src/**/*.py", *PROSE_SOURCES]
+#: a source path such as ``repro/memctrl/{heterogeneous,foo}.py``
+PATH_REF = re.compile(r"(?<![\w.])repro/[\w/{},]*\.py")
 
 
-def _references(pattern, split):
+def _references(pattern, split, sources=DOC_SOURCES):
     """``(file, parts)`` for every ``pattern`` match in the doc sources,
     the match split into its parts by the ``split`` regex."""
     refs = set()
-    for glob in DOC_SOURCES:
+    for glob in sources:
         for path in sorted(REPO.glob(glob)):
             for match in pattern.finditer(path.read_text(encoding="utf-8")):
                 parts = re.split(split, match.group(0))
@@ -90,3 +94,25 @@ def test_named_tests_exist():
         ):
             dangling.append(f"{where}: {'::'.join([test_file, *names])}")
     assert not dangling, "docs name missing tests:\n" + "\n".join(dangling)
+
+
+def _expand_braces(path):
+    """``a/{b,c}.py`` -> ``["a/b.py", "a/c.py"]``, every brace group."""
+    pieces = re.split(r"\{([^}]*)\}", path)
+    # odd-indexed pieces are the groups' contents
+    choices = [p.split(",") if i % 2 else [p] for i, p in enumerate(pieces)]
+    return ["".join(combo) for combo in itertools.product(*choices)]
+
+
+def test_named_source_paths_exist():
+    """Every ``repro/…/*.py`` path the prose docs name exists."""
+    # split on a pattern that never matches: each path stays whole
+    refs = _references(PATH_REF, r"(?!)", PROSE_SOURCES)
+    assert refs, "the path pattern matched nothing"
+    dangling = [
+        f"{where}: {path}"
+        for where, (named,) in refs
+        for path in _expand_braces(named)
+        if not (REPO / "src" / path).is_file()
+    ]
+    assert not dangling, "docs name missing source files:\n" + "\n".join(dangling)

@@ -79,11 +79,11 @@ def assert_identical(cfg, trace, *, migrate=True, chunks=1, arm=None,
         r_plain = plain.run(trace)
     else:
         bounds = np.linspace(0, len(trace), chunks + 1).astype(int)
-        r_fused = fused.simulator.run(trace[: bounds[1]])
-        r_plain = plain.simulator.run(trace[: bounds[1]])
+        r_fused = fused.run(trace[: bounds[1]])
+        r_plain = plain.run(trace[: bounds[1]])
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            fused.simulator.run_into(trace[lo:hi], r_fused)
-            plain.simulator.run_into(trace[lo:hi], r_plain)
+            fused.run_into(trace[lo:hi], r_fused)
+            plain.run_into(trace[lo:hi], r_plain)
     assert _scalar_fields(r_fused) == _scalar_fields(r_plain)
     assert r_fused.epoch_latency == r_plain.epoch_latency
     assert r_fused.degradation_events == r_plain.degradation_events

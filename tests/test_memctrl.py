@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.config import MigrationConfig, SystemConfig
-from repro.memctrl.conventional import ConventionalController
+from repro.core.hetero_memory import baseline_latency
+from repro.dram.latency import LatencyModel
 from repro.memctrl.heterogeneous import HeterogeneousController
-from repro.memctrl.routing import RegionRouter
 from repro.migration.engine import MigrationEngine
 from repro.migration.table import TranslationTable
 from repro.trace.record import make_chunk
@@ -24,29 +24,33 @@ def small_system() -> SystemConfig:
 class TestRouter:
     def test_split_by_msb(self):
         amap = small_system().address_map()
-        router = RegionRouter(amap)
         machine = np.array([0, 7, 8, 63])
-        on, off = router.split(machine)
+        on = amap.is_onpkg_machine_page(machine)
         assert on.tolist() == [True, True, False, False]
-        assert (on ^ off).all()
 
     def test_local_addresses(self):
         amap = small_system().address_map()
-        router = RegionRouter(amap)
         # off-package machine page 8 maps to DIMM-local page 0
-        assert router.offpkg_local_address(np.array([8]), np.array([5]))[0] == 5
-        assert router.onpkg_local_address(np.array([2]), np.array([5]))[0] == 2 * MB + 5
+        assert amap.local_address(np.array([8]), np.array([5]), False)[0] == 5
+        assert amap.local_address(np.array([2]), np.array([5]), True)[0] == 2 * MB + 5
+        # the unchecked form agrees with the checked compose on-package
+        pages, offsets = np.array([0, 3, 7]), np.array([0, 17, MB - 1])
+        assert (amap.local_address(pages, offsets, True)
+                == amap.compose(pages, offsets)).all()
 
 
 class TestConventional:
     def test_baseline_latency_accounting(self):
-        c = ConventionalController()
+        cfg = small_system()
         chunk = make_chunk(np.arange(100) * 64, time=np.arange(100) * 200)
-        lat = c.service_chunk(chunk)
-        assert c.accesses == 100
-        assert c.average_latency == pytest.approx(lat.mean())
+        res = baseline_latency(cfg, chunk, "all-offpkg")
+        model = LatencyModel(cfg.latency, cfg.offpkg_dram, onpkg=False)
+        lat = model.access_latency(chunk.addr, chunk.time)
+        assert res.n_accesses == res.offpkg_accesses == 100
+        assert res.total_latency == int(lat.sum())
+        assert res.average_latency == pytest.approx(lat.mean())
         # every access pays at least path + a row hit
-        assert lat.min() >= 34 + c.model.timing.hit_cycles
+        assert lat.min() >= 34 + cfg.offpkg_dram.hit_cycles
 
 
 class TestHeterogeneous:

@@ -137,19 +137,23 @@ class TestCheckpointDeterminism:
         assert as_fields(ref) == as_fields(result)
 
     def test_facade_save_and_resume(self, tmp_path):
+        """The public name checkpoints through the package functions,
+        caller-supplied ``extra`` included."""
         cfg = config("live")
         trace = synthetic_trace(n=4 * INTERVAL, seed=2)
         system = repro.HeterogeneousMainMemory(cfg)
         result = repro.SimulationResult()
-        system.simulator.run_into(trace[: 2 * INTERVAL], result)
+        system.run_into(trace[: 2 * INTERVAL], result)
         path = tmp_path / "ck"
-        system.save_checkpoint(path, result, extra={"note": "halfway"})
+        repro.save_checkpoint(path, system, result, extra={"note": "halfway"})
 
-        resumed, result2, extra = repro.HeterogeneousMainMemory.resume(path)
-        assert extra == {"note": "halfway"}
-        resumed.simulator.run_into(trace[2 * INTERVAL :], result2)
+        bundle = repro.load_checkpoint(path)
+        assert bundle.extra == {"note": "halfway"}
+        resumed, result2 = bundle.simulator, bundle.result
+        assert isinstance(resumed, repro.HeterogeneousMainMemory)
+        resumed.run_into(trace[2 * INTERVAL :], result2)
 
-        system.simulator.run_into(trace[2 * INTERVAL :], result)
+        system.run_into(trace[2 * INTERVAL :], result)
         assert as_fields(result) == as_fields(result2)
 
 

@@ -112,7 +112,7 @@ class TestFuzzedConfigs:
         # feed one epoch at a time so the table's invariants are checked
         # at every epoch boundary, not just at the end of the run
         for start in range(0, n, interval):
-            sim.simulator.run_into(trace[start : start + interval], res)
+            sim.run_into(trace[start : start + interval], res)
             sim.table.check_invariants()
         assert res.n_accesses == n
         assert res.onpkg_accesses + res.offpkg_accesses == n

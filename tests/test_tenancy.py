@@ -153,6 +153,25 @@ class TestSingleTenantBitIdentity:
         assert m.slowdown == pytest.approx(1.0)
         assert m.interference_index == pytest.approx(0.0)
 
+    def test_tenant_totals_sum_to_run_total_with_ras(self):
+        """Boundary cycles (RAS CE correction here) land in some tenant's
+        total, so the tenants' latencies sum to the run's."""
+        cfg = _cfg().with_ras(enabled=True, ce_base_rate=0.05)
+        mts = MultiTenantSimulator(cfg)
+        n_pages = 100  # two windows clear of the reserved RAS spares
+        for tenant_id in (0, 1):
+            mts.add_tenant(
+                TenantSpec(tenant_id=tenant_id, name=f"t{tenant_id}",
+                           n_pages=n_pages),
+                _trace(n=8_000, seed=tenant_id, span_bytes=n_pages * 64 * KB),
+            )
+        result = mts.run()
+        assert result.ras.ce_cycles > 0
+        tenants = result.tenants.values()
+        assert len(tenants) == 2
+        assert sum(m.accesses for m in tenants) == result.n_accesses
+        assert sum(m.total_latency for m in tenants) == result.total_latency
+
 
 # ---------------------------------------------------------------------------
 # isolation: churned multi-tenant runs never cross data between tenants

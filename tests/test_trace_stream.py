@@ -164,8 +164,8 @@ class TestStreamingSimulation:
             # the boundary
             size = aligned_chunk_size(RUN_CHUNK, interval)
             probe = HeterogeneousMainMemory(cfg)
-            probe.simulator.run_into(trace[:size], SimulationResult())
-            active = probe.simulator.engine.active
+            probe.run_into(trace[:size], SimulationResult())
+            active = probe.engine.active
             assert active is not None and active.end > int(trace.time[size])
 
         def system(fused=True):
