@@ -8,8 +8,13 @@ request's row). Writing ``S_i = cumsum(s)`` gives
     ``D_i = S_i + cummax_{j<=i}(a_j - S_{j-1})``
 
 which is one sort, one cumsum and one running maximum — no Python-level
-per-access loop. The FIFO order (instead of FR-FCFS's hit-first
-reordering) slightly *underestimates* row-hit rates under load;
+per-access loop. A fused multi-segment call
+(:meth:`FastDevice.service_segmented`) stays exact when the finite-queue
+carry cap binds at a segment boundary: a second pass over the same
+sorted arrays restarts the recursion per (queue, segment) group and
+threads the capped carry between groups. The FIFO order (instead of
+FR-FCFS's hit-first reordering) slightly *underestimates* row-hit rates
+under load;
 ``tests/test_dram.py::TestDeviceCrossValidation`` bounds the
 disagreement against the event-driven reference.
 """
@@ -21,6 +26,32 @@ import numpy as np
 from ..errors import SimulationError
 from .refresh import RefreshSchedule
 from .timing import DramGeometry
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _cummax_restarted(t: np.ndarray, labels: np.ndarray, label_max: int) -> np.ndarray:
+    """Running max of ``t`` in place, restarted wherever ``labels`` changes.
+
+    ``labels`` is non-decreasing and non-negative. Each label's values are
+    offset by ``label * BIG`` (``BIG`` = the span of ``t``), so a plain
+    cummax cannot leak across a restart, and the offset is removed after.
+    Raises :class:`SimulationError` where an offset value would not fit
+    int64, instead of returning wrapped values. Returns the offset array,
+    a free buffer for the caller.
+    """
+    hi = int(t.max())
+    big = hi - int(t.min()) + 1
+    if max(hi, 0) + label_max * big > _INT64_MAX:
+        raise SimulationError(
+            f"arrival span {big} too wide for one vectorised pass over "
+            f"{label_max + 1} restarts; split the call"
+        )
+    shift = np.multiply(labels, np.int64(big), dtype=np.int64)
+    t += shift
+    np.maximum.accumulate(t, out=t)
+    t -= shift
+    return shift
 
 
 class FastDevice:
@@ -56,8 +87,7 @@ class FastDevice:
             return np.zeros(0, dtype=np.int64)
         if np.any(arrivals[1:] < arrivals[:-1]):
             raise SimulationError("arrivals must be non-decreasing")
-        latency, _ = self._service_core(addr, arrivals, None)
-        return latency
+        return self._service_core(addr, arrivals, None)
 
     def service_segmented(
         self, addr: np.ndarray, arrivals: np.ndarray, seg_starts: np.ndarray
@@ -69,13 +99,11 @@ class FastDevice:
         epoch loop's contract). ``arrivals`` must be non-decreasing
         across the whole call; unlike :meth:`service` this is not
         re-checked (the epoch loop already checks time order once per
-        chunk). One fused pass is exact as long as the finite-queue
-        carry cap never binds at an interior segment boundary — the
-        sequential carry is ``min(depart, arrival + cap)`` per queue, and
-        the fused Lindley recursion propagates the uncapped departure.
-        The fused pass detects any interior binding and, in that
-        (overloaded) case, bails before touching the device state and
-        replays the segments sequentially.
+        chunk). The sequential path carries ``min(depart, arrival + cap)``
+        per queue across each segment boundary, while one Lindley pass
+        propagates the uncapped departure. Where the cap binds at an
+        interior boundary, :meth:`_exact_group_waits` finishes the call
+        exactly from the already sorted arrays.
         """
         addr = np.asarray(addr, dtype=np.int64)
         arrivals = np.asarray(arrivals, dtype=np.int64)
@@ -93,22 +121,13 @@ class FastDevice:
             np.arange(seg_starts.size, dtype=np.int64),
             np.diff(np.concatenate([seg_starts, [n]])),
         )
-        latency, exact = self._service_core(addr, arrivals, seg_of)
-        if exact:
-            return latency
-        latency = np.empty(n, dtype=np.int64)
-        bounds = seg_starts.tolist() + [n]
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            if hi > lo:
-                latency[lo:hi] = self.service(addr[lo:hi], arrivals[lo:hi])
-        return latency
+        return self._service_core(addr, arrivals, seg_of)
 
-    def _service_core(self, addr, arrivals, seg_of) -> tuple[np.ndarray, bool]:
+    def _service_core(self, addr, arrivals, seg_of) -> np.ndarray:
         """The vectorised service pass over validated non-empty inputs.
 
-        With ``seg_of`` (per-access segment id), also reports whether the
-        fused result is exact w.r.t. per-segment sequential calls (see
-        :meth:`service_segmented`).
+        With ``seg_of`` (per-access segment id), the result equals one
+        sequential call per segment (see :meth:`service_segmented`).
         """
         n = addr.shape[0]
         timing = self.geometry.timing
@@ -181,28 +200,27 @@ class FastDevice:
         t = np.subtract(arr_sorted, S, out=base_ff)  # base_ff buffer free
         t += service
         t[f_idx] = np.maximum(arr_sorted[f_idx], self._ready[q_first])
-        # segmented cummax: reset the running max at each segment start
-        # trick: offset each segment by a huge per-segment constant so a
-        # plain cummax cannot leak across boundaries, then remove it.
-        # q_sorted itself is a valid segment label (sorted, distinct per
-        # queue, <= n_queues), so q_sorted * BIG stays far from int64
-        # overflow even for huge t ranges
-        BIG = np.int64(max(1, int(t.max()) - int(t.min()) + 1))
-        shift = np.multiply(q_sorted, BIG, dtype=np.int64)
-        t += shift
-        run = np.maximum.accumulate(t, out=t)
-        run -= shift
+        # segmented cummax: reset the running max at each queue start;
+        # q_sorted itself is a valid sorted restart label
+        shift = _cummax_restarted(t, q_sorted, int(q_sorted[-1]))
+        run = t
         depart = np.add(S, run, out=shift)  # shift buffer free
         latency_sorted = np.subtract(depart, arr_sorted, out=S)  # S buffer free
         cap = timing.max_queue_wait
 
+        # persisted per queue: last row, and the backlog carried into the
+        # next call, bounded by the finite-queue proxy so an overload
+        # episode cannot grow the queue without limit
+        l_idx = np.empty_like(f_idx)
+        l_idx[:-1] = f_idx[1:] - 1
+        l_idx[-1] = n - 1
+        carried = None
         if seg_of is not None:
-            # fused-exactness check: at a segment boundary the sequential
-            # path carries min(depart, arrival + cap) into the next
-            # segment while the fused recursion propagates the uncapped
-            # departure — they agree unless the cap binds at the last
-            # access of a queue *inside* an interior boundary.
-            # (latency_sorted is still the uncapped wait here.)
+            # at a segment boundary the sequential path carries
+            # min(depart, arrival + cap) into the next segment while the
+            # pass above propagates the uncapped departure — they agree
+            # unless the cap binds at the last access of a queue *inside*
+            # an interior boundary (latency_sorted is still uncapped here)
             seg_sorted = np.take(seg_of, order, out=run)  # run buffer free
             boundary = np.empty(n, dtype=bool)
             np.not_equal(seg_sorted[1:], seg_sorted[:-1], out=boundary[:-1])
@@ -210,20 +228,18 @@ class FastDevice:
             np.greater(boundary[:-1], first_of_queue[1:], out=boundary[:-1])
             b_idx = np.flatnonzero(boundary[:-1])
             if b_idx.size and bool((latency_sorted[b_idx] > cap).any()):
-                # bail before mutating persistent state; caller replays
-                return latency_sorted, False
+                # (queue, segment) group starts, in the now unused mask
+                group_start = first_of_queue
+                group_start[1:] |= boundary[:-1]
+                carried = self._exact_group_waits(
+                    service, arr_sorted, group_start, f_idx, q_first, latency_sorted
+                )
+        if carried is None:
+            carried = np.minimum(depart[l_idx], arr_sorted[l_idx] + cap)
 
         # finite-queue backpressure proxy: cap the reported queuing wait
         np.minimum(latency_sorted, service + cap, out=latency_sorted)
-
-        # persist state for the next chunk: last row/departure per queue
-        l_idx = np.empty_like(f_idx)
-        l_idx[:-1] = f_idx[1:] - 1
-        l_idx[-1] = n - 1
         self._open_row[q_first] = rows_sorted[l_idx]
-        # carry the backlog, bounded by the finite-queue proxy so an
-        # overload episode cannot grow the queue without limit
-        carried = np.minimum(depart[l_idx], arr_sorted[l_idx] + cap)
         self._ready[q_first] = carried
 
         nh = int(np.count_nonzero(hit))
@@ -239,7 +255,65 @@ class FastDevice:
             latency += arrivals  # = useful-domain departures, input order
             latency = self._refresh.wall_np(latency)
             latency -= wall_arrivals
-        return latency, True
+        return latency
+
+    def _exact_group_waits(  # repro-domain: arr_sorted=useful_cycles
+        self, service, arr_sorted, group_start, f_idx, q_first, out
+    ) -> np.ndarray:
+        """Uncapped waits of a fused call whose carry cap binds, into ``out``.
+
+        The inputs are the queue-sorted arrays of :meth:`_service_core`;
+        a group is one queue's accesses within one segment. Per group,
+        with summed service ``A``, group-local inclusive cumsum ``S`` and
+        the idle-queue Lindley run ``run`` (the running max of
+        ``a_j - S_{j-1}`` restarted at the group), carry-in ``x`` gives
+        departures ``S + max(run, x)`` and the capped carry-out
+        ``min(max(x + A, B), C)`` with ``B = A + run_last`` and
+        ``C = a_last + cap``. A loop over group rank within each queue
+        (at most the number of segments), vectorised across queues,
+        threads ``x`` from the queue's persisted readiness. Returns the
+        carry-out of each queue's last group, aligned with ``q_first``.
+        """
+        n = service.shape[0]
+        cap = self.geometry.timing.max_queue_wait
+        g_idx = np.flatnonzero(group_start)
+        n_groups = g_idx.size
+        g_len = np.diff(g_idx, append=n)
+        g_last = g_idx + g_len - 1
+
+        S = np.cumsum(service)
+        S -= np.repeat(S[g_idx] - service[g_idx], g_len)
+        run = np.subtract(arr_sorted, S, out=out)
+        run += service  # a_j - S_{j-1}, and a_j itself at each group start
+        labels = np.repeat(np.arange(n_groups, dtype=np.int64), g_len)
+        _cummax_restarted(run, labels, n_groups - 1)
+        A = S[g_last]
+        B = A + run[g_last]  # repro-domain: useful_cycles - idle-queue departure
+        C = arr_sorted[g_last] + cap  # repro-domain: useful_cycles
+
+        # the groups of one queue as a row, padded with the identity
+        # carry map (A = 0, B = -inf, C = +inf) out to the longest row
+        q_start = np.searchsorted(g_idx, f_idx)  # each queue's first group
+        q_pos = np.repeat(np.arange(q_start.size), np.diff(q_start, append=n_groups))
+        rank = np.arange(n_groups) - q_start[q_pos]
+        shape = (q_start.size, int(rank.max()) + 1)
+        A_pad = np.zeros(shape, dtype=np.int64)
+        B_pad = np.full(shape, np.iinfo(np.int64).min, dtype=np.int64)
+        C_pad = np.full(shape, _INT64_MAX, dtype=np.int64)
+        A_pad[q_pos, rank] = A
+        B_pad[q_pos, rank] = B
+        C_pad[q_pos, rank] = C
+        x_pad = np.empty(shape, dtype=np.int64)
+        carry = self._ready[q_first]  # repro-domain: useful_cycles
+        for r in range(shape[1]):
+            x_pad[:, r] = carry
+            carry = np.minimum(np.maximum(carry + A_pad[:, r], B_pad[:, r]), C_pad[:, r])
+
+        x = np.repeat(x_pad[q_pos, rank], g_len)
+        np.maximum(run, x, out=run)
+        run += S  # departures
+        run -= arr_sorted
+        return carry
 
     @property
     def row_hit_rate(self) -> float:

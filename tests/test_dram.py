@@ -241,6 +241,21 @@ class TestRefresh:
             DramTiming(refresh_interval=-1)
 
 
+def _per_segment(device, addr, arrivals, seg_starts):
+    """One ``service`` call per segment, concatenated."""
+    bounds = list(seg_starts) + [len(addr)]
+    return np.concatenate([
+        device.service(addr[lo:hi], arrivals[lo:hi])
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ])
+
+
+def _assert_same_state(fused, ref):
+    assert (fused.row_hits, fused.row_conflicts) == (ref.row_hits, ref.row_conflicts)
+    np.testing.assert_array_equal(fused._ready, ref._ready)
+    np.testing.assert_array_equal(fused._open_row, ref._open_row)
+
+
 class TestServiceSegmented:
     """``service_segmented`` against one ``service`` call per segment."""
 
@@ -248,13 +263,15 @@ class TestServiceSegmented:
     @given(
         data=st.data(),
         n=st.integers(2, 200),
-        # 30 binds at most loaded boundaries (forcing the replay), 1 << 30 never
-        cap=st.sampled_from([30, 300, 1 << 30]),
+        # 1 binds at nearly every boundary, 30 at most loaded ones,
+        # 1 << 30 never
+        cap=st.sampled_from([1, 30, 300, 1 << 30]),
+        n_channels=st.sampled_from([1, 2]),
         refresh=st.booleans(),
     )
-    def test_matches_per_segment_service(self, data, n, cap, refresh):
+    def test_matches_per_segment_service(self, data, n, cap, n_channels, refresh):
         timing = DramTiming(
-            n_channels=1, n_banks=4, max_queue_wait=cap,
+            n_channels=n_channels, n_banks=4, max_queue_wait=cap,
             refresh_interval=3000 if refresh else 0, refresh_cycles=200,
         )
         fused, ref = FastDevice(DramGeometry(timing)), FastDevice(DramGeometry(timing))
@@ -264,17 +281,81 @@ class TestServiceSegmented:
             arrivals = last + np.cumsum(gaps, dtype=np.int64)
             rows = data.draw(st.lists(st.integers(0, 63), min_size=n, max_size=n))
             addr = np.array(rows, dtype=np.int64) * 4096
-            cuts = data.draw(st.lists(st.integers(0, n - 1), max_size=8))
+            cuts = data.draw(st.lists(st.integers(0, n - 1), max_size=40))
             seg_starts = np.array([0] + sorted(cuts), dtype=np.int64)
 
             got = fused.service_segmented(addr, arrivals, seg_starts)
-            bounds = seg_starts.tolist() + [n]
-            want = np.concatenate([
-                ref.service(addr[lo:hi], arrivals[lo:hi])
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-            ])
-            np.testing.assert_array_equal(got, want)
-            assert (fused.row_hits, fused.row_conflicts) == (ref.row_hits, ref.row_conflicts)
-            np.testing.assert_array_equal(fused._ready, ref._ready)
-            np.testing.assert_array_equal(fused._open_row, ref._open_row)
+            np.testing.assert_array_equal(
+                got, _per_segment(ref, addr, arrivals, seg_starts)
+            )
+            _assert_same_state(fused, ref)
             last = int(arrivals[-1])
+
+    def test_cap_binding_at_every_boundary_needs_no_replay(self, monkeypatch):
+        # bursts of three accesses per queue at one instant and a cap of
+        # one cycle: every queue's carry is capped at every boundary it
+        # crosses. Queue 3 takes only every third segment, so its carry
+        # skips segments. The fused call must finish without service().
+        timing = DramTiming(n_channels=2, n_banks=2, max_queue_wait=1)
+        geo = DramGeometry(timing)
+        segments = []
+        for k in range(12):
+            queues = [0, 1, 2, 3] if k % 3 == 0 else [0, 1, 2]
+            rows = [k % 2, 5, k % 2]
+            segments.append(np.array(
+                [(r * geo.n_queues + q) * geo.row_bytes for q in queues for r in rows],
+                dtype=np.int64,
+            ))
+        addr = np.concatenate(segments)
+        seg_starts = np.cumsum([0] + [s.size for s in segments[:-1]])
+        calls = [
+            np.repeat(dt + 40 * np.arange(len(segments), dtype=np.int64),
+                      [s.size for s in segments])
+            for dt in (0, 440)  # the second call starts inside the backlog
+        ]
+
+        ref, want = FastDevice(geo), []
+        for arrivals in calls:
+            bounds = list(seg_starts) + [addr.size]
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                want.append(ref.service(addr[lo:hi], arrivals[lo:hi]))
+                touched = geo.queue_of(addr[lo:hi])
+                # the carry out of every segment is capped
+                assert (ref._ready[touched] == arrivals[lo] + 1).all()
+        fused = FastDevice(geo)
+
+        def no_replay(self, addr, arrivals):
+            raise AssertionError("service_segmented replayed through service()")
+
+        monkeypatch.setattr(FastDevice, "service", no_replay)
+        got = [fused.service_segmented(addr, arrivals, seg_starts) for arrivals in calls]
+        np.testing.assert_array_equal(np.concatenate(got), np.concatenate(want))
+        _assert_same_state(fused, ref)
+
+    def test_span_too_wide_for_int64_raises(self):
+        # one access per queue at 0 and at 1 << 59: the cummax restart
+        # offsets (queue x span) pass int64 in one call, while two calls
+        # each span one instant
+        geo = DramGeometry(offpkg_dram_timing())
+        nq = geo.n_queues
+        addr = np.arange(nq, dtype=np.int64) * geo.row_bytes
+        split = FastDevice(geo)
+        for t in (0, 1 << 59):
+            assert (split.service(addr, np.full(nq, t, dtype=np.int64)) > 0).all()
+        arrivals = np.repeat(np.array([0, 1 << 59], dtype=np.int64), nq)
+        device = FastDevice(geo)
+        with pytest.raises(SimulationError, match="too wide"):
+            device.service(np.tile(addr, 2), arrivals)
+        assert not device._ready.any() and device.row_hits + device.row_conflicts == 0
+
+    def test_group_span_too_wide_for_int64_raises(self):
+        # one queue, so the per-queue pass fits, but 17 segments whose cap
+        # binds restart the group pass 17 times across a 1 << 59 span
+        timing = DramTiming(n_channels=1, n_banks=1, max_queue_wait=1)
+        geo = DramGeometry(timing)
+        arrivals = np.linspace(0, 1 << 59, 17).astype(np.int64)
+        addr = np.zeros(17, dtype=np.int64)
+        seg_starts = np.arange(17, dtype=np.int64)
+        assert (_per_segment(FastDevice(geo), addr, arrivals, seg_starts) > 0).all()
+        with pytest.raises(SimulationError, match="too wide"):
+            FastDevice(geo).service_segmented(addr, arrivals, seg_starts)

@@ -131,10 +131,9 @@ class TestVariants:
     def test_large_epochs(self):
         assert_identical(_cfg(swap_interval=25_000), _trace())
 
-    def test_tiny_queue_wait_forces_fallback(self):
-        # a tiny cap makes the boundary-binding check fire, forcing the
-        # fused flush to fall back to per-segment servicing — results
-        # must still be identical
+    def test_tiny_queue_wait_binds_at_epoch_boundaries(self):
+        # a tiny cap binds at epoch boundaries, so the fused flush takes
+        # the device's exact group pass — results must still be identical
         base = _cfg()
         timing = dataclasses.replace(base.offpkg_dram, max_queue_wait=8)
         cfg = dataclasses.replace(base, offpkg_dram=timing)
