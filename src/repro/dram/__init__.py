@@ -7,8 +7,9 @@ per-access latencies:
   open-page banks; the reference model the tests cross-validate the
   fast one against (Python-level loop, small inputs).
 * :class:`~repro.dram.fastmodel.FastDevice` — per-bank FIFO with
-  open-page row-hit detection, solved with a vectorised Lindley
-  recursion; the workhorse for multi-million-access sweeps.
+  open-page row-hit detection, one compiled pass per call
+  (:mod:`repro.dram.kernel`); the workhorse for multi-million-access
+  sweeps.
 
 Off-package: 4 channels x 8 banks of DDR3-1333; on-package: a 128-bank
 many-bank die with faster I/O (Section II). The fixed latency-path

@@ -130,3 +130,14 @@ class AnalysisError(ReproError):
     checker — never for findings or invariant violations, which are
     reported as data so callers can render counterexample traces.
     """
+
+
+class KernelBuildError(ReproError):
+    """The compiled DRAM kernel could not be built or loaded on import.
+
+    ``stderr`` holds the compiler's diagnostics. There is no fallback.
+    """
+
+    def __init__(self, message: str, *, stderr: str = ""):
+        super().__init__(message)
+        self.stderr = stderr

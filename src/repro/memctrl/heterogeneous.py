@@ -182,9 +182,9 @@ class HeterogeneousController:
         """Flush resolved accesses through each region's device.
 
         ``seg_starts`` are the epoch boundaries (global indices into the
-        flush, starting at 0). One segment is one ``device.service()``
-        call; more are one :meth:`FastDevice.service_segmented` call,
-        bit-identical to a ``service()`` call per segment. ``times`` are
+        flush, starting at 0). Each region takes one
+        :meth:`FastDevice.service_segmented` call, bit-identical to a
+        ``service()`` call per segment. ``times`` are
         effective arrival times (stalls applied), non-decreasing as
         ``service_segmented`` requires; ``extra`` carries the
         per-access stall + interference cycles of
@@ -208,12 +208,7 @@ class HeterogeneousController:
                 segs = segs[segs < count]
             dev = model.device
             local = self.amap.local_address(machine[sel], offsets[sel], onpkg)
-            if segs.shape[0] == 1:
-                # one segment: the plain call service_segmented would
-                # delegate to anyway
-                lat = dev.service(local, times[sel])
-            else:
-                lat = dev.service_segmented(local, times[sel], segs)
+            lat = dev.service_segmented(local, times[sel], segs)
             lat += model.path_overhead
             latency[sel] = lat
         latency += self._translation

@@ -12,6 +12,10 @@ from repro.dram.scheduler import EventDrivenDevice, FRFCFSScheduler
 from repro.dram.timing import DramGeometry
 from repro.errors import ConfigError, SimulationError
 
+from .fastmodel_reference import ReferenceFastDevice
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 class TestGeometry:
     def test_decompose_interleaves_channels_then_banks(self):
@@ -332,30 +336,132 @@ class TestServiceSegmented:
         np.testing.assert_array_equal(np.concatenate(got), np.concatenate(want))
         _assert_same_state(fused, ref)
 
-    def test_span_too_wide_for_int64_raises(self):
-        # one access per queue at 0 and at 1 << 59: the cummax restart
-        # offsets (queue x span) pass int64 in one call, while two calls
-        # each span one instant
+    def test_span_past_int64_offsets_is_exact(self):
+        # one access per queue at 0 and at 1 << 59: the numpy oracle's
+        # cummax restart offsets (queue x span) pass int64 in one call,
+        # so it raises; the kernel keeps no offsets and serves the call
+        # exactly as two calls that each span one instant
         geo = DramGeometry(offpkg_dram_timing())
         nq = geo.n_queues
         addr = np.arange(nq, dtype=np.int64) * geo.row_bytes
         split = FastDevice(geo)
-        for t in (0, 1 << 59):
-            assert (split.service(addr, np.full(nq, t, dtype=np.int64)) > 0).all()
+        want = [split.service(addr, np.full(nq, t, dtype=np.int64)) for t in (0, 1 << 59)]
         arrivals = np.repeat(np.array([0, 1 << 59], dtype=np.int64), nq)
         device = FastDevice(geo)
+        got = device.service(np.tile(addr, 2), arrivals)
+        assert (got > 0).all()
+        np.testing.assert_array_equal(got, np.concatenate(want))
+        _assert_same_state(device, split)
         with pytest.raises(SimulationError, match="too wide"):
-            device.service(np.tile(addr, 2), arrivals)
-        assert not device._ready.any() and device.row_hits + device.row_conflicts == 0
+            ReferenceFastDevice(geo).service(np.tile(addr, 2), arrivals)
 
-    def test_group_span_too_wide_for_int64_raises(self):
-        # one queue, so the per-queue pass fits, but 17 segments whose cap
-        # binds restart the group pass 17 times across a 1 << 59 span
+    def test_group_span_past_int64_offsets_is_exact(self):
+        # one queue and 17 segments whose cap binds across a 1 << 59 span:
+        # the oracle's group pass restarts 17 times and its offsets pass
+        # int64; the kernel equals one service() call per segment
         timing = DramTiming(n_channels=1, n_banks=1, max_queue_wait=1)
         geo = DramGeometry(timing)
         arrivals = np.linspace(0, 1 << 59, 17).astype(np.int64)
         addr = np.zeros(17, dtype=np.int64)
         seg_starts = np.arange(17, dtype=np.int64)
-        assert (_per_segment(FastDevice(geo), addr, arrivals, seg_starts) > 0).all()
+        ref = FastDevice(geo)
+        want = _per_segment(ref, addr, arrivals, seg_starts)
+        assert (want > 0).all()
+        fused = FastDevice(geo)
+        np.testing.assert_array_equal(fused.service_segmented(addr, arrivals, seg_starts), want)
+        _assert_same_state(fused, ref)
         with pytest.raises(SimulationError, match="too wide"):
-            FastDevice(geo).service_segmented(addr, arrivals, seg_starts)
+            ReferenceFastDevice(geo).service_segmented(addr, arrivals, seg_starts)
+
+    @pytest.mark.parametrize("cap, ready, last", [
+        # max(a, prev) + s passes int64: the arrival itself is too late
+        (2000, 0, _INT64_MAX - 3),
+        # ... or the carried backlog is
+        (2000, _INT64_MAX - 3, 0),
+        # the departure fits, a + cap does not
+        (1 << 40, 0, _INT64_MAX - (1 << 30)),
+    ])
+    def test_int64_overflow_raises_and_keeps_state(self, cap, ready, last):
+        geo = DramGeometry(DramTiming(n_channels=1, n_banks=2, max_queue_wait=cap))
+        addr = np.array([0, geo.row_bytes], dtype=np.int64)
+        device = FastDevice(geo)
+        device._ready[:] = ready
+        before = (device._ready.copy(), device._open_row.copy())
+        for call in (
+            lambda: device.service(addr, np.array([0, last], dtype=np.int64)),
+            lambda: device.service_segmented(
+                addr, np.array([0, last], dtype=np.int64), np.array([0, 1])
+            ),
+        ):
+            with pytest.raises(SimulationError, match="passes int64"):
+                call()
+            np.testing.assert_array_equal(device._ready, before[0])
+            np.testing.assert_array_equal(device._open_row, before[1])
+            assert device.row_hits + device.row_conflicts == 0
+
+
+class TestKernelOracle:
+    """The compiled kernel against the numpy oracle and per-segment calls."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 200),
+        cap=st.sampled_from([1, 30, 300, 1 << 30]),
+        n_channels=st.sampled_from([1, 2]),
+        # 3 banks take the division path of queues_and_rows
+        n_banks=st.sampled_from([3, 4]),
+        refresh=st.booleans(),
+    )
+    def test_kernel_equals_oracle_equals_per_segment(
+        self, data, n, cap, n_channels, n_banks, refresh
+    ):
+        timing = DramTiming(
+            n_channels=n_channels, n_banks=n_banks, max_queue_wait=cap,
+            refresh_interval=3000 if refresh else 0, refresh_cycles=200,
+        )
+        geo = DramGeometry(timing)
+        kernel, oracle, ref = FastDevice(geo), ReferenceFastDevice(geo), FastDevice(geo)
+        last = 0
+        for _ in range(2):  # the second call starts from the first's state
+            gaps = data.draw(st.lists(st.integers(0, 120), min_size=n, max_size=n))
+            arrivals = last + np.cumsum(gaps, dtype=np.int64)
+            rows = data.draw(st.lists(st.integers(0, 63), min_size=n, max_size=n))
+            addr = np.array(rows, dtype=np.int64) * 4096
+            cuts = data.draw(st.lists(st.integers(0, n - 1), max_size=40))
+            seg_starts = np.array([0] + sorted(cuts), dtype=np.int64)
+
+            got = kernel.service_segmented(addr, arrivals, seg_starts)
+            np.testing.assert_array_equal(
+                got, oracle.service_segmented(addr, arrivals, seg_starts)
+            )
+            np.testing.assert_array_equal(got, _per_segment(ref, addr, arrivals, seg_starts))
+            _assert_same_state(kernel, oracle)
+            _assert_same_state(kernel, ref)
+            last = int(arrivals[-1])
+
+    @pytest.mark.parametrize("timing", [offpkg_dram_timing(), onpkg_dram_timing()])
+    def test_loaded_stream_matches_oracle(self, timing):
+        # a long stream, heavy enough to queue, in three chunks
+        rng = np.random.default_rng(7)
+        addr = rng.integers(0, (1 << 27) // 64, 30000) * 64
+        arrivals = np.cumsum(rng.integers(0, 12, 30000))
+        geo = DramGeometry(timing)
+        kernel, oracle = FastDevice(geo), ReferenceFastDevice(geo)
+        for lo, hi in ((0, 10000), (10000, 25000), (25000, 30000)):
+            np.testing.assert_array_equal(
+                kernel.service(addr[lo:hi], arrivals[lo:hi]),
+                oracle.service(addr[lo:hi], arrivals[lo:hi]),
+            )
+        _assert_same_state(kernel, oracle)
+
+    def test_rejects_bad_segments(self):
+        geo = DramGeometry(offpkg_dram_timing())
+        device = FastDevice(geo)
+        addr, arrivals = np.zeros(4, dtype=np.int64), np.arange(4, dtype=np.int64)
+        for seg_starts in ([0, 3, 2], [0, 5]):
+            with pytest.raises(SimulationError, match="seg_starts"):
+                device.service_segmented(addr, arrivals, np.array(seg_starts))
+        with pytest.raises(SimulationError, match="begin with 0"):
+            device.service_segmented(addr, arrivals, np.array([1, 2]))
+        assert device.row_hits + device.row_conflicts == 0
