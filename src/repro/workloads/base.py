@@ -16,12 +16,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import WorkloadError
-from ..trace.record import READ, TRACE_DTYPE, WRITE, TraceChunk, make_chunk
+from ..trace.record import READ, TRACE_DTYPE, WRITE, TraceChunk
 from . import generators as g
 
 #: accesses per block in which :meth:`SyntheticWorkload.generate` draws
 #: its stamping streams (the size of its per-stream temporaries)
 STAMP_BLOCK = 1 << 16
+
+
+#: name prefix of the thread on which :meth:`SyntheticWorkload.stream`
+#: builds the next phase part
+PRODUCER_NAME = "workload-stream"
 
 
 def _fill(out: np.ndarray, draw) -> None:
@@ -225,25 +230,29 @@ class SyntheticWorkload:
         t_start: int,
         base_seed: int,
     ) -> TraceChunk:
-        """Stamp one phase part with times/cpus/rw from a part-derived RNG."""
+        """Stamp one phase part with times/cpus/rw from a part-derived RNG,
+        writing every field straight into one record array."""
         k = addr.shape[0]
         srng = np.random.default_rng((base_seed, part_index))
+        records = np.empty(k, dtype=TRACE_DTYPE)
+        records["addr"] = addr
+        del addr
         in_burst = srng.random(k) < self.burst_fraction
-        gaps = np.where(
-            in_burst,
-            srng.geometric(1.0 / self.burst_gap, size=k),
-            srng.geometric(1.0 / self._long_gap_mean(), size=k),
-        ).astype(np.int64)
-        time = t_start + np.cumsum(gaps)
-        cpu = (
-            np.arange(offset, offset + k, dtype=np.int64)
-            + srng.integers(0, self.n_cpus, size=k)
-        ) % self.n_cpus
-        rw = np.where(srng.random(k) < self.write_fraction, WRITE, READ)
-        return make_chunk(
-            addr, time=time, cpu=cpu.astype(np.int16), rw=rw.astype(np.int8),
-            validate=False,
-        )
+        gaps = srng.geometric(1.0 / self.burst_gap, size=k)
+        np.copyto(gaps, srng.geometric(1.0 / self._long_gap_mean(), size=k), where=~in_burst)
+        del in_burst
+        np.cumsum(gaps, out=gaps)
+        gaps += t_start
+        records["time"] = gaps
+        del gaps
+        cpu = np.arange(offset, offset + k, dtype=np.int64)
+        cpu += srng.integers(0, self.n_cpus, size=k)
+        cpu %= self.n_cpus
+        records["cpu"] = cpu
+        del cpu
+        # the comparison's True/False store as WRITE (1) / READ (0)
+        records["rw"] = srng.random(k) < self.write_fraction
+        return TraceChunk(records, validate=False)
 
     def stream(
         self,
@@ -255,7 +264,19 @@ class SyntheticWorkload:
     ):
         """Yield ``n`` accesses as :class:`TraceChunk` windows without
         ever materializing the full trace (peak memory is
-        O(``chunk_accesses`` + ``phase_len``), independent of ``n``).
+        O(``chunk_accesses`` + two phase parts), independent of ``n``).
+
+        Generation runs one phase part ahead on a producer thread: while
+        the consumer works on part *i*, the thread builds part *i+1*
+        (numpy's draws and elementwise passes release the GIL, so the two
+        overlap on two cores). Only that thread touches the address RNG,
+        the hot-set permutation and the stamping RNGs; the consumer
+        receives finished chunks, so the records are the same as a
+        sequential build's. The thread starts at the first ``next()``,
+        not when ``stream`` is called, and is joined when the stream is
+        exhausted or closed (a garbage-collected stream is closed). A
+        :class:`WorkloadError` raised while building part *k* re-raises at
+        the consumer's ``next()`` for part *k*, after parts 0..k-1.
 
         The *address* sequence is bit-identical to :meth:`generate`
         (same address RNG, same phase-part walk, same hot-set drift).
@@ -283,16 +304,34 @@ class SyntheticWorkload:
             offset = 0
             t_cursor = start_time
             for part_index, (phase, k) in enumerate(self._part_sizes(n)):
-                addr = phase.pattern.generate(k, self.footprint_bytes, rng, perm)
+                # the addresses go straight into the call, so they are
+                # freed once copied into the records, before the stamping
+                # draws; drift draws from rng, stamping from its own RNG,
+                # so drifting after stamping changes no output
+                chunk = self._stamp_part(
+                    phase.pattern.generate(k, self.footprint_bytes, rng, perm),
+                    part_index, offset, t_cursor, base_seed,
+                )
                 if phase.drift > 0:
                     perm = rotate_permutation(perm, phase.drift, rng)
-                chunk = self._stamp_part(
-                    addr, part_index, offset, t_cursor, base_seed
-                )
                 offset += k
                 t_cursor = int(chunk.time[-1])
                 yield chunk
 
+        def ahead():
+            # imported at the first next(): a run that never streams does
+            # not pay for concurrent.futures (and the logging it loads)
+            from concurrent.futures import ThreadPoolExecutor
+
+            # parts() runs one part ahead on the producer thread; leaving
+            # the with block (exhausted, closed or failed) joins it
+            source = parts()
+            with ThreadPoolExecutor(1, thread_name_prefix=PRODUCER_NAME) as producer:
+                pending = producer.submit(next, source, None)
+                while (chunk := pending.result()) is not None:
+                    pending = producer.submit(next, source, None)
+                    yield chunk
+
         if chunk_accesses is None:
-            return parts()
-        return rechunk(parts(), chunk_accesses)
+            return ahead()
+        return rechunk(ahead(), chunk_accesses)

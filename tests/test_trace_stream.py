@@ -8,6 +8,10 @@ The contract (docs/API.md "Streaming traces"):
   to ``generate`` (same RNG walk); stamping uses per-part derived RNGs,
   so the stream is chunk-size invariant: any two chunkings of the same
   stream concatenate to the same records;
+* ``stream`` builds the next phase part on one producer thread that
+  starts at the first ``next()`` and is joined when the stream ends, is
+  closed or is collected; a build error surfaces at the consumer's
+  ``next()`` for that part;
 * feeding an epoch-aligned stream through ``run_stream`` is
   bit-identical to materializing the same stream and calling ``run``;
 * ``run`` itself feeds epoch-aligned views of about ``RUN_CHUNK``
@@ -16,6 +20,9 @@ The contract (docs/API.md "Streaming traces"):
 """
 
 import dataclasses
+import gc
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -23,7 +30,7 @@ import pytest
 from repro.config import MigrationConfig, SystemConfig
 from repro.core.hetero_memory import HeterogeneousMainMemory
 from repro.core.simulator import RUN_CHUNK, SimulationResult
-from repro.errors import AddressError, SimulationError, TraceError
+from repro.errors import AddressError, SimulationError, TraceError, WorkloadError
 from repro.trace.record import TraceChunk, make_chunk
 from repro.trace.stream import (
     aligned_chunk_size,
@@ -32,7 +39,10 @@ from repro.trace.stream import (
     rechunk,
 )
 from repro.units import KB, MB
+from repro.workloads.base import PRODUCER_NAME, PatternSpec
 from repro.workloads.registry import get_workload
+
+from .generators_reference import reference_stream
 
 
 def _wl(footprint=8 * MB):
@@ -106,6 +116,133 @@ class TestWorkloadStream:
             assert int(chunk.time[0]) >= last
             assert bool((np.diff(chunk.time.astype(np.int64)) >= 0).all())
             last = int(chunk.time[-1])
+
+
+def _producers() -> list[threading.Thread]:
+    return [t for t in threading.enumerate() if t.name.startswith(PRODUCER_NAME)]
+
+
+def _assert_joined(threads, baseline):
+    # the stream joined its worker before returning control: there is
+    # nothing left to wait for
+    assert not any(t.is_alive() for t in threads)
+    assert _producers() == []
+    assert threading.active_count() == baseline
+
+
+class TestProducerThread:
+    """The thread ``stream`` builds the next phase part on."""
+
+    def test_calling_stream_starts_no_thread(self):
+        baseline = threading.active_count()
+        streams = [_wl().stream(50_000), _wl().stream(50_000, chunk_accesses=1_000)]
+        assert threading.active_count() == baseline and _producers() == []
+        for s in streams:
+            s.close()
+        assert threading.active_count() == baseline
+
+    @pytest.mark.parametrize("chunk_accesses", [None, 1_000])
+    def test_close_after_first_chunk_joins_the_worker(self, chunk_accesses):
+        baseline = threading.active_count()
+        s = _wl().stream(2_000_000, chunk_accesses=chunk_accesses)
+        next(s)
+        workers = _producers()
+        assert len(workers) == 1
+        s.close()
+        _assert_joined(workers, baseline)
+
+    def test_abandoned_stream_is_collected_and_joined(self):
+        baseline = threading.active_count()
+        s = _wl().stream(2_000_000, chunk_accesses=1_000)
+        next(s)
+        workers = _producers()
+        assert len(workers) == 1
+        del s
+        gc.collect()
+        _assert_joined(workers, baseline)
+
+    def test_build_error_surfaces_at_the_consumer(self, monkeypatch):
+        baseline = threading.active_count()
+        generate = PatternSpec.generate
+        calls = []
+
+        def third_call_fails(self, *args, **kwargs):
+            calls.append(threading.current_thread().name)
+            if len(calls) == 3:
+                raise WorkloadError("injected failure building part 2")
+            return generate(self, *args, **kwargs)
+
+        monkeypatch.setattr(PatternSpec, "generate", third_call_fails)
+        wl = dataclasses.replace(_wl(), phase_len=1_000)
+        want = list(reference_stream(wl, 10_000, seed=3))
+        s = wl.stream(10_000, seed=3)
+        delivered = [next(s), next(s)]
+        workers = _producers()
+        with pytest.raises(WorkloadError, match="part 2"):
+            next(s)
+        assert delivered == want[:2]
+        # only the producer thread ever generated addresses
+        assert all(name.startswith(PRODUCER_NAME) for name in calls)
+        _assert_joined(workers, baseline)
+
+    def test_run_stream_leaves_no_thread(self):
+        # CampaignSupervisor forks its workers, and forking a process
+        # that has threads is unsafe: the producer must be gone once the
+        # simulation returns
+        cfg = _cfg()
+        baseline = threading.active_count()
+        result = HeterogeneousMainMemory(cfg).run_stream(
+            _wl().stream(30_000, seed=2, chunk_accesses=3_000)
+        )
+        assert result.n_accesses == 30_000
+        assert threading.active_count() == baseline and _producers() == []
+
+    def test_interleaved_streams_under_fast_switching(self):
+        # more producers than cores, each pipelining many small parts,
+        # consumed round-robin while the interpreter switches threads
+        # every microsecond: each stream must still equal its sequential
+        # oracle
+        baseline = threading.active_count()
+        cases = [
+            (dataclasses.replace(get_workload(name, footprint_bytes=8 * MB),
+                                 phase_len=2_000), seed, chunk)
+            for name, seed, chunk in [
+                ("pgbench", 1, None), ("SPECjbb", 2, 1_500),
+                ("FT.C", 3, 700), ("indexer", 4, None), ("MG.C", 5, 2_000),
+            ]
+        ]
+        n = 100_000
+        got = {i: [] for i in range(len(cases))}
+        errors = []
+
+        def consume():
+            try:
+                live = {i: wl.stream(n, seed, chunk_accesses=chunk)
+                        for i, (wl, seed, chunk) in enumerate(cases)}
+                while live:
+                    for i in list(live):
+                        chunk = next(live[i], None)
+                        if chunk is None:
+                            del live[i]
+                        else:
+                            got[i].append(chunk)
+            except Exception as exc:  # reported by the test thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            driver = threading.Thread(target=consume)
+            driver.start()
+            driver.join(timeout=120)
+            assert not driver.is_alive(), "interleaved streams did not finish"
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        for i, (wl, seed, chunk) in enumerate(cases):
+            want = materialize(reference_stream(wl, n, seed, chunk_accesses=chunk))
+            assert materialize(got[i]) == want, wl.name
+        _assert_joined([], baseline)
 
 
 class TestStreamingSimulation:
