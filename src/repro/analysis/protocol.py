@@ -63,6 +63,7 @@ from ..migration.algorithms import (
     build_basic_swap_steps,
     build_swap_steps,
 )
+from ..migration.recovery import recovery_moves, recovery_plan
 from ..migration.table import EMPTY, TranslationTable
 from ..units import KB
 
@@ -700,8 +701,6 @@ def _model_recovery(m: _Machine, pre_state: dict) -> list[CopyStep]:
     the engine executes, and the table is restored to its pre-swap
     snapshot afterwards, in the engine's order.
     """
-    from ..migration.recovery import recovery_moves  # local: import cycle
-
     table = m.table
     pre = table.clone(pre_state)
 
@@ -928,8 +927,6 @@ def fault_invariant_analysis(amap: AddressMap | None = None) -> list[FaultImpact
     )
 
     # -- CE_BURST: predictive frame retirement with data copy-out -------
-    from ..ras.retirement import retirement_moves  # local: avoid cycle
-
     spare = amap.ghost_page - 1
 
     def fresh_ras() -> TranslationTable:
@@ -938,9 +935,11 @@ def fault_invariant_analysis(amap: AddressMap | None = None) -> list[FaultImpact
         )
 
     def retire(m: _Machine, slot: int) -> None:
-        for step in retirement_moves(
-            m.table, slot, spare, amap.macro_page_bytes
-        ):
+        # the engine's retire_frame: plan from the table to a retired
+        # clone, copy, then commit the update
+        retired = m.table.clone()
+        retired.retire_slot(slot, spare)
+        for step in recovery_plan(m.table, [], target_table=retired):
             m.copy(step)
             m.trace.append(f"retirement: {step.label}")
         m.table.retire_slot(slot, spare)

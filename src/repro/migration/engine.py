@@ -64,20 +64,35 @@ class FillInfo:
     slot: int
     start: int                  # cycle the copy-in begins
     end: int                    # cycle the last byte lands
-    subblock_cycles: int        # transfer time of one sub-block
     n_subblocks: int
     first_subblock: int         # critical-first start point (MRU sub-block)
     live: bool                  # sub-block granularity vs whole page
     old_onpkg: bool
     old_machine: int
 
+    @property
+    def subblock_cycles(self) -> int:
+        """Transfer time of one sub-block."""
+        return max(1, (self.end - self.start) // self.n_subblocks)
+
+    def landings(self) -> tuple[np.ndarray, np.ndarray]:
+        """Live fill landing schedule (Fig 9): sub-blocks in landing
+        order (critical first, wrapping) and their land cycles, one per
+        :attr:`subblock_cycles`, capped at :attr:`end`."""
+        k = np.arange(self.n_subblocks, dtype=np.int64)
+        order = (self.first_subblock + k) % self.n_subblocks
+        land = np.minimum(self.start + (k + 1) * self.subblock_cycles, self.end)
+        return order, land
+
     def available_at(self, subblock: np.ndarray) -> np.ndarray:
         """Cycle each sub-block becomes servable on-package (vectorised)."""
         sb = np.asarray(subblock, dtype=np.int64)
         if not self.live:
             return np.full(sb.shape, self.end, dtype=np.int64)
-        order = (sb - self.first_subblock) % self.n_subblocks
-        return self.start + (order + 1) * self.subblock_cycles
+        order, land = self.landings()
+        at = np.empty_like(land)
+        at[order] = land
+        return at[sb]
 
 
 @dataclass
@@ -513,6 +528,20 @@ class MigrationEngine:
         incoming_end = None
         copy_index = 0
         crit_first = first_subblock if cfg.critical_block_first else 0
+
+        def incoming_fill(step: CopyStep, start: int, duration: int) -> FillInfo:
+            return FillInfo(
+                page=plan.mru,
+                slot=step.dest_slot,
+                start=start,
+                end=start + duration,
+                n_subblocks=self.amap.subblocks_per_page,
+                first_subblock=crit_first,
+                live=live,
+                old_onpkg=before[plan.mru][0],
+                old_machine=before[plan.mru][1],
+            )
+
         #: copy prefix actually executed, as (src, dst, complete) — the
         #: recovery planner replays it over the pre-swap content map
         executed: list[tuple] = []
@@ -527,19 +556,18 @@ class MigrationEngine:
                             # micro-boundary abort: part of the Live fill
                             # already landed (destination is garbage as a
                             # whole page, hence complete=False)
-                            duration = self._copy_duration(t, step)
-                            n_sb = self.amap.subblocks_per_page
-                            sbc = max(1, duration // n_sb)
-                            landed = min(int(abort_subblocks), n_sb - 1)
-                            order = tuple(
-                                (crit_first + k) % n_sb for k in range(landed)
+                            torn = incoming_fill(
+                                step, t, self._copy_duration(t, step)
                             )
+                            order, land = torn.landings()
+                            landed = min(int(abort_subblocks), land.size - 1)
+                            if landed:
+                                t = int(land[landed - 1])
                             executed.append((step.src, step.dst, False))
-                            adv = min(landed * sbc, duration)
+                            order = tuple(order[:landed].tolist())
                             shadow_ops.append(
-                                (t + adv, "copy", (step.src, step.dst, order))
+                                (t, "copy", (step.src, step.dst, order))
                             )
-                            t += adv
                             detail = f" after {landed} landed sub-block(s)"
                         raise FaultInjectionError(
                             f"swap {plan.case.value} aborted at copy step "
@@ -548,24 +576,12 @@ class MigrationEngine:
                     copy_index += 1
                     duration = self._copy_duration(t, step)
                     if step.incoming:
-                        n_sb = self.amap.subblocks_per_page
-                        fill = FillInfo(
-                            page=plan.mru,
-                            slot=step.dest_slot,
-                            start=t,
-                            end=t + duration,
-                            subblock_cycles=max(1, duration // n_sb),
-                            n_subblocks=n_sb,
-                            first_subblock=crit_first,
-                            live=live,
-                            old_onpkg=before[plan.mru][0],
-                            old_machine=before[plan.mru][1],
-                        )
+                        fill = incoming_fill(step, t, duration)
                         incoming_end = t + duration
                     if self.shadow is not None:
                         self._collect_shadow_copy(
-                            shadow_ops, step, t, duration,
-                            live and step.incoming, crit_first,
+                            shadow_ops, step, t + duration,
+                            fill if live and step.incoming else None,
                         )
                     executed.append((step.src, step.dst, True))
                     t += duration
@@ -677,26 +693,25 @@ class MigrationEngine:
         out first: the occupant page goes home, the slot's own page is
         re-homed at the reserved ``spare`` machine page.
 
-        The copies run under stall (a plan-less recovery-style window,
-        like a data-safe abort's copy-back), then the table update is
-        atomic via :meth:`TranslationTable.retire_slot`. Returns the
-        cycle the copy-out window closes. The caller (the RAS
+        :meth:`TranslationTable.retire_slot` on a clone validates the
+        request; the copies, planned from the table to that clone, run
+        under stall (a plan-less window, like a data-safe abort's
+        copy-back), and the update is committed. Returns the cycle the
+        copy-out window closes. The caller (the RAS
         controller) enforces the retirement *policy* — spare budget,
         minimum usable frames, not the empty slot; this method enforces
         only mechanical soundness (quiescence, no quarantine).
         """
-        from ..ras.retirement import retirement_moves
-
         if self.quarantined:
             raise MigrationError("engine is quarantined; cannot retire frames")
         if self.active is not None and self.active.in_flight(now):
             raise MigrationError(
                 "a swap is in flight (P/F busy); retirement must wait"
             )
-        steps = retirement_moves(
-            self.table, slot, spare, self.amap.macro_page_bytes
-        )
-        occupant = self.table.retire_slot(slot, spare)
+        retired = self.table.clone()
+        occupant = retired.retire_slot(slot, spare)
+        steps = recovery_plan(self.table, [], target_table=retired)
+        self.table.retire_slot(slot, spare)
         end = self._stall_copies(now, now, steps)
         nbytes = sum(s.nbytes for s in steps)
         self.frames_retired += 1
@@ -733,29 +748,21 @@ class MigrationEngine:
         """Reclaim a departed tenant's translation state (hypervisor path).
 
         Every transposition involving one of ``pages`` is undone to the
-        identity mapping via :meth:`TranslationTable.release_pages`,
-        with the surviving partner page's data copied home first; the
-        copies run under a plan-less stall window exactly like a frame
-        retirement's copy-out. ``scrub`` models hypervisor zero-fill of
-        the freed pages (scrub-on-free) in the data shadow; disabling
-        it lets tests demonstrate cross-tenant data leaks. Returns the
-        cycle the reclamation window closes.
+        identity mapping via :meth:`TranslationTable.release_pages`; the
+        surviving pages' copies, planned from a pre-release clone with
+        the dead pages skipped, run under a plan-less stall window like
+        a frame retirement's copy-out. ``scrub`` models hypervisor
+        zero-fill of the freed pages (scrub-on-free) in the data shadow;
+        disabling it lets tests demonstrate cross-tenant data leaks.
+        Returns the cycle the reclamation window closes.
         """
         if self.active is not None and self.active.in_flight(now):
             raise MigrationError(
                 "a swap is in flight (P/F busy); reclamation must wait"
             )
-        outcome = self.table.release_pages(pages)
-        steps = [
-            CopyStep(
-                label="reclaim",
-                nbytes=self.amap.macro_page_bytes,
-                cross_boundary=not (src[0] == "slot" and dst[0] == "slot"),
-                src=src,
-                dst=dst,
-            )
-            for src, dst in outcome.moves
-        ]
+        before = self.table.clone()
+        undone_slots = self.table.release_pages(pages)
+        steps = recovery_plan(before, [], target_table=self.table, skip=pages)
         end = now
         if steps:
             end = self._stall_copies(now, now, steps)
@@ -765,7 +772,7 @@ class MigrationEngine:
                 on, machine = self.table.resolve(p)
                 loc = ("slot", machine) if on else ("mach", machine)
                 self.shadow.scrub_page(p, loc)
-        self.forget_pages(pages, slots=outcome.undone_slots)
+        self.forget_pages(pages, slots=undone_slots)
         self.tenants_released += 1
         self.reclaimed_bytes += sum(s.nbytes for s in steps)
         return end
@@ -774,28 +781,20 @@ class MigrationEngine:
         self,
         ops: list[tuple[int, str, tuple]],
         step: CopyStep,
-        start: int,
-        duration: int,
-        live_fill: bool,
-        first_subblock: int,
+        end: int,
+        live_fill: FillInfo | None,
     ) -> None:
         """Translate one executed copy into time-stamped shadow ops.
 
-        A Live fill lands sub-block by sub-block in critical-first
-        wraparound order (mirroring :meth:`FillInfo.available_at`, with
-        land times capped at the copy's end); any other copy lands whole
-        at its end. A fully-landed copy opens a write-forwarding link.
+        A Live fill lands sub-block by sub-block on its
+        :meth:`FillInfo.landings` schedule; any other copy lands whole
+        at its ``end``. A fully-landed copy opens a write-forwarding
+        link.
         """
-        end = start + duration
-        if live_fill:
-            n_sb = self.amap.subblocks_per_page
-            sbc = max(1, duration // n_sb)
-            for k in range(n_sb):
-                sb = (first_subblock + k) % n_sb
-                ops.append(
-                    (min(start + (k + 1) * sbc, end), "copy",
-                     (step.src, step.dst, (sb,)))
-                )
+        if live_fill is not None:
+            order, land = live_fill.landings()
+            for sb, t in zip(order.tolist(), land.tolist()):
+                ops.append((t, "copy", (step.src, step.dst, (sb,))))
         else:
             ops.append((end, "copy", (step.src, step.dst, None)))
         ops.append((end, "link", (step.src, step.dst)))

@@ -1,44 +1,48 @@
-"""Data-safe late-abort recovery: copy-back plan computation.
+"""The one copy planner for every table change outside a swap plan.
 
-ROADMAP's open hazard: the engine's transactional table rollback alone
-is only data-safe when a swap aborts *before* the Ω-resolution copy.
-After it, the incoming page's old home has been overwritten, and the
-restored routing points at dead data (the protocol checker's
-``valid-copy`` counterexample). Worse, the basic N design moves data
-*before* its table update, so an exchange torn between copies leaves
-the table bit-identical to its pre-swap state while a page's only live
-copy sits in the controller's bounce buffer.
+Abort recovery (back to the pre-swap table), quarantine (back to the
+boot identity), RAS frame retirement (a slot leaves service, its page
+moves to a spare) and tenant reclamation (a departed tenant's
+transpositions undone) each change the table outright. Each hands
+:func:`recovery_plan` the table before and after the change; the
+planner moves every page whose resolution differs, so every page keeps
+one live copy (Section III).
 
-Recovery therefore cannot diff table states; it has to reason about
-where each page's current data physically is:
+After a late swap abort the table alone does not say where the data
+is: past the Ω-resolution copy the incoming page's old home has been
+overwritten (the protocol checker's ``valid-copy`` counterexample), and
+an N-design exchange torn between copies leaves a bit-identical table
+while a page's only live copy sits in the bounce buffer. So with an
+executed copy prefix the planner
 
-1. seed a *content map* (machine location -> page) from the pre-swap
-   table — at schedule time every page has exactly one live copy, at
-   its resolved location;
-2. replay the executed copy prefix over the map (a completed copy
-   duplicates its source page at the destination; a partial Live fill
-   leaves the destination garbage);
-3. for every page whose pre-swap home no longer holds its data, emit a
-   copy from a surviving duplicate back home.
+1. seeds a *content map* (machine location -> page) from the pre-swap
+   table, where every page has one live copy at its resolution;
+2. replays the executed prefix over the map (a partial Live fill leaves
+   its destination garbage);
+3. copies every page whose target no longer holds its data from a
+   surviving duplicate.
 
-The emitted moves form a partial permutation over locations (targets
-are distinct pre-swap resolutions, sources are distinct current
-holders), so they are ordered destination-before-source-overwrite;
-cycles (a swapped pair both needing their homes back, the quarantine
-``reset_identity`` case) are broken by staging one page through the
-controller's bounce buffer ``("buf", 0)`` — which is provably free by
-then, because the buffer is never a copy-back *target* and therefore
-always sits on an acyclic chain that drains before any cycle must be
-broken.
+With no executed copy (retirement, reclamation, quarantine) every
+page's only copy is at its pre-change resolution, and the maps are read
+off the two tables' dense mirrors for the changed pages alone.
 
-Both the runtime engine (:meth:`~repro.migration.engine.MigrationEngine`)
-and the protocol model checker
-(:func:`repro.analysis.protocol.fault_invariant_analysis`) compute
-their recovery from this one module, so the model checks exactly the
-moves the engine performs.
+The moves form a partial permutation over locations, ordered
+destination-before-source-overwrite (retiring a transposed frame sends
+the home page to the spare before the occupant's homeward copy
+overwrites it). Cycles (a swapped pair both going home) are broken by
+staging one page through the bounce buffer ``("buf", 0)``, which is
+never a target and so drains before any cycle must be broken.
+
+The engine (:class:`~repro.migration.engine.MigrationEngine`) and the
+protocol model checker (:mod:`repro.analysis.protocol`) plan from this
+one module, so the model checks exactly the moves the engine performs.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterable
+
+import numpy as np
 
 from ..errors import MigrationError
 from .algorithms import CopyStep, Location
@@ -96,12 +100,12 @@ def recovery_moves(
     *,
     prefer: dict[int, Location] | None = None,
 ) -> list[CopyStep]:
-    """Copy steps returning every page to its target location.
+    """Copy steps carrying every page to its target location.
 
     ``content`` maps each machine location to the page whose *current*
     data it holds (``None``/absent = garbage); ``target_of`` maps each
-    page to where it must end up (its pre-swap resolution, or its home
-    for the quarantine path). ``prefer`` optionally names, per page, the
+    page to where it must end up (its resolution in the target table).
+    ``prefer`` optionally names, per page, the
     source location to copy from when several duplicates survive (the
     engine passes the aborted mid-state's resolution — the paper's
     "surviving on-package duplicate").
@@ -137,7 +141,7 @@ def recovery_moves(
 
     def step(page: int, src: Location, dst: Location) -> CopyStep:
         return CopyStep(
-            f"recover page {page}: {src[0]} {src[1]} -> {dst[0]} {dst[1]}",
+            f"move page {page}: {src[0]} {src[1]} -> {dst[0]} {dst[1]}",
             page_bytes,
             cross_boundary="mach" in (src[0], dst[0]),
             src=src,
@@ -167,31 +171,66 @@ def recovery_moves(
     return steps
 
 
+def _changed_maps(
+    pre_table: TranslationTable,
+    target: TranslationTable,
+    skip: frozenset[int],
+) -> tuple[dict[Location, int], dict[int, Location]]:
+    """Content and target maps of the pages whose resolution changes,
+    off the dense mirrors. Unchanged pages need no move, so the moves
+    equal the whole-table maps', in the same page order; a location two
+    live pages claim fails as the whole-table maps do."""
+    n = pre_table.n_slots
+    # one integer per resolution: slot s -> s, machine page m -> n + m
+    before, after = (
+        np.where(t.onpkg, t.machine_of, t.machine_of + n) for t in (pre_table, target)
+    )
+    live = np.ones(before.size, dtype=bool)
+    live[sorted(skip | pre_table.reserved_pages | {pre_table.amap.ghost_page})] = False
+    if np.bincount(before[live], minlength=1).max() > 1:
+        raise MigrationError("two pages resolve to one location; no copy to plan from")
+    changed = np.flatnonzero(live & (before != after))
+
+    def loc(key: int) -> Location:
+        return ("slot", key) if key < n else ("mach", key - n)
+
+    pages = changed.tolist()
+    content = {loc(k): p for p, k in zip(pages, before[changed].tolist())}
+    target_of = {p: loc(k) for p, k in zip(pages, after[changed].tolist())}
+    return content, target_of
+
+
 def recovery_plan(
     pre_table: TranslationTable,
     executed: list[tuple[Location, Location, bool]],
     *,
     target_table: TranslationTable | None = None,
     prefer_table: TranslationTable | None = None,
+    skip: Iterable[int] = (),
 ) -> list[CopyStep]:
-    """Convenience wrapper: recovery moves for an aborted swap.
+    """The copies that carry every page from ``pre_table``'s resolution
+    to ``target_table``'s (default: ``pre_table``, the abort case).
 
-    ``pre_table`` is the pre-swap state (the engine rebuilds it as a
-    clone of the torn table rolled back to the swap's undo record);
-    ``executed`` the copy
-    prefix the aborted plan performed. ``target_table`` defaults to the
-    pre-swap table itself (abort recovery); the quarantine path passes a
-    boot-identity table instead. ``prefer_table`` (the aborted
-    mid-state) picks which duplicate to copy from.
+    ``executed`` is an aborted swap's copy prefix (empty on every other
+    path) and ``prefer_table`` its mid-state, which picks the duplicate
+    to copy from. ``skip`` names pages whose data is dead (a departed
+    tenant's): they get no move, and their old locations keep stale
+    bytes.
     """
-    content: dict[Location, int | None] = dict(content_of_table(pre_table))
-    apply_executed_copies(content, executed)
     target = target_table if target_table is not None else pre_table
-    target_of = {p: _loc(target.resolve(p)) for p in _data_pages(target)}
+    skip = frozenset(int(p) for p in skip)
+    page_bytes = pre_table.amap.macro_page_bytes
+    if not executed:
+        content, target_of = _changed_maps(pre_table, target, skip)
+        return recovery_moves(content, target_of, page_bytes)
+    content = dict(content_of_table(pre_table))
+    apply_executed_copies(content, executed)
+    target_of = {
+        p: _loc(target.resolve(p)) for p in _data_pages(target) if p not in skip
+    }
     prefer = None
     if prefer_table is not None:
         prefer = {
             p: _loc(prefer_table.resolve(p)) for p in _data_pages(prefer_table)
         }
-    page_bytes = pre_table.amap.macro_page_bytes
     return recovery_moves(content, target_of, page_bytes, prefer=prefer)

@@ -37,7 +37,6 @@ simply sees a table with fewer usable slots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -47,24 +46,6 @@ from ..errors import TranslationTableError
 
 #: right-column sentinel for the empty slot (represented by Ω in hardware)
 EMPTY: int = -1
-
-
-@dataclass(frozen=True)
-class ReleaseOutcome:
-    """Result of :meth:`TranslationTable.release_pages`.
-
-    ``moves`` are the macro-page copies the caller must perform (they
-    were computed from the *pre-release* state, so they are valid only
-    if executed as given, in order); each endpoint is a
-    ``("slot", i)`` / ``("mach", p)`` machine location. ``undone_slots``
-    are the rows whose pairing changed (for recency bookkeeping), and
-    ``new_empty`` is the row the EMPTY column relocated to when the
-    release un-ghosted a surviving page (None otherwise).
-    """
-
-    moves: tuple[tuple[tuple[str, int], tuple[str, int]], ...]
-    undone_slots: tuple[int, ...]
-    new_empty: int | None
 
 
 class PageCategory(Enum):
@@ -396,11 +377,12 @@ class TranslationTable:
         """Permanently take ``slot`` out of service, re-homing its home
         page at the reserved ``spare`` machine page.
 
-        This is only the atomic table update — the data movement (the
-        occupant home, page ``slot``'s data to the spare) is the
-        engine's job and must be complete before this is called (see
-        :func:`repro.ras.retirement.retirement_moves`). Returns the
-        occupant page the caller copied home.
+        This is only the atomic table update. The data movement (page
+        ``slot``'s data to the spare, a transposed occupant home) is
+        planned by :func:`repro.migration.recovery.recovery_plan` from
+        this table to a :meth:`clone` that has taken the update, so a
+        rejected retirement leaves both the table and the data as they
+        were. Returns the occupant page that left the slot.
         """
         self._check_slot(slot)
         if self.retired[slot]:
@@ -432,22 +414,26 @@ class TranslationTable:
     # ------------------------------------------------------------------
     # multi-tenant slot reclamation (tenancy subsystem)
     # ------------------------------------------------------------------
-    def release_pages(self, pages) -> ReleaseOutcome:
+    def release_pages(self, pages) -> tuple[int, ...]:
         """Undo every transposition involving a released page set.
 
         A departing tenant's pages must stop occupying on-package slots
         and stop displacing surviving pages: each row ``r <-> q`` where
         either side belongs to ``pages`` returns to the identity
-        mapping, with the *surviving* partner's data copied home first
-        (at most one copy per row — a transposition has exactly one
-        live side worth preserving, or none). Dead pages' old locations
-        keep stale bytes; scrub-on-free is the caller's job.
+        mapping. When the release leaves a freed identity row while the
+        current ghost page survives, the EMPTY row relocates onto the
+        freed row, so freed capacity absorbs the ghost role instead of
+        a live page paying Ω latency for it.
 
-        When the release leaves a freed identity row while the current
-        ghost page survives, the EMPTY row relocates onto the freed row
-        (one Ω -> slot copy brings the ghost page home), so freed
-        capacity absorbs the ghost role instead of a live page paying
-        Ω latency for it.
+        This is only the routing update. The copies that carry the
+        surviving pages to their new resolution (at most one per undone
+        row, since a transposition has one live side or none, plus the
+        ghost page's Ω -> slot copy) are planned by
+        :func:`repro.migration.recovery.recovery_plan` from a
+        pre-release :meth:`clone`, skipping the released pages: their
+        data is dead, their old locations keep stale bytes, and
+        scrub-on-free is the caller's job. Returns the rows whose
+        pairing changed (for recency bookkeeping).
 
         Like retirement, this requires swap quiescence. The mutation is
         applied with direct right-column writes (one bulk update, the
@@ -475,76 +461,50 @@ class TranslationTable:
                 "release requires a quiescent table (a swap is in flight)"
             )
 
-        # plan phase: copies are computed against the pre-release state
-        moves: list[tuple[tuple[str, int], tuple[str, int]]] = []
-        undone: list[tuple[int, int]] = []
+        # direct bulk writes (bypassing _set_cam); the EMPTY row is
+        # read first, as no undone row is the EMPTY one
+        e = self.empty_slot()
+        undone: list[int] = []
         for slot in range(self.n_slots):
-            if self.retired[slot]:
-                continue
             q = int(self.pair[slot])
-            # q == slot is the identity-home test (nothing to undo)
+            # q == slot is the identity-home test (nothing to undo);
+            # retired rows are EMPTY
             if q == EMPTY or q == slot:  # repro-lint: disable=domain-confusion
                 continue
             # slot doubles as the row's home-page id in the pairing
             if q not in page_set and slot not in page_set:  # repro-lint: disable=domain-confusion
                 continue
-            undone.append((slot, q))
-            if q not in page_set:
-                # occupant survives: its data goes home off-package
-                moves.append((("slot", slot), ("mach", q)))
-            elif slot not in page_set:
-                # home page survives: its data returns to its own slot
-                moves.append((("mach", q), ("slot", slot)))
-
-        undone_slots = [slot for slot, _ in undone]
-        relocate: tuple[int, int] | None = None
-        e = self.empty_slot()
-        if e is not None and e not in page_set:
-            # the ghost page survives the release; a freed identity row
-            # can take over the EMPTY role
-            identity_after = set(undone_slots)
-            identity_after.update(
-                s for s in range(self.n_slots) if int(self.pair[s]) == s
-            )
-            candidates = [
-                s
-                for s in sorted(page_set)
-                # a released page id below n_slots doubles as a row index
-                if s < self.n_slots  # repro-lint: disable=domain-confusion
-                and not self.retired[s]
-                and s != e  # repro-lint: disable=domain-confusion
-                and s in identity_after
-            ]
-            if candidates:
-                # mirror boot's usable[-1] convention: highest row
-                r = max(candidates)
-                moves.append((("mach", self.amap.ghost_page), ("slot", e)))
-                relocate = (e, r)
-
-        # apply phase: direct bulk writes (bypassing _set_cam)
-        for slot, q in undone:
             del self._slot_of[q]
             self.pair[slot] = slot
             self._slot_of[slot] = slot
             self._sync_page(slot)
             self._sync_page(q)
-        if relocate is not None:
-            e, r = relocate
-            self.pair[e] = e
-            self._slot_of[e] = e
-            self.pair[r] = EMPTY
-            self._slot_of.pop(r, None)
-            self._sync_page(e)
-            self._sync_page(r)
-            undone_slots.extend((e, r))
+            undone.append(slot)
+
+        if e is not None and e not in page_set:
+            # the ghost page survives the release; a released identity
+            # row can take over the EMPTY role
+            candidates = [
+                s
+                for s in sorted(page_set)
+                # a released page id below n_slots doubles as a row index
+                if s < self.n_slots  # repro-lint: disable=domain-confusion
+                and int(self.pair[s]) == s
+            ]
+            if candidates:
+                # mirror boot's usable[-1] convention: highest row
+                r = max(candidates)
+                self.pair[e] = e
+                self._slot_of[e] = e
+                self.pair[r] = EMPTY
+                self._slot_of.pop(r, None)
+                self._sync_page(e)
+                self._sync_page(r)
+                undone.extend((e, r))
         # THE direct writes above never went through _set_cam, so the
         # epoch-boundary empty-slot cache would go stale without this
         self._empty_cache_valid = False
-        return ReleaseOutcome(
-            moves=tuple(moves),
-            undone_slots=tuple(undone_slots),
-            new_empty=None if relocate is None else relocate[1],
-        )
+        return tuple(undone)
 
     # ------------------------------------------------------------------
     # snapshot / restore / recovery (resilience subsystem)

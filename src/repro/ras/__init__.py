@@ -14,7 +14,6 @@ to a build without this package.
 
 from .controller import RasController, RasReport, RetirementEvent
 from .disturb import ActivationTelemetry, DisturbController, DisturbReport
-from .retirement import retirement_moves
 from .scrub import PatrolScrubber
 from .telemetry import CETelemetry
 from .wear import LINE_BYTES, WearModel
@@ -30,5 +29,4 @@ __all__ = [
     "RasReport",
     "RetirementEvent",
     "WearModel",
-    "retirement_moves",
 ]

@@ -49,7 +49,6 @@ class MultiTenantSimulator:
         migrate: bool = True,
         fused: bool = True,
         track_data: bool = False,
-        isolation: bool = True,
         scrub_on_free: bool = True,
         solo_baselines: bool = False,
         chunk_callback=None,
@@ -66,7 +65,7 @@ class MultiTenantSimulator:
         if policy is not None:
             policy.bind(self.registry, self.sim.table)
             self.sim.engine.qos = policy
-        self.oracle = IsolationOracle(self.sim.table.amap) if isolation else None
+        self.oracle = IsolationOracle(self.sim.table.amap)
         self.scrub_on_free = scrub_on_free
         self.solo_baselines = solo_baselines
         #: test hook: called as ``chunk_callback(self, event)`` after
@@ -91,7 +90,7 @@ class MultiTenantSimulator:
     @property
     def violations(self):
         """Cross-tenant violations recorded by the isolation oracle."""
-        return [] if self.oracle is None else self.oracle.violations
+        return self.oracle.violations
 
     def add_tenant(self, spec: TenantSpec, trace: TraceChunk) -> None:
         self.scheduler.add(spec, trace)
@@ -133,8 +132,7 @@ class MultiTenantSimulator:
     def _feed(self, event: ChunkEvent, result: SimulationResult) -> None:
         domain = self.domains[event.tenant_id]
         chunk = domain.translate(event.chunk)
-        if self.oracle is not None:
-            self.oracle.observe(event.tenant_id, chunk)
+        self.oracle.observe(event.tenant_id, chunk)
         engine = self.sim.engine
         # the chunk's share of the run totals, boundary cycles included
         before = (result.n_accesses, result.total_latency,
@@ -182,7 +180,7 @@ class MultiTenantSimulator:
                 now = engine.active.end
             tenant_id, pages = self._pending_release[0]
             engine.release_tenant(now, pages, scrub=self.scrub_on_free)
-            if self.oracle is not None and self.scrub_on_free:
+            if self.scrub_on_free:
                 self.oracle.scrub(pages)
             self.registry.release(tenant_id)
             self._pending_release.pop(0)

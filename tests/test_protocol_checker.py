@@ -17,6 +17,7 @@ from repro.analysis.protocol import (
     STALL_ONLY_N,
     VALID_COPY,
     _Machine,
+    _execute_plan,
     _model_recovery,
     _run_prefix,
     _sweep,
@@ -30,6 +31,7 @@ from repro.analysis.protocol import (
 from repro.config import MigrationAlgorithm
 from repro.errors import AnalysisError
 from repro.migration.algorithms import CopyStep, TableUpdate, build_swap_steps
+from repro.migration.recovery import recovery_plan
 from repro.migration.table import TranslationTable
 from repro.resilience.faults import FaultKind
 
@@ -266,3 +268,65 @@ class TestLateAbortCounterexample:
         steps = _model_recovery(m, snapshot)
         assert steps, "late abort must require at least one copy-back"
         assert _sweep(m) == ()
+
+
+# ----------------------------------------------------------------------
+# tenant reclamation's copies, run through the model
+# ----------------------------------------------------------------------
+GHOST = ("mach", AMAP.ghost_page)
+
+
+class TestReclamationModelCheck:
+    """Each release shape, driven through the versioned machine.
+
+    The start state is one N-1 case-A swap from boot: page 4 sits in
+    slot 3, page 3's data is parked at machine page 4, and slot 0 is
+    the empty slot (ghost page 0 at Ω). A release commits the routing
+    update and runs the copies the engine's ``release_tenant`` plans
+    (pre-release clone -> released table, released pages skipped); a
+    read sweep over the surviving pages, plus the table audit, must
+    come back clean.
+    """
+
+    @staticmethod
+    def _swapped_machine() -> _Machine:
+        t = fresh_table()
+        plan = build_swap_steps(t, 4, 0)
+        m = _Machine(t)
+        _execute_plan(m, plan, live=False, first_subblock=0,
+                      on_boundary=lambda b, i, label: None)
+        assert (t.slot_of(4), t.empty_slot()) == (3, 0)
+        return m
+
+    @pytest.mark.parametrize("released, expected", [
+        # occupant 4 released: home page 3 comes back to its slot
+        ([4], [(("mach", 4), ("slot", 3))]),
+        # home page 3 (and the ghost) released: occupant 4 goes home
+        ([0, 3], [(("slot", 3), ("mach", 4))]),
+        # both sides of the row (and the ghost) released: nothing moves
+        ([0, 3, 4], []),
+        # identity page 1 released: ghost page 0 takes its freed slot
+        ([1], [(GHOST, ("slot", 0))]),
+        # occupant survives and the ghost relocates onto freed row 3
+        ([3], [(GHOST, ("slot", 0)), (("slot", 3), ("mach", 4))]),
+    ], ids=["home-survives", "occupant-survives", "both-dead",
+            "ghost-relocation", "occupant-and-ghost"])
+    def test_release_sweeps_clean(self, released, expected):
+        m = self._swapped_machine()
+        before = m.table.clone()
+        m.table.release_pages(released)
+        steps = recovery_plan(before, [], target_table=m.table, skip=released)
+        assert [(step.src, step.dst) for step in steps] == expected
+        for step in steps:
+            m.copy(step)
+        # the released pages' data is dead: only survivors are swept
+        m.dead = m.dead | frozenset(released)
+        assert _sweep(m) == ()
+
+    def test_unplanned_release_reads_dead_data(self):
+        """The sweep has teeth: committing the release without its
+        copies leaves surviving page 3 routed at page 4's bytes."""
+        m = self._swapped_machine()
+        m.table.release_pages([4])
+        m.dead = m.dead | {4}
+        assert VALID_COPY in _sweep(m)

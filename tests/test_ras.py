@@ -28,13 +28,9 @@ from repro.errors import (
 from repro.experiments.chaos_soak import soak_config, soak_fault_plan, soak_trace
 from repro.migration.engine import MigrationEngine
 from repro.migration.policies import EpochMonitor
+from repro.migration.recovery import recovery_plan
 from repro.migration.table import EMPTY, TranslationTable
-from repro.ras import (
-    CETelemetry,
-    PatrolScrubber,
-    WearModel,
-    retirement_moves,
-)
+from repro.ras import CETelemetry, PatrolScrubber, WearModel
 from repro.resilience.checkpoint import load_checkpoint, save_checkpoint
 from repro.resilience.faults import (
     CORE_FAULT_KINDS,
@@ -389,35 +385,44 @@ class TestTableRetirement:
             load_checkpoint(path)
 
 
+def retirement_plan(table, slot, spare):
+    """The copies ``MigrationEngine.retire_frame`` runs: planned from the
+    table to a clone that has taken the retirement."""
+    retired = table.clone()
+    retired.retire_slot(slot, spare)
+    return recovery_plan(table, [], target_table=retired)
+
+
 class TestRetirementMoves:
     def test_identity_frame_is_one_copy_to_the_spare(self):
         engine, spares = make_ras_engine()
-        steps = retirement_moves(engine.table, 2, spares[0], 1 * MB)
+        steps = retirement_plan(engine.table, 2, spares[0])
         assert len(steps) == 1
         assert steps[0].src == ("slot", 2)
         assert steps[0].dst == ("mach", spares[0])
         assert steps[0].cross_boundary
+        assert steps[0].nbytes == 1 * MB
 
     def test_transposed_frame_sends_occupant_home(self):
         engine, spares = make_ras_engine()
         hot = N_SLOTS + 3
         observe_hot_page(engine, hot)
         assert engine.maybe_swap(now=100).triggered
-        now = engine.active.end + 1
         slot = engine.table.slot_of(hot)
-        steps = retirement_moves(engine.table, slot, spares[0], 1 * MB)
+        steps = retirement_plan(engine.table, slot, spares[0])
         assert len(steps) == 2
         # page `slot`'s data (parked at the occupant's home) moves first
         assert steps[0].src == ("mach", hot)
         assert steps[0].dst == ("mach", spares[0])
         assert steps[1].src == ("slot", slot)
         assert steps[1].dst == ("mach", hot)
+        assert all(s.cross_boundary and s.nbytes == 1 * MB for s in steps)
 
     def test_rejects_mid_swap_slot(self):
         engine, spares = make_ras_engine()
         engine.table.p_bit[2] = True  # a torn swap left the slot busy
         with pytest.raises(MigrationError, match="mid-swap"):
-            retirement_moves(engine.table, 2, spares[0], 1 * MB)
+            retirement_plan(engine.table, 2, spares[0])
 
 
 # ---------------------------------------------------------------------------

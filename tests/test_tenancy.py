@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 from repro.config import MigrationConfig, SystemConfig
 from repro.core.simulator import EpochSimulator, SimulationResult
 from repro.errors import CheckpointError, TenancyError, TranslationTableError
+from repro.migration.recovery import recovery_plan
 from repro.migration.table import TranslationTable
 from repro.resilience.checkpoint import load_checkpoint, save_checkpoint
 from repro.stats.report import tenant_table
@@ -332,6 +333,17 @@ class TestQoS:
 # ---------------------------------------------------------------------------
 # reclamation regressions (the satellite fix): stale caches on release
 # ---------------------------------------------------------------------------
+def release(table, pages):
+    """Release ``pages`` as ``MigrationEngine.release_tenant`` does: the
+    routing update, then the copies planned from a pre-release clone
+    with the released pages skipped. Returns the undone rows and the
+    ``(src, dst)`` of each copy, in plan order."""
+    before = table.clone()
+    undone = table.release_pages(pages)
+    steps = recovery_plan(before, [], target_table=table, skip=pages)
+    return undone, [(step.src, step.dst) for step in steps]
+
+
 class TestReclamationStaleness:
     def test_empty_slot_cache_invalidated_by_release(self):
         """release_pages writes the right column directly (no _set_cam),
@@ -339,36 +351,35 @@ class TestReclamationStaleness:
         table = TranslationTable(_cfg().address_map())
         boot_empty = table.empty_slot()  # primes the cache
         assert boot_empty == table.n_slots - 1
-        outcome = table.release_pages([5])
+        undone, moves = release(table, [5])
         # the ghost role relocated onto the freed identity row 5
-        assert outcome.new_empty == 5
-        assert (("mach", table.amap.ghost_page), ("slot", boot_empty)) in outcome.moves
+        assert (("mach", table.amap.ghost_page), ("slot", boot_empty)) in moves
         assert table.empty_slot() == 5  # stale cache would still say 31
-        assert set(outcome.undone_slots) == {boot_empty, 5}
+        assert set(undone) == {boot_empty, 5}
         table.audit()
 
     def test_release_copies_exactly_the_surviving_side(self):
         table = TranslationTable(_cfg().address_map())
         table.set_pair(2, 100)  # page 100 promoted into slot 2
         # releasing the promoted page: home page 2 survives, comes home
-        outcome = table.release_pages([100])
-        assert outcome.moves[0] == (("mach", 100), ("slot", 2))
+        _, moves = release(table, [100])
+        assert moves[0] == (("mach", 100), ("slot", 2))
         assert table.page_in_slot(2) == 2
         table.audit()
 
         table.set_pair(3, 200)
         # releasing the home page: occupant 200 survives, goes home
-        outcome = table.release_pages([3])
-        assert (("slot", 3), ("mach", 200)) in outcome.moves
+        _, moves = release(table, [3])
+        assert (("slot", 3), ("mach", 200)) in moves
         table.audit()
 
     def test_release_of_both_sides_copies_nothing(self):
         table = TranslationTable(_cfg().address_map())
         table.set_pair(2, 100)
-        outcome = table.release_pages([2, 100])
+        _, moves = release(table, [2, 100])
         assert not any(
             src[1] in (2, 100) or dst[1] in (2, 100)
-            for src, dst in outcome.moves
+            for src, dst in moves
         )
         table.audit()
 
