@@ -328,6 +328,15 @@ class EpochSimulator:
         on address resolution, access times and monitor state — and
         :meth:`~repro.dram.fastmodel.FastDevice.service_segmented` is exact
         per segment.
+
+        The loop steps by span: one epoch or, where the chunk flushes at
+        once, no fault plan is attached, audits are off and migration is
+        on, the longest run of epochs whose boundaries all fall inside
+        the in-flight migration's window (``now < active.end``). That is
+        exact: a busy boundary keeps nothing but slot recency, and the
+        table is frozen while a migration is in flight. The flush and
+        ``epoch_latency`` still segment by epoch; ``fused=False`` steps
+        per epoch and is the oracle for spans.
         """
         interval = self.config.migration.swap_interval
         resilience = self.config.resilience
@@ -358,12 +367,13 @@ class EpochSimulator:
             result.stepwise_epochs += int(epoch_starts.shape[0])
         else:
             result.fused_epochs += int(epoch_starts.shape[0])
-        for start in range(0, n, interval):
-            stop = min(start + interval, n)
+        # no boundary hook could act inside a busy span
+        spans = (not per_epoch and self._fault_plan is None
+                 and not resilience.audit_interval and self.migrate)
+        start = 0
+        while start < n:
             t0 = int(times_all[start])
             epoch_index = self._epoch_index
-            self._epoch_index += 1
-
             pending_dram_errors = 0
             if self._fault_plan is not None:
                 pending_dram_errors = self._apply_faults(epoch_index, t0, result)
@@ -371,6 +381,15 @@ class EpochSimulator:
             active = engine.active
             if active is not None and active.end <= t0:
                 active = None  # finished before this epoch: mirrors suffice
+            busy = 0  # epochs in this span, when all their boundaries are busy
+            if spans and active is not None and not engine.quarantined:
+                # a boundary (last time + 1) is busy while it is < end: the
+                # first epoch that is not holds the first access >= end - 1
+                first = int(np.searchsorted(times_all, active.end - 1))
+                busy = (len(range(start, n, interval)) if first >= n
+                        else max(first - start, 0) // interval)
+            stop = min(start + max(busy, 1) * interval, n)
+            self._epoch_index += max(busy, 1)
 
             tview = times_all[start:stop]
             pages = pages_all[start:stop]
@@ -448,7 +467,10 @@ class EpochSimulator:
             ):
                 self._audit(epoch_index, now)
 
-            if self.migrate:
+            if busy:
+                engine.monitor.touch_slots(machine[on], tview[on])
+                engine.record_busy(busy)
+            elif self.migrate:
                 if not engine.quarantined:
                     # on-package observations are per *slot*; slots ==
                     # machine page
@@ -465,6 +487,7 @@ class EpochSimulator:
                 if decision.triggered:
                     result.swaps_triggered += 1
             self._last_time = int(tview[-1])
+            start = stop
 
         if not per_epoch:
             latency = controller.service_resolved(

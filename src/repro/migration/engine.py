@@ -252,6 +252,10 @@ class MigrationEngine:
         ``resilience.max_consecutive_failures`` of them in a row the
         engine quarantines itself (static-mapping degraded mode).
         """
+        if (not self.quarantined and self.active is not None
+                and self.active.in_flight(now)):
+            self.record_busy(1)
+            return SwapDecision(False, "previous swap still in flight (P/F busy)")
         self.epochs_observed += 1
         try:
             if self.quarantined:
@@ -270,6 +274,14 @@ class MigrationEngine:
         if decision.triggered:
             self.consecutive_failures = 0
         return decision
+
+    def record_busy(self, boundaries: int) -> None:
+        """Close ``boundaries`` epochs whose boundary found the previous
+        swap still in flight: the P/F bits answer "busy" before anything
+        is ranked, so each only counts and resets the monitor's epoch."""
+        self.epochs_observed += boundaries
+        self.swaps_suppressed_busy += boundaries
+        self.monitor.new_epoch()
 
     def note_audit_failure(self, now: int, detail: str) -> None:
         """An external invariant audit failed; counts toward quarantine.
@@ -362,10 +374,6 @@ class MigrationEngine:
         self._abort_subblocks = int(subblocks)
 
     def _evaluate_swap(self, now: int) -> SwapDecision:
-        if self.active is not None and self.active.in_flight(now):
-            self.swaps_suppressed_busy += 1
-            return SwapDecision(False, "previous swap still in flight (P/F busy)")
-
         # the hottest-page ranking's score penalty, one term per active
         # bias, summed. Endurance-aware: penalise pages whose off-package
         # machine frame has absorbed many writes (the demoted LRU page

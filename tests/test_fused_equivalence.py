@@ -8,10 +8,12 @@ full ``epoch_latency`` series, swap counters, row-hit rates, degradation
 events, data violations, everything.
 """
 
+import collections
 import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.config import (
     MigrationConfig,
@@ -20,8 +22,10 @@ from repro.config import (
     onpkg_dram_timing,
 )
 from repro.core.hetero_memory import HeterogeneousMainMemory
+from repro.migration.policies import EpochMonitor
 from repro.resilience.faults import CORE_FAULT_KINDS, FaultPlan
 from repro.trace.record import make_chunk
+from repro.trace.stream import iter_chunks
 from repro.units import KB, MB
 
 ALGORITHMS = ("N", "N-1", "live")
@@ -49,6 +53,14 @@ def _cfg(**migration_kwargs):
         total_bytes=128 * MB,
         onpkg_bytes=16 * MB,
         migration=MigrationConfig(**kwargs),
+    )
+
+
+def _refreshing(cfg):
+    return dataclasses.replace(
+        cfg,
+        offpkg_dram=offpkg_dram_timing(refresh=True),
+        onpkg_dram=onpkg_dram_timing(refresh=True),
     )
 
 
@@ -165,11 +177,7 @@ class TestMigrationActive:
             cfg = _cfg(algorithm=algorithm, macro_page_bytes=16 * KB,
                        hw_min_page_bytes=1 * MB)
         elif variant == "refresh":
-            cfg = dataclasses.replace(
-                cfg,
-                offpkg_dram=offpkg_dram_timing(refresh=True),
-                onpkg_dram=onpkg_dram_timing(refresh=True),
-            )
+            cfg = _refreshing(cfg)
         arm = None
         if variant == "abort":
             arm = lambda mem: mem.engine.inject_abort(1)
@@ -262,11 +270,7 @@ def _flush_cell_system(cell):
     elif cell == "audit":
         cfg = cfg.with_resilience(audit_interval=3)
     elif cell == "refresh":
-        cfg = dataclasses.replace(
-            cfg,
-            offpkg_dram=offpkg_dram_timing(refresh=True),
-            onpkg_dram=onpkg_dram_timing(refresh=True),
-        )
+        cfg = _refreshing(cfg)
     mem = HeterogeneousMainMemory(cfg, **kwargs)
     if cell == "fault-plan":
         mem.attach_faults(FaultPlan.random(0, n_epochs=5, n_slots=8))
@@ -294,11 +298,7 @@ class TestRefresh:
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_bit_identical_with_refresh_both_tiers(self, algorithm):
-        cfg = dataclasses.replace(
-            _cfg(algorithm=algorithm),
-            offpkg_dram=offpkg_dram_timing(refresh=True),
-            onpkg_dram=onpkg_dram_timing(refresh=True),
-        )
+        cfg = _refreshing(_cfg(algorithm=algorithm))
         r = assert_identical(cfg, _trace())
         assert r.swaps_triggered > 0  # refresh-stretched copies included
 
@@ -310,12 +310,7 @@ class TestRefresh:
 
     def test_refresh_survives_chunked_feeding(self):
         # chunk boundaries land at arbitrary phases of the tREFI period
-        cfg = dataclasses.replace(
-            _cfg(),
-            offpkg_dram=offpkg_dram_timing(refresh=True),
-            onpkg_dram=onpkg_dram_timing(refresh=True),
-        )
-        assert_identical(cfg, _trace(), chunks=7)
+        assert_identical(_refreshing(_cfg()), _trace(), chunks=7)
 
     def test_refresh_changes_the_numbers(self):
         # guard against the refresh flag silently not reaching the model
@@ -330,53 +325,51 @@ class TestRefresh:
         assert taxed.total_latency > base.total_latency
 
 
+def _tenant_trace(n, seed, span_bytes):
+    rng = np.random.default_rng(seed)
+    hot = rng.integers(0, span_bytes)
+    addr = np.where(
+        rng.random(n) < 0.8,
+        (hot + rng.integers(0, 2 * MB, n)) % span_bytes,
+        rng.integers(0, span_bytes, n),
+    )
+    addr = (addr // 4096) * 4096
+    rw = (rng.random(n) < 0.3).astype(np.int8)
+    return make_chunk(
+        addr.astype(np.int64), time=np.cumsum(rng.integers(1, 80, n)), rw=rw
+    )
+
+
+def _tenant_simulator(cfg, fused, n_tenants=3):
+    """Three weighted tenants interleaved under proportional share."""
+    from repro.tenancy import (
+        MultiTenantSimulator,
+        ProportionalSharePolicy,
+        TenantSpec,
+    )
+
+    amap = cfg.address_map()
+    n_pages = amap.ghost_page // n_tenants
+    mts = MultiTenantSimulator(cfg, policy=ProportionalSharePolicy(), fused=fused)
+    for i in range(n_tenants):
+        mts.add_tenant(
+            TenantSpec(tenant_id=i, name=f"t{i}", n_pages=n_pages,
+                       weight=1.0 + 0.5 * i),
+            _tenant_trace(
+                20_000, seed=i, span_bytes=n_pages * amap.macro_page_bytes
+            ),
+        )
+    return mts
+
+
 class TestMultiTenant:
     """A tenant-tagged interleaved stream must keep the multi-epoch flush:
     window translation, QoS constraints and per-tenant attribution ride
     on ``run_into`` and may not force (or perturb) a per-epoch flush."""
 
-    N_TENANTS = 3
-
-    def _tenant_trace(self, n, seed, span_bytes):
-        rng = np.random.default_rng(seed)
-        hot = rng.integers(0, span_bytes)
-        addr = np.where(
-            rng.random(n) < 0.8,
-            (hot + rng.integers(0, 2 * MB, n)) % span_bytes,
-            rng.integers(0, span_bytes, n),
-        )
-        addr = (addr // 4096) * 4096
-        rw = (rng.random(n) < 0.3).astype(np.int8)
-        return make_chunk(
-            addr.astype(np.int64), time=np.cumsum(rng.integers(1, 80, n)), rw=rw
-        )
-
-    def _run(self, fused):
-        from repro.tenancy import (
-            MultiTenantSimulator,
-            ProportionalSharePolicy,
-            TenantSpec,
-        )
-
-        cfg = _cfg()
-        amap = cfg.address_map()
-        n_pages = amap.ghost_page // self.N_TENANTS
-        mts = MultiTenantSimulator(
-            cfg, policy=ProportionalSharePolicy(), fused=fused
-        )
-        for i in range(self.N_TENANTS):
-            mts.add_tenant(
-                TenantSpec(tenant_id=i, name=f"t{i}", n_pages=n_pages,
-                           weight=1.0 + 0.5 * i),
-                self._tenant_trace(
-                    20_000, seed=i, span_bytes=n_pages * amap.macro_page_bytes
-                ),
-            )
-        return mts.run()
-
     def test_bit_identical_under_tenant_tags(self):
-        r_fused = self._run(fused=True)
-        r_plain = self._run(fused=False)
+        r_fused = _tenant_simulator(_cfg(), fused=True).run()
+        r_plain = _tenant_simulator(_cfg(), fused=False).run()
         # TenantMetrics is an eq dataclass: the tenants dicts compare
         # field-for-field inside _scalar_fields
         assert _scalar_fields(r_fused) == _scalar_fields(r_plain)
@@ -385,3 +378,160 @@ class TestMultiTenant:
         assert r_plain.fused_epochs == 0
         assert r_fused.fused_epochs == r_plain.stepwise_epochs
         assert r_fused.swaps_triggered > 0
+
+
+#: busy-span cells: swap designs whose in-flight windows cover epochs
+SPAN_CELLS = {
+    # 256 KB pages: each N exchange stalls for several epochs
+    "N-long-stall": dict(algorithm="N", macro_page_bytes=256 * KB),
+    "N-1": dict(algorithm="N-1"),
+    "live": dict(algorithm="live"),
+}
+
+
+
+class TestBusySpans:
+    """With the chunk flushed at once, no fault plan and no audits, the
+    epoch loop runs each stretch of epochs whose boundaries fall inside
+    the in-flight migration's window as one span. The per-epoch loop
+    (``fused=False``) is the oracle: the whole result, the engine's
+    boundary counters and the monitor's slot recency must agree, and the
+    span run must have folded exactly the boundaries that were not busy.
+    """
+
+    @pytest.fixture
+    def folds(self, monkeypatch):
+        """``EpochMonitor.observe_epoch`` calls, per monitor."""
+        calls = collections.Counter()
+        observe = EpochMonitor.observe_epoch
+
+        def counted(monitor, *args, **kwargs):
+            calls[id(monitor)] += 1
+            return observe(monitor, *args, **kwargs)
+
+        monkeypatch.setattr(EpochMonitor, "observe_epoch", counted)
+        return calls
+
+    @staticmethod
+    def assert_spans_exact(folds, spans_sim, spans, plain_sim, plain):
+        # one comparison over every field; only the flush counters swap
+        assert spans == dataclasses.replace(
+            plain, fused_epochs=plain.stepwise_epochs, stepwise_epochs=0
+        )
+        a, b = spans_sim.engine, plain_sim.engine
+        assert (a.epochs_observed, a.swaps_suppressed_busy) == (
+            b.epochs_observed, b.swaps_suppressed_busy
+        )
+        np.testing.assert_array_equal(
+            a.monitor.slot_last_touch, b.monitor.slot_last_touch
+        )
+        epochs = plain.stepwise_epochs
+        assert folds[id(b.monitor)] == epochs
+        assert folds[id(a.monitor)] == epochs - spans.swaps_suppressed_busy
+
+    def _compare(self, folds, cfg, run, track_data=False):
+        sims = [
+            HeterogeneousMainMemory(cfg, fused=fused, track_data=track_data)
+            for fused in (True, False)
+        ]
+        spans, plain = (run(sim) for sim in sims)
+        self.assert_spans_exact(folds, sims[0], spans, sims[1], plain)
+        assert spans.swaps_suppressed_busy > 0  # spans were taken
+        assert folds[id(sims[0].engine.monitor)] < spans.fused_epochs
+        return sims, spans
+
+    @pytest.mark.parametrize("refresh", [False, True])
+    @pytest.mark.parametrize("cell", SPAN_CELLS)
+    def test_spans_equal_the_per_epoch_loop(self, folds, cell, refresh):
+        cfg = _cfg(**SPAN_CELLS[cell])
+        if refresh:
+            cfg = _refreshing(cfg)
+        _, r = self._compare(folds, cfg, lambda sim: sim.run(_trace()))
+        assert r.swaps_triggered > 0
+
+    @pytest.mark.parametrize("cell", SPAN_CELLS)
+    def test_track_data(self, folds, cell):
+        sims, r = self._compare(
+            folds, _cfg(**SPAN_CELLS[cell]), lambda sim: sim.run(_trace()),
+            track_data=True,
+        )
+        spans, plain = (sim.shadow for sim in sims)
+        assert spans.reads > 0 and spans.writes > 0
+        assert spans.violations == plain.violations == []
+        assert spans.generation == plain.generation
+
+    @pytest.mark.parametrize("cell", SPAN_CELLS)
+    def test_chunked_run_stream(self, folds, cell):
+        # 2.5 K-access chunks: a span ends at every chunk boundary, and
+        # half the chunks start mid-way through an epoch's worth
+        trace = _trace()
+        self._compare(
+            folds, _cfg(**SPAN_CELLS[cell]),
+            lambda sim: sim.run_stream(iter_chunks(trace, 2_500)),
+        )
+
+    @pytest.mark.parametrize("cell", SPAN_CELLS)
+    def test_tenant_tags(self, folds, cell):
+        cfg = _cfg(**SPAN_CELLS[cell])
+        tenants = [_tenant_simulator(cfg, fused) for fused in (True, False)]
+        spans, plain = (mts.run() for mts in tenants)
+        self.assert_spans_exact(
+            folds, tenants[0].sim, spans, tenants[1].sim, plain
+        )
+        assert spans.swaps_suppressed_busy > 0
+
+    # the fold counter is cleared at the start of every example
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        algorithm=st.sampled_from(ALGORITHMS),
+        interval=st.integers(2, 40),
+        busy_epochs=st.integers(0, 4),
+        landing=st.sampled_from([-1, 0, 1]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_boundary_at_the_window_end(self, folds, algorithm, interval,
+                                        busy_epochs, landing, seed):
+        """A swap fires at the first boundary; ``busy_epochs`` boundaries
+        then fall inside its window, and the next lands exactly at
+        ``active.end + landing``. At ``end - 1`` it is busy, at ``end``
+        and ``end + 1`` it is not, and it finds a fresh hot page there,
+        so a span one epoch too long or too short shows."""
+        folds.clear()
+        cfg = _cfg(algorithm=algorithm, swap_interval=interval)
+        amap = cfg.address_map()
+        page_bytes = amap.macro_page_bytes
+        rng = np.random.default_rng(seed)
+        first_hot, landing_hot = amap.n_onpkg_pages + 1, amap.n_onpkg_pages + 2
+        sims = [HeterogeneousMainMemory(cfg, fused=f) for f in (True, False)]
+        results = [
+            sim.run(make_chunk(np.full(interval, first_hot * page_bytes),
+                               time=np.arange(interval) * 10))
+            for sim in sims
+        ]
+        end = sims[0].engine.active.end
+        assert sims[1].engine.active.end == end
+        t0 = (interval - 1) * 10 + 1
+        busy_times = np.sort(rng.integers(t0, end - 1, busy_epochs * interval))
+        last = end + landing - 1  # the landing boundary is last + 1
+        landing_times = np.sort(rng.integers(
+            busy_times[-1] if busy_times.size else t0, last + 1, interval
+        ))
+        landing_times[-1] = last
+        tail_times = last + np.cumsum(rng.integers(0, 50, 2 * interval))
+        pages = np.concatenate([
+            rng.integers(0, amap.ghost_page, busy_times.size),
+            np.full(interval, landing_hot),
+            rng.integers(0, amap.ghost_page, tail_times.size),
+        ])
+        rest = make_chunk(
+            pages * page_bytes,
+            time=np.concatenate([busy_times, landing_times, tail_times]),
+            rw=(rng.random(pages.size) < 0.3).astype(np.int8),
+        )
+        for sim, result in zip(sims, results):
+            sim.run_into(rest, result)
+        spans, plain = results
+        self.assert_spans_exact(folds, sims[0], spans, sims[1], plain)
+        busy = busy_epochs + (landing < 0)
+        assert plain.swaps_suppressed_busy >= busy
