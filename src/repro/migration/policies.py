@@ -55,39 +55,6 @@ class ExactPolicies:
 #: largest page-id span for which the epoch fold aggregates densely
 #: (bincount); wider spans keep the sort-based np.unique pass
 _DENSE_FOLD_PAGES = 1 << 16
-#: the dense fold's passes cost O(page span), about 2.5 ns a page, and
-#: the np.unique fold's O(accesses), about 45 ns an access: the dense
-#: fold runs while the span is at most this many pages per off-package
-#: access (micro-benchmarked on a 2-CPU x86-64 Xeon: at 278 accesses
-#: over 20 K pages, 72 us dense against 42 us sorted; at 3 K accesses
-#: over 20 K pages, 105 us against 147 us)
-_DENSE_FOLD_RATIO = 16
-
-
-def fold_dense(off: np.ndarray, times: np.ndarray, scratch: np.ndarray):
-    """``(pages, counts, last_times, last_index)`` of one epoch's
-    off-package accesses, pages ascending, by per-page passes over
-    ``scratch`` (at least ``off.max() + 1`` entries, written before it is
-    read). ``times`` must be non-decreasing: the *last* write per page
-    is then its latest touch. np.flatnonzero of the count vector is
-    exactly np.unique's sorted page list, so this equals
-    :func:`fold_sorted`."""
-    counts_dense = np.bincount(off)
-    pages = np.flatnonzero(counts_dense)
-    scratch[off] = times
-    last = scratch[pages]
-    scratch[off] = np.arange(off.shape[0], dtype=np.int64)
-    return pages, counts_dense[pages], last, scratch[pages]
-
-
-def fold_sorted(off: np.ndarray, times: np.ndarray):
-    """:func:`fold_dense` by one sort, for any page span and time order."""
-    pages, inverse, counts = np.unique(off, return_inverse=True, return_counts=True)
-    last = np.zeros(pages.shape[0], dtype=np.int64)
-    np.maximum.at(last, inverse, times)
-    last_idx = np.zeros(pages.shape[0], dtype=np.int64)
-    last_idx[inverse] = np.arange(off.shape[0])
-    return pages, counts, last, last_idx
 
 
 class EpochMonitor:
@@ -134,18 +101,36 @@ class EpochMonitor:
             self._off_last = self._off_subblocks = empty
             return
         off_times = np.asarray(off_times, dtype=np.int64)
-        # dense fold for page spans small against the access count; it
-        # needs non-decreasing times (checked), and both folds agree
-        span = int(off.max()) + 1
-        if (span <= min(_DENSE_FOLD_PAGES, _DENSE_FOLD_RATIO * off.shape[0])
-                and bool((off_times[1:] >= off_times[:-1]).all())):
-            if self._fold_scratch is None:
-                self._fold_scratch = np.zeros(_DENSE_FOLD_PAGES, dtype=np.int64)
-            pages, counts, last, last_idx = fold_dense(
-                off, off_times, self._fold_scratch
-            )
+        n = off.shape[0]
+        # dense fold for small page spans: np.flatnonzero of the count
+        # vector is exactly np.unique's sorted page list, and with
+        # non-decreasing epoch times the *last* write per page is the
+        # per-page maximum that np.maximum.at computes — both checked,
+        # so the sorting fallback stays bit-identical
+        dense = int(off.max()) < _DENSE_FOLD_PAGES and bool(
+            (off_times[1:] >= off_times[:-1]).all()
+        )
+        if dense:
+            counts_dense = np.bincount(off)
+            pages = np.flatnonzero(counts_dense)
+            counts = counts_dense[pages]
+            scratch = self._fold_scratch
+            if scratch is None:
+                scratch = self._fold_scratch = np.zeros(
+                    _DENSE_FOLD_PAGES, dtype=np.int64
+                )
+            scratch[off] = off_times
+            last = scratch[pages]
+            scratch[off] = np.arange(n, dtype=np.int64)
+            last_idx = scratch[pages]
         else:
-            pages, counts, last, last_idx = fold_sorted(off, off_times)
+            pages, inverse, counts = np.unique(
+                off, return_inverse=True, return_counts=True
+            )
+            last = np.zeros(pages.shape[0], dtype=np.int64)
+            np.maximum.at(last, inverse, off_times)
+            last_idx = np.zeros(pages.shape[0], dtype=np.int64)
+            last_idx[inverse] = np.arange(n)
         self._off_pages = pages
         self._off_counts = counts
         self._off_last = last

@@ -133,7 +133,8 @@ def recovery_moves(
             src = prefer[page]
         if src is None or src == BUFFER:
             # deterministic choice; the bounce buffer only as last resort
-            src = min((c for c in candidates if c != BUFFER), default=BUFFER)
+            table_locs = sorted(c for c in candidates if c != BUFFER)
+            src = table_locs[0] if table_locs else BUFFER
         if src in pending:  # pragma: no cover - sources are distinct
             raise MigrationError(f"two pages claim recovery source {src}")
         pending[src] = (target, page)
@@ -147,40 +148,27 @@ def recovery_moves(
             dst=dst,
         )
 
-    # A move runs once its destination is no one's unread source. Each
-    # chain drains from its move whose destination nobody reads; the
-    # cycles left over are broken one at a time, lowest source first,
-    # by staging that source's page through the bounce buffer (never a
-    # target, so never in a cycle). Within a chain or broken cycle,
-    # moves run in the order of repeated passes over ``pending`` that
-    # take every ready move: pass, then insertion position. So each
-    # move gets the key (chains 0 / cycle k, pass, position), and one
-    # sort orders them all.
-    position = {src: i for i, src in enumerate(pending)}
-    writer = {dst: src for src, (dst, _) in pending.items()}
-    keys: list[tuple] = []  # (phase, pass, position, src, dst, page)
-    placed: set[Location] = set()
-
-    def drain(phase: int, src: Location | None, stop: Location | None = None):
-        passes, last = 0, -1
-        while src is not None and src != stop:
-            passes += position[src] < last
-            last = position[src]
-            keys.append((phase, passes, last, src, *pending[src]))
-            placed.add(src)
-            src = writer.get(src)
-
-    for src, (dst, _) in pending.items():
-        if dst not in pending:
-            drain(0, src)
-    for cycle, src in enumerate(sorted(pending.keys() - placed), start=1):
-        if src in placed:
-            continue  # in an earlier cycle
+    steps: list[CopyStep] = []
+    while pending:
+        progress = False
+        for src in list(pending):
+            dst, page = pending[src]
+            if dst not in pending:  # destination is no one's unread source
+                steps.append(step(page, src, dst))
+                del pending[src]
+                progress = True
+        if progress:
+            continue
+        # only cycles remain; break one by staging through the bounce
+        # buffer (never a target, so its chain drained above)
+        if BUFFER in pending:  # pragma: no cover - see module docstring
+            raise MigrationError("bounce buffer busy while breaking a cycle")
+        src = sorted(pending)[0]
         dst, page = pending[src]
-        keys.append((cycle, -1, 0, src, BUFFER, page))
-        keys.append((cycle, len(position), 0, BUFFER, dst, page))
-        drain(cycle, writer[src], stop=src)
-    return [step(page, src, dst) for *_, src, dst, page in sorted(keys)]
+        steps.append(step(page, src, BUFFER))
+        del pending[src]
+        pending[BUFFER] = (dst, page)
+    return steps
 
 
 def _changed_maps(

@@ -1,11 +1,4 @@
-"""The copy planner against its oracles.
-
-First, the order of the copies: :func:`recovery_moves` against
-``tests/recovery_reference.py``, its earlier sweep-until-stuck
-formulation, on random content and target maps rich in chains and
-cycles; the two must emit the same steps in the same order.
-
-Second, the mirror diff against the whole-table plan.
+"""The copy planner's mirror diff against the whole-table plan.
 
 When no copy has executed, :func:`repro.migration.recovery.recovery_plan`
 reads its maps off the two tables' dense mirrors and visits only the
@@ -26,15 +19,8 @@ from repro.address import AddressMap
 from repro.config import MigrationAlgorithm, MigrationConfig
 from repro.errors import MigrationError
 from repro.migration.engine import MigrationEngine
-from repro.migration.recovery import (
-    BUFFER,
-    content_of_table,
-    recovery_moves,
-    recovery_plan,
-)
+from repro.migration.recovery import content_of_table, recovery_moves, recovery_plan
 from repro.units import KB, MB
-
-from .recovery_reference import reference_recovery_moves
 
 N_SLOTS = 8
 N_SPARES = 2
@@ -151,57 +137,6 @@ def test_mirror_diff_plan_equals_full_map_plan(algorithm, ops, seed):
         now = max(now + 10, engine.busy_until + 1)
         table.audit()
         check_every_change(engine, spares, rng)
-
-
-@st.composite
-def move_maps(draw):
-    """Content, target and prefer maps over a few slots, machine pages
-    and the bounce buffer. Half the draws hold one page per location and
-    send a random subset to a permutation of the locations (cycles
-    galore); the rest hold random pages, duplicates and garbage."""
-    locs = [("slot", i) for i in range(draw(st.integers(1, 6)))]
-    locs += [("mach", i) for i in range(draw(st.integers(1, 6)))]
-    n_pages = len(locs) + 2
-    if draw(st.booleans()):
-        content = {loc: page for page, loc in enumerate(locs)}
-    else:
-        page_or_none = st.one_of(st.none(), st.integers(0, n_pages - 1))
-        content = {loc: draw(page_or_none) for loc in locs + [BUFFER]}
-    pages = draw(st.lists(st.integers(0, n_pages - 1), unique=True,
-                          max_size=len(locs)))
-    targets = draw(st.permutations(locs))
-    target_of = dict(zip(pages, targets))
-    prefer = None
-    if draw(st.booleans()):
-        prefer = {page: draw(st.sampled_from(locs + [BUFFER])) for page in pages}
-    return content, target_of, prefer
-
-
-def planned(planner, content, target_of, prefer):
-    try:
-        return step_key(planner(content, target_of, 4096, prefer=prefer))
-    except MigrationError as exc:
-        return str(exc)
-
-
-@settings(max_examples=400, deadline=None)
-@given(maps=move_maps())
-def test_move_order_equals_the_sweeping_oracle(maps):
-    assert planned(recovery_moves, *maps) == planned(reference_recovery_moves, *maps)
-
-
-def test_cycles_break_through_the_buffer_lowest_source_first():
-    # two 2-cycles and a chain into a free frame
-    content = {("slot", 0): 0, ("slot", 1): 1, ("mach", 0): 2, ("mach", 1): 3,
-               ("mach", 2): 4}
-    target_of = {0: ("slot", 1), 1: ("slot", 0), 2: ("mach", 1),
-                 3: ("mach", 0), 4: ("mach", 3)}
-    steps = [(s.src, s.dst) for s in recovery_moves(content, target_of, 4096)]
-    assert steps == [
-        (("mach", 2), ("mach", 3)),
-        (("mach", 0), BUFFER), (("mach", 1), ("mach", 0)), (BUFFER, ("mach", 1)),
-        (("slot", 0), BUFFER), (("slot", 1), ("slot", 0)), (BUFFER, ("slot", 1)),
-    ]
 
 
 def test_collision_is_rejected_like_the_full_map():

@@ -5,14 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import MigrationError
-from repro.migration.policies import (
-    _DENSE_FOLD_PAGES,
-    _DENSE_FOLD_RATIO,
-    EpochMonitor,
-    ExactPolicies,
-    fold_dense,
-    fold_sorted,
-)
+from repro.migration.policies import _DENSE_FOLD_PAGES, EpochMonitor, ExactPolicies
 
 
 class TestExactPolicies:
@@ -194,58 +187,20 @@ def epoch_folds(draw):
 
 
 class TestEpochFold:
-    """The monitor folds an epoch densely or by sorting, chosen by the
-    page span against the access count; the two must agree exactly."""
+    """The monitor folds an epoch densely (small page spans, ordered
+    times) or by sorting; the two branches must agree exactly."""
 
     @settings(max_examples=300, deadline=None)
     @given(fold=epoch_folds())
     def test_dense_and_sorted_folds_agree(self, fold):
         off, times, subblocks = fold
-        scratch = np.zeros(_DENSE_FOLD_PAGES, dtype=np.int64)
-        dense = fold_dense(off, times, scratch)
-        ordered = fold_sorted(off, times)
-        for got, want in zip(dense[:3], ordered[:3]):  # pages, counts, last
-            np.testing.assert_array_equal(got, want)
-        # the last-touched sub-block of each page
-        np.testing.assert_array_equal(subblocks[dense[3]], subblocks[ordered[3]])
-
-    @pytest.mark.parametrize("n_off", [1, 200, 5_000])
-    def test_observe_epoch_takes_either_fold_alike(self, n_off, monkeypatch):
-        """Forcing an epoch onto either fold changes nothing the swap
-        trigger reads."""
-        rng = np.random.default_rng(n_off)
-        off = rng.integers(0, 20_000, n_off)
-        times = np.sort(rng.integers(0, 10**6, n_off))
-        subblocks = rng.integers(0, 16, n_off)
-        monitors = []
-        for ratio in (_DENSE_FOLD_PAGES, 0):  # always dense, never dense
-            monkeypatch.setattr("repro.migration.policies._DENSE_FOLD_RATIO", ratio)
-            monitors.append(EpochMonitor(4))
-            monitors[-1].observe_epoch([], [], off, times, subblocks)
-        a, b = monitors
-        assert a.hottest_page() == b.hottest_page()
+        dense = EpochMonitor(4)
+        dense.observe_epoch([], [], off, times, subblocks)
+        ordered = EpochMonitor(4)
+        with pytest.MonkeyPatch.context() as mp:  # no span is dense
+            mp.setattr("repro.migration.policies._DENSE_FOLD_PAGES", 0)
+            ordered.observe_epoch([], [], off, times, subblocks)
+        assert ordered._fold_scratch is None and dense._fold_scratch is not None
         for name in ("_off_pages", "_off_counts", "_off_last", "_off_subblocks"):
-            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
-
-    @pytest.mark.parametrize("n_off, span, dense", [
-        (278, 20_000, False),    # a 1 K-access epoch on a 20 K-page table
-        (100_000, 32_768, True),  # a 100 K-access epoch on 32 K pages
-        (10, 100, True),
-        (10, 161, False),
-        (10**6, _DENSE_FOLD_PAGES + 1, False),  # wider than the scratch
-    ])
-    def test_fold_is_chosen_by_span_against_accesses(self, n_off, span, dense,
-                                                     monkeypatch):
-        import repro.migration.policies as policies
-
-        taken = []
-        for name in ("fold_dense", "fold_sorted"):
-            fold = getattr(policies, name)
-            monkeypatch.setattr(
-                policies, name,
-                lambda *a, fold=fold, name=name: taken.append(name) or fold(*a),
-            )
-        off = np.arange(n_off, dtype=np.int64) % span
-        off[-1] = span - 1
-        EpochMonitor(4).observe_epoch([], [], off, np.arange(n_off))
-        assert taken == ["fold_dense" if dense else "fold_sorted"]
+            np.testing.assert_array_equal(getattr(dense, name), getattr(ordered, name))
+        assert dense.hottest_page() == ordered.hottest_page()

@@ -11,9 +11,7 @@ The contract (docs/API.md "Streaming traces"):
 * ``stream`` builds the next phase part on one producer thread that
   starts at the first ``next()`` and is joined when the stream ends, is
   closed or is collected; a build error surfaces at the consumer's
-  ``next()`` for that part. A process allowed on one CPU builds each
-  part inline instead, with no thread and the same records (both paths
-  run here whatever the host, by setting the affinity the stream sees);
+  ``next()`` for that part;
 * feeding an epoch-aligned stream through ``run_stream`` is
   bit-identical to materializing the same stream and calling ``run``;
 * ``run`` itself feeds epoch-aligned views of about ``RUN_CHUNK``
@@ -23,7 +21,6 @@ The contract (docs/API.md "Streaming traces"):
 
 import dataclasses
 import gc
-import os
 import sys
 import threading
 
@@ -133,18 +130,8 @@ def _assert_joined(threads, baseline):
     assert threading.active_count() == baseline
 
 
-def _allow_cpus(monkeypatch, n):
-    """Make the stream see an affinity of ``n`` CPUs."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
-                        raising=False)
-
-
 class TestProducerThread:
     """The thread ``stream`` builds the next phase part on."""
-
-    @pytest.fixture(autouse=True)
-    def two_cpus(self, monkeypatch):
-        _allow_cpus(monkeypatch, 2)
 
     def test_calling_stream_starts_no_thread(self):
         baseline = threading.active_count()
@@ -256,81 +243,6 @@ class TestProducerThread:
             want = materialize(reference_stream(wl, n, seed, chunk_accesses=chunk))
             assert materialize(got[i]) == want, wl.name
         _assert_joined([], baseline)
-
-
-class TestSingleCpu:
-    """On one CPU the stream builds each part inline, at its ``next()``."""
-
-    @pytest.fixture(autouse=True)
-    def one_cpu(self, monkeypatch):
-        _allow_cpus(monkeypatch, 1)
-
-    @pytest.mark.parametrize("chunk_accesses", [None, 1_000])
-    def test_records_equal_the_threaded_stream(self, chunk_accesses, monkeypatch):
-        wl = dataclasses.replace(_wl(), phase_len=2_000)
-        baseline = threading.active_count()
-        calls = []
-        generate = PatternSpec.generate
-
-        def on_thread(self, *args, **kwargs):
-            calls.append(threading.current_thread().name)
-            return generate(self, *args, **kwargs)
-
-        monkeypatch.setattr(PatternSpec, "generate", on_thread)
-        inline = materialize(wl.stream(20_000, seed=4, chunk_accesses=chunk_accesses))
-        assert threading.active_count() == baseline and _producers() == []
-        assert calls and all(name == threading.current_thread().name for name in calls)
-        _allow_cpus(monkeypatch, 2)
-        threaded = materialize(wl.stream(20_000, seed=4, chunk_accesses=chunk_accesses))
-        assert inline == threaded
-        assert inline == materialize(
-            reference_stream(wl, 20_000, seed=4, chunk_accesses=chunk_accesses)
-        )
-
-    def test_parts_are_built_at_each_next(self, monkeypatch):
-        generate = PatternSpec.generate
-        calls = []
-
-        def counted(self, *args, **kwargs):
-            calls.append(1)
-            return generate(self, *args, **kwargs)
-
-        monkeypatch.setattr(PatternSpec, "generate", counted)
-        s = dataclasses.replace(_wl(), phase_len=1_000).stream(10_000)
-        assert calls == []
-        next(s)
-        assert len(calls) == 1  # no part built ahead
-        s.close()
-
-    def test_build_error_surfaces_at_the_consumer(self, monkeypatch):
-        generate = PatternSpec.generate
-        calls = []
-
-        def third_call_fails(self, *args, **kwargs):
-            calls.append(1)
-            if len(calls) == 3:
-                raise WorkloadError("injected failure building part 2")
-            return generate(self, *args, **kwargs)
-
-        monkeypatch.setattr(PatternSpec, "generate", third_call_fails)
-        wl = dataclasses.replace(_wl(), phase_len=1_000)
-        want = list(reference_stream(wl, 10_000, seed=3))
-        s = wl.stream(10_000, seed=3)
-        delivered = [next(s), next(s)]
-        with pytest.raises(WorkloadError, match="part 2"):
-            next(s)
-        assert delivered == want[:2]
-
-    def test_run_stream_equals_the_threaded_run(self, monkeypatch):
-        cfg = _cfg()
-        inline = HeterogeneousMainMemory(cfg).run_stream(
-            _wl().stream(30_000, seed=2, chunk_accesses=3_000)
-        )
-        _allow_cpus(monkeypatch, 2)
-        threaded = HeterogeneousMainMemory(cfg).run_stream(
-            _wl().stream(30_000, seed=2, chunk_accesses=3_000)
-        )
-        assert inline == threaded
 
 
 class TestStreamingSimulation:
