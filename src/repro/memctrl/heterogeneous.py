@@ -6,7 +6,7 @@ table), then the access routes to the on-package or off-package region,
 and each region runs its own transaction scheduling — the two regions'
 optimisations are independent. The optional migration controller
 rewrites the table at run time; this module consumes its routing
-timelines, fill state and stall windows to price every access at its
+timeline, fill state and stall windows to price every access at its
 own timestamp.
 
 Every translated access pays the table's 2-cycle RAM/CAM lookup
@@ -90,13 +90,13 @@ class HeterogeneousController:
         if active is None:
             return
 
-        for page, (change_times, ons, machines) in active.timeline_arrays().items():
+        for j, page in enumerate(active.pages.tolist()):
             mask = pages == page
             if not mask.any():
                 continue
-            idx = np.searchsorted(change_times, times[mask], side="right") - 1
-            on_out[mask] = ons[idx]
-            machine_out[mask] = machines[idx]
+            row = np.searchsorted(active.times, times[mask], side="right") - 1
+            on_out[mask] = active.onpkg[row, j]
+            machine_out[mask] = active.machine[row, j]
 
         fill = active.fill
         if fill is not None:

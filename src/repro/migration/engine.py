@@ -17,10 +17,11 @@ in the paper ("the existence of P bit and F bit prevents triggering
 another swap if the previous swap is not complete yet").
 
 The engine applies a scheduled plan's table updates eagerly while
-recording a *routing timeline* — ``(time, on_package, machine_page)``
-change points — for every page the swap touches. The epoch simulator
-overrides those few pages' resolution per access time; every other page
-resolves through the table's dense mirrors.
+recording one *routing timeline* for the pages the swap touches: a row of
+their mirror entries (``onpkg``, ``machine_of``) for every table op that
+changes one, stamped with the op's time. The epoch simulator overrides
+those few pages' resolution per access time; every other page resolves
+through the table's dense mirrors.
 """
 
 from __future__ import annotations
@@ -67,8 +68,7 @@ class FillInfo:
     n_subblocks: int
     first_subblock: int         # critical-first start point (MRU sub-block)
     live: bool                  # sub-block granularity vs whole page
-    old_onpkg: bool
-    old_machine: int
+    old_machine: int            # the page's pre-swap (off-package) frame
 
     @property
     def subblock_cycles(self) -> int:
@@ -97,50 +97,33 @@ class FillInfo:
 
 @dataclass
 class ActiveMigration:
-    """One in-flight (or just-completed) swap with its routing timelines."""
+    """One in-flight (or just-completed) swap with its routing timeline.
 
-    #: None for every plan-less stall window: a data-safe abort's
-    #: copy-back, a RAS frame retirement's copy-out, a tenant release's
-    #: reclamation copies
+    The timeline covers the swap's affected ``pages``: from ``times[i]``
+    on, column ``j`` of row ``i`` of ``onpkg``/``machine`` is page
+    ``pages[j]``'s resolution. ``times`` ascend; row 0 is the pre-swap
+    state, stamped before any access. A plan-less stall window (``plan``
+    None: a data-safe abort's copy-back, a RAS frame retirement's
+    copy-out, a tenant release's reclamation copies) carries no pages:
+    the table already holds its final state, but execution stalls while
+    the copies drain.
+    """
+
     plan: SwapPlan | None
     start: int
     end: int
     fill: FillInfo | None
-    #: page -> [(change_time, on_package, machine_page)], time-ascending;
-    #: resolution before the first entry is the pre-swap state
-    timelines: dict[int, list[tuple[int, bool, int]]] = field(default_factory=dict)
-    #: True for a plan-less stall window: the table already holds the
-    #: final state (no timelines), but execution stalls while the copies
-    #: drain
-    recovery: bool = False
-    #: lazy array form of the timelines (built on first resolution; the
-    #: timelines are final once the plan walk that built them returns)
-    _timeline_arrays: dict | None = field(
-        default=None, repr=False, compare=False
-    )
+    pages: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+    times: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+    onpkg: np.ndarray = field(default_factory=lambda: np.empty((0, 0), bool))
+    machine: np.ndarray = field(default_factory=lambda: np.empty((0, 0), np.int64))
 
     @property
     def stall(self) -> bool:
-        return (self.plan is not None and self.plan.stall) or self.recovery
+        return self.plan is None or self.plan.stall
 
     def in_flight(self, now: int) -> bool:
         return now < self.end
-
-    def timeline_arrays(self) -> dict:
-        """``page -> (change_times, on_package, machine_page)`` parallel
-        arrays — the fused loop resolves against the same timelines every
-        epoch of the swap window, so the conversion is done once."""
-        cache = self._timeline_arrays
-        if cache is None:
-            cache = self._timeline_arrays = {
-                page: (
-                    np.array([t for t, _, _ in tl], dtype=np.int64),
-                    np.array([o for _, o, _ in tl], dtype=bool),
-                    np.array([m for _, _, m in tl], dtype=np.int64),
-                )
-                for page, tl in self.timelines.items()
-            }
-        return cache
 
 
 @dataclass(frozen=True)
@@ -519,18 +502,24 @@ class MigrationEngine:
             for _, args in s.ops
         }
         undo = self.table.undo_point(rows, self._affected_pages(plan))
+        old_machine = int(self.table.machine_of[plan.mru])
 
-        # walk the plan, applying updates eagerly and recording when each
-        # affected page's resolution changes; entry 0 is the pre-swap
-        # state, read from the undo record's mirror slice
-        before = dict(zip(
-            undo["pages"].tolist(),
-            zip(undo["onpkg"].tolist(), undo["machine_of"].tolist()),
-        ))
-        t_begin = -(1 << 62)
-        timelines: dict[int, list[tuple[int, bool, int]]] = {
-            p: [(t_begin, on, machine)] for p, (on, machine) in before.items()
-        }
+        # walk the plan, applying updates eagerly; after each table op the
+        # affected pages' mirror slice becomes a timeline row at `t` when
+        # it changed. Row 0 is the pre-swap state: the undo record's slice
+        pages = undo["pages"]
+        times = [-(1 << 62)]
+        onpkg = [undo["onpkg"].tolist()]
+        machine = [undo["machine_of"].tolist()]
+
+        def record(t: int) -> None:
+            on = self.table.onpkg[pages].tolist()
+            mach = self.table.machine_of[pages].tolist()
+            if on != onpkg[-1] or mach != machine[-1]:
+                times.append(t)
+                onpkg.append(on)
+                machine.append(mach)
+
         t = now
         fill: FillInfo | None = None
         incoming_end = None
@@ -546,8 +535,7 @@ class MigrationEngine:
                 n_subblocks=self.amap.subblocks_per_page,
                 first_subblock=crit_first,
                 live=live,
-                old_onpkg=before[plan.mru][0],
-                old_machine=before[plan.mru][1],
+                old_machine=old_machine,
             )
 
         #: copy prefix actually executed, as (src, dst, complete) — the
@@ -596,14 +584,14 @@ class MigrationEngine:
                     # a completed incoming copy clears the F bit
                     if step.incoming and self.table.filling:
                         self.table.end_fill()
-                        self._record_changes(timelines, before, t)
+                        record(t)
                 else:
                     if cfg.os_assisted:
                         # the OS periodic routine performs the table update: a
                         # user/kernel round trip before the new mapping is live
                         t += cfg.os_update_cycles
                     step.apply(self.table)
-                    self._record_changes(timelines, before, t)
+                    record(t)
         except (FaultInjectionError, TranslationTableError) as exc:
             # the executed copy prefix physically happened, however the
             # abort is handled: it wore its destinations, and its data
@@ -628,9 +616,9 @@ class MigrationEngine:
             # N design: the table is updated only once data finished moving,
             # and execution halts — every affected page flips at `now` from
             # the observer's perspective (nothing runs during the window)
-            for page, tl in timelines.items():
-                final = tl[-1]
-                timelines[page] = [tl[0], (now, final[1], final[2])]
+            times = [times[0], now]
+            onpkg = [onpkg[0], onpkg[-1]]
+            machine = [machine[0], machine[-1]]
 
         if self.shadow is not None:
             if plan.stall:
@@ -651,7 +639,9 @@ class MigrationEngine:
         self._observe_copy_wear(dst for _, dst, _ in executed)
         self.active = ActiveMigration(
             plan=plan, start=now, end=t, fill=None if plan.stall else fill,
-            timelines=timelines,
+            pages=pages, times=np.array(times, dtype=np.int64),
+            onpkg=np.array(onpkg, dtype=bool),
+            machine=np.array(machine, dtype=np.int64),
         )
         self.swaps_triggered += 1
         self.migrated_bytes += plan.total_copy_bytes
@@ -688,9 +678,7 @@ class MigrationEngine:
         end = start
         for step in steps:
             end += self._copy_duration(end, step)
-        self.active = ActiveMigration(
-            plan=None, start=now, end=end, fill=None, recovery=True
-        )
+        self.active = ActiveMigration(plan=None, start=now, end=end, fill=None)
         return end
 
     # ------------------------------------------------------------------
@@ -870,18 +858,6 @@ class MigrationEngine:
                 pages.add(slot)  # the slot's own (possibly MS/ghost) page
         pages.discard(EMPTY)
         return pages
-
-    def _record_changes(
-        self,
-        timelines: dict[int, list[tuple[int, bool, int]]],
-        before: dict[int, tuple[bool, int]],
-        t: int,
-    ) -> None:
-        for page, old in before.items():
-            new = self.table.resolve(page)
-            if new != old:
-                timelines[page].append((t, new[0], new[1]))
-                before[page] = new
 
     # ------------------------------------------------------------------
     @property

@@ -3,7 +3,7 @@
 A checkpoint captures everything a chunked-trace run needs to continue
 bit-identically: the pickled :class:`~repro.core.simulator.EpochSimulator`
 itself (its configuration and constructor flags, translation table,
-epoch monitor, in-flight migration timelines, DRAM device queues, fault
+epoch monitor, in-flight migration timeline, DRAM device queues, fault
 plan, RAS/disturbance state and shadow memory, with every link between
 them) and the partially accumulated
 :class:`~repro.core.simulator.SimulationResult` — plus a caller-supplied
@@ -35,10 +35,12 @@ from typing import Any
 from ..errors import CheckpointError
 
 CHECKPOINT_MAGIC = b"RPCKPT01"
-#: 4: the payload is the pickled simulator object graph (versions 1-3
-#: stored hand-written per-component state dicts beside the constructor
-#: flags). Older files are refused: their state dicts no longer load.
-CHECKPOINT_VERSION = 4
+#: 5: the payload is the pickled simulator object graph, its in-flight
+#: migration holding one array timeline over the swap's affected pages
+#: (version 4 pickled per-page timeline lists; versions 1-3 stored
+#: hand-written per-component state dicts beside the constructor flags).
+#: Older files are refused: their objects no longer load.
+CHECKPOINT_VERSION = 5
 _PREFIX = struct.Struct("<8sI32s")
 
 

@@ -5,11 +5,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.address import AddressMap
 from repro.config import BusConfig, MigrationConfig
+from repro.dram.refresh import RefreshSchedule
+from repro.migration.algorithms import TableUpdate
 from repro.migration.engine import MigrationEngine
-from repro.migration.table import EMPTY
+from repro.migration.table import EMPTY, TranslationTable
 from repro.units import KB, MB
 
 N_SLOTS = 8
@@ -225,9 +228,12 @@ class TestScheduling:
         hot = N_SLOTS + 3
         observe_hot_page(e, hot)
         e.maybe_swap(now=1000)
-        tl = e.active.timelines[hot]
-        assert tl[0][1:] == (False, hot)  # initially off-package at home
-        assert tl[-1][1] is True or tl[-1][1] == np.True_  # ends on-package
+        active = e.active
+        (col,) = np.flatnonzero(active.pages == hot)
+        assert active.times[0] == -(1 << 62)
+        # initially off-package at home
+        assert (active.onpkg[0, col], active.machine[0, col]) == (False, hot)
+        assert active.onpkg[-1, col]  # ends on-package
 
     def test_fill_info_timing(self):
         e = make_engine()
@@ -311,34 +317,99 @@ class TestLongRunStress:
         assert e.swaps_triggered > 20
 
 
+@st.composite
+def refresh_schedules(draw):
+    """``None`` (classic copy durations) or a region refresh schedule
+    whose windows stretch a copy at most twofold."""
+    if not draw(st.booleans()):
+        return None
+    interval = draw(st.integers(2, 200_000))
+    return RefreshSchedule(interval, draw(st.integers(1, max(1, interval // 2))))
+
+
 class TestTimelineConsistency:
-    """The recorded routing timelines must end exactly at the table's
-    final (mirror) state — the epoch simulator's correctness hinges on
-    the hand-off between per-time overrides and the dense mirrors."""
+    """A swap's routing timeline is the sequence of the affected pages'
+    mirror entries after each table op — the epoch simulator's
+    correctness hinges on the hand-off between the per-time overrides and
+    the dense mirrors. The stepwise loop reads the same arrays as the
+    fused one, so the fused/stepwise oracle cannot catch a wrong row:
+    a spy on every table op records the sequence to compare against."""
 
     @pytest.mark.parametrize("algorithm", ["N", "N-1", "live"])
-    def test_final_timeline_state_matches_mirrors(self, algorithm):
-        rng = np.random.default_rng(7)
-        e = make_engine(algorithm=algorithm)
+    @settings(max_examples=25, deadline=None)
+    @given(
+        os_assisted=st.booleans(),
+        onpkg_refresh=refresh_schedules(),
+        offpkg_refresh=refresh_schedules(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_final_timeline_state_matches_mirrors(
+        self, algorithm, os_assisted, onpkg_refresh, offpkg_refresh, seed
+    ):
+        # 1 MB pages are OS-assisted below a 2 MB hardware threshold
+        extra = {"hw_min_page_bytes": 2 * MB} if os_assisted else {}
+        e = make_engine(algorithm=algorithm, **extra)
+        assert e.config.os_assisted is os_assisted
+        e.onpkg_refresh = onpkg_refresh
+        e.offpkg_refresh = offpkg_refresh
+
+        snapshots = []
+
+        def snapshot():
+            snapshots.append((e.table.onpkg.copy(), e.table.machine_of.copy()))
+
+        apply, end_fill = TableUpdate.apply, TranslationTable.end_fill
+
+        def spy_apply(step, table):
+            apply(step, table)
+            snapshot()
+
+        def spy_end_fill(table):
+            end_fill(table)
+            snapshot()
+
+        rng = np.random.default_rng(seed)
         now = 0
-        for _ in range(60):
-            hot = int(rng.integers(0, e.amap.n_total_pages - 1))
-            if bool(e.table.onpkg[hot]):
-                continue
-            observe_hot_page(e, hot, t0=now)
-            now += 1_200_000
-            d = e.maybe_swap(now)
-            if not d.triggered:
-                continue
-            active = e.active
-            for page, timeline in active.timelines.items():
-                t_final, on_final, machine_final = timeline[-1]
-                assert t_final <= active.end
-                on, machine = e.table.resolve(page)
-                assert (bool(on_final), int(machine_final)) == (on, machine), page
-                # times strictly ordered within a timeline
-                times = [t for t, _, _ in timeline]
-                assert times == sorted(times)
+        swaps = 0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(TableUpdate, "apply", spy_apply)
+            mp.setattr(TranslationTable, "end_fill", spy_end_fill)
+            for _ in range(12):
+                hot = int(rng.integers(0, e.amap.n_total_pages - 1))  # never Ω
+                if bool(e.table.onpkg[hot]):
+                    continue
+                now = max(now, e.busy_until) + 1
+                observe_hot_page(e, hot, t0=now)
+                now += 1000
+                snapshots.clear()
+                snapshot()
+                if not e.maybe_swap(now).triggered:
+                    continue
+                swaps += 1
+                active = e.active
+                pages = active.pages
+                expected = []
+                for on, machine in snapshots:
+                    row = (on[pages].tolist(), machine[pages].tolist())
+                    if not expected or row != expected[-1]:
+                        expected.append(row)
+                if algorithm == "N":
+                    expected = [expected[0], expected[-1]]
+                recorded = list(zip(active.onpkg.tolist(), active.machine.tolist()))
+                assert [tuple(r) for r in expected] == recorded
+                # the hot page starts off-package and ends on-package
+                (col,) = np.flatnonzero(pages == hot)
+                assert not active.onpkg[0, col] and active.onpkg[-1, col]
+                # the last row is the table's final (mirror) state
+                assert (active.onpkg[-1] == e.table.onpkg[pages]).all()
+                assert (active.machine[-1] == e.table.machine_of[pages]).all()
+                times = active.times
+                assert times[0] == -(1 << 62)
+                assert (np.diff(times) >= 0).all()
+                assert now <= times[1] and times[-1] <= active.end
+                if algorithm == "N":
+                    assert times.tolist() == [-(1 << 62), now]
+        assert swaps > 0
 
     def test_fill_covers_whole_page_once(self):
         e = make_engine()

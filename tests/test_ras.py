@@ -437,7 +437,7 @@ class TestEngineRetireFrame:
         end = engine.retire_frame(1000, 0, spares[0])
         assert end > 1000
         assert engine.active.in_flight(end - 1)
-        assert engine.active.recovery
+        assert engine.active.plan is None and engine.active.stall
         assert engine.frames_retired == 1
         assert shadow.verify_table(engine.table) == []
         assert not shadow.violations
