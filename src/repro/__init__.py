@@ -68,11 +68,9 @@ from .errors import (
 )
 from .tenancy import (
     CrossTenantViolation,
-    HotSetAwarePolicy,
     IsolationOracle,
     MultiTenantSimulator,
     ProportionalSharePolicy,
-    StaticQuotaPolicy,
     TenantDomain,
     TenantMetrics,
     TenantRegistry,
@@ -114,7 +112,6 @@ __all__ = [
     "FaultPlan",
     "GB",
     "HeterogeneousMainMemory",
-    "HotSetAwarePolicy",
     "IsolationOracle",
     "KB",
     "LatencyComponents",
@@ -129,7 +126,6 @@ __all__ = [
     "RetryPolicy",
     "ShadowMemory",
     "SimulationResult",
-    "StaticQuotaPolicy",
     "SwapAbortError",
     "SystemConfig",
     "TaskCrashError",

@@ -295,14 +295,6 @@ class ResilienceConfig:
 
     #: epochs between ``table.audit()`` invariant sweeps (0 = never)
     audit_interval: int = 0
-    #: data-safe late-abort recovery: an aborted swap copies every page
-    #: its executed copy prefix displaced back home (from the surviving
-    #: duplicate) before the table rollback, stalling execution for the
-    #: copy-back and emitting an ``abort-recovered`` event. Off = the
-    #: pre-recovery bare rollback, which can leave routing pointed at
-    #: dead data after the Ω-resolution copy (the protocol checker's
-    #: ``valid-copy`` counterexample).
-    data_safe_abort: bool = True
     #: consecutive swap failures / failed audits before the migration
     #: engine quarantines itself and falls back to static mapping
     max_consecutive_failures: int = 3
@@ -312,12 +304,6 @@ class ResilienceConfig:
     #: :class:`~repro.errors.WatchdogError` or record a
     #: ``DegradationEvent`` and keep going
     watchdog_action: str = "raise"
-    #: cycles an ECC single-bit correction adds to the faulted access
-    ecc_correction_cycles: int = 20
-    #: cycles one detect-and-retry round trip costs
-    ecc_retry_cycles: int = 200
-    #: retries before a transient DRAM error is declared uncorrectable
-    max_ecc_retries: int = 2
 
     def __post_init__(self) -> None:
         if self.audit_interval < 0 or self.epoch_cycle_budget < 0:
@@ -329,10 +315,6 @@ class ResilienceConfig:
                 f"watchdog_action must be 'raise' or 'degrade', "
                 f"got {self.watchdog_action!r}"
             )
-        if self.ecc_correction_cycles < 0 or self.ecc_retry_cycles < 0:
-            raise ConfigError("ECC cycle costs must be >= 0")
-        if self.max_ecc_retries < 0:
-            raise ConfigError("max_ecc_retries must be >= 0")
 
 
 @dataclass(frozen=True)

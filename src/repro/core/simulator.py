@@ -61,7 +61,8 @@ class SimulationResult:
     swaps_triggered: int = 0
     swaps_suppressed_busy: int = 0
     swaps_suppressed_cold: int = 0
-    #: swaps vetoed/steered by a tenancy QoS capacity policy
+    #: swaps a tenancy QoS capacity policy suppressed (every demotion
+    #: candidate excluded)
     swaps_suppressed_qos: int = 0
     migrated_bytes: int = 0
     cross_boundary_migrated_bytes: int = 0
@@ -187,7 +188,7 @@ class EpochSimulator:
         self._last_time = -(1 << 62)
         self._epoch_index = 0
         self._fault_plan: FaultPlan | None = None
-        self._ecc = EccModel(config.resilience)
+        self._ecc = EccModel()
         self._events: list[DegradationEvent] = []
         self._faults_injected = 0
 

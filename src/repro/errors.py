@@ -34,13 +34,11 @@ class TranslationTableError(MigrationError):
 class SwapAbortError(MigrationError):
     """A swap plan aborted mid-execution (injected fault or torn update).
 
-    ``recovered`` is True when the engine's data-safe late-abort path
-    ran: every page the aborted plan displaced was copied back home from
-    a surviving duplicate before the table rollback, so the restored
-    routing points at live data everywhere. False means the bare
-    rollback ran (``ResilienceConfig.data_safe_abort=False``, or the
-    abort came from a table-level corruption) — routing is restored but
-    data moved by the executed copy prefix may be dead.
+    Either way the engine copied every page the aborted plan displaced
+    back home from a surviving duplicate and restored the table, so
+    routing points at live data everywhere. ``recovered`` is True for an
+    injected abort, which does not count toward quarantine; False for a
+    torn table update (a table-level corruption), which does.
     """
 
     def __init__(self, message: str, *, recovered: bool = False):

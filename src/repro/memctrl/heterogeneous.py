@@ -6,8 +6,8 @@ table), then the access routes to the on-package or off-package region,
 and each region runs its own transaction scheduling — the two regions'
 optimisations are independent. The optional migration controller
 rewrites the table at run time; this module consumes its routing
-timeline, fill state and stall windows to price every access at its
-own timestamp.
+timeline, Live fill landings and stall windows to price every access at
+its own timestamp.
 
 Every translated access pays the table's 2-cycle RAM/CAM lookup
 (Section III-B).
@@ -72,7 +72,7 @@ class HeterogeneousController:
         Writes into the caller's output views — this is what lets the
         epoch loop resolve straight into preallocated whole-flush
         buffers. ``subblocks`` may be ``None`` when ``active`` carries no
-        fill in flight.
+        Live fill.
         """
         if pages.size and pages.min() < 0:
             table.resolve_many(pages)  # raises the domain-specific error
@@ -98,14 +98,17 @@ class HeterogeneousController:
             on_out[mask] = active.onpkg[row, j]
             machine_out[mask] = active.machine[row, j]
 
+        # the timeline serves a Live fill's page from its old copy until
+        # the copy-in ends; sub-blocks that landed earlier go on-package
         fill = active.fill
         if fill is not None:
-            mask = (pages == fill.page) & (times >= fill.start) & (times < fill.end)
-            if mask.any():
-                ready = fill.available_at(subblocks[mask])
-                served_on = times[mask] >= ready
-                on_out[mask] = served_on
-                machine_out[mask] = np.where(served_on, fill.slot, fill.old_machine)
+            hit = np.flatnonzero(
+                (pages == fill.page) & (times >= fill.start) & (times < fill.end)
+            )
+            if hit.size:
+                hit = hit[times[hit] >= fill.available_at(subblocks[hit])]
+                on_out[hit] = True
+                machine_out[hit] = fill.slot
 
     def migration_windows(
         self,

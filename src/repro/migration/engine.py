@@ -59,7 +59,11 @@ from .table import EMPTY, TranslationTable
 
 @dataclass(frozen=True)
 class FillInfo:
-    """Timing of the incoming hot page's copy-in."""
+    """Timing of a Live swap's incoming copy-in (Fig 9).
+
+    Only landed sub-blocks need it: until the copy-in completes, the
+    routing timeline already serves the incoming page from its old copy.
+    """
 
     page: int
     slot: int
@@ -67,8 +71,6 @@ class FillInfo:
     end: int                    # cycle the last byte lands
     n_subblocks: int
     first_subblock: int         # critical-first start point (MRU sub-block)
-    live: bool                  # sub-block granularity vs whole page
-    old_machine: int            # the page's pre-swap (off-package) frame
 
     @property
     def subblock_cycles(self) -> int:
@@ -86,13 +88,10 @@ class FillInfo:
 
     def available_at(self, subblock: np.ndarray) -> np.ndarray:
         """Cycle each sub-block becomes servable on-package (vectorised)."""
-        sb = np.asarray(subblock, dtype=np.int64)
-        if not self.live:
-            return np.full(sb.shape, self.end, dtype=np.int64)
         order, land = self.landings()
         at = np.empty_like(land)
         at[order] = land
-        return at[sb]
+        return at[np.asarray(subblock, dtype=np.int64)]
 
 
 @dataclass
@@ -102,9 +101,10 @@ class ActiveMigration:
     The timeline covers the swap's affected ``pages``: from ``times[i]``
     on, column ``j`` of row ``i`` of ``onpkg``/``machine`` is page
     ``pages[j]``'s resolution. ``times`` ascend; row 0 is the pre-swap
-    state, stamped before any access. A plan-less stall window (``plan``
-    None: a data-safe abort's copy-back, a RAS frame retirement's
-    copy-out, a tenant release's reclamation copies) carries no pages:
+    state, stamped before any access. ``fill`` is set for a Live swap
+    only. A plan-less stall window (``plan`` None: an abort's copy-back,
+    a RAS frame retirement's copy-out, a tenant release's reclamation
+    copies) carries no pages:
     the table already holds its final state, but execution stalls while
     the copies drain.
     """
@@ -200,8 +200,8 @@ class MigrationEngine:
         self.disturb = None
         #: optional multi-tenant capacity/QoS policy (set by
         #: MultiTenantSimulator): consulted at every trigger evaluation;
-        #: it can veto a promotion outright or restrict which slots may
-        #: be demoted to make room for it
+        #: it restricts which slots may be demoted to make room for a
+        #: promotion
         self.qos = None
         # RAS predictive-retirement accounting
         self.frames_retired = 0
@@ -397,14 +397,6 @@ class MigrationEngine:
         if bool(self.table.onpkg[mru_page]):
             return SwapDecision(False, f"hottest page {mru_page} already on-package")
 
-        qos_veto: str | None = None
-        qos_exclude: set[int] = set()
-        if self.qos is not None:
-            qos_veto, qos_exclude = self.qos.constrain(mru_page)
-        if qos_veto is not None:
-            self.swaps_suppressed_qos += 1
-            return SwapDecision(False, f"QoS: {qos_veto}", mru=mru_page)
-
         empty = self.table.empty_slot()
         exclude = set(self.table.retired_slots())
         if empty is not None:
@@ -413,8 +405,8 @@ class MigrationEngine:
             # degenerate geometry: every slot is retired or the empty
             # one — there is nothing to demote, so nothing to swap
             return SwapDecision(False, "no occupied on-package slot to demote")
-        if qos_exclude:
-            exclude |= qos_exclude
+        if self.qos is not None:
+            exclude |= self.qos.constrain(mru_page)
             if len(exclude) >= self.table.n_slots:
                 # at quota with no own slot to recycle: suppress
                 self.swaps_suppressed_qos += 1
@@ -502,7 +494,6 @@ class MigrationEngine:
             for _, args in s.ops
         }
         undo = self.table.undo_point(rows, self._affected_pages(plan))
-        old_machine = int(self.table.machine_of[plan.mru])
 
         # walk the plan, applying updates eagerly; after each table op the
         # affected pages' mirror slice becomes a timeline row at `t` when
@@ -534,8 +525,6 @@ class MigrationEngine:
                 end=start + duration,
                 n_subblocks=self.amap.subblocks_per_page,
                 first_subblock=crit_first,
-                live=live,
-                old_machine=old_machine,
             )
 
         #: copy prefix actually executed, as (src, dst, complete) — the
@@ -572,12 +561,13 @@ class MigrationEngine:
                     copy_index += 1
                     duration = self._copy_duration(t, step)
                     if step.incoming:
-                        fill = incoming_fill(step, t, duration)
                         incoming_end = t + duration
+                        if live:
+                            fill = incoming_fill(step, t, duration)
                     if self.shadow is not None:
                         self._collect_shadow_copy(
                             shadow_ops, step, t + duration,
-                            fill if live and step.incoming else None,
+                            fill if step.incoming else None,
                         )
                     executed.append((step.src, step.dst, True))
                     t += duration
@@ -593,24 +583,21 @@ class MigrationEngine:
                     step.apply(self.table)
                     record(t)
         except (FaultInjectionError, TranslationTableError) as exc:
-            # the executed copy prefix physically happened, however the
-            # abort is handled: it wore its destinations, and its data
-            # lands in the shadow at once (no access runs before the
-            # rollback)
+            # the executed copy prefix physically happened: it wore its
+            # destinations, and its data lands in the shadow at once (no
+            # access runs before the recovery)
             self._observe_copy_wear(dst for _, dst, _ in executed)
             if self.shadow is not None:
                 self.shadow.flush(now)
                 for _, kind, payload in shadow_ops:
                     if kind == "copy":
                         self.shadow.apply_copy(*payload)
-            recovered = False
-            if self.resilience.data_safe_abort:
-                self._recover_abort(now, t, undo, executed, exc)
-                recovered = isinstance(exc, FaultInjectionError)
-            else:
-                # bare rollback: routing only, no copy-back window
-                self.table.rollback(undo)
-            raise SwapAbortError(str(exc), recovered=recovered) from exc
+            self._recover_abort(now, t, undo, executed, exc)
+            # an injected abort leaves routing and data consistent; a
+            # torn table update counts toward quarantine
+            raise SwapAbortError(
+                str(exc), recovered=isinstance(exc, FaultInjectionError)
+            ) from exc
 
         if plan.stall:
             # N design: the table is updated only once data finished moving,
@@ -621,24 +608,17 @@ class MigrationEngine:
             machine = [machine[0], machine[-1]]
 
         if self.shadow is not None:
-            if plan.stall:
-                # nothing executes during the window: data and routing
-                # flip together at `now`, and no forwarding link is ever
-                # observable
-                for _, kind, payload in shadow_ops:
-                    if kind == "copy":
-                        self.shadow.schedule(now, "copy", payload)
-                self.shadow.schedule(now, "close", ())
-            else:
-                for op_t, kind, payload in shadow_ops:
-                    self.shadow.schedule(op_t, kind, payload)
-                # the plan's table updates are all live at its end: the
-                # copy engine quiesces and its forwarding links die
-                self.shadow.schedule(t, "close", ())
+            # the plan's table updates are all live at its end: the copy
+            # engine quiesces and its forwarding links die. Nothing
+            # executes during a stall window, so there data and routing
+            # flip together at `now` and no link is ever observable
+            for op_t, kind, payload in shadow_ops:
+                self.shadow.schedule(now if plan.stall else op_t, kind, payload)
+            self.shadow.schedule(now if plan.stall else t, "close", ())
 
         self._observe_copy_wear(dst for _, dst, _ in executed)
         self.active = ActiveMigration(
-            plan=plan, start=now, end=t, fill=None if plan.stall else fill,
+            plan=plan, start=now, end=t, fill=fill,
             pages=pages, times=np.array(times, dtype=np.int64),
             onpkg=np.array(onpkg, dtype=bool),
             machine=np.array(machine, dtype=np.int64),
@@ -740,17 +720,16 @@ class MigrationEngine:
         parr = np.array(sorted({int(p) for p in pages}), dtype=np.int64)
         self.monitor.forget_pages(parr, slots=slots)
 
-    def release_tenant(self, now: int, pages, *, scrub: bool = True) -> int:
+    def release_tenant(self, now: int, pages) -> int:
         """Reclaim a departed tenant's translation state (hypervisor path).
 
         Every transposition involving one of ``pages`` is undone to the
         identity mapping via :meth:`TranslationTable.release_pages`; the
         surviving pages' copies, planned from a pre-release clone with
         the dead pages skipped, run under a plan-less stall window like
-        a frame retirement's copy-out. ``scrub`` models hypervisor
-        zero-fill of the freed pages (scrub-on-free) in the data shadow;
-        disabling it lets tests demonstrate cross-tenant data leaks.
-        Returns the cycle the reclamation window closes.
+        a frame retirement's copy-out. The data shadow sees the freed
+        pages zero-filled (the hypervisor's scrub-on-free). Returns the
+        cycle the reclamation window closes.
         """
         if self.active is not None and self.active.in_flight(now):
             raise MigrationError(
@@ -762,7 +741,7 @@ class MigrationEngine:
         end = now
         if steps:
             end = self._stall_copies(now, now, steps)
-        if self.shadow is not None and scrub:
+        if self.shadow is not None:
             self.shadow.flush(now)
             for p in sorted({int(q) for q in pages}):
                 on, machine = self.table.resolve(p)
@@ -803,8 +782,8 @@ class MigrationEngine:
         executed: list[tuple],
         exc: Exception,
     ) -> None:
-        """Data-safe late abort: copy surviving duplicates home, then
-        restore the pre-swap table.
+        """Late abort: copy surviving duplicates home, then restore the
+        pre-swap table.
 
         A bare table rollback restores *routing* but not *data*: past
         the Ω-resolution copy the victim page's home bytes are already
@@ -816,17 +795,15 @@ class MigrationEngine:
         pre-swap content map and emits copy-back moves, preferring the
         surviving on-package duplicate; they run from the abort under a
         stall window opened at the swap's start, like an N-design
-        exchange.
+        exchange. An unrepairable mid-state still restores the table; the
+        planner's error then propagates and counts as a failure.
         """
         pre_swap = self.table.clone()
         pre_swap.rollback(undo)
         try:
             steps = recovery_plan(pre_swap, executed, prefer_table=self.table)
-        except (MigrationError, TranslationTableError):  # pragma: no cover
-            # unrepairable mid-state; fall back to bare rollback (the
-            # shadow, if tracking, will expose whatever was lost)
-            steps = []
-        self.table.rollback(undo)
+        finally:
+            self.table.rollback(undo)
         end = self._stall_copies(now, t_abort, steps)
         nbytes = sum(s.nbytes for s in steps)
         self.abort_recoveries += 1

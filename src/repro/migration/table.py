@@ -117,46 +117,38 @@ class TranslationTable:
     # ------------------------------------------------------------------
     # primitive mutations (each maintains the dense mirrors)
     # ------------------------------------------------------------------
-    def _sync_page(self, page: int) -> None:
-        """Recompute one page's dense-mirror entry from table state."""
+    def _derive(self, page: int) -> tuple[bool, int]:
+        """One page's ``(on_package, machine_page)`` from the table proper
+        (the right column, CAM, P bits, fill and retirement state)."""
         amap = self.amap
         if page == self._fill_page:
             # the incoming page keeps resolving to its old copy until the
             # fill completes; the engine refines per sub-block / per time
-            self.machine_of[page] = self._fill_source
-            self.onpkg[page] = False
-            return
+            return False, self._fill_source
         if page < self.n_slots:
             spare = self.remap.get(page)
             if spare is not None:
                 # the page's home frame is retired: permanent spare home
-                self.machine_of[page] = spare
-                self.onpkg[page] = False
-            elif self.p_bit[page]:
+                return False, spare
+            if self.p_bit[page]:
                 # the ghost page id doubles as a machine frame id
-                self.machine_of[page] = amap.ghost_page  # repro-domain: machine_frame
-                self.onpkg[page] = False
-            else:
-                v = int(self.pair[page])
-                if v == EMPTY:
-                    self.machine_of[page] = amap.ghost_page  # repro-domain: machine_frame
-                    self.onpkg[page] = False
-                elif v == page:
-                    # identity home: low pages home in the same-numbered slot
-                    self.machine_of[page] = page  # repro-domain: machine_frame
-                    self.onpkg[page] = True
-                else:
-                    self.machine_of[page] = v
-                    self.onpkg[page] = False
-        else:
-            slot = self._slot_of.get(page)
-            if slot is None:
-                # un-migrated slow page: machine address == page id
-                self.machine_of[page] = page  # repro-domain: machine_frame
-                self.onpkg[page] = False
-            else:
-                self.machine_of[page] = slot
-                self.onpkg[page] = True
+                return False, amap.ghost_page  # repro-domain: machine_frame
+            v = int(self.pair[page])
+            if v == EMPTY:
+                return False, amap.ghost_page  # repro-domain: machine_frame
+            if v == page:
+                # identity home: low pages home in the same-numbered slot
+                return True, page  # repro-domain: machine_frame
+            return False, v
+        slot = self._slot_of.get(page)
+        if slot is None:
+            # un-migrated slow page: machine address == page id
+            return False, page  # repro-domain: machine_frame
+        return True, slot
+
+    def _sync_page(self, page: int) -> None:
+        """Recompute one page's dense-mirror entry from table state."""
+        self.onpkg[page], self.machine_of[page] = self._derive(page)
 
     def _set_cam(self, slot: int, page: int) -> None:
         # validate before any mutation so a rejected update cannot leave
@@ -679,15 +671,6 @@ class TranslationTable:
                 f"stray P bit on slots {np.flatnonzero(self.p_bit).tolist()} "
                 "between epochs"
             )
-        # full mirror check (check_invariants only spot-checks)
-        for slot in range(self.n_slots):
-            page = int(self.pair[slot])
-            if page == EMPTY or page == self._fill_page:
-                continue
-            if not bool(self.onpkg[page]) or int(self.machine_of[page]) != slot:
-                raise TranslationTableError(
-                    f"dense mirror disagrees with row {slot} (page {page})"
-                )
 
     def repair(self) -> list[str]:
         """Clear recoverable corruption; returns a description of each fix.
@@ -729,29 +712,31 @@ class TranslationTable:
         self.check_invariants()
         return fixes
 
-    def _rebuild_mirrors(self) -> None:
-        """Recompute the dense mirrors from the table proper."""
+    def _derived_mirrors(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(onpkg, machine_of)`` recomputed from the table proper."""
         n = self.n_slots
         total = self.amap.n_total_pages
-        self.machine_of = np.arange(total, dtype=np.int64)
-        self.onpkg = np.zeros(total, dtype=bool)
-        self.onpkg[:n] = True
-        for slot in range(n):
-            self._sync_page(slot)
-            page = int(self.pair[slot])
-            # page != slot is the deliberate identity-home test: slot s
-            # natively holds page s, so inequality means "migrated pair"
-            if page != EMPTY and page != slot:  # repro-lint: disable=domain-confusion
-                self._sync_page(page)
-        if self._fill_page is not None:
-            self._sync_page(self._fill_page)
+        machine_of = np.arange(total, dtype=np.int64)
+        onpkg = np.zeros(total, dtype=bool)
+        onpkg[:n] = True
+        # only low pages, paired pages and the filling page can differ
+        # from the boot mapping
+        pages = set(range(n)) | set(self.pair.tolist()) | {self._fill_page}
+        pages -= {EMPTY, None}
+        for page in pages:
+            onpkg[page], machine_of[page] = self._derive(page)
+        return onpkg, machine_of
+
+    def _rebuild_mirrors(self) -> None:
+        """Recompute the dense mirrors from the table proper."""
+        self.onpkg, self.machine_of = self._derived_mirrors()
 
     def check_invariants(self) -> None:
         """Assert the structural invariants; used by tests and the engine.
 
         * every non-EMPTY right column appears in exactly one row;
         * CAM dict mirrors the right column exactly;
-        * dense mirrors agree with scalar resolution for mapped pages;
+        * the dense mirrors equal a rebuild from the table proper;
         * at most one slot is filling.
         """
         seen: dict[int, int] = {}
@@ -784,14 +769,11 @@ class TranslationTable:
                 raise TranslationTableError(
                     f"retired page {page} remapped to non-reserved page {spare}"
                 )
-            if bool(self.onpkg[page]) or int(self.machine_of[page]) != spare:
-                raise TranslationTableError(
-                    f"dense mirror disagrees with retired page {page} -> {spare}"
-                )
-        # spot-check mirrors against scalar resolution
-        for page in list(seen)[:64] + list(range(min(self.n_slots, 64))):
-            if page == self._fill_page:
-                continue
-            on, machine = self.resolve(page)
-            if bool(self.onpkg[page]) != on or int(self.machine_of[page]) != machine:
-                raise TranslationTableError(f"dense mirror out of sync for page {page}")
+        onpkg, machine_of = self._derived_mirrors()
+        stale = np.flatnonzero(
+            (onpkg != self.onpkg) | (machine_of != self.machine_of)
+        )
+        if stale.size:
+            raise TranslationTableError(
+                f"dense mirror out of sync for pages {stale[:8].tolist()}"
+            )

@@ -34,7 +34,6 @@ from enum import Enum
 
 import numpy as np
 
-from ..config import ResilienceConfig
 from ..errors import FaultInjectionError
 
 
@@ -172,7 +171,7 @@ class EccModel:
     Single-bit flips are corrected inline by SECDED at a fixed cycle
     cost. Detected-but-uncorrectable errors trigger controller re-reads
     (transient errors usually vanish on retry); an error that survives
-    ``max_retries`` re-reads is declared uncorrectable and surfaced to
+    :attr:`MAX_RETRIES` re-reads is declared uncorrectable and surfaced to
     the caller as a degradation event.
     """
 
@@ -180,11 +179,12 @@ class EccModel:
     P_CORRECTABLE = 0.85
     #: probability one re-read of a multi-bit transient comes back clean
     P_RETRY_OK = 0.7
-
-    def __init__(self, config: ResilienceConfig):
-        self.correction_cycles = config.ecc_correction_cycles
-        self.retry_cycles = config.ecc_retry_cycles
-        self.max_retries = config.max_ecc_retries
+    #: cycles an inline single-bit correction adds to the faulted access
+    CORRECTION_CYCLES = 20
+    #: cycles one detect-and-retry round trip costs
+    RETRY_CYCLES = 200
+    #: re-reads before a transient error is declared uncorrectable
+    MAX_RETRIES = 2
 
     def run(self, n_errors: int, rng: np.random.Generator) -> EccOutcome:
         corrected = retried = uncorrectable = 0
@@ -192,11 +192,11 @@ class EccModel:
         for _ in range(n_errors):
             if rng.random() < self.P_CORRECTABLE:
                 corrected += 1
-                extra += self.correction_cycles
+                extra += self.CORRECTION_CYCLES
                 continue
             recovered = False
-            for _attempt in range(self.max_retries):
-                extra += self.retry_cycles
+            for _attempt in range(self.MAX_RETRIES):
+                extra += self.RETRY_CYCLES
                 if rng.random() < self.P_RETRY_OK:
                     recovered = True
                     break

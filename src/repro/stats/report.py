@@ -208,8 +208,8 @@ def tenant_table(result) -> Table:
         )
     if result.swaps_suppressed_qos:
         table.add_footnote(
-            f"{result.swaps_suppressed_qos} swap(s) vetoed or steered by "
-            f"the QoS capacity policy"
+            f"{result.swaps_suppressed_qos} swap(s) suppressed by the QoS "
+            f"capacity policy"
         )
     if any(m.slowdown is None for m in result.tenants.values()):
         table.add_footnote(

@@ -19,9 +19,7 @@ from .isolation import (
 from .metrics import TenantMetrics
 from .qos import (
     CapacityPolicy,
-    HotSetAwarePolicy,
     ProportionalSharePolicy,
-    StaticQuotaPolicy,
 )
 from .scheduler import AdmitEvent, ChunkEvent, DepartEvent, TenantScheduler
 from .simulator import MultiTenantSimulator
@@ -33,11 +31,9 @@ __all__ = [
     "CrossTenantViolation",
     "DepartEvent",
     "HYPERVISOR",
-    "HotSetAwarePolicy",
     "IsolationOracle",
     "MultiTenantSimulator",
     "ProportionalSharePolicy",
-    "StaticQuotaPolicy",
     "TenantDomain",
     "TenantMetrics",
     "TenantRegistry",

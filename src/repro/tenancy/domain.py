@@ -7,7 +7,7 @@ module partitions the *physical page* space (the table's left column)
 into contiguous per-tenant windows:
 
 * :class:`TenantSpec` — the static description of one tenant (footprint,
-  QoS weight/quota, arrival/departure epochs);
+  QoS weight, arrival/departure epochs);
 * :class:`TenantDomain` — one admitted tenant: a base page plus a
   virtual->physical address rewrite for its trace chunks;
 * :class:`TenantRegistry` — first-fit window allocator with hole
@@ -40,10 +40,8 @@ class TenantSpec:
     name: str
     #: footprint in macro pages (the unit the translation table manages)
     n_pages: int
-    #: share weight for proportional / hot-set QoS policies
+    #: share weight for the proportional-share QoS policy
     weight: float = 1.0
-    #: hard on-package slot quota (static policy; None = unlimited)
-    quota_slots: int | None = None
     #: scheduler epoch at which the tenant arrives
     arrive_epoch: int = 0
     #: scheduler epoch at which the tenant is evicted (None = runs its
@@ -55,10 +53,6 @@ class TenantSpec:
             raise TenancyError(f"tenant {self.tenant_id}: n_pages must be positive")
         if self.weight <= 0:
             raise TenancyError(f"tenant {self.tenant_id}: weight must be positive")
-        if self.quota_slots is not None and self.quota_slots < 0:
-            raise TenancyError(
-                f"tenant {self.tenant_id}: quota_slots must be >= 0"
-            )
 
 
 class TenantDomain:

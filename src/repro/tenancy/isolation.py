@@ -8,11 +8,11 @@ oracle closes that gap: it tracks, per 4 KB sub-block of the physical
 space, **which tenant** last wrote it, and flags any read that observes
 a foreign tenant's data.
 
-A hypervisor scrub (the default on tenant release) marks the freed
-window ``HYPERVISOR``-owned, so a well-behaved reclamation path records
-zero violations; running with ``scrub_on_free=False`` demonstrates the
-leak the oracle exists to catch — the shadow memory stays clean while
-the oracle reports every residue read.
+The hypervisor scrub on tenant release marks the freed window
+``HYPERVISOR``-owned, so a well-behaved reclamation path records zero
+violations; a release without the scrub is the leak the oracle exists to
+catch — the shadow memory stays clean while the oracle reports every
+residue read.
 
 The oracle is pure observation: it sees the translated (physical)
 chunks before they reach the simulator and never influences a simulated

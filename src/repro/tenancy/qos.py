@@ -2,13 +2,12 @@
 
 The migration engine consults one :class:`CapacityPolicy` (its ``qos``
 hook) at every swap-trigger evaluation. The policy sees the candidate
-promotion (the hottest off-package page) and answers with either
-
-* a **veto** (the promotion is suppressed this epoch and counted in
-  ``swaps_suppressed_qos``), or
-* an **exclusion set** of slots the demotion victim must avoid — at its
-  quota a tenant may only displace one of its *own* promoted pages, so
-  its on-package footprint cannot grow at a neighbour's expense.
+promotion (the hottest off-package page) and answers with an
+**exclusion set** of slots the demotion victim must avoid: at its quota
+a tenant may only displace one of its *own* promoted pages, so its
+on-package footprint cannot grow at a neighbour's expense. When every
+slot is excluded the promotion is suppressed this epoch and counted in
+``swaps_suppressed_qos``.
 
 Accounting unit: a tenant "uses" an on-package slot when the slot holds
 one of its promoted off-package-home pages (``pair[s] >= n_slots`` and
@@ -18,17 +17,14 @@ the paper's baseline mapping, not capacity the tenant won through
 migration — which makes a single full-space tenant structurally
 unconstrained and keeps the bit-identity guarantee.
 
-Policies: :class:`StaticQuotaPolicy` (hard per-tenant slot counts),
-:class:`ProportionalSharePolicy` (weights split the usable slots), and
-:class:`HotSetAwarePolicy` (EWMA of off-package demand re-splits the
-slots toward the tenants actually missing).
+The policy: :class:`ProportionalSharePolicy` (weights split the usable
+slots, at least one each).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import TenancyError
 from .domain import TenantRegistry
 
 
@@ -39,7 +35,7 @@ class CapacityPolicy:
         self.registry: TenantRegistry | None = None
         self.table = None
         self._quota_cache: dict[int, int] = {}
-        self._quota_key: tuple | None = None
+        self._quota_key: int | None = None
 
     def bind(self, registry: TenantRegistry, table) -> None:
         """Attach to a run (MultiTenantSimulator calls this once)."""
@@ -52,15 +48,11 @@ class CapacityPolicy:
         reserve = 1 if self.table._reserve_empty_slot else 0
         return max(0, self.table.n_usable_slots - reserve)
 
-    # -- quota computation (cached on registry version + demand state) --
-    def _demand_key(self):
-        return 0
-
+    # -- quota computation (cached on the registry version) -------------
     def quotas(self) -> dict[int, int]:
-        key = (self.registry.version, self._demand_key())
-        if key != self._quota_key:
+        if self.registry.version != self._quota_key:
             self._quota_cache = self._compute_quotas()
-            self._quota_key = key
+            self._quota_key = self.registry.version
         return self._quota_cache
 
     def _compute_quotas(self) -> dict[int, int]:
@@ -80,47 +72,23 @@ class CapacityPolicy:
         ids, counts = np.unique(owners[owners >= 0], return_counts=True)
         return dict(zip(ids.tolist(), counts.tolist()))
 
-    def observe(self, tenant_id: int, offpkg_accesses: int) -> None:
-        """Demand feedback after each tenant chunk (hot-set policy hook)."""
-
-    def constrain(self, mru_page: int) -> tuple[str | None, set[int]]:
-        """Engine hook: ``(veto_reason | None, demotion_exclusion_set)``."""
+    def constrain(self, mru_page: int) -> set[int]:
+        """Engine hook: the slots the demotion victim must avoid."""
         if mru_page < self.table.n_slots:
             # home restoration: the page is returning to its baseline
             # slot, which frees a promoted page's frame — never charged
-            return None, set()
+            return set()
         owner = self.registry.owner_of(mru_page)
         if owner is None:
-            return None, set()
-        quota = self.quotas().get(owner)
-        if quota is None:
-            return None, set()
-        if quota <= 0:
-            return f"tenant {owner} has no on-package slot quota", set()
+            return set()
+        quota = self.quotas()[owner]
         slots, owners = self._transposition_slots()
         own = slots[owners == owner]
         if own.shape[0] < quota:
-            return None, set()
+            return set()
         # at (or, after a quota re-split, above) cap: the swap may only
         # displace one of the tenant's own promoted pages — net zero
-        return None, set(range(self.table.n_slots)) - set(own.tolist())
-
-
-class StaticQuotaPolicy(CapacityPolicy):
-    """Hard per-tenant slot counts from ``TenantSpec.quota_slots``.
-
-    Tenants with ``quota_slots=None`` are unconstrained. Quotas are
-    *not* validated against capacity: an over-committed static split is
-    a deliberate operator choice, and the table itself bounds total
-    occupancy.
-    """
-
-    def _compute_quotas(self) -> dict[int, int]:
-        return {
-            d.tenant_id: d.spec.quota_slots
-            for d in self.registry.domains.values()
-            if d.spec.quota_slots is not None
-        }
+        return set(range(self.table.n_slots)) - set(own.tolist())
 
 
 class ProportionalSharePolicy(CapacityPolicy):
@@ -137,56 +105,3 @@ class ProportionalSharePolicy(CapacityPolicy):
             for d in domains
         }
 
-
-class HotSetAwarePolicy(CapacityPolicy):
-    """Demand-driven split: slots follow the off-package miss traffic.
-
-    An EWMA (``alpha``) of each tenant's per-chunk off-package accesses
-    estimates its hot-set pressure; the usable slots are split as
-    ``floor`` each plus the remainder proportionally to demand. Until
-    demand data exists (cold start, freshly arrived tenant) the split
-    falls back to the weight proportions. Quotas shrink as neighbours
-    heat up, so a tenant can transiently sit above its new quota — the
-    at-cap exclusion then pins its usage (own-victim-only swaps) while
-    natural demotions decay it.
-    """
-
-    def __init__(self, alpha: float = 0.3, floor: int = 1):
-        super().__init__()
-        if not 0 < alpha <= 1:
-            raise TenancyError("alpha must be in (0, 1]")
-        if floor < 0:
-            raise TenancyError("floor must be >= 0")
-        self.alpha = alpha
-        self.floor = floor
-        self._demand: dict[int, float] = {}
-        self._version = 0
-
-    def observe(self, tenant_id: int, offpkg_accesses: int) -> None:
-        prev = self._demand.get(tenant_id, 0.0)
-        self._demand[tenant_id] = (
-            (1 - self.alpha) * prev + self.alpha * offpkg_accesses
-        )
-        self._version += 1
-
-    def _demand_key(self):
-        return self._version
-
-    def _compute_quotas(self) -> dict[int, int]:
-        domains = list(self.registry.domains.values())
-        if not domains:
-            return {}
-        cap = self.capacity()
-        demand = {d.tenant_id: self._demand.get(d.tenant_id, 0.0) for d in domains}
-        total = sum(demand.values())
-        if total <= 0:
-            total_w = sum(d.spec.weight for d in domains)
-            return {
-                d.tenant_id: max(1, int(cap * d.spec.weight / total_w))
-                for d in domains
-            }
-        spare = max(0, cap - self.floor * len(domains))
-        return {
-            d.tenant_id: self.floor + int(spare * demand[d.tenant_id] / total)
-            for d in domains
-        }

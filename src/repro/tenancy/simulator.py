@@ -46,19 +46,13 @@ class MultiTenantSimulator:
         config: SystemConfig,
         *,
         policy: CapacityPolicy | None = None,
-        migrate: bool = True,
         fused: bool = True,
         track_data: bool = False,
-        scrub_on_free: bool = True,
         solo_baselines: bool = False,
-        chunk_callback=None,
     ):
         self.config = config
-        self._migrate = migrate
         self._fused = fused
-        self.sim = EpochSimulator(
-            config, migrate=migrate, fused=fused, track_data=track_data
-        )
+        self.sim = EpochSimulator(config, fused=fused, track_data=track_data)
         self.registry = TenantRegistry(self.sim.table)
         self.scheduler = TenantScheduler(config.migration.swap_interval)
         self.policy = policy
@@ -66,11 +60,7 @@ class MultiTenantSimulator:
             policy.bind(self.registry, self.sim.table)
             self.sim.engine.qos = policy
         self.oracle = IsolationOracle(self.sim.table.amap)
-        self.scrub_on_free = scrub_on_free
         self.solo_baselines = solo_baselines
-        #: test hook: called as ``chunk_callback(self, event)`` after
-        #: every fed chunk (quota/audit assertions in the property tests)
-        self.chunk_callback = chunk_callback
         self.metrics: dict[int, TenantMetrics] = {}
         self.domains = {}
         self._traces: dict[int, TraceChunk] = {}
@@ -144,17 +134,12 @@ class MultiTenantSimulator:
         m.accesses += result.n_accesses - before[0]
         m.total_latency += result.total_latency - before[1]
         m.onpkg_accesses += result.onpkg_accesses - before[2]
-        d_off = result.offpkg_accesses - before[3]
-        m.offpkg_accesses += d_off
+        m.offpkg_accesses += result.offpkg_accesses - before[3]
         m.swaps_triggered += engine.swaps_triggered - swaps0
         m.migrated_bytes += engine.migrated_bytes - migrated0
         m.chunks += 1
         m.consumed = event.consumed
-        if self.policy is not None:
-            self.policy.observe(event.tenant_id, d_off)
         self._drain_releases()
-        if self.chunk_callback is not None:
-            self.chunk_callback(self, event)
 
     def _depart(self, event: DepartEvent) -> None:
         domain = self.domains.pop(event.tenant_id)
@@ -179,9 +164,8 @@ class MultiTenantSimulator:
                     return
                 now = engine.active.end
             tenant_id, pages = self._pending_release[0]
-            engine.release_tenant(now, pages, scrub=self.scrub_on_free)
-            if self.scrub_on_free:
-                self.oracle.scrub(pages)
+            engine.release_tenant(now, pages)
+            self.oracle.scrub(pages)
             self.registry.release(tenant_id)
             self._pending_release.pop(0)
 
@@ -192,7 +176,5 @@ class MultiTenantSimulator:
             prefix = self._traces[tenant_id][: m.consumed]
             if len(prefix) == 0:
                 continue
-            solo = EpochSimulator(
-                self.config, migrate=self._migrate, fused=self._fused
-            )
+            solo = EpochSimulator(self.config, fused=self._fused)
             m.solo_average_latency = solo.run(prefix).average_latency

@@ -10,6 +10,7 @@ import pytest
 from repro.address import AddressMap
 from repro.config import MigrationConfig, SystemConfig
 from repro.core.simulator import SimulationResult
+from repro.migration.engine import MigrationEngine
 from repro.resilience.checkpoint import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
@@ -17,6 +18,18 @@ from repro.resilience.checkpoint import (
 )
 from repro.trace.record import TraceChunk, make_chunk
 from repro.units import KB, MB
+
+
+def bare_rollback(monkeypatch) -> None:
+    """Replace the engine's abort recovery with a routing-only table
+    rollback: no copy-back runs, so a late abort leaves routing pointed
+    at data the executed copy prefix overwrote (the protocol checker's
+    ``valid-copy`` counterexample)."""
+
+    def rollback_only(engine, now, t_abort, undo, executed, exc):
+        engine.table.rollback(undo)
+
+    monkeypatch.setattr(MigrationEngine, "_recover_abort", rollback_only)
 
 
 @pytest.fixture

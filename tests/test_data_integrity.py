@@ -44,6 +44,8 @@ from repro.resilience import (
 from repro.trace.record import make_chunk
 from repro.units import KB, MB
 
+from .conftest import bare_rollback
+
 INTERVAL = 250
 ALGOS = ("N", "N-1", "live")
 #: sweeping 0..7 covers every copy step of every design's longest plan
@@ -225,24 +227,24 @@ class TestAbortSweep:
 class TestBareRollbackRegression:
     """Abort after the Ω-resolution copy (copy step 2 of an N-1 plan).
 
-    A bare table rollback re-routes the migrated-in page to its old
-    off-package home, which the Ω-resolution copy already overwrote:
-    reads observably return dead data. The data-safe recovery copies the
-    surviving on-package duplicate home first, and the same workload
-    runs clean.
+    A bare table rollback (rebuilt here by patching the recovery out)
+    re-routes the migrated-in page to its old off-package home, which
+    the Ω-resolution copy already overwrote: reads observably return
+    dead data. The engine's recovery copies the surviving on-package
+    duplicate home first, and the same workload runs clean.
     """
 
     PLAN = abort_plan(2, n_epochs=8)
 
-    def test_bare_rollback_serves_dead_data(self, traces):
-        cfg = config("N-1", data_safe_abort=False)
-        sim, result = run_tracked(cfg, traces["N-1"], self.PLAN)
+    def test_bare_rollback_serves_dead_data(self, traces, monkeypatch):
+        bare_rollback(monkeypatch)
+        sim, result = run_tracked(config("N-1"), traces["N-1"], self.PLAN)
         assert result.faults_injected > 0
         assert result.data_violations > 0
         assert sim.shadow.verify_table(sim.engine.table)
 
     def test_data_safe_recovery_runs_clean(self, traces):
-        cfg = config("N-1")  # data_safe_abort defaults on
+        cfg = config("N-1")
         sim, result = run_tracked(cfg, traces["N-1"], self.PLAN)
         assert sim.engine.abort_recoveries >= 1
         assert_data_clean(sim, result, traces["N-1"])

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.address import AddressMap
-from repro.config import BusConfig, MigrationConfig
+from repro.config import BusConfig, MigrationConfig, SystemConfig
 from repro.dram.refresh import RefreshSchedule
+from repro.memctrl.heterogeneous import HeterogeneousController
 from repro.migration.algorithms import TableUpdate
 from repro.migration.engine import MigrationEngine
 from repro.migration.table import EMPTY, TranslationTable
@@ -132,11 +133,11 @@ def feed_epoch(engine: MigrationEngine, page: int, count: int = 5, t0: int = 0):
 class StubQoS:
     """A capacity policy with a fixed answer for every candidate."""
 
-    def __init__(self, veto, exclude):
-        self.veto, self.exclude = veto, exclude
+    def __init__(self, exclude):
+        self.exclude = exclude
 
     def constrain(self, page):
-        return self.veto, self.exclude
+        return self.exclude
 
 
 def _busy(e):
@@ -152,9 +153,9 @@ def _retired_home(e):
     return end + 1
 
 
-def _qos(veto, exclude):
+def _qos(exclude):
     def setup(e):
-        e.qos = StubQoS(veto, exclude)
+        e.qos = StubQoS(exclude)
         feed_epoch(e, HOT)
         return 1000
     return setup
@@ -193,9 +194,8 @@ SWAP_OUTCOMES = {
     "spare": (_page(lambda e: e.amap.ghost_page - 1), False, r"reserved spare page$"),
     "retired-home": (_retired_home, False, r"^hottest page 0's home frame is retired$"),
     "on-package": (_page(lambda e: 2), False, r"^hottest page 2 already on-package$"),
-    "qos-veto": (_qos("over quota", set()), False, r"^QoS: over quota$"),
     "qos-excluded": (
-        _qos(None, set(range(N_SLOTS))), False,
+        _qos(set(range(N_SLOTS))), False,
         r"^QoS: every demotion candidate is excluded$",
     ),
     "cold": (_cold, False, r"^MRU count 1 <= LRU count 5$"),
@@ -241,7 +241,7 @@ class TestScheduling:
         observe_hot_page(e, hot)
         e.maybe_swap(now=1000)
         fill = e.active.fill
-        assert fill is not None and fill.live
+        assert fill is not None
         assert fill.start >= 1000
         copy_cycles = BusConfig().copy_cycles(1 * MB)
         assert fill.end - fill.start == pytest.approx(copy_cycles, rel=0.01)
@@ -251,14 +251,36 @@ class TestScheduling:
         assert avail[0] < avail[1]
 
     def test_nonlive_fill_is_whole_page(self):
-        e = make_engine(algorithm="N-1")
+        """N-1 carries no fill: the routing timeline alone serves every
+        sub-block of the incoming page from its pre-swap frame until the
+        copy-in lands, and from its slot from then on."""
+        cfg = SystemConfig(
+            total_bytes=N_SLOTS * 4 * MB,
+            onpkg_bytes=N_SLOTS * MB,
+            migration=MigrationConfig(
+                algorithm="N-1", macro_page_bytes=1 * MB,
+                subblock_bytes=64 * KB, swap_interval=100,
+            ),
+        )
+        e = MigrationEngine(cfg.address_map(), cfg.migration)
         hot = N_SLOTS + 3
         observe_hot_page(e, hot)
         e.maybe_swap(now=1000)
-        fill = e.active.fill
-        assert not fill.live
-        avail = fill.available_at(np.array([0, 7]))
-        assert (avail == fill.end).all()
+        active = e.active
+        assert active.fill is None
+        slot = e.table.slot_of(hot)
+        landed = 1000 + BusConfig().copy_cycles(1 * MB)
+        assert landed < active.end  # the demotion copies follow
+        times = np.repeat([1000, landed - 1, landed, active.end], 2)
+        subblocks = np.tile([0, 15], 4)
+        on = np.empty(times.size, dtype=bool)
+        machine = np.empty(times.size, dtype=np.int64)
+        HeterogeneousController(cfg).resolve_into(
+            np.full(times.size, hot), times, subblocks, e.table, active,
+            on, machine,
+        )
+        assert on.tolist() == [False] * 4 + [True] * 4
+        assert machine.tolist() == [hot] * 4 + [slot] * 4
 
     def test_stall_plan_for_basic_design(self):
         e = make_engine(algorithm="N")

@@ -34,6 +34,7 @@ from repro.errors import (
 from repro.experiments import chaos_soak, hammer_soak
 from repro.migration.algorithms import (
     CopyStep,
+    TableUpdate,
     build_basic_swap_steps,
     build_swap_steps,
 )
@@ -55,7 +56,7 @@ from repro.trace.io import write_trace
 from repro.trace.record import make_chunk
 from repro.units import KB, MB
 
-from .conftest import synthetic_trace
+from .conftest import bare_rollback, synthetic_trace
 
 INTERVAL = 250
 
@@ -372,25 +373,24 @@ class TestRunResumable:
 # ----------------------------------------------------------------------
 # graceful degradation
 # ----------------------------------------------------------------------
-class TestDegradedMode:
-    def _abort_everything_plan(self, n_epochs):
-        return FaultPlan(
-            [FaultEvent(epoch=e, kind=FaultKind.ABORT_SWAP, param=e)
-             for e in range(n_epochs)],
-            seed=1,
-        )
+def tear_every_plan(monkeypatch) -> None:
+    """Make every swap plan's first table update raise, as a corrupted
+    table would. Unlike a recovered injected abort, each such failure
+    counts toward quarantine."""
 
-    def test_quarantine_after_k_failures(self):
-        # data-safe recovered aborts are consistency-preserving and never
-        # count toward quarantine; this test exercises the legacy
-        # bare-rollback mode where they do
-        cfg = config(
-            "live", max_consecutive_failures=2, data_safe_abort=False
-        )
+    def torn(update, table):
+        raise TranslationTableError(f"torn update: {update.label}")
+
+    monkeypatch.setattr(TableUpdate, "apply", torn)
+
+
+class TestDegradedMode:
+    def test_quarantine_after_k_failures(self, monkeypatch):
+        tear_every_plan(monkeypatch)
+        cfg = config("live", max_consecutive_failures=2)
         n_epochs = 12
         trace = synthetic_trace(n=n_epochs * INTERVAL, seed=3)
         sim = repro.EpochSimulator(cfg)
-        sim.attach_faults(self._abort_everything_plan(n_epochs))
         result = sim.run(trace)
 
         assert result.quarantined
@@ -411,18 +411,17 @@ class TestDegradedMode:
         assert "quarantined" in decision.reason
 
     @pytest.mark.parametrize("algo", ["N", "N-1", "live"])
-    def test_degraded_latency_within_5pct_of_static(self, algo):
+    def test_degraded_latency_within_5pct_of_static(self, algo, monkeypatch):
         """Acceptance: a fully degraded run serves the whole trace with
         average latency within 5% of the static-mapping baseline."""
-        cfg = config(algo, max_consecutive_failures=1, data_safe_abort=False)
+        cfg = config(algo, max_consecutive_failures=1)
         n_epochs = 16
         trace = synthetic_trace(n=n_epochs * INTERVAL, seed=7)
 
         static = repro.HeterogeneousMainMemory(cfg, migrate=False).run(trace)
 
-        sim = repro.EpochSimulator(cfg)
-        sim.attach_faults(self._abort_everything_plan(n_epochs))
-        degraded = sim.run(trace)
+        tear_every_plan(monkeypatch)
+        degraded = repro.EpochSimulator(cfg).run(trace)
 
         assert degraded.quarantined
         assert degraded.n_accesses == static.n_accesses == len(trace)
@@ -495,14 +494,13 @@ PLAN_SHAPES = {
 }
 
 
-def _matrix_engine(algo: str, data_safe: bool = True):
+def _matrix_engine(algo: str):
     return MigrationEngine(
         AddressMap(
             total_bytes=16 * MB, onpkg_bytes=4 * MB,
             macro_page_bytes=1 * MB, subblock_bytes=4 * KB,
         ),
         MigrationConfig(algorithm=algo, macro_page_bytes=1 * MB, swap_interval=100),
-        resilience=ResilienceConfig(data_safe_abort=data_safe),
     )
 
 
@@ -563,15 +561,21 @@ def _warm_shapes(algo: str) -> dict:
 
 class TestRollbackMatrix:
     """A torn plan rolls the table back exactly, for every plan shape
-    torn at every copy step, with and without data-safe recovery."""
+    torn at every copy step, with the engine's copy-back recovery and
+    with a bare rollback (recovery patched out): the undo record alone
+    restores the table."""
 
     @pytest.mark.parametrize("data_safe", [True, False], ids=["data-safe", "bare"])
     @pytest.mark.parametrize(
         "algo,shape",
         [(algo, shape) for algo, shapes in PLAN_SHAPES.items() for shape in shapes],
     )
-    def test_torn_plan_restores_full_state(self, algo, shape, data_safe):
+    def test_torn_plan_restores_full_state(
+        self, algo, shape, data_safe, monkeypatch
+    ):
         state, mru, lru = _warm_shapes(algo)[shape]
+        if not data_safe:
+            bare_rollback(monkeypatch)
         probe = _matrix_engine(algo)
         probe.table.load_state_dict(state)
         plan = _plan(algo, probe.table, mru, lru)
@@ -581,7 +585,7 @@ class TestRollbackMatrix:
         landed = (0, 3) if algo == "live" else (0,)
         for step in range(n_copies):
             for subblocks in landed:
-                engine = _matrix_engine(algo, data_safe)
+                engine = _matrix_engine(algo)
                 engine.table.load_state_dict(state)
                 before = engine.table.state_dict()
                 engine.inject_abort(step, subblocks=subblocks)
@@ -735,17 +739,11 @@ class TestResilienceConfig:
         assert tuned.resilience.audit_interval == 7
         assert tuned.migration == cfg.migration
 
-    def test_report_table_renders(self):
-        cfg = config(
-            "live", max_consecutive_failures=1, data_safe_abort=False
-        )
+    def test_report_table_renders(self, monkeypatch):
+        tear_every_plan(monkeypatch)
+        cfg = config("live", max_consecutive_failures=1)
         n_epochs = 6
         sim = repro.EpochSimulator(cfg)
-        sim.attach_faults(FaultPlan(
-            [FaultEvent(epoch=e, kind=FaultKind.ABORT_SWAP)
-             for e in range(n_epochs)],
-            seed=0,
-        ))
         result = sim.run(synthetic_trace(n=n_epochs * INTERVAL, seed=7))
         from repro.stats.report import resilience_table
 

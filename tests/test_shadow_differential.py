@@ -37,6 +37,7 @@ from repro.migration.table import TranslationTable
 from repro.trace.record import make_chunk
 from repro.units import KB
 
+from .conftest import bare_rollback
 from .shadow_reference import ReferenceShadowMemory
 from .test_data_integrity import (
     ALGOS,
@@ -230,16 +231,16 @@ def run_with(shadow_cls, monkeypatch, cfg, trace, plan=None):
 
 
 @pytest.mark.parametrize(
-    "algo, plan, resilience",
-    [(algo, None, {}) for algo in ALGOS]
-    + [("live", abort_plan(0, n_epochs=8, subblocks=7), {}),
-       ("N-1", abort_plan(2, n_epochs=8), {"data_safe_abort": False})],
+    "algo, plan, bare",
+    [(algo, None, False) for algo in ALGOS]
+    + [("live", abort_plan(0, n_epochs=8, subblocks=7), False),
+       ("N-1", abort_plan(2, n_epochs=8), True)],
     ids=["N", "N-1", "live", "live-torn-fill", "N-1-bare-rollback"],
 )
-def test_tracked_simulation_matches_reference(
-    algo, plan, resilience, monkeypatch
-):
-    cfg = config(algo, **resilience)
+def test_tracked_simulation_matches_reference(algo, plan, bare, monkeypatch):
+    if bare:
+        bare_rollback(monkeypatch)
+    cfg = config(algo)
     trace = write_trace(cfg, n_epochs=8, seed=3)
     ref_sim, ref_result = run_with(FedReference, monkeypatch, cfg, trace, plan)
     sim, result = run_with(ShadowMemory, monkeypatch, cfg, trace, plan)
@@ -248,7 +249,7 @@ def test_tracked_simulation_matches_reference(
     assert sim.shadow.verify_table(sim.table) == ref_sim.shadow.verify_table(
         ref_sim.table
     )
-    if resilience:
+    if bare:
         assert result.data_violations > 0, "the bare rollback must be seen"
 
 

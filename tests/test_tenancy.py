@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 
 from repro.config import MigrationConfig, SystemConfig
 from repro.core.simulator import EpochSimulator, SimulationResult
+from repro.datamodel import ShadowMemory
 from repro.errors import CheckpointError, TenancyError, TranslationTableError
 from repro.migration.recovery import recovery_plan
 from repro.migration.table import TranslationTable
@@ -37,10 +38,9 @@ from repro.stats.report import tenant_table
 from repro.tenancy import (
     HYPERVISOR,
     ChunkEvent,
-    HotSetAwarePolicy,
+    IsolationOracle,
     MultiTenantSimulator,
     ProportionalSharePolicy,
-    StaticQuotaPolicy,
     TenantRegistry,
     TenantScheduler,
     TenantSpec,
@@ -197,18 +197,20 @@ class TestIsolation:
         assert mts.engine.tenants_released == 6
         assert sum(m.accesses for m in result.tenants.values()) == result.n_accesses
 
-    def _residue_setup(self, scrub_on_free):
+    def _residue_setup(self, monkeypatch, scrub):
         """Tenant 0 writes its whole window and departs; tenant 1 then
-        reads the recycled window without writing first."""
+        reads the recycled window without writing first. ``scrub=False``
+        patches the hypervisor's scrub-on-free out of the release."""
+        if not scrub:
+            monkeypatch.setattr(ShadowMemory, "scrub_page", lambda *a: None)
+            monkeypatch.setattr(IsolationOracle, "scrub", lambda *a: None)
         cfg = _cfg()
         amap = cfg.address_map()
         n_pages = amap.ghost_page  # whole data space: windows must recycle
         addr = np.arange(n_pages, dtype=np.int64) * amap.macro_page_bytes
         writer = make_chunk(addr, time=np.arange(n_pages), rw=1)
         reader = make_chunk(addr, time=np.arange(n_pages), rw=0)
-        mts = MultiTenantSimulator(
-            cfg, track_data=True, scrub_on_free=scrub_on_free
-        )
+        mts = MultiTenantSimulator(cfg, track_data=True)
         mts.add_tenant(
             TenantSpec(tenant_id=0, name="writer", n_pages=n_pages), writer
         )
@@ -219,8 +221,10 @@ class TestIsolation:
         )
         return mts, mts.run(), n_pages
 
-    def test_unscrubbed_release_leaks_and_only_the_oracle_sees_it(self):
-        mts, result, n_pages = self._residue_setup(scrub_on_free=False)
+    def test_unscrubbed_release_leaks_and_only_the_oracle_sees_it(
+        self, monkeypatch
+    ):
+        mts, result, n_pages = self._residue_setup(monkeypatch, scrub=False)
         # the shadow is blind: page ids and generations still match
         assert result.data_violations == 0
         # the oracle is not: every read observed tenant 0's residue
@@ -229,8 +233,8 @@ class TestIsolation:
         assert (v.reader, v.writer) == (1, 0)
         assert "last written by tenant 0" in v.format()
 
-    def test_scrub_on_free_cleanses_the_recycled_window(self):
-        mts, result, n_pages = self._residue_setup(scrub_on_free=True)
+    def test_scrub_on_free_cleanses_the_recycled_window(self, monkeypatch):
+        mts, result, n_pages = self._residue_setup(monkeypatch, scrub=True)
         assert result.data_violations == 0
         assert mts.oracle.n_violations == 0
         assert not mts.sim.shadow.verify_table(mts.table)
@@ -243,28 +247,16 @@ class TestIsolation:
 # QoS capacity partitioning
 # ---------------------------------------------------------------------------
 class TestQoS:
-    def test_zero_quota_vetoes_every_promotion(self):
-        cfg = _cfg()
-        amap = cfg.address_map()
-        mts = MultiTenantSimulator(cfg, policy=StaticQuotaPolicy())
-        mts.add_tenant(
-            TenantSpec(tenant_id=0, name="capped", n_pages=amap.ghost_page,
-                       quota_slots=0),
-            _trace(),
-        )
-        result = mts.run()
-        assert result.swaps_triggered == 0
-        assert result.swaps_suppressed_qos > 0
-        mts.table.audit()
-
-    def test_static_quota_is_never_exceeded(self):
+    def test_proportional_quota_is_never_exceeded(self, monkeypatch):
         cfg = _cfg()
         amap = cfg.address_map()
         n_pages = amap.ghost_page // 2
-        policy = StaticQuotaPolicy()
+        policy = ProportionalSharePolicy()
         observed = []
+        feed = MultiTenantSimulator._feed
 
-        def cb(sim, event):
+        def checked_feed(sim, event, result):
+            feed(sim, event, result)
             usage = sim.policy.usage()
             quotas = sim.policy.quotas()
             for tenant, used in usage.items():
@@ -274,19 +266,20 @@ class TestQoS:
                 )
             observed.append(dict(usage))
 
-        mts = MultiTenantSimulator(cfg, policy=policy, chunk_callback=cb)
-        for i in range(2):
+        monkeypatch.setattr(MultiTenantSimulator, "_feed", checked_feed)
+        mts = MultiTenantSimulator(cfg, policy=policy)
+        # weights 1:9 give tenant 0 a small quota the cap must enforce
+        for i, weight in enumerate((1.0, 9.0)):
             mts.add_tenant(
                 TenantSpec(tenant_id=i, name=f"t{i}", n_pages=n_pages,
-                           quota_slots=3 + 2 * i),
+                           weight=weight),
                 _trace(n=12_000, seed=i, span_bytes=n_pages * 64 * KB),
             )
         result = mts.run()
-        assert observed, "chunk callback never ran"
-        # the cap actually bit: somebody reached its quota at least once
-        assert any(
-            usage.get(i, 0) == 3 + 2 * i for usage in observed for i in range(2)
-        )
+        assert observed, "no chunk was fed"
+        small = policy.capacity() // 10
+        # the cap actually bit: tenant 0 reached its quota at least once
+        assert any(usage.get(0, 0) == small for usage in observed)
         assert result.swaps_triggered > 0
         mts.table.audit()
 
@@ -306,28 +299,6 @@ class TestQoS:
         # quota cache keys on the registry version
         registry.release(1)
         assert 1 not in policy.quotas()
-
-    def test_hot_set_policy_follows_demand(self):
-        cfg = _cfg()
-        table = TranslationTable(cfg.address_map())
-        registry = TenantRegistry(table)
-        for i in range(2):
-            registry.admit(TenantSpec(tenant_id=i, name=f"t{i}", n_pages=10))
-        policy = HotSetAwarePolicy(alpha=0.5, floor=1)
-        policy.bind(registry, table)
-        cold = policy.quotas()
-        assert cold[0] == cold[1]  # no demand yet: weight fallback
-        policy.observe(0, 900)
-        policy.observe(1, 100)
-        hot = policy.quotas()
-        assert hot[0] > hot[1] >= 1
-        assert hot[0] + hot[1] <= policy.capacity()
-
-    def test_hot_set_policy_validates_parameters(self):
-        with pytest.raises(TenancyError):
-            HotSetAwarePolicy(alpha=0.0)
-        with pytest.raises(TenancyError):
-            HotSetAwarePolicy(floor=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -505,8 +476,6 @@ class TestRegistry:
             TenantSpec(tenant_id=0, name="x", n_pages=0)
         with pytest.raises(TenancyError):
             TenantSpec(tenant_id=0, name="x", n_pages=1, weight=0)
-        with pytest.raises(TenancyError):
-            TenantSpec(tenant_id=0, name="x", n_pages=1, quota_slots=-1)
 
 
 class TestDomain:
@@ -624,16 +593,11 @@ class TestReporting:
 # ---------------------------------------------------------------------------
 # property test: random mixes x churn x policies keep every invariant
 # ---------------------------------------------------------------------------
-POLICY_KINDS = ("none", "static", "proportional", "hotset")
+POLICY_KINDS = ("none", "proportional")
 
 
 def _make_policy(kind):
-    return {
-        "none": lambda: None,
-        "static": StaticQuotaPolicy,
-        "proportional": ProportionalSharePolicy,
-        "hotset": lambda: HotSetAwarePolicy(alpha=0.4, floor=1),
-    }[kind]()
+    return ProportionalSharePolicy() if kind == "proportional" else None
 
 
 @settings(max_examples=12, deadline=None,
@@ -649,25 +613,18 @@ def test_random_mixes_keep_table_and_quota_invariants(
 ):
     cfg = _cfg(swap_interval=200)
     mix = tenant_mix(cfg, n_tenants, accesses=1_400, seed=seed, churn=churn)
-    if policy_kind == "static":
-        mix = [
-            (dataclasses.replace(spec, quota_slots=2 + spec.tenant_id), trace)
-            for spec, trace in mix
-        ]
-    policy = _make_policy(policy_kind)
+    feed = MultiTenantSimulator._feed
 
-    def cb(sim, event):
+    def checked_feed(sim, event, result):
+        feed(sim, event, result)
         sim.table.check_invariants()
-        if policy_kind == "static":
-            usage = sim.policy.usage()
-            quotas = sim.policy.quotas()
-            for tenant, used in usage.items():
-                assert used <= quotas.get(tenant, used)
 
-    mts = MultiTenantSimulator(cfg, policy=policy, chunk_callback=cb)
+    mts = MultiTenantSimulator(cfg, policy=_make_policy(policy_kind))
     for spec, trace in mix:
         mts.add_tenant(spec, trace)
-    result = mts.run()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(MultiTenantSimulator, "_feed", checked_feed)
+        result = mts.run()
     mts.table.audit()
     # every tenant (base + churn arrivals) departed and was reclaimed
     assert mts.engine.tenants_released == len(mix)

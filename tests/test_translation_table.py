@@ -187,6 +187,21 @@ class TestInvariants:
         with pytest.raises(TranslationTableError):
             t.check_invariants()
 
+    @pytest.mark.parametrize(
+        "page, on, machine", [(3, True, 55), (200, False, 7)],
+        ids=["migrated-low-page", "unmapped-high-page"],
+    )
+    def test_detects_stale_mirror_entry(self, page, on, machine):
+        # neither page sits in a slot, and resolve() reads the mirrors
+        # themselves: only a rebuild from the table proper sees the lie
+        t = make_table(n_slots=64)
+        t.set_pair(3, 100)
+        t.check_invariants()
+        t.onpkg[page], t.machine_of[page] = on, machine
+        for check in (t.check_invariants, t.audit):
+            with pytest.raises(TranslationTableError, match="dense mirror"):
+                check()
+
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 40)), max_size=20))
     def test_random_mutations_keep_resolvability(self, ops):
