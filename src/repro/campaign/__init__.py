@@ -1,15 +1,15 @@
 """Campaign orchestration: fault-tolerant parallel sweeps.
 
-Three pieces (ISSUE 2: robustness):
+Three pieces:
 
 * :mod:`.supervisor` — :class:`CampaignSupervisor` fans simulation
-  points out to worker processes with per-task wall-clock timeouts,
-  heartbeat monitoring and crash isolation; a dying worker marks the
-  task failed, never the campaign.
-* :mod:`.retry` — :class:`RetryPolicy`: exponential backoff with
-  deterministic seeded jitter, retryable-exception classification, and
-  per-attempt derived RNG seeds; time is injectable via
-  :class:`Clock` / :class:`FakeClock` so tests never sleep.
+  points out to worker processes with per-task wall-clock timeouts and
+  crash isolation; a dying worker marks the task failed, never the
+  campaign.
+* :mod:`.retry` — :class:`RetryPolicy`: exponential backoff for worker
+  crashes and timeouts, the only failures a retry can change; time is
+  injectable via :class:`Clock` / :class:`FakeClock` so tests never
+  sleep.
 * :mod:`.manifest` — :class:`CampaignManifest`: a schema-versioned
   JSON record of per-task status/attempts/durations written with
   atomic renames, so an interrupted campaign resumes by skipping

@@ -13,11 +13,11 @@ duration, the last error, and — when the task's return value is
 JSON-serialisable — the result itself, which is how a resumed campaign
 reprints completed work without recomputing it.
 
-Resume semantics (:meth:`CampaignManifest.needs_run`):
-
-* ``completed`` tasks are skipped;
-* ``running`` tasks were in flight when the supervisor died — re-queued;
-* ``failed`` / ``pending`` / unknown tasks are (re)run.
+On resume, :meth:`CampaignSupervisor.run
+<repro.campaign.supervisor.CampaignSupervisor.run>` skips the tasks
+this book marks ``completed`` and runs every other one: ``running``
+tasks were in flight when the supervisor died, ``failed`` and unknown
+tasks run again.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-from typing import Any, Iterable
+from typing import Any
 
 from ..errors import CampaignError
 
@@ -164,24 +164,3 @@ class CampaignManifest:
         except (TypeError, ValueError):
             return None, False
         return result, True
-
-    # -- resume ---------------------------------------------------------
-
-    def needs_run(self, task_ids: Iterable[str]) -> list[str]:
-        """The subset of ``task_ids`` a (re)invocation must execute."""
-        out = []
-        for task_id in task_ids:
-            record = self.tasks.get(task_id)
-            if record is None or record.status != COMPLETED:
-                out.append(task_id)
-        return out
-
-    def completed(self) -> list[str]:
-        return [t for t, r in self.tasks.items() if r.status == COMPLETED]
-
-    def failed(self) -> list[str]:
-        return [t for t, r in self.tasks.items() if r.status == FAILED]
-
-    def interrupted(self) -> list[str]:
-        """Tasks that were in flight when the previous supervisor died."""
-        return [t for t, r in self.tasks.items() if r.status == RUNNING]

@@ -1,19 +1,14 @@
-"""Reusable retry policy: exponential backoff with deterministic jitter.
+"""Reusable retry policy: exponential backoff over the failures a retry can change.
 
-A :class:`RetryPolicy` owns three decisions the campaign supervisor
-(and anything else that retries work) must make identically every run:
+A :class:`RetryPolicy` owns two decisions the campaign supervisor must
+make identically every run:
 
-* *should this failure be retried?* — classification by exception type,
-  defaulting to the transient kinds the library already defines
-  (:class:`~repro.errors.FaultInjectionError`,
-  :class:`~repro.errors.WatchdogError`) plus the supervisor's own
-  :class:`~repro.errors.TaskCrashError` / :class:`~repro.errors.TaskTimeoutError`;
-* *how long to wait?* — exponential backoff capped at ``max_delay``,
-  multiplied by deterministic seeded jitter so a sweep's retries
-  de-synchronise the same way on every rerun (no wall-clock entropy);
-* *what seed does the retry get?* — :meth:`attempt_seed` derives a
-  distinct-but-deterministic RNG seed per (task, attempt) so a retried
-  simulation point is reproducible without replaying the exact failure.
+* *should this failure be retried?* — only a worker crash
+  (:class:`~repro.errors.TaskCrashError`) or a blown wall-clock budget
+  (:class:`~repro.errors.TaskTimeoutError`); anything else a task raises
+  is a pure function of its inputs and would fail the same way again;
+* *how long to wait?* — ``base_delay`` doubled per retry, capped at
+  :data:`MAX_DELAY_S`.
 
 Time is injected through a :class:`Clock` so tests never sleep.
 """
@@ -21,26 +16,19 @@ Time is injected through a :class:`Clock` so tests never sleep.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import random
 import time
-import zlib
 from typing import Callable
 
-from ..errors import (
-    FaultInjectionError,
+from ..errors import CampaignError, TaskCrashError, TaskTimeoutError
+
+#: exception types the policy treats as transient
+DEFAULT_RETRYABLE: tuple[type[BaseException], ...] = (
     TaskCrashError,
     TaskTimeoutError,
-    WatchdogError,
 )
 
-#: exception types the default policy treats as transient
-DEFAULT_RETRYABLE: tuple[type[BaseException], ...] = (
-    FaultInjectionError,
-    WatchdogError,
-    TaskCrashError,
-    TaskTimeoutError,
-)
+BACKOFF_MULTIPLIER = 2.0
+MAX_DELAY_S = 30.0
 
 
 class Clock:
@@ -73,12 +61,6 @@ class FakeClock(Clock):
         self.now += max(0.0, seconds)
 
 
-def _stable_int(*parts: int | str) -> int:
-    """A process-independent 64-bit hash of the parts (no PYTHONHASHSEED)."""
-    digest = hashlib.sha256("\x1f".join(str(p) for p in parts).encode()).digest()
-    return int.from_bytes(digest[:8], "little")
-
-
 @dataclasses.dataclass(frozen=True)
 class RetryPolicy:
     """How (and whether) failed attempts are retried.
@@ -87,83 +69,33 @@ class RetryPolicy:
     try plus up to two retries, ``max_attempts=1`` disables retry.
     Delay before retry ``k`` (1-based) is::
 
-        min(base_delay * multiplier**(k-1), max_delay) * jitter
-
-    where ``jitter`` is drawn uniformly from ``1 ± jitter_fraction`` by
-    a RNG seeded from ``(seed, task_key, k)`` — fully deterministic,
-    but different per task so a failed fan-out doesn't retry in
-    lockstep.
+        min(base_delay * 2**(k-1), 30 s)
     """
 
     max_attempts: int = 3
     base_delay: float = 0.5
-    multiplier: float = 2.0
-    max_delay: float = 30.0
-    jitter_fraction: float = 0.25
-    seed: int = 0
-    retryable: tuple[type[BaseException], ...] = DEFAULT_RETRYABLE
 
     def __post_init__(self):
-        from ..errors import CampaignError
-
         if self.max_attempts < 1:
             raise CampaignError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.base_delay < 0 or self.max_delay < 0:
+        if self.base_delay < 0:
             raise CampaignError("backoff delays must be non-negative")
-        if self.multiplier < 1.0:
-            raise CampaignError("backoff multiplier must be >= 1")
-        if not 0.0 <= self.jitter_fraction < 1.0:
-            raise CampaignError("jitter_fraction must be in [0, 1)")
-
-    # -- classification -------------------------------------------------
 
     def is_retryable(self, exc: BaseException) -> bool:
-        return isinstance(exc, self.retryable)
+        return isinstance(exc, DEFAULT_RETRYABLE)
 
-    # -- backoff --------------------------------------------------------
-
-    def backoff(self, attempt: int, task_key: str = "") -> float:
+    def backoff(self, attempt: int) -> float:
         """Delay in seconds before retry ``attempt`` (1 = first retry)."""
         if attempt < 1:
             return 0.0
-        raw = min(self.base_delay * self.multiplier ** (attempt - 1), self.max_delay)
-        if self.jitter_fraction <= 0.0 or raw <= 0.0:
-            return raw
-        rng = random.Random(
-            _stable_int(self.seed, zlib.crc32(task_key.encode()), attempt)
-        )
-        return raw * rng.uniform(1 - self.jitter_fraction, 1 + self.jitter_fraction)
+        return min(self.base_delay * BACKOFF_MULTIPLIER ** (attempt - 1), MAX_DELAY_S)
 
-    # -- per-attempt seeds ----------------------------------------------
-
-    def attempt_seed(self, base_seed: int, attempt: int) -> int:
-        """A 32-bit RNG seed for ``attempt`` (1-based) of a task.
-
-        Attempt 1 keeps ``base_seed`` unchanged so a never-failing task
-        is bit-identical to a run without the retry layer; later
-        attempts get distinct-but-deterministic derived seeds.
-        """
-        if attempt <= 1:
-            return base_seed
-        return _stable_int("attempt-seed", self.seed, base_seed, attempt) % (1 << 32)
-
-    # -- driver ---------------------------------------------------------
-
-    def call(
-        self,
-        fn: Callable,
-        *args,
-        clock: Clock | None = None,
-        task_key: str = "",
-        on_retry: Callable[[int, BaseException, float], None] | None = None,
-        **kwargs,
-    ):
+    def call(self, fn: Callable, *args, clock: Clock | None = None, **kwargs):
         """Run ``fn(*args, **kwargs)`` under this policy.
 
         Returns ``(result, attempts_used)``. Non-retryable exceptions
         (and the final retryable one once attempts are exhausted)
-        propagate to the caller. ``on_retry(attempt, exc, delay)`` fires
-        before each backoff sleep.
+        propagate to the caller.
         """
         clock = clock or Clock()
         for attempt in range(1, self.max_attempts + 1):
@@ -172,8 +104,5 @@ class RetryPolicy:
             except Exception as exc:  # repro-lint: disable=broad-except - retryability is classified below
                 if not self.is_retryable(exc) or attempt == self.max_attempts:
                     raise
-                delay = self.backoff(attempt, task_key)
-                if on_retry is not None:
-                    on_retry(attempt, exc, delay)
-                clock.sleep(delay)
+                clock.sleep(self.backoff(attempt))
         raise AssertionError("unreachable")  # pragma: no cover

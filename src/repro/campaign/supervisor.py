@@ -12,15 +12,13 @@ Failure containment, per task:
 
 * a worker that **crashes** (``os._exit``, SIGKILL, OOM) surfaces as a
   :class:`~repro.errors.TaskCrashError` — the campaign continues;
-* a worker that **hangs** is killed when it exceeds its wall-clock
-  ``task_timeout`` or stops heartbeating for ``heartbeat_timeout``
-  seconds (workers send heartbeats from a daemon thread, so a worker
-  stopped by SIGSTOP or wedged in native code is still detected) —
+* a worker that **hangs** — busy, wedged in native code or stopped by
+  SIGSTOP — is killed when it exceeds its wall-clock ``task_timeout``:
   :class:`~repro.errors.TaskTimeoutError`;
 * a worker that **raises** ships the exception back over its pipe.
 
 Each failure is classified by the :class:`~repro.campaign.retry.RetryPolicy`
-and retried with exponential backoff + deterministic jitter; a task
+and, if a crash or a timeout, retried with exponential backoff; a task
 that exhausts its attempts is marked ``failed`` in the manifest and the
 campaign completes with an explicit partial-results report
 (:meth:`CampaignReport.table`) instead of halting.
@@ -36,9 +34,7 @@ from __future__ import annotations
 import dataclasses
 import multiprocessing
 import multiprocessing.connection
-import os
 import pickle
-import threading
 from typing import Any, Callable, Sequence
 
 from ..errors import CampaignError, TaskCrashError, TaskTimeoutError
@@ -49,29 +45,7 @@ from .retry import Clock, RetryPolicy
 SKIPPED = "skipped"
 
 _KILL_GRACE_S = 2.0      # SIGTERM -> SIGKILL escalation window
-_POLL_INTERVAL_S = 0.05  # default scheduler wake-up granularity
-
-#: env override for the worker heartbeat period, in milliseconds
-HEARTBEAT_ENV = "REPRO_HEARTBEAT_MS"
-_DEFAULT_HEARTBEAT_S = 0.5
-
-
-def _env_heartbeat_interval() -> float:
-    """Heartbeat period from ``REPRO_HEARTBEAT_MS``, else the default."""
-    raw = os.environ.get(HEARTBEAT_ENV, "").strip()
-    if not raw:
-        return _DEFAULT_HEARTBEAT_S
-    try:
-        ms = float(raw)
-    except ValueError:
-        raise CampaignError(
-            f"{HEARTBEAT_ENV} must be a number of milliseconds, got {raw!r}"
-        ) from None
-    if ms < 0:
-        raise CampaignError(
-            f"{HEARTBEAT_ENV} must be >= 0 (0 disables heartbeats), got {raw!r}"
-        )
-    return ms / 1000.0
+_POLL_INTERVAL_S = 0.05  # scheduler wake-up granularity
 
 
 @dataclasses.dataclass(frozen=True)
@@ -80,23 +54,13 @@ class CampaignTask:
 
     ``fn(*args, **kwargs)`` runs in a worker process (or inline for a
     serial campaign), so it must be a module-level callable with
-    picklable arguments and result. If ``seed`` is given, the
-    supervisor injects ``seed=RetryPolicy.attempt_seed(seed, attempt)``
-    into the call — attempt 1 gets ``seed`` unchanged, retries get
-    distinct-but-deterministic derived seeds.
+    picklable arguments and result.
     """
 
     task_id: str
     fn: Callable
     args: tuple = ()
     kwargs: dict = dataclasses.field(default_factory=dict)
-    seed: int | None = None
-
-    def call_kwargs(self, policy: RetryPolicy, attempt: int) -> dict:
-        kwargs = dict(self.kwargs)
-        if self.seed is not None:
-            kwargs["seed"] = policy.attempt_seed(self.seed, attempt)
-        return kwargs
 
 
 @dataclasses.dataclass
@@ -160,40 +124,23 @@ class _Running:
         self.conn = conn
         self.started = started
         self.first_started = first_started   # across attempts, for duration
-        self.last_beat = started
         self.message = None                  # ("ok", result) | ("err", exc)
 
 
-def _worker_entry(conn, fn, args, kwargs, heartbeat_interval):
-    """Worker main: heartbeat thread + one task, result over the pipe."""
-    lock = threading.Lock()
-    stop = threading.Event()
-
-    def beat():
-        while not stop.wait(heartbeat_interval):
-            try:
-                with lock:
-                    conn.send(("beat",))
-            except (BrokenPipeError, OSError):
-                return
-
-    if heartbeat_interval > 0:
-        threading.Thread(target=beat, daemon=True).start()
+def _worker_entry(conn, fn, args, kwargs):
+    """Worker main: one task, its result over the pipe."""
     try:
         result = fn(*args, **kwargs)
         message = ("ok", result)
     except BaseException as exc:  # noqa: BLE001  # repro-lint: disable=broad-except - crash-isolation boundary, ships to the supervisor
         message = ("err", exc)
-    stop.set()
     try:
-        with lock:
-            conn.send(message)
+        conn.send(message)
     except (pickle.PicklingError, TypeError, AttributeError) as exc:
-        with lock:
-            conn.send(("err", CampaignError(
-                f"task result of type {type(message[1]).__name__} "
-                f"cannot be sent back to the supervisor: {exc}"
-            )))
+        conn.send(("err", CampaignError(
+            f"task result of type {type(message[1]).__name__} "
+            f"cannot be sent back to the supervisor: {exc}"
+        )))
 
 
 class CampaignSupervisor:
@@ -203,23 +150,20 @@ class CampaignSupervisor:
     ----------
     jobs:
         Worker processes to run concurrently. ``1`` (the default) with
-        no ``task_timeout``/``heartbeat_timeout`` executes tasks inline
-        in the parent, preserving serial byte-identical behaviour.
+        no ``task_timeout`` executes tasks inline in the parent,
+        preserving serial byte-identical behaviour.
     task_timeout:
-        Per-attempt wall-clock budget in seconds; ``None`` disables.
+        Per-attempt wall-clock budget in seconds; ``None`` disables. It
+        is the only hang detection: a silent worker is killed by it.
     retry:
         A :class:`RetryPolicy`; defaults to ``RetryPolicy()``.
     manifest_path:
         Where to persist the run manifest. A re-invocation with the
         same path skips tasks the manifest already marks completed and
         re-queues ones that were in flight.
-    heartbeat_interval / heartbeat_timeout:
-        Workers heartbeat every ``heartbeat_interval`` seconds; a
-        worker silent for ``heartbeat_timeout`` seconds is killed as
-        hung (``None`` disables the check).
-    mp_context:
-        A :mod:`multiprocessing` context; defaults to the platform
-        default (``fork`` on Linux).
+
+    Workers start with the platform's default :mod:`multiprocessing`
+    method (``fork`` on Linux).
     """
 
     def __init__(
@@ -228,42 +172,16 @@ class CampaignSupervisor:
         task_timeout: float | None = None,
         retry: RetryPolicy | None = None,
         manifest_path=None,
-        heartbeat_interval: float | None = None,
-        heartbeat_timeout: float | None = None,
-        poll_interval: float = _POLL_INTERVAL_S,
-        mp_context=None,
-        clock: Clock | None = None,
     ):
         if jobs < 1:
             raise CampaignError(f"jobs must be >= 1, got {jobs}")
         if task_timeout is not None and task_timeout <= 0:
             raise CampaignError(f"task_timeout must be positive, got {task_timeout}")
-        if heartbeat_timeout is not None and heartbeat_timeout <= 0:
-            raise CampaignError(
-                f"heartbeat_timeout must be positive, got {heartbeat_timeout}"
-            )
-        if poll_interval <= 0:
-            raise CampaignError(
-                f"poll_interval must be positive, got {poll_interval}"
-            )
-        # resolution order: explicit argument > REPRO_HEARTBEAT_MS env
-        # (milliseconds, for deploy-side tuning without code changes) >
-        # the 0.5 s default; 0 disables worker heartbeats entirely
-        if heartbeat_interval is None:
-            heartbeat_interval = _env_heartbeat_interval()
-        if heartbeat_interval < 0:
-            raise CampaignError(
-                f"heartbeat_interval must be >= 0, got {heartbeat_interval}"
-            )
         self.jobs = jobs
         self.task_timeout = task_timeout
         self.retry = retry or RetryPolicy()
         self.manifest_path = manifest_path
-        self.heartbeat_interval = heartbeat_interval
-        self.heartbeat_timeout = heartbeat_timeout
-        self.poll_interval = poll_interval
-        self.mp_context = mp_context or multiprocessing.get_context()
-        self.clock = clock or Clock()
+        self.clock = Clock()
 
     # ------------------------------------------------------------------
 
@@ -292,12 +210,7 @@ class CampaignSupervisor:
             else:
                 todo.append(task)
 
-        serial = (
-            self.jobs == 1
-            and self.task_timeout is None
-            and self.heartbeat_timeout is None
-        )
-        if serial:
+        if self.jobs == 1 and self.task_timeout is None:
             done = self._run_inline(todo, manifest)
         else:
             done = self._run_processes(todo, manifest)
@@ -316,12 +229,9 @@ class CampaignSupervisor:
                     nonlocal attempts
                     attempts += 1
                     manifest.mark_running(task.task_id)
-                    return task.fn(*task.args,
-                                   **task.call_kwargs(self.retry, attempts))
+                    return task.fn(*task.args, **task.kwargs)
 
-                result, _ = self.retry.call(
-                    attempt_once, clock=self.clock, task_key=task.task_id
-                )
+                result, _ = self.retry.call(attempt_once, clock=self.clock)
             except Exception as exc:  # noqa: BLE001  # repro-lint: disable=broad-except - recorded in the manifest, not fatal
                 duration = self.clock.monotonic() - started
                 error = f"{type(exc).__name__}: {exc}"
@@ -370,7 +280,7 @@ class CampaignSupervisor:
                     exc = payload
                     if (self.retry.is_retryable(exc)
                             and slot.attempt < self.retry.max_attempts):
-                        delay = self.retry.backoff(slot.attempt, task_id)
+                        delay = self.retry.backoff(slot.attempt)
                         queue.append((
                             slot.task, slot.attempt + 1,
                             self.clock.monotonic() + delay, slot.first_started,
@@ -402,12 +312,10 @@ class CampaignSupervisor:
                 continue
             queue.pop(index)
             manifest.mark_running(task.task_id)
-            parent_conn, child_conn = self.mp_context.Pipe(duplex=False)
-            process = self.mp_context.Process(
+            parent_conn, child_conn = multiprocessing.Pipe(duplex=False)
+            process = multiprocessing.Process(
                 target=_worker_entry,
-                args=(child_conn, task.fn, task.args,
-                      task.call_kwargs(self.retry, attempt),
-                      self.heartbeat_interval),
+                args=(child_conn, task.fn, task.args, task.kwargs),
                 daemon=True,
             )
             process.start()
@@ -419,30 +327,29 @@ class CampaignSupervisor:
             )
 
     def _poll(self, running) -> None:
-        """Wait briefly for worker messages; drain beats and results."""
+        """Wait briefly for worker results."""
         conns = {slot.conn: slot for slot in running.values()
                  if slot.message is None}
         if not conns:
             if running:
-                self.clock.sleep(self.poll_interval)
+                self.clock.sleep(_POLL_INTERVAL_S)
             return
-        ready = multiprocessing.connection.wait(
-            list(conns), timeout=self.poll_interval
-        )
-        for conn in ready:
-            slot = conns[conn]
-            try:
-                while slot.message is None and conn.poll():
-                    message = conn.recv()
-                    if message[0] == "beat":
-                        slot.last_beat = self.clock.monotonic()
-                    else:
-                        slot.message = message
-            except (EOFError, OSError):
-                pass  # worker died mid-send; the exitcode path handles it
+        for conn in multiprocessing.connection.wait(
+            list(conns), timeout=_POLL_INTERVAL_S
+        ):
+            self._receive(conns[conn])
+
+    @staticmethod
+    def _receive(slot) -> None:
+        """Take the worker's one message, if it has been sent."""
+        try:
+            if slot.message is None and slot.conn.poll():
+                slot.message = slot.conn.recv()
+        except (EOFError, OSError):
+            pass  # worker died mid-send; the exitcode path handles it
 
     def _resolve(self, slot) -> tuple[str, Any] | None:
-        """Has this worker finished, crashed, or gone silent?"""
+        """Has this worker finished, crashed, or run out of time?"""
         now = self.clock.monotonic()
         if slot.message is not None:
             self._kill(slot)  # reap; the worker is done
@@ -454,22 +361,8 @@ class CampaignSupervisor:
                 f"{self.task_timeout:.1f}s wall-clock budget "
                 f"(attempt {slot.attempt})"
             ))
-        if (self.heartbeat_timeout is not None
-                and now - slot.last_beat > self.heartbeat_timeout):
-            self._kill(slot)
-            return ("err", TaskTimeoutError(
-                f"task {slot.task.task_id!r} stopped heartbeating for "
-                f"{now - slot.last_beat:.1f}s (attempt {slot.attempt})"
-            ))
         if not slot.process.is_alive():
-            # one final drain: the result may have raced the exit
-            try:
-                while slot.message is None and slot.conn.poll():
-                    message = slot.conn.recv()
-                    if message[0] != "beat":
-                        slot.message = message
-            except (EOFError, OSError):
-                pass
+            self._receive(slot)  # the result may have raced the exit
             if slot.message is not None:
                 self._kill(slot)
                 return slot.message

@@ -101,11 +101,11 @@ class TaskCrashError(CampaignError):
 
 
 class TaskTimeoutError(CampaignError):
-    """A campaign task exceeded its wall-clock budget or went silent.
+    """A campaign task exceeded its wall-clock budget.
 
-    Raised (and recorded) when a task blows its ``task_timeout`` or its
-    worker stops heartbeating for longer than the heartbeat timeout.
-    The supervisor kills the worker; the task is retried per policy.
+    Raised (and recorded) when a task blows its ``task_timeout``, busy
+    or silent alike (a SIGSTOP'd worker included). The supervisor kills
+    the worker; the task is retried per policy.
     """
 
 

@@ -197,7 +197,7 @@ class RasController:
         return extra
 
     def _scrub_pass(self, now: int, usable: np.ndarray) -> int:
-        """Issue one patrol pass's reads through the FR-FCFS model."""
+        """Issue one patrol pass's reads through the on-package FIFO device."""
         frames = self.scrubber.next_frames(usable)
         if not frames:
             return 0

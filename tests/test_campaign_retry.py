@@ -1,4 +1,4 @@
-"""RetryPolicy: backoff shape, jitter determinism, classification, seeds.
+"""RetryPolicy: backoff shape and classification.
 
 No test here sleeps — time is injected through
 :class:`repro.campaign.FakeClock`.
@@ -7,6 +7,7 @@ No test here sleeps — time is injected through
 import pytest
 
 from repro.campaign import FakeClock, RetryPolicy
+from repro.campaign.retry import MAX_DELAY_S
 from repro.errors import (
     CampaignError,
     FaultInjectionError,
@@ -18,26 +19,24 @@ from repro.errors import (
 
 class TestBackoffSequence:
     def test_exponential_without_jitter(self):
-        policy = RetryPolicy(base_delay=0.5, multiplier=2.0, max_delay=30.0,
-                             jitter_fraction=0.0)
+        policy = RetryPolicy(base_delay=0.5)
         assert [policy.backoff(k) for k in (1, 2, 3, 4)] == [0.5, 1.0, 2.0, 4.0]
 
     def test_capped_at_max_delay(self):
-        policy = RetryPolicy(base_delay=1.0, multiplier=10.0, max_delay=5.0,
-                             jitter_fraction=0.0)
-        assert policy.backoff(1) == 1.0
-        assert policy.backoff(2) == 5.0
-        assert policy.backoff(9) == 5.0
+        policy = RetryPolicy(base_delay=1.0)
+        assert policy.backoff(5) == 16.0
+        assert policy.backoff(6) == MAX_DELAY_S == 30.0
+        assert policy.backoff(9) == 30.0
 
     def test_call_sleeps_the_backoff_sequence(self):
         clock = FakeClock()
-        policy = RetryPolicy(max_attempts=4, base_delay=0.5, jitter_fraction=0.0)
+        policy = RetryPolicy(max_attempts=4, base_delay=0.5)
         calls = []
 
         def flaky():
             calls.append(1)
             if len(calls) < 4:
-                raise FaultInjectionError("transient")
+                raise TaskCrashError("transient")
             return "done"
 
         result, attempts = policy.call(flaky, clock=clock)
@@ -46,46 +45,21 @@ class TestBackoffSequence:
         assert clock.sleeps == [0.5, 1.0, 2.0]
         assert clock.now == pytest.approx(3.5)
 
-    def test_jitter_stays_within_fraction(self):
-        policy = RetryPolicy(base_delay=1.0, multiplier=1.0, jitter_fraction=0.25)
-        for attempt in range(1, 50):
-            delay = policy.backoff(attempt, task_key=f"t{attempt}")
-            assert 0.75 <= delay <= 1.25
-
     def test_first_try_has_no_delay(self):
         assert RetryPolicy().backoff(0) == 0.0
 
 
-class TestJitterDeterminism:
-    def test_same_seed_same_delays(self):
-        a = RetryPolicy(seed=7)
-        b = RetryPolicy(seed=7)
-        for attempt in (1, 2, 3):
-            assert a.backoff(attempt, "task") == b.backoff(attempt, "task")
-
-    def test_different_seed_different_delays(self):
-        a = RetryPolicy(seed=1)
-        b = RetryPolicy(seed=2)
-        assert any(
-            a.backoff(k, "task") != b.backoff(k, "task") for k in (1, 2, 3)
-        )
-
-    def test_different_tasks_desynchronise(self):
-        policy = RetryPolicy(seed=0)
-        delays = {policy.backoff(1, f"task-{i}") for i in range(8)}
-        assert len(delays) > 1  # not a lockstep thundering herd
-
-
 class TestClassification:
-    @pytest.mark.parametrize("exc", [
-        FaultInjectionError("x"), WatchdogError("x"),
-        TaskCrashError("x"), TaskTimeoutError("x"),
-    ])
+    @pytest.mark.parametrize("exc", [TaskCrashError("x"), TaskTimeoutError("x")])
     def test_default_retryable_kinds(self, exc):
         assert RetryPolicy().is_retryable(exc)
 
+    # an injected-fault parameter error or a blown epoch budget is a pure
+    # function of the config and trace: a rerun fails the same way
     @pytest.mark.parametrize("exc", [ValueError("x"), KeyError("x"),
-                                     CampaignError("x")])
+                                     CampaignError("x"),
+                                     FaultInjectionError("x"),
+                                     WatchdogError("x")])
     def test_default_non_retryable_kinds(self, exc):
         assert not RetryPolicy().is_retryable(exc)
 
@@ -104,66 +78,20 @@ class TestClassification:
 
     def test_exhausted_retryable_raises_last_error(self):
         clock = FakeClock()
-        policy = RetryPolicy(max_attempts=3, base_delay=0.1, jitter_fraction=0.0)
+        policy = RetryPolicy(max_attempts=3, base_delay=0.1)
 
         def always():
-            raise WatchdogError("still broken")
+            raise TaskCrashError("still broken")
 
-        with pytest.raises(WatchdogError):
+        with pytest.raises(TaskCrashError):
             policy.call(always, clock=clock)
         assert len(clock.sleeps) == 2  # retries, not attempts
-
-    def test_custom_classification(self):
-        policy = RetryPolicy(retryable=(KeyError,))
-        assert policy.is_retryable(KeyError("k"))
-        assert not policy.is_retryable(FaultInjectionError("x"))
-
-    def test_on_retry_callback_sees_each_failure(self):
-        clock = FakeClock()
-        policy = RetryPolicy(max_attempts=3, jitter_fraction=0.0)
-        seen = []
-        def flaky():
-            if len(seen) < 2:
-                raise FaultInjectionError("again")
-            return 1
-        policy.call(flaky, clock=clock,
-                    on_retry=lambda a, e, d: seen.append((a, type(e), d)))
-        assert [s[0] for s in seen] == [1, 2]
-        assert all(s[1] is FaultInjectionError for s in seen)
-        assert [s[2] for s in seen] == clock.sleeps
-
-
-class TestAttemptSeeds:
-    def test_first_attempt_keeps_base_seed(self):
-        assert RetryPolicy().attempt_seed(42, 1) == 42
-
-    def test_retries_get_distinct_seeds(self):
-        policy = RetryPolicy()
-        seeds = [policy.attempt_seed(42, k) for k in (1, 2, 3, 4)]
-        assert len(set(seeds)) == 4
-
-    def test_derived_seeds_are_deterministic(self):
-        # two fresh policy objects (e.g. in two processes) agree
-        assert (RetryPolicy(seed=5).attempt_seed(42, 3)
-                == RetryPolicy(seed=5).attempt_seed(42, 3))
-
-    def test_derived_seeds_fit_32_bits(self):
-        policy = RetryPolicy()
-        for attempt in (2, 3, 10):
-            assert 0 <= policy.attempt_seed(2**31, attempt) < 2**32
-
-    def test_policy_seed_shifts_derived_seeds(self):
-        assert (RetryPolicy(seed=1).attempt_seed(42, 2)
-                != RetryPolicy(seed=2).attempt_seed(42, 2))
 
 
 class TestValidation:
     @pytest.mark.parametrize("kwargs", [
         {"max_attempts": 0},
         {"base_delay": -1.0},
-        {"multiplier": 0.5},
-        {"jitter_fraction": 1.0},
-        {"jitter_fraction": -0.1},
     ])
     def test_bad_parameters_rejected(self, kwargs):
         with pytest.raises(CampaignError):
