@@ -56,6 +56,9 @@ class ExactPolicies:
 #: (bincount); wider spans keep the sort-based np.unique pass
 _DENSE_FOLD_PAGES = 1 << 16
 
+#: last-touch value that ranks an excluded slot after every real one
+_NEVER_COLDEST = np.iinfo(np.int64).max
+
 
 class EpochMonitor:
     """Vectorised epoch statistics feeding the swap trigger.
@@ -167,7 +170,7 @@ class EpochMonitor:
         last = self.slot_last_touch
         if exclude:
             last = last.copy()
-            last[list(exclude)] = np.iinfo(np.int64).max
+            last[list(exclude)] = _NEVER_COLDEST
         slot = int(np.argmin(last))
         if exclude and slot in exclude:
             raise MigrationError("all slots excluded")

@@ -25,7 +25,7 @@ STAMP_BLOCK = 1 << 16
 
 
 #: name prefix of the thread on which :meth:`SyntheticWorkload.stream`
-#: builds the next phase part
+#: builds phase parts ahead
 PRODUCER_NAME = "workload-stream"
 
 
@@ -264,25 +264,34 @@ class SyntheticWorkload:
     ):
         """Yield ``n`` accesses as :class:`TraceChunk` windows without
         ever materializing the full trace (peak memory is
-        O(``chunk_accesses`` + two phase parts), independent of ``n``).
+        O(``chunk_accesses`` + three of the run's largest phase parts),
+        independent of ``n``).
 
-        Generation runs one phase part ahead on a producer thread: while
-        the consumer works on part *i*, the thread builds part *i+1*
-        (numpy's draws and elementwise passes release the GIL, so the two
-        overlap on two cores). The overlap pays only where a second core
+        Generation runs ahead on a producer thread: whenever the consumer
+        takes a part, the thread is handed the next parts in order until
+        the parts handed over but not yet taken hold at least as many
+        accesses as the largest part of the run. Uniform parts (FT.C)
+        thus stay exactly one part ahead; uneven ones (pgbench's txn,
+        stream and zipf) queue up to a phase cycle, so the small parts do
+        not leave the consumer waiting for a whole large part to start.
+        numpy's draws and elementwise passes release the GIL, so the two
+        overlap on two cores. The overlap pays only where a second core
         is free; pinned to one CPU the two contend for it, at no
         measurable cost: the stall-n benchmark workload (FT.C) read
         2.95 M accesses/s with the thread against 2.88 M for a sequential
         build (medians of 10 alternating runs, overlapping spreads, on
-        one core of a shared 2-CPU x86-64 Xeon host). Only that
+        one core of a shared 2-CPU x86-64 Xeon host), and pinned
+        swap-heavy (pgbench) read 1.22 M with this lookahead against
+        1.19 M one part ahead (20 alternating runs). Only that
         thread touches the address RNG, the hot-set permutation and the
         stamping RNGs; the consumer receives finished chunks, so the
         records are the same as a sequential build's. The thread starts
-        at the first ``next()``, not when ``stream`` is called, and is
-        joined when the stream is exhausted or closed (a
-        garbage-collected stream is closed). A :class:`WorkloadError`
-        raised while building part *k* re-raises at the consumer's
-        ``next()`` for part *k*, after parts 0..k-1.
+        at the first ``next()``, not when ``stream`` is called. When the
+        stream is exhausted or closed (a garbage-collected stream is
+        closed), the queued builds that have not started are cancelled
+        and the thread is joined after the one in progress. A
+        :class:`WorkloadError` raised while building part *k* re-raises
+        at the consumer's ``next()`` for part *k*, after parts 0..k-1.
 
         The *address* sequence is bit-identical to :meth:`generate`
         (same address RNG, same phase-part walk, same hot-set drift).
@@ -327,16 +336,34 @@ class SyntheticWorkload:
         def ahead():
             # imported at the first next(): a run that never streams does
             # not pay for concurrent.futures (and the logging it loads)
+            from collections import deque
             from concurrent.futures import ThreadPoolExecutor
 
-            # parts() runs one part ahead on the producer thread; leaving
-            # the with block (exhausted, closed or failed) joins it
+            # the producer thread builds parts() in order, submitted while
+            # the parts not yet taken hold fewer accesses than the largest
+            # part. The refill comes before the yield, so the thread works
+            # while the consumer does (refilled after it, stall-n lost a
+            # third of its throughput). Leaving (exhausted, closed or
+            # failed) cancels the queued builds and joins the thread after
+            # the one in progress
             source = parts()
-            with ThreadPoolExecutor(1, thread_name_prefix=PRODUCER_NAME) as producer:
-                pending = producer.submit(next, source, None)
-                while (chunk := pending.result()) is not None:
-                    pending = producer.submit(next, source, None)
+            sizes = (k for _, k in self._part_sizes(n))
+            largest = max((k for _, k in self._part_sizes(n)), default=0)
+            pending = deque()  # (future, accesses) per part not yet taken
+            producer = ThreadPoolExecutor(1, thread_name_prefix=PRODUCER_NAME)
+
+            def refill():
+                while sum(k for _, k in pending) < largest and (k := next(sizes, 0)):
+                    pending.append((producer.submit(next, source), k))
+
+            try:
+                refill()
+                while pending:
+                    chunk = pending.popleft()[0].result()
+                    refill()
                     yield chunk
+            finally:
+                producer.shutdown(cancel_futures=True)
 
         if chunk_accesses is None:
             return ahead()

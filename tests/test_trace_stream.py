@@ -8,9 +8,11 @@ The contract (docs/API.md "Streaming traces"):
   to ``generate`` (same RNG walk); stamping uses per-part derived RNGs,
   so the stream is chunk-size invariant: any two chunkings of the same
   stream concatenate to the same records;
-* ``stream`` builds the next phase part on one producer thread that
-  starts at the first ``next()`` and is joined when the stream ends, is
-  closed or is collected; a build error surfaces at the consumer's
+* ``stream`` builds phase parts ahead on one producer thread that
+  starts at the first ``next()``: after each part taken it is handed the
+  next parts until those not yet taken hold at least the run's largest
+  part. Ending, closing or collecting the stream cancels the queued
+  builds and joins the thread; a build error surfaces at the consumer's
   ``next()`` for that part;
 * feeding an epoch-aligned stream through ``run_stream`` is
   bit-identical to materializing the same stream and calling ``run``;
@@ -130,8 +132,53 @@ def _assert_joined(threads, baseline):
     assert threading.active_count() == baseline
 
 
+def _budget_ahead(sizes: list[int]) -> list[int]:
+    """Parts handed to the producer when part *i* is delivered, by the
+    lookahead rule: after taking a part, submit the next parts while the
+    ones submitted but not taken hold fewer accesses than the largest."""
+    largest = max(sizes)
+    submitted, out = 0, []
+    for i in range(len(sizes)):
+        submitted = max(submitted, i + 1)
+        while submitted < len(sizes) and sum(sizes[i + 1:submitted]) < largest:
+            submitted += 1
+        out.append(submitted)
+    return out
+
+
+class _BuildSpy:
+    """Counts the phase parts the producer has started building (one
+    ``PatternSpec.generate`` call each)."""
+
+    def __init__(self, monkeypatch, hold: int = 0):
+        self.started = 0
+        self._cond = threading.Condition()
+        #: build number ``hold`` (1-based) waits for it, if ``hold``
+        self.release = threading.Event()
+        generate = PatternSpec.generate
+
+        def spy(spec, *args, **kwargs):
+            with self._cond:
+                self.started += 1
+                held = self.started == hold
+                self._cond.notify_all()
+            if held:
+                assert self.release.wait(timeout=10)
+            return generate(spec, *args, **kwargs)
+
+        monkeypatch.setattr(PatternSpec, "generate", spy)
+
+    def settle(self, want: int) -> int:
+        """Wait until ``want`` builds have started, then a moment more for
+        one past it; return the count."""
+        with self._cond:
+            self._cond.wait_for(lambda: self.started >= want, timeout=10)
+            self._cond.wait_for(lambda: self.started > want, timeout=0.05)
+            return self.started
+
+
 class TestProducerThread:
-    """The thread ``stream`` builds the next phase part on."""
+    """The thread ``stream`` builds phase parts ahead on."""
 
     def test_calling_stream_starts_no_thread(self):
         baseline = threading.active_count()
@@ -161,29 +208,77 @@ class TestProducerThread:
         gc.collect()
         _assert_joined(workers, baseline)
 
-    def test_build_error_surfaces_at_the_consumer(self, monkeypatch):
+    @pytest.mark.parametrize("name", ["pgbench", "FT.C"])
+    def test_lookahead_follows_the_part_budget(self, name, monkeypatch):
+        # pgbench's parts are uneven (txn, stream, zipf), so the producer
+        # queues up to a phase cycle; FT.C's are uniform, so it stays
+        # exactly one part ahead
+        wl = dataclasses.replace(get_workload(name, footprint_bytes=8 * MB),
+                                 phase_len=1_000)
+        n = 12_000
+        sizes = [k for _, k in wl._part_sizes(n)]
+        expected = _budget_ahead(sizes)
+        if name == "FT.C":
+            assert expected == [min(i + 2, len(sizes)) for i in range(len(sizes))]
+        else:
+            assert expected[0] == 4
+        want = list(reference_stream(wl, n, seed=4))
+        spy = _BuildSpy(monkeypatch)
+        s = wl.stream(n, seed=4)
+        got = []
+        for i, ahead in enumerate(expected):
+            got.append(next(s))
+            assert spy.settle(ahead) == ahead, f"builds started at part {i}"
+        assert next(s, None) is None
+        assert got == want
+
+    def test_close_cancels_the_queued_builds(self, monkeypatch):
+        # past its first part a pgbench stream has handed the producer
+        # parts 1-3; with part 1 in progress, close() must cancel 2 and 3
+        # rather than build them for nobody
         baseline = threading.active_count()
+        spy = _BuildSpy(monkeypatch, hold=2)
+        s = _wl().stream(2_000_000)
+        next(s)
+        workers = _producers()
+        before = spy.settle(2)
+        assert before == 2
+        spy.release.set()
+        s.close()
+        assert spy.started <= before + 1
+        _assert_joined(workers, baseline)
+
+    def test_build_error_surfaces_at_the_consumer(self, monkeypatch):
+        # parts 1-3 are handed to the producer when part 0 is taken, so
+        # each failing part here is built two or more parts ahead of the
+        # consumer, which waits for the failure while it holds part 0
         generate = PatternSpec.generate
-        calls = []
-
-        def third_call_fails(self, *args, **kwargs):
-            calls.append(threading.current_thread().name)
-            if len(calls) == 3:
-                raise WorkloadError("injected failure building part 2")
-            return generate(self, *args, **kwargs)
-
-        monkeypatch.setattr(PatternSpec, "generate", third_call_fails)
         wl = dataclasses.replace(_wl(), phase_len=1_000)
         want = list(reference_stream(wl, 10_000, seed=3))
-        s = wl.stream(10_000, seed=3)
-        delivered = [next(s), next(s)]
-        workers = _producers()
-        with pytest.raises(WorkloadError, match="part 2"):
-            next(s)
-        assert delivered == want[:2]
-        # only the producer thread ever generated addresses
-        assert all(name.startswith(PRODUCER_NAME) for name in calls)
-        _assert_joined(workers, baseline)
+        for failing in (2, 3):
+            baseline = threading.active_count()
+            calls, failed = [], threading.Event()
+
+            def fail_once(self, *args, failing=failing, calls=calls, failed=failed,
+                          **kwargs):
+                calls.append(threading.current_thread().name)
+                if len(calls) == failing + 1:
+                    failed.set()
+                    raise WorkloadError(f"injected failure building part {failing}")
+                return generate(self, *args, **kwargs)
+
+            monkeypatch.setattr(PatternSpec, "generate", fail_once)
+            s = wl.stream(10_000, seed=3)
+            delivered = [next(s)]
+            workers = _producers()
+            assert failed.wait(timeout=10)
+            delivered += [next(s) for _ in range(failing - 1)]
+            with pytest.raises(WorkloadError, match=f"part {failing}"):
+                next(s)
+            assert delivered == want[:failing]
+            # only the producer thread ever generated addresses
+            assert all(name.startswith(PRODUCER_NAME) for name in calls)
+            _assert_joined(workers, baseline)
 
     def test_run_stream_leaves_no_thread(self):
         # CampaignSupervisor forks its workers, and forking a process
