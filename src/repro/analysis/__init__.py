@@ -5,9 +5,12 @@ Two independent prongs, one CLI (:mod:`repro.analysis.cli`):
 * :mod:`repro.analysis.lint` — an AST lint engine with rules for the
   determinism and state-safety conventions this repository relies on
   (no wall-clock in simulation paths, no unseeded RNG, no float
-  equality in metrics, no unordered iteration feeding results,
-  ``state_dict``/``load_state_dict`` symmetry, no over-broad excepts in
-  the fault-handling layers);
+  equality in metrics, no unordered iteration feeding results, no
+  per-iteration copies in hot loops, no fork-unsafe module state, no
+  over-broad excepts in the fault-handling layers), plus the
+  flow-sensitive ``domain-confusion`` rule of
+  :mod:`repro.analysis.domains` (useful vs wall cycles, page vs frame
+  vs row vs byte vs sub-block);
 * :mod:`repro.analysis.protocol` — an exhaustive symbolic model checker
   for the swap-protocol step sequences of all three migration designs
   (N, N-1, Live Migration), verifying the paper's no-halt claim at
@@ -17,7 +20,6 @@ Two independent prongs, one CLI (:mod:`repro.analysis.cli`):
 """
 
 from .lint import (  # noqa: F401
-    Baseline,
     FileContext,
     Finding,
     LintReport,
@@ -41,7 +43,6 @@ from .protocol import (  # noqa: F401
 
 __all__ = [
     "ALL_INVARIANTS",
-    "Baseline",
     "FaultImpact",
     "FileContext",
     "Finding",

@@ -2,25 +2,28 @@
 
 Subcommands::
 
-    repro-lint lint [PATHS...]      AST lint over source trees
-    repro-lint domains [PATHS...]   flow-sensitive domain-confusion check
-    repro-lint protocol             exhaustive swap-protocol model check
-    repro-lint faults               fault-kind -> violated-invariant table
-    repro-lint rules                print the rule catalog
+    repro-lint lint [PATHS...] [--root DIR]
+        every lint rule over source trees, domain-confusion included
+    repro-lint protocol [--variant n|n-1|live|all] [--first-subblock K]
+        exhaustive swap-protocol model check
+    repro-lint faults
+        fault-kind -> violated-invariant table
+    repro-lint rules
+        print the rule catalog
 
-Exit code 0 means clean; 1 means findings / violations; 2 means the
-tool itself could not run (bad arguments, unreadable baseline).
+Exit code 0 means clean; 1 means any finding, protocol violation, or
+fault scenario expected to recover cleanly that violates an invariant;
+2 means the tool itself could not run (bad arguments, missing path).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from ..config import MigrationAlgorithm
 from ..errors import AnalysisError
-from .lint import DEFAULT_BASELINE_NAME, Baseline, RULES, run_lint
+from .lint import RULES, run_lint
 from .protocol import check_variant, fault_invariant_analysis
 
 #: CLI spelling -> MigrationAlgorithm constant
@@ -32,38 +35,9 @@ VARIANTS = {
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    baseline = Baseline.load(args.baseline)
-    report = run_lint(
-        args.paths,
-        baseline=baseline,
-        select=args.select or None,
-        disable=args.disable or None,
-        root=args.root,
-    )
-    if args.write_baseline:
-        Baseline.from_findings(report.findings + report.baselined).save(
-            args.baseline
-        )
-        print(
-            f"wrote {args.baseline} "
-            f"({len(report.findings) + len(report.baselined)} entries)"
-        )
-        return 0
-    if args.json:
-        json.dump(report.to_json(), sys.stdout, indent=2)
-        print()
-    else:
-        print(report.format_text(show_baselined=args.show_baselined))
-    if not args.fail_on_new:
-        return 1 if report.parse_errors else 0
+    report = run_lint(args.paths, root=args.root)
+    print(report.format_text())
     return report.exit_code
-
-
-def _cmd_domains(args: argparse.Namespace) -> int:
-    # the domain analyzer is the lint chassis pinned to one rule
-    args.select = ["domain-confusion"]
-    args.disable = None
-    return _cmd_lint(args)
 
 
 def _cmd_protocol(args: argparse.Namespace) -> int:
@@ -72,26 +46,18 @@ def _cmd_protocol(args: argparse.Namespace) -> int:
         if args.variant == "all"
         else [VARIANTS[args.variant]]
     )
+    # each plan's check stops at check_variant's default of 10 violations
     reports = [
-        check_variant(
-            v,
-            first_subblock=args.first_subblock,
-            max_violations=args.max_violations,
-        )
-        for v in variants
+        check_variant(v, first_subblock=args.first_subblock) for v in variants
     ]
-    if args.json:
-        json.dump([r.to_json() for r in reports], sys.stdout, indent=2)
-        print()
-    else:
-        for r in reports:
-            status = "OK" if r.ok else f"FAIL ({len(r.violations)} violation(s))"
-            print(
-                f"{r.variant:>5s}: {r.n_states} states, {r.n_plans} plans, "
-                f"{r.n_runs} runs, {r.n_checks} checks -- {status}"
-            )
-            for v in r.violations:
-                print(v.format())
+    for r in reports:
+        status = "OK" if r.ok else f"FAIL ({len(r.violations)} violation(s))"
+        print(
+            f"{r.variant:>5s}: {r.n_states} states, {r.n_plans} plans, "
+            f"{r.n_runs} runs, {r.n_checks} checks -- {status}"
+        )
+        for v in r.violations:
+            print(v.format())
     return 0 if all(r.ok for r in reports) else 1
 
 
@@ -99,37 +65,13 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     impacts = fault_invariant_analysis()
     #: scenarios whose modelled recovery must leave zero violations
     broken = [fi for fi in impacts if fi.expect_clean and fi.invariants]
-    if args.json:
-        json.dump(
-            [
-                {
-                    "fault": fi.fault,
-                    "scenario": fi.scenario,
-                    "invariants": list(fi.invariants),
-                    "note": fi.note,
-                    "expect_clean": fi.expect_clean,
-                }
-                for fi in impacts
-            ],
-            sys.stdout,
-            indent=2,
-        )
-        print()
-    else:
-        for fi in impacts:
-            inv = ", ".join(fi.invariants) if fi.invariants else "none"
-            mark = "" if fi.expect_clean else " (expected: audit repairs)"
-            print(
-                f"{fi.fault}: {fi.scenario}\n  violates: {inv}{mark}\n  {fi.note}"
-            )
-        if broken:
-            print(
-                f"{len(broken)} scenario(s) expected clean but violated "
-                "invariants"
-            )
-    if args.fail_on_violation:
-        return 1 if broken else 0
-    return 0
+    for fi in impacts:
+        inv = ", ".join(fi.invariants) if fi.invariants else "none"
+        mark = "" if fi.expect_clean else " (expected: audit repairs)"
+        print(f"{fi.fault}: {fi.scenario}\n  violates: {inv}{mark}\n  {fi.note}")
+    if broken:
+        print(f"{len(broken)} scenario(s) expected clean but violated invariants")
+    return 1 if broken else 0
 
 
 def _cmd_rules(args: argparse.Namespace) -> int:
@@ -151,60 +93,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_lint_io_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("paths", nargs="*", default=["src"],
-                       help="files or directories (default: src)")
-        p.add_argument("--json", action="store_true",
-                       help="machine-readable report on stdout")
-        p.add_argument("--baseline", default=DEFAULT_BASELINE_NAME,
-                       help="baseline file (default: %(default)s)")
-        p.add_argument("--write-baseline", action="store_true",
-                       help="grandfather all current findings and exit 0")
-        p.add_argument("--fail-on-new", default=True,
-                       action=argparse.BooleanOptionalAction,
-                       help="exit 1 when non-baselined findings exist")
-        p.add_argument("--show-baselined", action="store_true",
-                       help="also print grandfathered findings")
-        p.add_argument("--root", default=None,
-                       help="repo root for relative paths in the report")
-
-    p_lint = sub.add_parser("lint", help="run the AST lint rules")
-    add_lint_io_args(p_lint)
-    p_lint.add_argument("--select", action="append", metavar="RULE",
-                        help="run only these rules (repeatable)")
-    p_lint.add_argument("--disable", action="append", metavar="RULE",
-                        help="skip these rules (repeatable)")
-    p_lint.set_defaults(func=_cmd_lint)
-
-    p_domains = sub.add_parser(
-        "domains",
-        help="flow-sensitive clock/address domain-confusion analysis",
+    p_lint = sub.add_parser(
+        "lint", help="run every lint rule, domain-confusion included"
     )
-    add_lint_io_args(p_domains)
-    p_domains.set_defaults(func=_cmd_domains)
+    p_lint.add_argument("paths", nargs="*", default=["src"],
+                        help="files or directories (default: src)")
+    p_lint.add_argument("--root", default=None,
+                        help="repo root for relative paths in the report")
+    p_lint.set_defaults(func=_cmd_lint)
 
     p_proto = sub.add_parser(
         "protocol", help="exhaustively model-check the swap step sequences"
     )
     p_proto.add_argument("--variant", choices=[*VARIANTS, "all"],
                          default="all")
-    p_proto.add_argument("--json", action="store_true")
     p_proto.add_argument("--first-subblock", type=int, default=0,
                          help="critical sub-block the Live fill starts at")
-    p_proto.add_argument("--max-violations", type=int, default=10,
-                         help="stop a plan after this many violations")
     p_proto.set_defaults(func=_cmd_protocol)
 
     p_faults = sub.add_parser(
         "faults", help="map injected fault kinds to violated invariants"
-    )
-    p_faults.add_argument("--json", action="store_true")
-    p_faults.add_argument(
-        "--fail-on-violation", action="store_true",
-        help=(
-            "exit 1 when a scenario expected to recover cleanly "
-            "(expect_clean) violates any invariant"
-        ),
     )
     p_faults.set_defaults(func=_cmd_faults)
 

@@ -1,9 +1,9 @@
 """The ``domain-confusion`` lint rule: the flow analysis on the chassis.
 
-Rides the standard lint machinery — registered in :data:`RULES`, honors
-inline ``# repro-lint: disable=domain-confusion`` suppressions, emits
-fingerprinted findings the committed baseline can grandfather — and
-adds the step-indexed dataflow trace of each confusion to the finding.
+Rides the standard lint machinery — registered in :data:`RULES`, so
+``repro-lint lint`` runs it with every other rule, and honors inline
+``# repro-lint: disable=domain-confusion`` suppressions — and adds the
+step-indexed dataflow trace of each confusion to the finding.
 
 Severity policy: a confusion is an ``error`` only when *both* sides'
 domains are at least annotation-confidence (declared signature or
@@ -13,7 +13,7 @@ is a ``warning``, because name vocabulary is a heuristic.
 
 from __future__ import annotations
 
-from ..lint.core import FileContext, LintRule, Severity, register
+from ..lint.core import LintRule, Severity, register
 from .annotate import extract_annotations
 from .interp import analyze_module
 from .model import Confidence
@@ -29,9 +29,6 @@ class DomainConfusionRule(LintRule):
         "comparisons, returns, or argument passing"
     )
     path_exclude = ("tests/",)
-
-    def __init__(self, ctx: FileContext):
-        super().__init__(ctx)
 
     def run(self):
         annotations = extract_annotations(self.ctx.source)

@@ -3,10 +3,8 @@
 A :class:`LintRule` is an :mod:`ast` visitor with a stable name, a
 severity, and a path scope. Rules are registered with :func:`register`
 and instantiated fresh per file by the engine, so they may keep
-per-file state freely. Findings carry a *fingerprint* — a content hash
-of ``(rule, path, source line text, occurrence index)`` — which is what
-the committed baseline stores; fingerprints survive unrelated line
-insertions, so grandfathered findings do not churn.
+per-file state freely. There is no baseline of grandfathered findings:
+every finding fails the run until it is fixed or suppressed inline.
 
 Inline suppression: append ``# repro-lint: disable=RULE`` (or a
 comma-separated list, or ``all``) to the offending line. Suppressions
@@ -17,7 +15,6 @@ string literals never counts.
 from __future__ import annotations
 
 import ast
-import hashlib
 import io
 import tokenize
 from dataclasses import dataclass, field
@@ -33,7 +30,7 @@ class Severity(str, Enum):
 
 @dataclass(frozen=True)
 class Finding:
-    """One lint finding, position-anchored and fingerprinted."""
+    """One lint finding, anchored at a source position."""
 
     rule: str
     severity: Severity
@@ -41,29 +38,8 @@ class Finding:
     line: int                 # 1-based
     col: int                  # 0-based
     message: str
-    line_text: str = ""       # stripped source of the offending line
-    occurrence: int = 0       # n-th finding of this rule on identical text
-    #: optional step-indexed dataflow/counterexample trace (one step per
-    #: entry); excluded from the fingerprint so trace wording can evolve
-    #: without churning the committed baseline
+    #: optional step-indexed dataflow trace (one step per entry)
     trace: tuple[str, ...] = ()
-
-    @property
-    def fingerprint(self) -> str:
-        payload = f"{self.rule}\x00{self.path}\x00{self.line_text}\x00{self.occurrence}"
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-    def to_json(self) -> dict:
-        return {
-            "rule": self.rule,
-            "severity": self.severity.value,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-            "fingerprint": self.fingerprint,
-            "trace": list(self.trace),
-        }
 
     def format(self) -> str:
         head = (
@@ -82,22 +58,14 @@ class FileContext:
     path: str                     # repo-relative, forward slashes
     source: str
     tree: ast.Module
-    lines: list[str] = field(default_factory=list)
     #: line -> set of rule names disabled there ("all" disables every rule)
     suppressions: dict[int, set[str]] = field(default_factory=dict)
 
     @classmethod
     def parse(cls, path: str, source: str) -> "FileContext":
         tree = ast.parse(source, filename=path)
-        ctx = cls(path=path, source=source, tree=tree,
-                  lines=source.splitlines())
-        ctx.suppressions = extract_suppressions(source)
-        return ctx
-
-    def line_text(self, line: int) -> str:
-        if 1 <= line <= len(self.lines):
-            return self.lines[line - 1].strip()
-        return ""
+        return cls(path=path, source=source, tree=tree,
+                   suppressions=extract_suppressions(source))
 
     def suppressed(self, rule: str, line: int) -> bool:
         rules = self.suppressions.get(line)
@@ -150,7 +118,6 @@ class LintRule(ast.NodeVisitor):
     def __init__(self, ctx: FileContext):
         self.ctx = ctx
         self.findings: list[Finding] = []
-        self._occurrences: dict[str, int] = {}
 
     @classmethod
     def applies_to(cls, path: str) -> bool:
@@ -176,10 +143,6 @@ class LintRule(ast.NodeVisitor):
         col = getattr(node, "col_offset", 0)
         if self.ctx.suppressed(self.name, line):
             return
-        text = self.ctx.line_text(line)
-        key = f"{self.name}\x00{text}"
-        occurrence = self._occurrences.get(key, 0)
-        self._occurrences[key] = occurrence + 1
         self.findings.append(
             Finding(
                 rule=self.name,
@@ -188,8 +151,6 @@ class LintRule(ast.NodeVisitor):
                 line=line,
                 col=col,
                 message=message,
-                line_text=text,
-                occurrence=occurrence,
                 trace=trace,
             )
         )

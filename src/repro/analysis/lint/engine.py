@@ -1,10 +1,9 @@
-"""The lint driver: walk files, run rules, diff against the baseline.
+"""The lint runner: walk files, run rules, report findings.
 
 ``run_lint`` is the single entry point the CLI and tests share. It
-returns a :class:`LintReport` carrying every finding partitioned into
-*new* vs *baselined*, plus the counts needed for the JSON summary; the
-exit-code policy (fail when any new finding exists) lives here so CI
-and local runs can never disagree.
+returns a :class:`LintReport`; the exit-code policy (fail on any
+finding or parse error) lives here so CI and local runs can never
+disagree.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import os
 from dataclasses import dataclass, field
 
 from ...errors import AnalysisError
-from .baseline import Baseline
 from .core import RULES, FileContext, Finding, LintRule
 
 #: directories never descended into
@@ -42,72 +40,37 @@ def _relpath(path: str, root: str | None) -> str:
     return rel.replace(os.sep, "/")
 
 
-def resolve_rules(
-    select: list[str] | None = None, disable: list[str] | None = None
-) -> list[type[LintRule]]:
-    """The rule classes to run, after ``--select`` / ``--disable``."""
-    for name in (select or []) + (disable or []):
-        if name not in RULES:
-            raise AnalysisError(
-                f"unknown rule {name!r}; available: {', '.join(sorted(RULES))}"
-            )
-    names = set(select) if select else set(RULES)
-    names -= set(disable or [])
-    return [RULES[n] for n in sorted(names)]
+def resolve_rules(select: list[str] | None = None) -> list[type[LintRule]]:
+    """The rule classes to run: every registered rule, or only ``select``."""
+    unknown = sorted(set(select or ()) - set(RULES))
+    if unknown:
+        raise AnalysisError(
+            f"unknown rule {unknown[0]!r}; available: {', '.join(sorted(RULES))}"
+        )
+    return [RULES[n] for n in sorted(select or RULES)]
 
 
 @dataclass
 class LintReport:
     """Everything one lint run produced."""
 
-    findings: list[Finding] = field(default_factory=list)   # new findings
-    baselined: list[Finding] = field(default_factory=list)
+    findings: list[Finding] = field(default_factory=list)
     parse_errors: list[tuple[str, str]] = field(default_factory=list)
     n_files: int = 0
-    rules_run: list[str] = field(default_factory=list)
 
     @property
     def exit_code(self) -> int:
         return 1 if self.findings or self.parse_errors else 0
 
-    def summary(self) -> dict:
-        by_rule: dict[str, int] = {}
-        for f in self.findings:
-            by_rule[f.rule] = by_rule.get(f.rule, 0) + 1
-        return {
-            "files": self.n_files,
-            "new": len(self.findings),
-            "baselined": len(self.baselined),
-            "parse_errors": len(self.parse_errors),
-            "by_rule": dict(sorted(by_rule.items())),
-        }
-
-    def to_json(self) -> dict:
-        return {
-            "version": 1,
-            "tool": "repro-lint",
-            "rules": list(self.rules_run),
-            "findings": [f.to_json() for f in self.findings],
-            "baselined": [f.to_json() for f in self.baselined],
-            "parse_errors": [
-                {"path": p, "message": m} for p, m in self.parse_errors
-            ],
-            "summary": self.summary(),
-        }
-
-    def format_text(self, *, show_baselined: bool = False) -> str:
+    def format_text(self) -> str:
         lines = [f.format() for f in sorted(
             self.findings, key=lambda f: (f.path, f.line, f.rule)
         )]
-        if show_baselined and self.baselined:
-            lines.append("-- baselined (grandfathered) --")
-            lines.extend(f.format() for f in self.baselined)
         for path, message in self.parse_errors:
             lines.append(f"{path}:1:1: error [parse] {message}")
-        s = self.summary()
         lines.append(
-            f"repro-lint: {s['files']} files, {s['new']} new finding(s), "
-            f"{s['baselined']} baselined, {s['parse_errors']} parse error(s)"
+            f"repro-lint: {self.n_files} files, {len(self.findings)} "
+            f"finding(s), {len(self.parse_errors)} parse error(s)"
         )
         return "\n".join(lines)
 
@@ -132,25 +95,14 @@ def lint_file(
     return findings
 
 
-def run_lint(
-    paths: list[str],
-    *,
-    baseline: Baseline | None = None,
-    select: list[str] | None = None,
-    disable: list[str] | None = None,
-    root: str | None = None,
-) -> LintReport:
-    """Lint ``paths`` (files or directories) and diff against ``baseline``."""
-    rules = resolve_rules(select, disable)
-    baseline = baseline or Baseline()
-    report = LintReport(rules_run=[r.name for r in rules])
+def run_lint(paths: list[str], *, root: str | None = None) -> LintReport:
+    """Run every registered rule over ``paths`` (files or directories)."""
+    rules = resolve_rules()
+    report = LintReport()
     for path in iter_python_files(paths):
         report.n_files += 1
         try:
-            found = lint_file(path, rules, root=root)
+            report.findings.extend(lint_file(path, rules, root=root))
         except SyntaxError as exc:
             report.parse_errors.append((_relpath(path, root), str(exc)))
-            continue
-        for f in found:
-            (report.baselined if f in baseline else report.findings).append(f)
     return report

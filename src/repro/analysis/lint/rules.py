@@ -2,10 +2,10 @@
 
 Every rule here guards a property the resilience and campaign layers
 rely on: bit-identical replay (no wall-clock, no unseeded RNG, no
-unordered iteration feeding results), checkpoint symmetry
-(``state_dict``/``load_state_dict`` pairs), exact-compare hygiene in
-metrics code, and narrow exception handling in the fault-tolerant
-layers where a swallowed error means silent data loss.
+unordered iteration feeding results), exact-compare hygiene in metrics
+code, no per-iteration copies in the hot loops, no fork-unsafe module
+state, and narrow exception handling in the fault-tolerant layers where
+a swallowed error means silent data loss.
 """
 
 from __future__ import annotations
@@ -263,45 +263,6 @@ class UnorderedIterationRule(LintRule):
 
     def visit_DictComp(self, node: ast.DictComp) -> None:
         self._visit_comp(node, "a dict comprehension")
-
-
-# ----------------------------------------------------------------------
-# state-dict-symmetry
-# ----------------------------------------------------------------------
-@register
-class StateDictSymmetryRule(LintRule):
-    """A checkpointable class must define both halves of the pair.
-
-    ``state_dict()`` without ``load_state_dict()`` (or vice versa)
-    means checkpoints are written that can never be restored — the
-    resilience layer's resume path would fail at the first boundary.
-    Classes with (non-``object``) bases are skipped: the partner may be
-    inherited.
-    """
-
-    name = "state-dict-symmetry"
-    severity = Severity.ERROR
-    description = "state_dict without load_state_dict (or vice versa)"
-
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        bases = [b.id for b in node.bases if isinstance(b, ast.Name)]
-        if not node.bases or bases == ["object"]:
-            methods = {
-                item.name
-                for item in node.body
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-            }
-            has_save = "state_dict" in methods
-            has_load = "load_state_dict" in methods
-            if has_save != has_load:
-                missing = "load_state_dict" if has_save else "state_dict"
-                present = "state_dict" if has_save else "load_state_dict"
-                self.report(
-                    node,
-                    f"class {node.name} defines {present} but not {missing}; "
-                    "checkpoints must round-trip",
-                )
-        self.generic_visit(node)
 
 
 # ----------------------------------------------------------------------

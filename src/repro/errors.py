@@ -123,9 +123,8 @@ class TenancyError(ReproError):
 class AnalysisError(ReproError):
     """Static-analysis tooling failure (repro-lint, protocol checker).
 
-    Raised for unusable inputs — an unparseable baseline file, an
-    unknown rule name, a malformed swap plan handed to the model
-    checker — never for findings or invariant violations, which are
+    Raised for unusable inputs — a missing lint path, an unknown rule
+    name, a malformed swap plan handed to the model checker — never for findings or invariant violations, which are
     reported as data so callers can render counterexample traces.
     """
 

@@ -6,12 +6,14 @@ macro page with a 3-level x 10-entry multi-queue:
 
 * :class:`ExactPolicies` — those exact structures, updated per access;
   used by the detailed simulator and the policy unit tests.
-* :class:`EpochMonitor` — the vectorised equivalent used by the epoch
-  simulator: coldest = on-package slot with the oldest last touch (what
-  the clock hand converges to), hottest = off-package page with the
-  highest epoch access count, recency-tie-broken (what the multi-queue
-  surfaces). ``tests/test_policies.py`` checks the two agree on shared
-  streams.
+* :class:`EpochMonitor` — the vectorised rule the epoch simulator runs
+  instead, not an equivalent of the hardware: coldest = the on-package
+  slot with the oldest last touch, hottest = the off-package page with
+  the most accesses this epoch, recency-tie-broken. Its counts reset at
+  each epoch boundary; the multi-queue's state spans epochs.
+  ``tests/test_policies.py`` cross-checks the two only where the
+  monitor's coldest slot is one the trace never touched; nothing
+  compares hottest pages (ROADMAP item 12).
 """
 
 from __future__ import annotations

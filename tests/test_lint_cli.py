@@ -1,7 +1,5 @@
 """The ``repro-lint`` command line (lint / protocol / faults / rules)."""
 
-import json
-
 import pytest
 
 from repro.analysis.cli import main
@@ -26,46 +24,17 @@ def run(args):
 
 class TestLintCommand:
     def test_clean_tree_exits_zero(self, tree, capsys):
-        assert run(["lint", tree / "src" / "repro" / "simulator" / "good.py",
-                    "--baseline", tree / "b.json"]) == 0
-        assert "0 new finding(s)" in capsys.readouterr().out
+        assert run(["lint", tree / "src" / "repro" / "simulator" / "good.py"]) == 0
+        assert "0 finding(s)" in capsys.readouterr().out
 
     def test_violation_exits_nonzero(self, tree, capsys):
-        code = run(["lint", tree, "--root", tree, "--baseline", tree / "b.json"])
+        code = run(["lint", tree, "--root", tree])
         assert code == 1
         out = capsys.readouterr().out
         assert "wall-clock" in out and "bad.py:5" in out
 
-    def test_no_fail_on_new(self, tree):
-        assert run(["lint", tree, "--baseline", tree / "b.json",
-                    "--no-fail-on-new"]) == 0
-
-    def test_json_output(self, tree, capsys):
-        run(["lint", tree, "--root", tree, "--baseline", tree / "b.json",
-             "--json"])
-        data = json.loads(capsys.readouterr().out)
-        assert data["tool"] == "repro-lint"
-        assert data["summary"]["new"] == 1
-
-    def test_write_baseline_then_clean(self, tree, capsys):
-        baseline = tree / "b.json"
-        assert run(["lint", tree, "--root", tree, "--baseline", baseline,
-                    "--write-baseline"]) == 0
-        assert "1 entries" in capsys.readouterr().out
-        assert run(["lint", tree, "--root", tree, "--baseline", baseline]) == 0
-
-    def test_select_skips_other_rules(self, tree):
-        assert run(["lint", tree, "--baseline", tree / "b.json",
-                    "--select", "unseeded-rng"]) == 0
-
-    def test_unknown_rule_is_usage_error(self, tree, capsys):
-        assert run(["lint", tree, "--select", "bogus",
-                    "--baseline", tree / "b.json"]) == 2
-        assert "unknown rule" in capsys.readouterr().err
-
     def test_missing_path_is_usage_error(self, tmp_path):
-        assert run(["lint", tmp_path / "absent",
-                    "--baseline", tmp_path / "b.json"]) == 2
+        assert run(["lint", tmp_path / "absent"]) == 2
 
 
 CONFUSED_SOURCE = (
@@ -77,6 +46,8 @@ CONFUSED_SOURCE = (
 
 
 class TestDomainsCommand:
+    """The domain-confusion analysis runs inside ``repro-lint lint``."""
+
     @pytest.fixture
     def confused_tree(self, tmp_path):
         pkg = tmp_path / "src" / "repro" / "simulator"
@@ -85,43 +56,17 @@ class TestDomainsCommand:
         return tmp_path
 
     def test_confusion_exits_nonzero_with_trace(self, confused_tree, capsys):
-        code = run(["domains", confused_tree, "--root", confused_tree,
-                    "--baseline", confused_tree / "b.json"])
+        code = run(["lint", confused_tree, "--root", confused_tree])
         assert code == 1
         out = capsys.readouterr().out
         assert "domain-confusion" in out
         assert "step 0: line" in out  # the dataflow trace is printed
 
-    def test_json_carries_trace(self, confused_tree, capsys):
-        run(["domains", confused_tree, "--root", confused_tree,
-             "--baseline", confused_tree / "b.json", "--json"])
-        data = json.loads(capsys.readouterr().out)
-        assert data["rules"] == ["domain-confusion"]
-        (finding,) = data["findings"]
-        assert finding["trace"]
-        assert finding["trace"][0].startswith("step 0: line ")
-
-    def test_only_the_domain_rule_runs(self, tree, capsys):
-        # the wall-clock violation in the shared fixture is invisible
-        assert run(["domains", tree, "--root", tree,
-                    "--baseline", tree / "b.json"]) == 0
-        assert "0 new finding(s)" in capsys.readouterr().out
-
-    def test_write_baseline_then_clean(self, confused_tree, capsys):
-        baseline = confused_tree / "b.json"
-        assert run(["domains", confused_tree, "--root", confused_tree,
-                    "--baseline", baseline, "--write-baseline"]) == 0
-        capsys.readouterr()
-        assert run(["domains", confused_tree, "--root", confused_tree,
-                    "--baseline", baseline]) == 0
-
-    def test_repo_tree_is_clean(self, capsys):
-        assert run(["domains", "src", "--root", "."]) == 0
-
 
 class TestUsageErrors:
     def test_unknown_subcommand_exits_two(self, capsys):
-        assert run(["domans", "src"]) == 2
+        # the domain analyzer has no subcommand of its own: `lint` runs it
+        assert run(["domains", "src"]) == 2
         assert "invalid choice" in capsys.readouterr().err
 
     def test_no_subcommand_exits_two(self, capsys):
@@ -142,12 +87,6 @@ class TestProtocolCommand:
         assert run(["protocol", "--variant", "n"]) == 0
         assert "OK" in capsys.readouterr().out
 
-    def test_json_output(self, capsys):
-        assert run(["protocol", "--variant", "n", "--json"]) == 0
-        (report,) = json.loads(capsys.readouterr().out)
-        assert report["variant"] == "N"
-        assert report["ok"] is True and report["violations"] == []
-
 
 class TestFaultsCommand:
     def test_table_lists_every_fault(self, capsys):
@@ -157,15 +96,6 @@ class TestFaultsCommand:
                       "abort-swap", "dram-transient"):
             assert fault in out
 
-    def test_json_output(self, capsys):
-        assert run(["faults", "--json"]) == 0
-        data = json.loads(capsys.readouterr().out)
-        assert all(
-            set(row) == {"fault", "scenario", "invariants", "note",
-                         "expect_clean"}
-            for row in data
-        )
-
     def test_seu_rows_marked_expected(self, capsys):
         assert run(["faults"]) == 0
         out = capsys.readouterr().out
@@ -174,7 +104,7 @@ class TestFaultsCommand:
     def test_fail_on_violation_passes_when_recovery_clean(self):
         # every expect_clean scenario (all the abort landings) must
         # model-recover with zero violated invariants — the CI gate
-        assert run(["faults", "--fail-on-violation"]) == 0
+        assert run(["faults"]) == 0
 
     def test_fail_on_violation_trips_on_dirty_clean_scenario(self, capsys,
                                                              monkeypatch):
@@ -190,10 +120,8 @@ class TestFaultsCommand:
         monkeypatch.setattr(
             cli_mod, "fault_invariant_analysis", fake_analysis
         )
-        assert run(["faults", "--fail-on-violation"]) == 1
+        assert run(["faults"]) == 1
         assert "expected clean" in capsys.readouterr().out
-        # without the flag the table still prints but exits 0
-        assert run(["faults"]) == 0
 
 
 class TestRulesCommand:

@@ -542,6 +542,28 @@ class TestRasSimulation:
         assert result.ras.scrub_passes >= 1
         assert result.ras.scrub_reads > 0
 
+    def test_predictor_never_retires_the_empty_slot(self):
+        """A CE burst on the N-1 empty slot's frame crosses the threshold,
+        but the retire pass keeps the frame the design needs and records
+        why. Without migration the empty slot stays where it starts."""
+        cfg = SystemConfig(
+            total_bytes=16 * MB, onpkg_bytes=2 * MB,
+            migration=MigrationConfig(macro_page_bytes=64 * KB,
+                                      swap_interval=500),
+        ).with_ras(enabled=True, ce_threshold=6, spare_pages=3)
+        sim = EpochSimulator(cfg, migrate=False)
+        empty = sim.table.empty_slot()
+        sim.attach_faults(FaultPlan(
+            events=(FaultEvent(epoch=1, kind=FaultKind.CE_BURST, param=empty),),
+        ))
+        result = sim.run(soak_trace(4))
+        assert result.ras.frames_retired == 0
+        assert result.ras.retirements_suppressed == 1
+        (event,) = sim.engine.degradation_events
+        assert event.detail.startswith(f"frame {empty} over CE threshold")
+        assert event.detail.endswith("frame is the empty slot (the N-1 design needs it)")
+        assert sim.table.empty_slot() == empty
+
     def test_traces_may_not_touch_spare_pages(self):
         cfg = soak_config("live")
         amap = cfg.address_map()

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import (
+    BusConfig,
     DDR3_TREFI_S,
     DDR3_TRFC_S,
     DEFAULT_FREQUENCY_HZ,
@@ -22,6 +23,8 @@ from repro.core.simulator import EpochSimulator
 from repro.dram.bank import Bank
 from repro.dram.refresh import RefreshSchedule
 from repro.errors import ConfigError
+from repro.migration.algorithms import CopyStep
+from repro.migration.engine import MigrationEngine
 from repro.units import KB, MB
 
 from .conftest import synthetic_trace
@@ -172,6 +175,18 @@ class TestBankRefresh:
         _, finish, _ = bank.access(row=1, arrival=1801)
         assert finish == 1948 + 148 + 100           # second request crosses
 
+    def test_queue_cap_counts_useful_cycles_across_a_window(self):
+        """``max_queue_wait`` caps the wait on the useful clock, so a
+        capped wait spanning a tRFC window absorbs the window. Arrival
+        1900 is useful cycle 1800; the backlog (ready at wall 3000,
+        useful 2800) is cut to 1800 + 300 = useful 2100, which is wall
+        2300 once the window at [2000, 2100) is added back."""
+        bank = Bank(_timing(max_queue_wait=300), open_row=0, ready_time=3000)
+        start, finish, hit = bank.access(row=1, arrival=1900)
+        assert not hit
+        assert start == 2300        # 400 wall cycles: 300 useful + tRFC
+        assert finish == 2300 + 148
+
     def test_far_from_windows_matches_refresh_free_bank(self):
         plain = Bank(DramTiming())
         refreshed = Bank(_timing())
@@ -196,6 +211,39 @@ class TestBankRefresh:
             assert hit == o_hit
             assert start == sched.wall(u_start, begin=True)
             assert finish == sched.wall(u_finish)
+
+
+# ---------------------------------------------------------------------------
+# engine copy stretching
+# ---------------------------------------------------------------------------
+
+class TestCopyStretch:
+    def test_copy_duration_per_region(self):
+        """Hand-computed durations of one copy per kind of step. The
+        on-package region refreshes [k*1000, k*1000 + 100), the
+        off-package region [k*3000, k*3000 + 300); the bus moves 2 B per
+        cycle on-package and 1 B per cycle across the boundary."""
+        cfg = _cfg(refresh=False)
+        engine = MigrationEngine(
+            cfg.address_map(), cfg.migration,
+            BusConfig(offpkg_bytes_per_cycle=1.0, onpkg_bytes_per_cycle=2.0),
+            onpkg_refresh=RefreshSchedule(1000, 100),
+            offpkg_refresh=RefreshSchedule(3000, 300),
+        )
+        on_only = CopyStep("on", 200, cross_boundary=False,
+                           src=("slot", 0), dst=("slot", 1))
+        off_only = CopyStep("off", 400, src=("mach", 40), dst=("mach", 41))
+        crossing = CopyStep("cross", 100, src=("mach", 40), dst=("slot", 0))
+        # 100 cycles from 950: 50 before the window at 1000, 100 of
+        # window, 50 after
+        assert engine._copy_duration(950, on_only) == 200
+        # 400 cycles from 2800: 200 before the window at 3000, 300 of
+        # window, 200 after; the on-package windows do not apply
+        assert engine._copy_duration(2800, off_only) == 700
+        # 100 cycles from 2950 cross both regions' windows at 3000: the
+        # on-package one costs 100, the off-package one 300; the copy
+        # waits for the longer
+        assert engine._copy_duration(2950, crossing) == 400
 
 
 # ---------------------------------------------------------------------------
