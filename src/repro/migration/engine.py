@@ -16,12 +16,17 @@ While a swap is in flight the P/F bits block re-triggering, exactly as
 in the paper ("the existence of P bit and F bit prevents triggering
 another swap if the previous swap is not complete yet").
 
-The engine applies a scheduled plan's table updates eagerly while
-recording one *routing timeline* for the pages the swap touches: a row of
-their mirror entries (``onpkg``, ``machine_of``) for every table op that
-changes one, stamped with the op's time. The epoch simulator overrides
-those few pages' resolution per access time; every other page resolves
-through the table's dense mirrors.
+A swap runs from its plan shape's :class:`~.template.SwapTemplate`: the
+step sequence the builders in :mod:`.algorithms` produce for that shape,
+derived once per process and bound to the swap's roles (MRU, LRU, the
+empty slot, the MS MRU's partner, the MF LRU's slot, Ω). The engine
+checks the table's pre-state against the template, writes the plan's
+table updates in one step, and walks the template's steps only to time
+them. The result is one *routing timeline* for the pages the swap
+touches: a row of their mirror entries (``onpkg``, ``machine_of``) for
+every table update that changes one, stamped with the update's time.
+The epoch simulator overrides those few pages' resolution per access
+time; every other page resolves through the table's dense mirrors.
 """
 
 from __future__ import annotations
@@ -45,16 +50,17 @@ from ..resilience.degradation import (
     SWAP_FAILED,
     DegradationEvent,
 )
-from .algorithms import (
-    CopyStep,
-    SwapPlan,
-    TableUpdate,
-    build_basic_swap_steps,
-    build_swap_steps,
-)
+from .algorithms import CopyStep
 from .policies import EpochMonitor
 from .recovery import recovery_plan
 from .table import EMPTY, TranslationTable
+from .template import (
+    BEFORE,
+    SwapTemplate,
+    TemplateCopy,
+    TemplateUpdate,
+    swap_template,
+)
 
 
 @dataclass(frozen=True)
@@ -98,7 +104,8 @@ class FillInfo:
 class ActiveMigration:
     """One in-flight (or just-completed) swap with its routing timeline.
 
-    The timeline covers the swap's affected ``pages``: from ``times[i]``
+    ``plan`` is the swap's :class:`~.template.SwapTemplate`. The
+    timeline covers the swap's affected ``pages``: from ``times[i]``
     on, column ``j`` of row ``i`` of ``onpkg``/``machine`` is page
     ``pages[j]``'s resolution. ``times`` ascend; row 0 is the pre-swap
     state, stamped before any access. ``fill`` is set for a Live swap
@@ -109,7 +116,7 @@ class ActiveMigration:
     the copies drain.
     """
 
-    plan: SwapPlan | None
+    plan: SwapTemplate | None
     start: int
     end: int
     fill: FillInfo | None
@@ -435,32 +442,36 @@ class MigrationEngine:
         return SwapDecision(True, "hottest-coldest swap", mru=mru_page, lru=lru_page)
 
     # ------------------------------------------------------------------
-    def _copy_cycles(self, step: CopyStep) -> int:
+    def _copy_cycles(self, nbytes: int, cross_boundary: bool) -> int:
         bw = (
             self.bus.offpkg_bytes_per_cycle
-            if step.cross_boundary
+            if cross_boundary
             else self.bus.onpkg_bytes_per_cycle
         )
-        return max(1, int(round(step.nbytes / bw)))
+        return max(1, int(round(nbytes / bw)))
 
     def _copy_duration(self, start: int, step: CopyStep) -> int:
-        """Wall duration of one copy starting at ``start``.
+        """Wall duration of one copy starting at ``start`` (see
+        :meth:`_stretch`)."""
+        kinds = {loc[0] for loc in (step.src, step.dst) if loc is not None}
+        return self._stretch(
+            start, self._copy_cycles(step.nbytes, step.cross_boundary),
+            "slot" in kinds, "mach" in kinds,
+        )
+
+    def _stretch(
+        self, start: int, base: int, touches_on: bool, touches_off: bool
+    ) -> int:
+        """Wall duration of a ``base``-cycle copy starting at ``start``.
 
         The bus-limited transfer time, stretched by any tRFC window of
-        the DRAM regions the step touches: a swap copy landing on a
+        the DRAM regions the copy touches: a swap copy landing on a
         refreshing bank stalls until the window closes. A cross-boundary
-        step touching both regions takes the worse of the two stretches
+        copy touching both regions takes the worse of the two stretches
         (the transfer cannot proceed while either end is refreshing).
         """
-        base = self._copy_cycles(step)
         if self.onpkg_refresh is None and self.offpkg_refresh is None:
             return base
-        touches_on = touches_off = False
-        for loc in (step.src, step.dst):
-            if loc is None:
-                continue
-            touches_on |= loc[0] == "slot"
-            touches_off |= loc[0] == "mach"
         duration = base
         if touches_on and self.onpkg_refresh is not None:
             duration = max(duration, self.onpkg_refresh.stretch(start, base))
@@ -470,122 +481,108 @@ class MigrationEngine:
 
     def _schedule(self, now: int, mru: int, lru: int, first_subblock: int) -> None:
         cfg = self.config
-        if cfg.algorithm == MigrationAlgorithm.N:
-            plan = build_basic_swap_steps(self.table, mru, lru)
-        else:
-            plan = build_swap_steps(self.table, mru, lru)
+        table = self.table
+        template, binding = swap_template(
+            table, mru, lru, basic=cfg.algorithm == MigrationAlgorithm.N
+        )
+        roles = binding.roles
         live = cfg.algorithm == MigrationAlgorithm.LIVE
+        # the undo record over the template's rows and pages makes the
+        # swap transactional, so a torn one rolls back instead of
+        # leaving a half-written table; it raises, before any write, if
+        # the table is not in the template's pre-state
+        undo = template.undo_point(table, binding)
 
-        # an armed abort fires at a chosen copy step (one-shot); the undo
-        # record over the rows the plan's ops name and the pages they
-        # touch makes plan application transactional, so a torn swap
-        # rolls back instead of leaving a half-written table
+        # an armed abort fires at a chosen copy step (one-shot): the
+        # table then holds the updates made before that step
         abort_at: int | None = None
         abort_subblocks = 0
+        updates = template.n_updates
         if self._abort_at_step is not None:
-            n_copies = sum(1 for s in plan.steps if isinstance(s, CopyStep))
-            abort_at = self._abort_at_step % max(1, n_copies)
+            abort_at = self._abort_at_step % template.n_copies
             abort_subblocks = self._abort_subblocks
             self._abort_at_step = None
             self._abort_subblocks = 0
-        rows = {
-            args[0]
-            for s in plan.steps if isinstance(s, TableUpdate)
-            for _, args in s.ops
-        }
-        undo = self.table.undo_point(rows, self._affected_pages(plan))
+            updates = template.updates_before[abort_at]
 
-        # walk the plan, applying updates eagerly; after each table op the
-        # affected pages' mirror slice becomes a timeline row at `t` when
-        # it changed. Row 0 is the pre-swap state: the undo record's slice
-        pages = undo["pages"]
-        times = [-(1 << 62)]
-        onpkg = [undo["onpkg"].tolist()]
-        machine = [undo["machine_of"].tolist()]
-
-        def record(t: int) -> None:
-            on = self.table.onpkg[pages].tolist()
-            mach = self.table.machine_of[pages].tolist()
-            if on != onpkg[-1] or mach != machine[-1]:
-                times.append(t)
-                onpkg.append(on)
-                machine.append(mach)
-
+        # the table takes the plan's updates at once; the walk below
+        # times them, stamping each update that changes the affected
+        # pages' routing as a timeline row (row 0: the pre-swap state)
+        page_bytes = self.amap.macro_page_bytes
+        #: a page copy's bus cycles, within / across the package boundary
+        cycles = (
+            self._copy_cycles(page_bytes, False), self._copy_cycles(page_bytes, True)
+        )
         t = now
+        times = [BEFORE]
         fill: FillInfo | None = None
-        incoming_end = None
         copy_index = 0
         crit_first = first_subblock if cfg.critical_block_first else 0
 
-        def incoming_fill(step: CopyStep, start: int, duration: int) -> FillInfo:
+        def incoming_fill(step: TemplateCopy, start: int, duration: int) -> FillInfo:
             return FillInfo(
-                page=plan.mru,
-                slot=step.dest_slot,
+                page=mru,
+                slot=roles[step.dst[1]],
                 start=start,
                 end=start + duration,
                 n_subblocks=self.amap.subblocks_per_page,
                 first_subblock=crit_first,
             )
 
-        #: copy prefix actually executed, as (src, dst, complete) — the
-        #: recovery planner replays it over the pre-swap content map
-        executed: list[tuple] = []
+        #: a copy torn part-way, as (src, dst, complete=False)
+        torn: list[tuple] = []
         #: time-stamped shadow ops mirroring every executed copy
         shadow_ops: list[tuple[int, str, tuple]] = []
         try:
-            for step in plan.steps:
-                if isinstance(step, CopyStep):
-                    if abort_at is not None and copy_index == abort_at:
-                        detail = ""
-                        if live and step.incoming and abort_subblocks > 0:
-                            # micro-boundary abort: part of the Live fill
-                            # already landed (destination is garbage as a
-                            # whole page, hence complete=False)
-                            torn = incoming_fill(
-                                step, t, self._copy_duration(t, step)
-                            )
-                            order, land = torn.landings()
-                            landed = min(int(abort_subblocks), land.size - 1)
-                            if landed:
-                                t = int(land[landed - 1])
-                            executed.append((step.src, step.dst, False))
-                            order = tuple(order[:landed].tolist())
-                            shadow_ops.append(
-                                (t, "copy", (step.src, step.dst, order))
-                            )
-                            detail = f" after {landed} landed sub-block(s)"
-                        raise FaultInjectionError(
-                            f"swap {plan.case.value} aborted at copy step "
-                            f"{copy_index} ({step.label}){detail}"
-                        )
-                    copy_index += 1
-                    duration = self._copy_duration(t, step)
-                    if step.incoming:
-                        incoming_end = t + duration
-                        if live:
-                            fill = incoming_fill(step, t, duration)
-                    if self.shadow is not None:
-                        self._collect_shadow_copy(
-                            shadow_ops, step, t + duration,
-                            fill if step.incoming else None,
-                        )
-                    executed.append((step.src, step.dst, True))
-                    t += duration
-                    # a completed incoming copy clears the F bit
-                    if step.incoming and self.table.filling:
-                        self.table.end_fill()
-                        record(t)
-                else:
-                    if cfg.os_assisted:
-                        # the OS periodic routine performs the table update: a
-                        # user/kernel round trip before the new mapping is live
+            table.write_swap(template.state(binding, updates))
+            for step in template.steps:
+                if isinstance(step, TemplateUpdate):
+                    if step.os_round_trip and cfg.os_assisted:
+                        # the OS periodic routine performs the table
+                        # update: a user/kernel round trip before the new
+                        # mapping is live
                         t += cfg.os_update_cycles
-                    step.apply(self.table)
-                    record(t)
+                    if step.stamps:
+                        times.append(t)
+                    continue
+                duration = self._stretch(
+                    t, cycles[step.cross_boundary], step.touches_on, step.touches_off
+                )
+                if copy_index == abort_at:
+                    detail = ""
+                    if live and step.incoming and abort_subblocks > 0:
+                        # micro-boundary abort: part of the Live fill
+                        # already landed (destination is garbage as a
+                        # whole page, hence complete=False)
+                        order, land = incoming_fill(step, t, duration).landings()
+                        landed = min(int(abort_subblocks), land.size - 1)
+                        if landed:
+                            t = int(land[landed - 1])
+                        src, dst = step.locations(roles)
+                        torn.append((src, dst, False))
+                        order = tuple(order[:landed].tolist())
+                        shadow_ops.append((t, "copy", (src, dst, order)))
+                        detail = f" after {landed} landed sub-block(s)"
+                    raise FaultInjectionError(
+                        f"swap {template.case.value} aborted at copy step "
+                        f"{copy_index} ({step.label.format(*roles)}){detail}"
+                    )
+                copy_index += 1
+                if step.incoming and live:
+                    fill = incoming_fill(step, t, duration)
+                if self.shadow is not None:
+                    self._collect_shadow_copy(
+                        shadow_ops, *step.locations(roles), t + duration,
+                        fill if step.incoming else None,
+                    )
+                t += duration
         except (FaultInjectionError, TranslationTableError) as exc:
             # the executed copy prefix physically happened: it wore its
             # destinations, and its data lands in the shadow at once (no
             # access runs before the recovery)
+            executed = [
+                (*c.locations(roles), True) for c in template.copies[:copy_index]
+            ] + torn
             self._observe_copy_wear(dst for _, dst, _ in executed)
             if self.shadow is not None:
                 self.shadow.flush(now)
@@ -599,13 +596,11 @@ class MigrationEngine:
                 str(exc), recovered=isinstance(exc, FaultInjectionError)
             ) from exc
 
-        if plan.stall:
+        if template.stall:
             # N design: the table is updated only once data finished moving,
             # and execution halts — every affected page flips at `now` from
             # the observer's perspective (nothing runs during the window)
-            times = [times[0], now]
-            onpkg = [onpkg[0], onpkg[-1]]
-            machine = [machine[0], machine[-1]]
+            times = [BEFORE, now]
 
         if self.shadow is not None:
             # the plan's table updates are all live at its end: the copy
@@ -613,21 +608,19 @@ class MigrationEngine:
             # executes during a stall window, so there data and routing
             # flip together at `now` and no link is ever observable
             for op_t, kind, payload in shadow_ops:
-                self.shadow.schedule(now if plan.stall else op_t, kind, payload)
-            self.shadow.schedule(now if plan.stall else t, "close", ())
+                self.shadow.schedule(now if template.stall else op_t, kind, payload)
+            self.shadow.schedule(now if template.stall else t, "close", ())
 
-        self._observe_copy_wear(dst for _, dst, _ in executed)
+        self._observe_copy_wear(c.locations(roles)[1] for c in template.copies)
+        onpkg, machine = template.timeline(binding)
         self.active = ActiveMigration(
-            plan=plan, start=now, end=t, fill=fill,
-            pages=pages, times=np.array(times, dtype=np.int64),
-            onpkg=np.array(onpkg, dtype=bool),
-            machine=np.array(machine, dtype=np.int64),
+            plan=template, start=now, end=t, fill=fill,
+            pages=binding.pages, times=np.array(times, dtype=np.int64),
+            onpkg=onpkg, machine=machine,
         )
         self.swaps_triggered += 1
-        self.migrated_bytes += plan.total_copy_bytes
-        self.cross_boundary_bytes += plan.cross_boundary_bytes
-        if incoming_end is None:
-            raise MigrationError("swap plan has no incoming copy")  # pragma: no cover
+        self.migrated_bytes += template.n_copies * page_bytes
+        self.cross_boundary_bytes += template.n_cross * page_bytes
 
     def _observe_copy_wear(self, destinations) -> None:
         """Count copy destinations' writes in the wear model.
@@ -755,7 +748,8 @@ class MigrationEngine:
     def _collect_shadow_copy(
         self,
         ops: list[tuple[int, str, tuple]],
-        step: CopyStep,
+        src: tuple[str, int],
+        dst: tuple[str, int],
         end: int,
         live_fill: FillInfo | None,
     ) -> None:
@@ -769,10 +763,10 @@ class MigrationEngine:
         if live_fill is not None:
             order, land = live_fill.landings()
             for sb, t in zip(order.tolist(), land.tolist()):
-                ops.append((t, "copy", (step.src, step.dst, (sb,))))
+                ops.append((t, "copy", (src, dst, (sb,))))
         else:
-            ops.append((end, "copy", (step.src, step.dst, None)))
-        ops.append((end, "link", (step.src, step.dst)))
+            ops.append((end, "copy", (src, dst, None)))
+        ops.append((end, "link", (src, dst)))
 
     def _recover_abort(
         self,
@@ -818,23 +812,6 @@ class MigrationEngine:
                 recovered=True,
             )
         )
-
-    def _affected_pages(self, plan: SwapPlan) -> set[int]:
-        pages = {plan.mru, plan.lru}
-        empty = self.table.empty_slot()
-        if empty is not None:
-            pages.add(empty)  # the ghost page
-        for page in (plan.mru, plan.lru):
-            if page < self.table.n_slots:
-                # identity home: a low page id doubles as its home slot id
-                partner = self.table.page_in_slot(page)  # repro-lint: disable=domain-confusion
-                if partner != EMPTY:
-                    pages.add(partner)
-            slot = self.table.slot_of(page)
-            if slot is not None:
-                pages.add(slot)  # the slot's own (possibly MS/ghost) page
-        pages.discard(EMPTY)
-        return pages
 
     # ------------------------------------------------------------------
     @property

@@ -96,10 +96,11 @@ class TranslationTable:
         #: CAM direction: page -> slot, for pages currently in a slot
         self._slot_of: dict[int, int] = {p: p for p in range(n)}
 
-        # epoch-boundary lookup caches (invalidated on any pair/retired
-        # mutation): the free slot and the retired-slot set are asked for
-        # every epoch but change only when a swap commits or a frame
-        # retires
+        # epoch-boundary lookup caches: the free slot and the
+        # retired-slot set are asked for every epoch but change only when
+        # a swap commits or a frame retires. A swap's write_swap sets the
+        # free slot it leaves; every other pair/retired mutation
+        # invalidates them
         self._empty_cache: int | None = None
         self._empty_cache_valid = False
         self._retired_cache: frozenset[int] | None = None
@@ -501,20 +502,18 @@ class TranslationTable:
     # ------------------------------------------------------------------
     # snapshot / restore / recovery (resilience subsystem)
     # ------------------------------------------------------------------
-    def undo_point(self, rows, pages) -> dict:
+    def undo_point(self, rows: np.ndarray, pages: np.ndarray) -> dict:
         """Row-scoped undo record for a swap plan about to be applied.
 
         Captures exactly what the plan's table updates can write: the
         ``pair``/P/F entries of ``rows``, the fill bitmap and fill
-        scalars, and the CAM and dense-mirror entries of ``pages``.
-        :meth:`rollback` restores the table to this point provided
-        nothing outside the record changed. That holds for a swap plan:
-        its ops name only ``rows`` and touch only the pages the engine
-        passes, and the only fill it can end is its own (a swap starts
-        between epochs, with no fill in flight).
+        scalars, and the CAM and dense-mirror entries of ``pages`` (both
+        arrays of distinct ids). :meth:`rollback` restores the table to
+        this point provided nothing outside the record changed. That
+        holds for a swap plan: its ops name only ``rows`` and touch only
+        the pages of its swap template, and the only fill it can end is
+        its own (a swap starts between epochs, with no fill in flight).
         """
-        rows = np.fromiter(set(rows), dtype=np.int64)
-        pages = np.fromiter(set(pages), dtype=np.int64)
         return {
             "rows": rows,
             "pair": self.pair[rows],
@@ -532,22 +531,39 @@ class TranslationTable:
 
     def rollback(self, undo: dict) -> None:
         """Restore the state captured by :meth:`undo_point`."""
-        rows, pages = undo["rows"], undo["pages"]
-        self.pair[rows] = undo["pair"]
-        self.p_bit[rows] = undo["p_bit"]
-        self.f_bit[rows] = undo["f_bit"]
-        self.fill_bitmap[:] = undo["fill_bitmap"]
-        self._filling_slot = undo["filling_slot"]
-        self._fill_page = undo["fill_page"]
-        self._fill_source = undo["fill_source"]
-        for page, slot in undo["cam"].items():
+        self._write_record(undo)
+        self._empty_cache_valid = False
+
+    def write_swap(self, state: dict) -> None:
+        """Write a swap's table state in one update: an
+        :meth:`undo_point`-shaped record of the named rows and pages
+        (``fill_bitmap`` None leaves the bitmap alone) plus the
+        ``empty_slot`` it leaves, which becomes the cached free slot.
+
+        The caller (the engine, from a swap template) has checked that
+        the record is the plan's effect on this table's pre-state.
+        """
+        self._write_record(state)
+        self._empty_cache = state["empty_slot"]
+        self._empty_cache_valid = True
+
+    def _write_record(self, record: dict) -> None:
+        rows, pages = record["rows"], record["pages"]
+        self.pair[rows] = record["pair"]
+        self.p_bit[rows] = record["p_bit"]
+        self.f_bit[rows] = record["f_bit"]
+        if record["fill_bitmap"] is not None:
+            self.fill_bitmap[:] = record["fill_bitmap"]
+        self._filling_slot = record["filling_slot"]
+        self._fill_page = record["fill_page"]
+        self._fill_source = record["fill_source"]
+        for page, slot in record["cam"].items():
             if slot is None:
                 self._slot_of.pop(page, None)
             else:
                 self._slot_of[page] = slot
-        self.machine_of[pages] = undo["machine_of"]
-        self.onpkg[pages] = undo["onpkg"]
-        self._empty_cache_valid = False
+        self.machine_of[pages] = record["machine_of"]
+        self.onpkg[pages] = record["onpkg"]
 
     def state_dict(self) -> dict:
         """Complete mutable state as plain arrays/values (copyable).

@@ -32,6 +32,16 @@ def bare_rollback(monkeypatch) -> None:
     monkeypatch.setattr(MigrationEngine, "_recover_abort", rollback_only)
 
 
+def assert_same_state(before: dict, after: dict, where: str = "") -> None:
+    """Two table ``state_dict()`` snapshots are equal, field by field."""
+    assert before.keys() == after.keys()
+    for key, value in before.items():
+        if isinstance(value, np.ndarray):
+            np.testing.assert_array_equal(value, after[key], err_msg=f"{key} {where}")
+        else:
+            assert value == after[key], (key, where)
+
+
 @pytest.fixture
 def tiny_amap() -> AddressMap:
     """16 MB total, 4 MB on-package, 1 MB macro pages -> N = 4 slots."""

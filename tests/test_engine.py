@@ -11,10 +11,17 @@ from repro.address import AddressMap
 from repro.config import BusConfig, MigrationConfig, SystemConfig
 from repro.dram.refresh import RefreshSchedule
 from repro.memctrl.heterogeneous import HeterogeneousController
-from repro.migration.algorithms import TableUpdate
 from repro.migration.engine import MigrationEngine
-from repro.migration.table import EMPTY, TranslationTable
+from repro.migration.table import EMPTY
 from repro.units import KB, MB
+
+from .conftest import assert_same_state
+from .swap_reference import (
+    expected_timeline,
+    moved_pages,
+    recorded_rows,
+    reference_schedule,
+)
 
 N_SLOTS = 8
 
@@ -351,11 +358,13 @@ def refresh_schedules(draw):
 
 class TestTimelineConsistency:
     """A swap's routing timeline is the sequence of the affected pages'
-    mirror entries after each table op — the epoch simulator's
+    mirror entries after each table update — the epoch simulator's
     correctness hinges on the hand-off between the per-time overrides and
     the dense mirrors. The stepwise loop reads the same arrays as the
     fused one, so the fused/stepwise oracle cannot catch a wrong row:
-    a spy on every table op records the sequence to compare against."""
+    the expected timeline comes from the builders' plan replayed op by
+    op on a clone of the pre-swap table. Rows compare per page (the
+    column order is no contract)."""
 
     @pytest.mark.parametrize("algorithm", ["N", "N-1", "live"])
     @settings(max_examples=25, deadline=None)
@@ -375,62 +384,47 @@ class TestTimelineConsistency:
         e.onpkg_refresh = onpkg_refresh
         e.offpkg_refresh = offpkg_refresh
 
-        snapshots = []
-
-        def snapshot():
-            snapshots.append((e.table.onpkg.copy(), e.table.machine_of.copy()))
-
-        apply, end_fill = TableUpdate.apply, TranslationTable.end_fill
-
-        def spy_apply(step, table):
-            apply(step, table)
-            snapshot()
-
-        def spy_end_fill(table):
-            end_fill(table)
-            snapshot()
-
         rng = np.random.default_rng(seed)
         now = 0
         swaps = 0
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(TableUpdate, "apply", spy_apply)
-            mp.setattr(TranslationTable, "end_fill", spy_end_fill)
-            for _ in range(12):
-                hot = int(rng.integers(0, e.amap.n_total_pages - 1))  # never Ω
-                if bool(e.table.onpkg[hot]):
-                    continue
-                now = max(now, e.busy_until) + 1
-                observe_hot_page(e, hot, t0=now)
-                now += 1000
-                snapshots.clear()
-                snapshot()
-                if not e.maybe_swap(now).triggered:
-                    continue
-                swaps += 1
-                active = e.active
-                pages = active.pages
-                expected = []
-                for on, machine in snapshots:
-                    row = (on[pages].tolist(), machine[pages].tolist())
-                    if not expected or row != expected[-1]:
-                        expected.append(row)
-                if algorithm == "N":
-                    expected = [expected[0], expected[-1]]
-                recorded = list(zip(active.onpkg.tolist(), active.machine.tolist()))
-                assert [tuple(r) for r in expected] == recorded
-                # the hot page starts off-package and ends on-package
-                (col,) = np.flatnonzero(pages == hot)
-                assert not active.onpkg[0, col] and active.onpkg[-1, col]
-                # the last row is the table's final (mirror) state
-                assert (active.onpkg[-1] == e.table.onpkg[pages]).all()
-                assert (active.machine[-1] == e.table.machine_of[pages]).all()
-                times = active.times
-                assert times[0] == -(1 << 62)
-                assert (np.diff(times) >= 0).all()
-                assert now <= times[1] and times[-1] <= active.end
-                if algorithm == "N":
-                    assert times.tolist() == [-(1 << 62), now]
+        for _ in range(12):
+            hot = int(rng.integers(0, e.amap.n_total_pages - 1))  # never Ω
+            if bool(e.table.onpkg[hot]):
+                continue
+            now = max(now, e.busy_until) + 1
+            observe_hot_page(e, hot, t0=now)
+            now += 1000
+            pre = e.table.clone()
+            first = e.monitor.last_subblock(hot)
+            decision = e.maybe_swap(now)
+            if not decision.triggered:
+                continue
+            swaps += 1
+            active = e.active
+            pages = active.pages
+            ref = reference_schedule(e, pre, decision.mru, decision.lru, now, first)
+            # the timeline covers every page the plan moves
+            assert moved_pages(ref["states"]) <= set(pages.tolist())
+            times, rows = expected_timeline(
+                ref["states"], ref["update_times"], pages.tolist(),
+                stall=ref["plan"].stall, now=now,
+            )
+            assert recorded_rows(active) == rows
+            assert active.times.tolist() == times
+            assert active.end == ref["end"]
+            # the hot page starts off-package and ends on-package
+            (col,) = np.flatnonzero(pages == hot)
+            assert not active.onpkg[0, col] and active.onpkg[-1, col]
+            # the last row is the table's final (mirror) state, which is
+            # the op-by-op replay's
+            assert (active.onpkg[-1] == e.table.onpkg[pages]).all()
+            assert (active.machine[-1] == e.table.machine_of[pages]).all()
+            assert_same_state(ref["states"][-1], e.table.state_dict())
+            assert times[0] == -(1 << 62)
+            assert (np.diff(active.times) >= 0).all()
+            assert now <= times[1] and times[-1] <= active.end
+            if algorithm == "N":
+                assert times == [-(1 << 62), now]
         assert swaps > 0
 
     def test_fill_covers_whole_page_once(self):

@@ -5,6 +5,7 @@ import numpy as np
 
 from repro.address import AddressMap
 from repro.config import MigrationConfig
+from repro.migration.algorithms import TableUpdate, build_swap_steps
 from repro.migration.engine import MigrationEngine
 from repro.units import KB, MB
 
@@ -42,7 +43,9 @@ def test_os_updates_stretch_the_swap():
     later by (updates x 127) cycles than a hypothetical pure-HW one."""
     e = engine_for(64 * KB)
     hot = e.amap.n_onpkg_pages + 3
-    assert trigger(e, hot).triggered
+    pre = e.table.clone()
+    decision = trigger(e, hot)
+    assert decision.triggered
     os_end = e.active.end
 
     e_hw = engine_for(64 * KB)
@@ -53,16 +56,19 @@ def test_os_updates_stretch_the_swap():
     assert trigger(e_hw, hot2).triggered
     hw_end = e_hw.active.end
 
-    from repro.migration.algorithms import TableUpdate
-
-    n_updates = sum(isinstance(s, TableUpdate) for s in e.active.plan.steps)
+    # the updates of the builders' plan for the same swap
+    plan = build_swap_steps(pre, decision.mru, decision.lru)
+    n_updates = sum(isinstance(s, TableUpdate) for s in plan.steps)
     assert os_end - hw_end == n_updates * e.config.os_update_cycles
 
 
 def test_coarse_granularity_pays_nothing_extra():
     e = engine_for(1 * MB)
     hot = e.amap.n_onpkg_pages + 3
-    assert trigger(e, hot).triggered
+    pre = e.table.clone()
+    decision = trigger(e, hot)
+    assert decision.triggered
     # duration ~= copy bytes / bandwidth, no OS term
-    expected = round(e.active.plan.total_copy_bytes / 3.33)
+    plan = build_swap_steps(pre, decision.mru, decision.lru)
+    expected = round(plan.total_copy_bytes / 3.33)
     assert abs((e.active.end - e.active.start) - expected) < 0.02 * expected

@@ -34,11 +34,11 @@ from repro.errors import (
 from repro.experiments import chaos_soak, hammer_soak
 from repro.migration.algorithms import (
     CopyStep,
-    TableUpdate,
     build_basic_swap_steps,
     build_swap_steps,
 )
 from repro.migration.engine import MigrationEngine
+from repro.migration.table import TranslationTable
 from repro.resilience import (
     AUDIT_FAILED,
     MIGRATION_QUARANTINED,
@@ -56,7 +56,7 @@ from repro.trace.io import write_trace
 from repro.trace.record import make_chunk
 from repro.units import KB, MB
 
-from .conftest import bare_rollback, synthetic_trace
+from .conftest import assert_same_state, bare_rollback, synthetic_trace
 
 INTERVAL = 250
 
@@ -74,16 +74,6 @@ def config(algo="live", **resilience) -> SystemConfig:
 
 def as_fields(result) -> dict:
     return dataclasses.asdict(result)
-
-
-def assert_same_state(before: dict, after: dict, where: str = "") -> None:
-    """Two table ``state_dict()`` snapshots are equal, field by field."""
-    assert before.keys() == after.keys()
-    for key, value in before.items():
-        if isinstance(value, np.ndarray):
-            np.testing.assert_array_equal(value, after[key], err_msg=f"{key} {where}")
-        else:
-            assert value == after[key], (key, where)
 
 
 # ----------------------------------------------------------------------
@@ -374,14 +364,15 @@ class TestRunResumable:
 # graceful degradation
 # ----------------------------------------------------------------------
 def tear_every_plan(monkeypatch) -> None:
-    """Make every swap plan's first table update raise, as a corrupted
-    table would. Unlike a recovered injected abort, each such failure
-    counts toward quarantine."""
+    """Make every swap's table write raise, as a corrupted table would.
+    The engine writes a plan's updates from its swap template through
+    :meth:`TranslationTable.write_swap` alone. Unlike a recovered
+    injected abort, each such failure counts toward quarantine."""
 
-    def torn(update, table):
-        raise TranslationTableError(f"torn update: {update.label}")
+    def torn(table, state):
+        raise TranslationTableError(f"torn update of rows {state['rows'].tolist()}")
 
-    monkeypatch.setattr(TableUpdate, "apply", torn)
+    monkeypatch.setattr(TranslationTable, "write_swap", torn)
 
 
 class TestDegradedMode:
