@@ -87,6 +87,9 @@ SIGNATURES: tuple[Signature, ...] = (
     Signature("TranslationTable.resolve",
               (("page", D.VIRTUAL_PAGE), ("subblock", D.SUBBLOCK_IDX)),
               (None, D.MACHINE_FRAME)),
+    Signature("TranslationTable.location",
+              (("page", D.VIRTUAL_PAGE), ("subblock", D.SUBBLOCK_IDX)),
+              (None, D.MACHINE_FRAME)),
     Signature("TranslationTable.resolve_many",
               (("pages", D.VIRTUAL_PAGE),), (None, D.MACHINE_FRAME)),
     Signature("TranslationTable.slot_of",

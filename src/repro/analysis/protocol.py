@@ -64,7 +64,7 @@ from ..migration.algorithms import (
     build_swap_steps,
 )
 from ..migration.recovery import recovery_moves, recovery_plan
-from ..migration.table import EMPTY, TranslationTable
+from ..migration.table import EMPTY, Location, TranslationTable
 from ..units import KB
 
 # stable invariant names
@@ -85,8 +85,6 @@ ALL_INVARIANTS = (
     STALL_ONLY_N,
     QUIESCENCE,
 )
-
-Location = tuple[str, int]
 
 
 @dataclass(frozen=True)
@@ -200,10 +198,9 @@ class _Machine:
         self.table = table
         self.amap = table.amap
         self.S = self.amap.subblocks_per_page
-        self.ghost = self.amap.ghost_page
         #: controller-private pages carrying no program data (Ω and any
         #: RAS retirement spares)
-        self.dead = frozenset(table.reserved_pages) | {self.ghost}
+        self.dead = table.dataless_pages
         if table.filling:
             raise AnalysisError("checker requires a quiescent starting table")
         #: location -> per-sub-block (page, version) or None (garbage)
@@ -213,9 +210,7 @@ class _Machine:
         for page in range(self.amap.n_total_pages):
             if page in self.dead:
                 continue
-            on, machine = table.resolve(page)
-            loc: Location = ("slot", machine) if on else ("mach", machine)
-            self.contents[loc] = [(page, 0) for _ in range(self.S)]
+            self.contents[table.location(page)] = [(page, 0) for _ in range(self.S)]
         self.links: list[_Link] = []
         self.trace: list[str] = []
 
@@ -231,8 +226,6 @@ class _Machine:
                 link.live = False
 
     def copy(self, step: CopyStep, subblocks: list[int] | None = None) -> None:
-        if step.src is None or step.dst is None:
-            raise AnalysisError(f"copy step {step.label!r} has no endpoints")
         # the first byte landing at dst kills any older copy stream through
         # that location — its forwarding link must not fire again
         self._close_links_at(step.dst)
@@ -245,11 +238,7 @@ class _Machine:
         self.links.append(_Link(step.src, step.dst))
 
     def resolve_loc(self, page: int, sb: int, *, live: bool) -> Location:
-        if live:
-            on, machine = self.table.resolve(page, sb)
-        else:
-            on, machine = self.table.resolve(page)
-        return ("slot", machine) if on else ("mach", machine)
+        return self.table.location(page, sb if live else None)
 
     def read_check(self, page: int, sb: int, *, live: bool) -> tuple[str, str] | None:
         """None if the access is served correctly, else (invariant, msg)."""
@@ -716,16 +705,10 @@ def _model_recovery(m: _Machine, pre_state: dict) -> list[CopyStep]:
                 page = p
         content[loc] = page
 
-    def loc_of(t: TranslationTable, page: int) -> Location:
-        on, machine = t.resolve(page)
-        return ("slot", machine) if on else ("mach", machine)
-
     pages = [p for p in range(m.amap.n_total_pages) if p not in m.dead]
-    target_of = {p: loc_of(pre, p) for p in pages}
-    prefer = {p: loc_of(table, p) for p in pages}
-    steps = recovery_moves(
-        content, target_of, m.amap.macro_page_bytes, prefer=prefer
-    )
+    target_of = {p: pre.location(p) for p in pages}
+    prefer = {p: table.location(p) for p in pages}
+    steps = recovery_moves(content, target_of, prefer=prefer)
     for step in steps:
         m.copy(step)
         m.trace.append(f"recovery: {step.label}")

@@ -262,9 +262,13 @@ class BusConfig:
         if self.offpkg_bytes_per_cycle <= 0 or self.onpkg_bytes_per_cycle <= 0:
             raise ConfigError("bus bandwidths must be positive")
 
-    def copy_cycles(self, nbytes: int) -> int:
-        """Cycles to move ``nbytes`` across the package boundary."""
-        return int(round(nbytes / self.offpkg_bytes_per_cycle))
+    def copy_cycles(self, nbytes: int, cross_boundary: bool) -> int:
+        """Cycles to copy ``nbytes``: over the off-package bus when the
+        copy crosses the package boundary, else over the on-package
+        interconnect. A copy of any bytes takes at least one cycle."""
+        bw = self.offpkg_bytes_per_cycle if cross_boundary else self.onpkg_bytes_per_cycle
+        cycles = int(round(nbytes / bw))
+        return max(1, cycles) if nbytes > 0 else 0
 
 
 @dataclass(frozen=True)

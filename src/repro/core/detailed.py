@@ -25,10 +25,10 @@ from ..dram.bank import Bank
 from ..dram.timing import DramGeometry
 from ..errors import SimulationError
 from ..migration.algorithms import (
-    CopyStep,
     TableUpdate,
     build_basic_swap_steps,
     build_swap_steps,
+    crosses_boundary,
 )
 from ..migration.policies import ExactPolicies
 from ..migration.table import EMPTY, TranslationTable
@@ -117,12 +117,9 @@ class DetailedSimulator:
                 else:
                     self._push_event(t, (lambda s=step: s.apply(self.table)))
                 continue
-            bw = (
-                self.config.bus.offpkg_bytes_per_cycle
-                if step.cross_boundary
-                else self.config.bus.onpkg_bytes_per_cycle
+            duration = self.config.bus.copy_cycles(
+                plan.page_bytes, crosses_boundary(step.src, step.dst)
             )
-            duration = max(1, int(round(step.nbytes / bw)))
             if step.incoming and not plan.stall:
                 if live:
                     n_sb = self.amap.subblocks_per_page

@@ -48,10 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..migration.table import TranslationTable
-
-#: ("slot", i) on-package | ("mach", p) off-package | ("buf", 0) bounce buffer
-Location = tuple[str, int]
+from ..migration.table import Location, TranslationTable
 
 
 @dataclass(frozen=True)
@@ -102,15 +99,12 @@ class ShadowMemory:
         self.amap = table.amap
         n_sb = self.n_subblocks = self.amap.subblocks_per_page
         n_pages = self.amap.n_total_pages
-        self.ghost = self.amap.ghost_page
         self._n_slots = table.n_slots
         self._buf_index = table.n_slots + n_pages
         n_locs = self._buf_index + 1
-        #: pages outside the data address space: Ω plus any RAS spare
-        #: pages (a spare's machine frame is reached through the retired
-        #: page it re-homes, never through its own physical-page id)
+        #: the table's dataless pages (Ω and any RAS spares), as a mask
         self._dead = np.zeros(n_pages, dtype=bool)
-        self._dead[[self.ghost, *table.reserved_pages]] = True
+        self._dead[sorted(table.dataless_pages)] = True
         #: per-cell (page, generation); page -1 = garbage
         self._page = np.full(n_locs * n_sb, -1, dtype=np.int64)
         self._gen = np.zeros(n_locs * n_sb, dtype=np.int64)
@@ -130,8 +124,7 @@ class ShadowMemory:
         self._buffer: list[tuple] = []
         self._buffered = 0
         for page in np.flatnonzero(~self._dead).tolist():
-            on, machine = table.resolve(page)
-            idx = self._index(("slot", machine) if on else ("mach", machine))
+            idx = self._index(table.location(page))
             self._page[idx * n_sb:(idx + 1) * n_sb] = page
             self._held[idx] = True
 
@@ -526,8 +519,7 @@ class ShadowMemory:
         bad: list[DataViolation] = []
         for page in np.flatnonzero(~self._dead).tolist():
             for sb in range(self.n_subblocks):
-                on, machine = table.resolve(page, sb)
-                loc: Location = ("slot", machine) if on else ("mach", machine)
+                loc = table.location(page, sb)
                 cell = self._cell(loc, sb)
                 gen = int(self._generation[page * self.n_subblocks + sb])
                 found = self._found(cell)
@@ -598,7 +590,7 @@ class ShadowMemory:
     #: construction-time geometry, pickled as is; the cells travel in
     #: the compact :meth:`state_dict` form
     _GEOMETRY = (
-        "amap", "n_subblocks", "ghost", "_n_slots", "_buf_index", "_dead",
+        "amap", "n_subblocks", "_n_slots", "_buf_index", "_dead",
     )
 
     def __getstate__(self) -> tuple[dict, dict]:

@@ -92,7 +92,7 @@ class AdaptiveGranularitySimulator:
             if page != EMPTY and page != slot  # repro-lint: disable=domain-confusion
         )
         nbytes = 2 * migrated * page_bytes  # each pairing restores 2 copies
-        cycles = self.base_config.bus.copy_cycles(nbytes)
+        cycles = self.base_config.bus.copy_cycles(nbytes, cross_boundary=True)
         return nbytes, cycles
 
     def run(self, trace: TraceChunk) -> AdaptiveResult:

@@ -14,13 +14,16 @@ D      MS                    MF
 ====== ==================== ====================
 
 Each sequence is a list of :class:`CopyStep` / :class:`TableUpdate`
-items executed in order by the engine. Copies take time (page bytes /
-bus bandwidth); updates are instantaneous compound table mutations
-applied between copies. The sequences are constructed so that **at every
-instant every page resolves to a valid physical copy** — the property
-the paper's P bit exists for ("the program execution will not be
-halted"). ``tests/test_swap_sequences.py`` replays all four cases
-asserting exactly that.
+items executed in order by the engine. A copy moves one macro page
+between two machine locations; it takes the page's bus time
+(:meth:`~repro.config.BusConfig.copy_cycles`), over the off-package bus
+exactly when an endpoint is off-package (:func:`crosses_boundary`) and
+over the on-package interconnect otherwise. Updates are instantaneous
+compound table mutations applied between copies. The sequences are
+constructed so that **at every instant every page resolves to a valid
+physical copy** — the property the paper's P bit exists for ("the
+program execution will not be halted"). ``tests/test_swap_sequences.py``
+replays all four cases asserting exactly that.
 
 The N (basic) design has no empty slot: swaps are direct exchanges and
 the whole sequence *stalls execution* (Section III-A, Basic Design).
@@ -29,11 +32,11 @@ The same builder emits N-mode sequences with ``stall=True`` markers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from ..errors import MigrationError
-from .table import EMPTY, PageCategory, TranslationTable
+from .table import EMPTY, Location, PageCategory, TranslationTable
 
 
 class SwapCase(Enum):
@@ -53,25 +56,26 @@ class SwapCase(Enum):
     G = "GHOST"
 
 
-#: a machine location: ("slot", i) on-package or ("mach", p) off-package
-Location = tuple[str, int]
-
-
 @dataclass(frozen=True)
 class CopyStep:
-    """Move one macro page's data between two machine locations."""
+    """Move one macro page's data from ``src`` to ``dst``."""
 
     label: str
-    nbytes: int
-    cross_boundary: bool = True   # False: on-package to on-package
+    src: Location
+    dst: Location
     incoming: bool = False        # the hot page's copy-in (live-fill eligible)
-    #: machine page the incoming copy streams from (for fill routing)
-    source_machine: int | None = None
-    #: slot the incoming copy streams to
-    dest_slot: int | None = None
-    #: structured endpoints, for replay/verification (see tests)
-    src: Location | None = None
-    dst: Location | None = None
+
+
+def crosses_boundary(src: Location, dst: Location) -> bool:
+    """Whether a copy crosses the package boundary: exactly when an
+    endpoint is off-package. Copies among slots and the bounce buffer
+    stay on the SiP interconnect."""
+    return src[0] == "mach" or dst[0] == "mach"
+
+
+def touches_onpkg(src: Location, dst: Location) -> bool:
+    """Whether a copy reads or writes the on-package DRAM (a slot)."""
+    return src[0] == "slot" or dst[0] == "slot"
 
 
 @dataclass(frozen=True)
@@ -98,17 +102,21 @@ class SwapPlan:
     mru: int
     lru: int
     steps: tuple[CopyStep | TableUpdate, ...]
+    page_bytes: int               # every copy moves one macro page
     stall: bool = False           # N design: execution halts for the whole plan
 
     @property
+    def copies(self) -> tuple[CopyStep, ...]:
+        return tuple(s for s in self.steps if isinstance(s, CopyStep))
+
+    @property
     def total_copy_bytes(self) -> int:
-        return sum(s.nbytes for s in self.steps if isinstance(s, CopyStep))
+        return len(self.copies) * self.page_bytes
 
     @property
     def cross_boundary_bytes(self) -> int:
-        return sum(
-            s.nbytes for s in self.steps if isinstance(s, CopyStep) and s.cross_boundary
-        )
+        crossing = sum(crosses_boundary(c.src, c.dst) for c in self.copies)
+        return crossing * self.page_bytes
 
 
 def classify_case(table: TranslationTable, mru: int, lru: int) -> SwapCase:
@@ -127,7 +135,7 @@ def classify_case(table: TranslationTable, mru: int, lru: int) -> SwapCase:
 
 
 def _demote_lru_steps(
-    table: TranslationTable, lru: int, page_bytes: int
+    table: TranslationTable, lru: int
 ) -> tuple[CopyStep | TableUpdate, ...]:
     """Trailing steps that demote the LRU page and free its slot.
 
@@ -136,24 +144,20 @@ def _demote_lru_steps(
     then copy the LRU page home and mark the slot empty.
     """
     cat = table.category(lru)
+    ghost = table.amap.ghost_page
     if cat is PageCategory.ORIGINAL_FAST:
-        ghost = table.amap.ghost_page
         return (
-            CopyStep(f"copy LRU {lru}: slot {lru} -> Ω", page_bytes,
-                     src=("slot", lru), dst=("mach", ghost)),
+            CopyStep(f"copy LRU {lru}: slot {lru} -> Ω", ("slot", lru), ("mach", ghost)),
             TableUpdate(f"slot {lru} becomes empty", (("set_empty", (lru,)),)),
         )
     # MF: lru >= N stored in slot r; page r's data is at machine `lru`
     r = table.slot_of(lru)
     if r is None:
         raise MigrationError(f"MF LRU page {lru} has no slot")
-    ghost = table.amap.ghost_page
     return (
-        CopyStep(f"copy page {r}: machine {lru} -> Ω", page_bytes,
-                 src=("mach", lru), dst=("mach", ghost)),
+        CopyStep(f"copy page {r}: machine {lru} -> Ω", ("mach", lru), ("mach", ghost)),
         TableUpdate(f"row {r} pending", (("set_pending", (r, True)),)),
-        CopyStep(f"copy LRU {lru}: slot {r} -> machine {lru}", page_bytes,
-                 src=("slot", r), dst=("mach", lru)),
+        CopyStep(f"copy LRU {lru}: slot {r} -> machine {lru}", ("slot", r), ("mach", lru)),
         TableUpdate(f"slot {r} becomes empty", (("set_empty", (r,)),)),
     )
 
@@ -168,11 +172,17 @@ def build_swap_steps(table: TranslationTable, mru: int, lru: int) -> SwapPlan:
     items as the plan executes.
     """
     case = classify_case(table, mru, lru)
-    page_bytes = table.amap.macro_page_bytes
+    ghost = table.amap.ghost_page
     e = table.empty_slot()
     if e is None:
         raise MigrationError("N-1/Live swap requires an empty slot")
     steps: list[CopyStep | TableUpdate] = []
+
+    def plan() -> SwapPlan:
+        return SwapPlan(
+            case=case, mru=mru, lru=lru, steps=tuple(steps),
+            page_bytes=table.amap.macro_page_bytes,
+        )
 
     if case is SwapCase.G:
         # the hot page IS the ghost: fill its own slot (the empty one)
@@ -182,22 +192,15 @@ def build_swap_steps(table: TranslationTable, mru: int, lru: int) -> SwapPlan:
         steps.append(
             TableUpdate(
                 f"map ghost {mru} back to slot {e}",
-                (("set_pair", (e, mru)), ("begin_fill", (e, table.amap.ghost_page))),
+                (("set_pair", (e, mru)), ("begin_fill", (e, ghost))),
             )
         )
         steps.append(
-            CopyStep(
-                f"copy ghost {mru}: Ω -> slot {e}",
-                page_bytes,
-                incoming=True,
-                source_machine=table.amap.ghost_page,
-                dest_slot=e,
-                src=("mach", table.amap.ghost_page),
-                dst=("slot", e),
-            )
+            CopyStep(f"copy ghost {mru}: Ω -> slot {e}", ("mach", ghost), ("slot", e),
+                     incoming=True)
         )
-        steps.extend(_demote_lru_steps(table, lru, page_bytes))
-        return SwapPlan(case=case, mru=mru, lru=lru, steps=tuple(steps), stall=False)
+        steps.extend(_demote_lru_steps(table, lru))
+        return plan()
 
     lru_overlaps = False
     if case in (SwapCase.A, SwapCase.B):
@@ -213,19 +216,11 @@ def build_swap_steps(table: TranslationTable, mru: int, lru: int) -> SwapPlan:
         )
         steps.append(TableUpdate(f"map MRU {mru} -> slot {e} (pending)", fill_ops))
         steps.append(
-            CopyStep(
-                f"copy MRU {mru}: machine {mru} -> slot {e}",
-                page_bytes,
-                incoming=True,
-                source_machine=mru,
-                dest_slot=e,
-                src=("mach", mru),
-                dst=("slot", e),
-            )
+            CopyStep(f"copy MRU {mru}: machine {mru} -> slot {e}", ("mach", mru),
+                     ("slot", e), incoming=True)
         )
         steps.append(
-            CopyStep(f"copy ghost {e}: Ω -> machine {mru}", page_bytes,
-                     src=("mach", table.amap.ghost_page), dst=("mach", mru))
+            CopyStep(f"copy ghost {e}: Ω -> machine {mru}", ("mach", ghost), ("mach", mru))
         )
         steps.append(TableUpdate(f"row {e} pending clear", (("set_pending", (e, False)),)))
     else:
@@ -241,13 +236,7 @@ def build_swap_steps(table: TranslationTable, mru: int, lru: int) -> SwapPlan:
             lru_overlaps = True
         # 1. relocate q's data from slot `mru` into the empty slot
         steps.append(
-            CopyStep(
-                f"copy occupant {q}: slot {mru} -> slot {e}",
-                page_bytes,
-                cross_boundary=False,
-                src=("slot", mru),
-                dst=("slot", e),
-            )
+            CopyStep(f"copy occupant {q}: slot {mru} -> slot {e}", ("slot", mru), ("slot", e))
         )
         fill_ops = (
             ("set_pair", (mru, mru)),
@@ -260,20 +249,12 @@ def build_swap_steps(table: TranslationTable, mru: int, lru: int) -> SwapPlan:
         )
         # 2. stream the MRU page home
         steps.append(
-            CopyStep(
-                f"copy MRU {mru}: machine {q} -> slot {mru}",
-                page_bytes,
-                incoming=True,
-                source_machine=q,
-                dest_slot=mru,
-                src=("mach", q),
-                dst=("slot", mru),
-            )
+            CopyStep(f"copy MRU {mru}: machine {q} -> slot {mru}", ("mach", q),
+                     ("slot", mru), incoming=True)
         )
         # 3. resolve the ghost: its data goes to q's old machine page
         steps.append(
-            CopyStep(f"copy ghost {e}: Ω -> machine {q}", page_bytes,
-                     src=("mach", table.amap.ghost_page), dst=("mach", q))
+            CopyStep(f"copy ghost {e}: Ω -> machine {q}", ("mach", ghost), ("mach", q))
         )
         steps.append(TableUpdate(f"row {e} pending clear", (("set_pending", (e, False)),)))
 
@@ -283,20 +264,18 @@ def build_swap_steps(table: TranslationTable, mru: int, lru: int) -> SwapPlan:
         # ghost page e's data arrived at machine q) is parked at Ω while
         # the partner streams home
         q = table.page_in_slot(mru)
-        ghost = table.amap.ghost_page
         steps.extend(
             (
-                CopyStep(f"copy page {e}: machine {q} -> Ω", page_bytes,
-                         src=("mach", q), dst=("mach", ghost)),
+                CopyStep(f"copy page {e}: machine {q} -> Ω", ("mach", q), ("mach", ghost)),
                 TableUpdate(f"row {e} pending", (("set_pending", (e, True)),)),
-                CopyStep(f"copy partner {q}: slot {e} -> machine {q}", page_bytes,
-                         src=("slot", e), dst=("mach", q)),
+                CopyStep(f"copy partner {q}: slot {e} -> machine {q}", ("slot", e),
+                         ("mach", q)),
                 TableUpdate(f"slot {e} becomes empty", (("set_empty", (e,)),)),
             )
         )
     else:
-        steps.extend(_demote_lru_steps(table, lru, page_bytes))
-    return SwapPlan(case=case, mru=mru, lru=lru, steps=tuple(steps), stall=False)
+        steps.extend(_demote_lru_steps(table, lru))
+    return plan()
 
 
 def build_basic_swap_steps(table: TranslationTable, mru: int, lru: int) -> SwapPlan:
@@ -307,31 +286,20 @@ def build_basic_swap_steps(table: TranslationTable, mru: int, lru: int) -> SwapP
     their home locations first so the pairing invariant holds.
     """
     case = classify_case(table, mru, lru)
-    page_bytes = table.amap.macro_page_bytes
     steps: list[CopyStep | TableUpdate] = []
 
     def exchange(slot: int, machine: int, new_page: int, label: str) -> None:
         # the exchange goes through a controller-side bounce buffer: the
         # slot's page is staged on-chip (cheap), the off-package page
         # streams in, the staged page streams out — 2 boundary crossings
+        steps.append(CopyStep(f"stage: slot {slot} -> buffer", ("slot", slot), ("buf", 0)))
         steps.append(
-            CopyStep(f"stage: slot {slot} -> buffer", page_bytes,
-                     cross_boundary=False, src=("slot", slot), dst=("buf", 0))
+            CopyStep(f"exchange in: machine {machine} -> slot {slot}", ("mach", machine),
+                     ("slot", slot), incoming=new_page == mru)
         )
         steps.append(
-            CopyStep(
-                f"exchange in: machine {machine} -> slot {slot}",
-                page_bytes,
-                incoming=new_page == mru,
-                source_machine=machine,
-                dest_slot=slot,
-                src=("mach", machine),
-                dst=("slot", slot),
-            )
-        )
-        steps.append(
-            CopyStep(f"exchange out: buffer -> machine {machine}", page_bytes,
-                     src=("buf", 0), dst=("mach", machine))
+            CopyStep(f"exchange out: buffer -> machine {machine}", ("buf", 0),
+                     ("mach", machine))
         )
         steps.append(TableUpdate(label, (("set_pair", (slot, new_page)),)))
 
@@ -352,4 +320,7 @@ def build_basic_swap_steps(table: TranslationTable, mru: int, lru: int) -> SwapP
             # demoted it)
             r = table.slot_of(lru)
             exchange(r, lru, r, f"restore page {r} home; demote LRU {lru}")
-    return SwapPlan(case=case, mru=mru, lru=lru, steps=tuple(steps), stall=True)
+    return SwapPlan(
+        case=case, mru=mru, lru=lru, steps=tuple(steps),
+        page_bytes=table.amap.macro_page_bytes, stall=True,
+    )

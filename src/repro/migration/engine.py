@@ -50,7 +50,7 @@ from ..resilience.degradation import (
     SWAP_FAILED,
     DegradationEvent,
 )
-from .algorithms import CopyStep
+from .algorithms import CopyStep, crosses_boundary, touches_onpkg
 from .policies import EpochMonitor
 from .recovery import recovery_plan
 from .table import EMPTY, TranslationTable
@@ -442,40 +442,32 @@ class MigrationEngine:
         return SwapDecision(True, "hottest-coldest swap", mru=mru_page, lru=lru_page)
 
     # ------------------------------------------------------------------
-    def _copy_cycles(self, nbytes: int, cross_boundary: bool) -> int:
-        bw = (
-            self.bus.offpkg_bytes_per_cycle
-            if cross_boundary
-            else self.bus.onpkg_bytes_per_cycle
-        )
-        return max(1, int(round(nbytes / bw)))
-
     def _copy_duration(self, start: int, step: CopyStep) -> int:
-        """Wall duration of one copy starting at ``start`` (see
-        :meth:`_stretch`)."""
-        kinds = {loc[0] for loc in (step.src, step.dst) if loc is not None}
+        """Wall duration of one macro-page copy starting at ``start``:
+        its bus cycles (:meth:`BusConfig.copy_cycles`) stretched by
+        :meth:`_stretch`."""
+        crosses = crosses_boundary(step.src, step.dst)
         return self._stretch(
-            start, self._copy_cycles(step.nbytes, step.cross_boundary),
-            "slot" in kinds, "mach" in kinds,
+            start, self.bus.copy_cycles(self.amap.macro_page_bytes, crosses),
+            touches_onpkg(step.src, step.dst), crosses,
         )
 
-    def _stretch(
-        self, start: int, base: int, touches_on: bool, touches_off: bool
-    ) -> int:
+    def _stretch(self, start: int, base: int, touches_on: bool, crosses: bool) -> int:
         """Wall duration of a ``base``-cycle copy starting at ``start``.
 
         The bus-limited transfer time, stretched by any tRFC window of
         the DRAM regions the copy touches: a swap copy landing on a
-        refreshing bank stalls until the window closes. A cross-boundary
-        copy touching both regions takes the worse of the two stretches
-        (the transfer cannot proceed while either end is refreshing).
+        refreshing bank stalls until the window closes. A crossing copy
+        touches the off-package region; one that also touches a slot
+        takes the worse of the two stretches (the transfer cannot
+        proceed while either end is refreshing).
         """
         if self.onpkg_refresh is None and self.offpkg_refresh is None:
             return base
         duration = base
         if touches_on and self.onpkg_refresh is not None:
             duration = max(duration, self.onpkg_refresh.stretch(start, base))
-        if touches_off and self.offpkg_refresh is not None:
+        if crosses and self.offpkg_refresh is not None:
             duration = max(duration, self.offpkg_refresh.stretch(start, base))
         return duration
 
@@ -511,7 +503,7 @@ class MigrationEngine:
         page_bytes = self.amap.macro_page_bytes
         #: a page copy's bus cycles, within / across the package boundary
         cycles = (
-            self._copy_cycles(page_bytes, False), self._copy_cycles(page_bytes, True)
+            self.bus.copy_cycles(page_bytes, False), self.bus.copy_cycles(page_bytes, True)
         )
         t = now
         times = [BEFORE]
@@ -546,7 +538,7 @@ class MigrationEngine:
                         times.append(t)
                     continue
                 duration = self._stretch(
-                    t, cycles[step.cross_boundary], step.touches_on, step.touches_off
+                    t, cycles[step.crosses], step.touches_on, step.crosses
                 )
                 if copy_index == abort_at:
                     detail = ""
@@ -682,7 +674,7 @@ class MigrationEngine:
         steps = recovery_plan(self.table, [], target_table=retired)
         self.table.retire_slot(slot, spare)
         end = self._stall_copies(now, now, steps)
-        nbytes = sum(s.nbytes for s in steps)
+        nbytes = len(steps) * self.amap.macro_page_bytes
         self.frames_retired += 1
         self.retired_bytes += nbytes
         self.degradation_events.append(
@@ -737,12 +729,10 @@ class MigrationEngine:
         if self.shadow is not None:
             self.shadow.flush(now)
             for p in sorted({int(q) for q in pages}):
-                on, machine = self.table.resolve(p)
-                loc = ("slot", machine) if on else ("mach", machine)
-                self.shadow.scrub_page(p, loc)
+                self.shadow.scrub_page(p, self.table.location(p))
         self.forget_pages(pages, slots=undone_slots)
         self.tenants_released += 1
-        self.reclaimed_bytes += sum(s.nbytes for s in steps)
+        self.reclaimed_bytes += len(steps) * self.amap.macro_page_bytes
         return end
 
     def _collect_shadow_copy(
@@ -799,7 +789,7 @@ class MigrationEngine:
         finally:
             self.table.rollback(undo)
         end = self._stall_copies(now, t_abort, steps)
-        nbytes = sum(s.nbytes for s in steps)
+        nbytes = len(steps) * self.amap.macro_page_bytes
         self.abort_recoveries += 1
         self.recovery_bytes += nbytes
         self.degradation_events.append(

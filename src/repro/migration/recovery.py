@@ -45,28 +45,18 @@ from collections.abc import Iterable
 import numpy as np
 
 from ..errors import MigrationError
-from .algorithms import CopyStep, Location
-from .table import TranslationTable
+from .algorithms import CopyStep
+from .table import Location, TranslationTable
 
 #: the controller-side bounce buffer (also used by the N design's
 #: stalling exchanges)
 BUFFER: Location = ("buf", 0)
 
 
-def _loc(resolution: tuple[bool, int]) -> Location:
-    on, machine = resolution
-    return ("slot", machine) if on else ("mach", machine)
-
-
 def _data_pages(table: TranslationTable) -> list[int]:
-    """Every macro page that carries data.
-
-    The reserved Ω page does not, and neither do the RAS spare pages:
-    a spare's *machine* frame holds a retired page's data, which the
-    content map reaches through that retired page's resolution — the
-    spare's own physical-page id is outside the trace address space.
-    """
-    dead = table.reserved_pages | {table.amap.ghost_page}
+    """Every macro page that carries data (none of
+    :attr:`~.table.TranslationTable.dataless_pages`)."""
+    dead = table.dataless_pages
     return [p for p in range(table.amap.n_total_pages) if p not in dead]
 
 
@@ -77,7 +67,7 @@ def content_of_table(table: TranslationTable) -> dict[Location, int]:
     resolves to its fully-valid old copy, so the map never claims a
     half-landed fill as a live copy.
     """
-    return {_loc(table.resolve(p)): p for p in _data_pages(table)}
+    return {table.location(p): p for p in _data_pages(table)}
 
 
 def apply_executed_copies(
@@ -96,7 +86,6 @@ def apply_executed_copies(
 def recovery_moves(
     content: dict[Location, int | None],
     target_of: dict[int, Location],
-    page_bytes: int,
     *,
     prefer: dict[int, Location] | None = None,
 ) -> list[CopyStep]:
@@ -140,13 +129,7 @@ def recovery_moves(
         pending[src] = (target, page)
 
     def step(page: int, src: Location, dst: Location) -> CopyStep:
-        return CopyStep(
-            f"move page {page}: {src[0]} {src[1]} -> {dst[0]} {dst[1]}",
-            page_bytes,
-            cross_boundary="mach" in (src[0], dst[0]),
-            src=src,
-            dst=dst,
-        )
+        return CopyStep(f"move page {page}: {src[0]} {src[1]} -> {dst[0]} {dst[1]}", src, dst)
 
     steps: list[CopyStep] = []
     while pending:
@@ -177,26 +160,21 @@ def _changed_maps(
     skip: frozenset[int],
 ) -> tuple[dict[Location, int], dict[int, Location]]:
     """Content and target maps of the pages whose resolution changes,
-    off the dense mirrors. Unchanged pages need no move, so the moves
-    equal the whole-table maps', in the same page order; a location two
-    live pages claim fails as the whole-table maps do."""
+    found off the dense mirrors. Unchanged pages need no move, so the
+    moves equal the whole-table maps', in the same page order; a
+    location two live pages claim fails as the whole-table maps do."""
     n = pre_table.n_slots
     # one integer per resolution: slot s -> s, machine page m -> n + m
     before, after = (
         np.where(t.onpkg, t.machine_of, t.machine_of + n) for t in (pre_table, target)
     )
     live = np.ones(before.size, dtype=bool)
-    live[sorted(skip | pre_table.reserved_pages | {pre_table.amap.ghost_page})] = False
+    live[sorted(skip | pre_table.dataless_pages)] = False
     if np.bincount(before[live], minlength=1).max() > 1:
         raise MigrationError("two pages resolve to one location; no copy to plan from")
-    changed = np.flatnonzero(live & (before != after))
-
-    def loc(key: int) -> Location:
-        return ("slot", key) if key < n else ("mach", key - n)
-
-    pages = changed.tolist()
-    content = {loc(k): p for p, k in zip(pages, before[changed].tolist())}
-    target_of = {p: loc(k) for p, k in zip(pages, after[changed].tolist())}
+    pages = np.flatnonzero(live & (before != after)).tolist()
+    content = {pre_table.location(p): p for p in pages}
+    target_of = {p: target.location(p) for p in pages}
     return content, target_of
 
 
@@ -219,18 +197,13 @@ def recovery_plan(
     """
     target = target_table if target_table is not None else pre_table
     skip = frozenset(int(p) for p in skip)
-    page_bytes = pre_table.amap.macro_page_bytes
     if not executed:
         content, target_of = _changed_maps(pre_table, target, skip)
-        return recovery_moves(content, target_of, page_bytes)
+        return recovery_moves(content, target_of)
     content = dict(content_of_table(pre_table))
     apply_executed_copies(content, executed)
-    target_of = {
-        p: _loc(target.resolve(p)) for p in _data_pages(target) if p not in skip
-    }
+    target_of = {p: target.location(p) for p in _data_pages(target) if p not in skip}
     prefer = None
     if prefer_table is not None:
-        prefer = {
-            p: _loc(prefer_table.resolve(p)) for p in _data_pages(prefer_table)
-        }
-    return recovery_moves(content, target_of, page_bytes, prefer=prefer)
+        prefer = {p: prefer_table.location(p) for p in _data_pages(prefer_table)}
+    return recovery_moves(content, target_of, prefer=prefer)

@@ -47,6 +47,10 @@ from ..errors import TranslationTableError
 #: right-column sentinel for the empty slot (represented by Ω in hardware)
 EMPTY: int = -1
 
+#: a machine location: ``("slot", i)`` on-package, ``("mach", p)``
+#: off-package, or ``("buf", 0)``, the controller's bounce buffer
+Location = tuple[str, int]
+
 
 class PageCategory(Enum):
     """The five macro-page categories of Section III-A."""
@@ -273,6 +277,19 @@ class TranslationTable:
                 return True, self._filling_slot
             return False, self._fill_source
         return bool(self.onpkg[page]), int(self.machine_of[page])
+
+    def location(self, page: int, subblock: int | None = None) -> Location:
+        """The machine location :meth:`resolve` names, as a
+        :data:`Location`."""
+        on, machine = self.resolve(page, subblock)
+        return ("slot", machine) if on else ("mach", machine)
+
+    @property
+    def dataless_pages(self) -> frozenset[int]:
+        """Pages that carry no program data: the reserved Ω and the RAS
+        spares. A spare's machine frame holds a retired page's data,
+        which that page's own resolution reaches."""
+        return self.reserved_pages | {self.amap.ghost_page}
 
     def resolve_many(self, pages: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorised ``(on_package, machine_page)`` via the dense mirrors.

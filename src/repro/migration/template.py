@@ -45,6 +45,8 @@ from .algorithms import (
     SwapCase,
     build_basic_swap_steps,
     build_swap_steps,
+    crosses_boundary,
+    touches_onpkg,
 )
 from .table import EMPTY, TranslationTable
 
@@ -85,10 +87,9 @@ class TemplateCopy:
 
     src: tuple[str, int | None]
     dst: tuple[str, int | None]
-    cross_boundary: bool
     incoming: bool
-    touches_on: bool             # an endpoint is on-package (slot)
-    touches_off: bool            # an endpoint is off-package (mach)
+    crosses: bool                # :func:`~.algorithms.crosses_boundary`
+    touches_on: bool             # :func:`~.algorithms.touches_onpkg`
     label: str                   # builder label, roles as {i} fields
 
     def locations(self, roles) -> tuple[tuple[str, int], tuple[str, int]]:
@@ -120,14 +121,12 @@ class Binding(NamedTuple):
 def _template_copy(step: CopyStep, role) -> TemplateCopy:
     """A builder's copy step (one macro page) in role space (``role``
     maps a canonical value to its role index)."""
-    kinds = {step.src[0], step.dst[0]}
     return TemplateCopy(
         src=(step.src[0], None if step.src[0] == "buf" else role(step.src[1])),
         dst=(step.dst[0], None if step.dst[0] == "buf" else role(step.dst[1])),
-        cross_boundary=step.cross_boundary,
         incoming=step.incoming,
-        touches_on="slot" in kinds,
-        touches_off="mach" in kinds,
+        crosses=crosses_boundary(step.src, step.dst),
+        touches_on=touches_onpkg(step.src, step.dst),
         label=re.sub(r"\d+", lambda m: "{%d}" % role(int(m.group())), step.label),
     )
 
@@ -291,7 +290,7 @@ class SwapTemplate:
         #: the copy steps alone, in order
         self.copies = tuple(s for s in steps if isinstance(s, TemplateCopy))
         self.n_copies = len(self.copies)
-        self.n_cross = sum(c.cross_boundary for c in self.copies)
+        self.n_cross = sum(c.crosses for c in self.copies)
         #: updates applied before each copy step starts
         self.updates_before = tuple(
             sum(isinstance(s, TemplateUpdate) for s in steps[:i])

@@ -17,16 +17,12 @@ from .isolation import (
     IsolationOracle,
 )
 from .metrics import TenantMetrics
-from .qos import (
-    CapacityPolicy,
-    ProportionalSharePolicy,
-)
+from .qos import ProportionalSharePolicy
 from .scheduler import AdmitEvent, ChunkEvent, DepartEvent, TenantScheduler
 from .simulator import MultiTenantSimulator
 
 __all__ = [
     "AdmitEvent",
-    "CapacityPolicy",
     "ChunkEvent",
     "CrossTenantViolation",
     "DepartEvent",

@@ -1,7 +1,7 @@
-"""On-package capacity partitioning (QoS) policies.
+"""On-package capacity partitioning (QoS).
 
-The migration engine consults one :class:`CapacityPolicy` (its ``qos``
-hook) at every swap-trigger evaluation. The policy sees the candidate
+The migration engine consults one :class:`ProportionalSharePolicy` (its
+``qos`` hook) at every swap-trigger evaluation. The policy sees the candidate
 promotion (the hottest off-package page) and answers with an
 **exclusion set** of slots the demotion victim must avoid: at its quota
 a tenant may only displace one of its *own* promoted pages, so its
@@ -17,8 +17,8 @@ the paper's baseline mapping, not capacity the tenant won through
 migration — which makes a single full-space tenant structurally
 unconstrained and keeps the bit-identity guarantee.
 
-The policy: :class:`ProportionalSharePolicy` (weights split the usable
-slots, at least one each).
+Quotas: the tenants' weights split the usable slots, at least one
+slot each.
 """
 
 from __future__ import annotations
@@ -28,8 +28,9 @@ import numpy as np
 from .domain import TenantRegistry
 
 
-class CapacityPolicy:
-    """Base class: quota bookkeeping + the engine-facing ``constrain``."""
+class ProportionalSharePolicy:
+    """Weights split the usable slots; every tenant gets at least one.
+    Quota bookkeeping plus the engine-facing ``constrain``."""
 
     def __init__(self):
         self.registry: TenantRegistry | None = None
@@ -51,12 +52,15 @@ class CapacityPolicy:
     # -- quota computation (cached on the registry version) -------------
     def quotas(self) -> dict[int, int]:
         if self.registry.version != self._quota_key:
-            self._quota_cache = self._compute_quotas()
+            domains = list(self.registry.domains.values())
+            total_w = sum(d.spec.weight for d in domains)
+            cap = self.capacity()
+            self._quota_cache = {
+                d.tenant_id: max(1, int(cap * d.spec.weight / total_w))
+                for d in domains
+            }
             self._quota_key = self.registry.version
         return self._quota_cache
-
-    def _compute_quotas(self) -> dict[int, int]:
-        raise NotImplementedError
 
     # -- live usage from the translation table --------------------------
     def _transposition_slots(self) -> tuple[np.ndarray, np.ndarray]:
@@ -89,19 +93,4 @@ class CapacityPolicy:
         # at (or, after a quota re-split, above) cap: the swap may only
         # displace one of the tenant's own promoted pages — net zero
         return set(range(self.table.n_slots)) - set(own.tolist())
-
-
-class ProportionalSharePolicy(CapacityPolicy):
-    """Weights split the usable slots; every tenant gets at least one."""
-
-    def _compute_quotas(self) -> dict[int, int]:
-        domains = list(self.registry.domains.values())
-        if not domains:
-            return {}
-        total_w = sum(d.spec.weight for d in domains)
-        cap = self.capacity()
-        return {
-            d.tenant_id: max(1, int(cap * d.spec.weight / total_w))
-            for d in domains
-        }
 

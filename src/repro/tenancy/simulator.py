@@ -8,8 +8,8 @@ migration engine) serves many tenant workloads:
 2. each tenant's chunks are rewritten into its
    :class:`~repro.tenancy.domain.TenantDomain` window and fed to the
    shared simulator (fused fast path and all);
-3. an optional :class:`~repro.tenancy.qos.CapacityPolicy` hangs off the
-   migration engine and partitions the on-package slots;
+3. an optional :class:`~repro.tenancy.qos.ProportionalSharePolicy`
+   hangs off the migration engine and partitions the on-package slots;
 4. an :class:`~repro.tenancy.isolation.IsolationOracle` watches every
    translated chunk for cross-tenant data flow;
 5. tenant departures reclaim translation state via the engine's
@@ -34,7 +34,7 @@ from ..trace.record import TraceChunk
 from .domain import TenantRegistry, TenantSpec
 from .isolation import IsolationOracle
 from .metrics import TenantMetrics
-from .qos import CapacityPolicy
+from .qos import ProportionalSharePolicy
 from .scheduler import AdmitEvent, ChunkEvent, DepartEvent, TenantScheduler
 
 
@@ -45,7 +45,7 @@ class MultiTenantSimulator:
         self,
         config: SystemConfig,
         *,
-        policy: CapacityPolicy | None = None,
+        policy: ProportionalSharePolicy | None = None,
         fused: bool = True,
         track_data: bool = False,
         solo_baselines: bool = False,

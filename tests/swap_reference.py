@@ -105,7 +105,7 @@ def reference_schedule(engine, table, mru: int, lru: int, now: int,
             duration = engine._copy_duration(t, step)
             if step.incoming and cfg.algorithm == MigrationAlgorithm.LIVE:
                 fill = FillInfo(
-                    page=mru, slot=step.dest_slot, start=t, end=t + duration,
+                    page=mru, slot=step.dst[1], start=t, end=t + duration,
                     n_subblocks=engine.amap.subblocks_per_page,
                     first_subblock=first_subblock if cfg.critical_block_first else 0,
                 )

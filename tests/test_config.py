@@ -93,9 +93,19 @@ class TestMigrationConfig:
 class TestBusConfig:
     def test_paper_copy_time(self):
         """A 4 MB page over DDR3-1333 takes ~374 us ~= 1.2M core cycles."""
-        cycles = BusConfig().copy_cycles(4 * MB)
+        cycles = BusConfig().copy_cycles(4 * MB, cross_boundary=True)
         seconds = cycles / 3.2e9
         assert 350e-6 < seconds < 420e-6
+
+    def test_copy_cycles_per_bus(self):
+        """A crossing copy runs at the off-package bandwidth, any other
+        at the on-package one; a copy of any bytes takes at least one
+        cycle, and nothing to copy takes none."""
+        bus = BusConfig(offpkg_bytes_per_cycle=4.0, onpkg_bytes_per_cycle=64.0)
+        assert bus.copy_cycles(4096, cross_boundary=True) == 1024
+        assert bus.copy_cycles(4096, cross_boundary=False) == 64
+        assert bus.copy_cycles(10, cross_boundary=False) == 1
+        assert bus.copy_cycles(0, cross_boundary=True) == 0
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ConfigError):

@@ -54,13 +54,11 @@ def full_map_plan(pre, target, skip=()):
         return ("slot", machine) if on else ("mach", machine)
 
     target_of = {p: loc(target, p) for p in data_pages(target) if p not in skip}
-    return recovery_moves(
-        content_of_table(pre), target_of, pre.amap.macro_page_bytes
-    )
+    return recovery_moves(content_of_table(pre), target_of)
 
 
 def step_key(steps):
-    return [(s.src, s.dst, s.cross_boundary, s.nbytes, s.label) for s in steps]
+    return [(s.src, s.dst, s.incoming, s.label) for s in steps]
 
 
 def assert_plans_agree(pre, target, skip=()):

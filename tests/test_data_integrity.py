@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 import repro
 from repro.config import MigrationConfig, SystemConfig
 from repro.errors import MigrationError
+from repro.migration.algorithms import crosses_boundary
 from repro.migration.recovery import (
     BUFFER,
     apply_executed_copies,
@@ -267,16 +268,18 @@ class TestRecoveryMoves:
         # pages 1 and 2 swapped relative to their targets: a 2-cycle
         content = {self.A: 2, self.B: 1}
         target = {1: self.A, 2: self.B}
-        steps = recovery_moves(content, target, 1 * MB)
+        steps = recovery_moves(content, target)
         assert len(steps) == 3
         assert steps[0].dst == BUFFER, "cycle must stage through the buffer"
         final = self._apply(content, steps)
         assert final[self.A] == 1 and final[self.B] == 2
-        assert all(s.nbytes == 1 * MB for s in steps)
+        # staging the off-package page and the slot's homeward copy cross
+        # the boundary; draining the buffer into the slot does not
+        assert [crosses_boundary(s.src, s.dst) for s in steps] == [True, True, False]
 
     def test_no_surviving_copy_is_an_error(self):
         with pytest.raises(MigrationError, match="no surviving copy"):
-            recovery_moves({self.A: None}, {3: self.A}, 1 * MB)
+            recovery_moves({self.A: None}, {3: self.A})
 
     def test_executed_prefix_replay_marks_partial_copies_garbage(self):
         content = {self.A: 1, self.B: 2}

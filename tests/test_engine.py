@@ -250,7 +250,7 @@ class TestScheduling:
         fill = e.active.fill
         assert fill is not None
         assert fill.start >= 1000
-        copy_cycles = BusConfig().copy_cycles(1 * MB)
+        copy_cycles = BusConfig().copy_cycles(1 * MB, cross_boundary=True)
         assert fill.end - fill.start == pytest.approx(copy_cycles, rel=0.01)
         # critical-first wraparound ordering
         avail = fill.available_at(np.array([fill.first_subblock,
@@ -276,7 +276,7 @@ class TestScheduling:
         active = e.active
         assert active.fill is None
         slot = e.table.slot_of(hot)
-        landed = 1000 + BusConfig().copy_cycles(1 * MB)
+        landed = 1000 + BusConfig().copy_cycles(1 * MB, cross_boundary=True)
         assert landed < active.end  # the demotion copies follow
         times = np.repeat([1000, landed - 1, landed, active.end], 2)
         subblocks = np.tile([0, 15], 4)

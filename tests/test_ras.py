@@ -26,6 +26,7 @@ from repro.errors import (
     TranslationTableError,
 )
 from repro.experiments.chaos_soak import soak_config, soak_fault_plan, soak_trace
+from repro.migration.algorithms import crosses_boundary
 from repro.migration.engine import MigrationEngine
 from repro.migration.policies import EpochMonitor
 from repro.migration.recovery import recovery_plan
@@ -400,8 +401,9 @@ class TestRetirementMoves:
         assert len(steps) == 1
         assert steps[0].src == ("slot", 2)
         assert steps[0].dst == ("mach", spares[0])
-        assert steps[0].cross_boundary
-        assert steps[0].nbytes == 1 * MB
+        assert crosses_boundary(steps[0].src, steps[0].dst)
+        engine.retire_frame(0, 2, spares[0])
+        assert engine.retired_bytes == 1 * MB
 
     def test_transposed_frame_sends_occupant_home(self):
         engine, spares = make_ras_engine()
@@ -416,7 +418,9 @@ class TestRetirementMoves:
         assert steps[0].dst == ("mach", spares[0])
         assert steps[1].src == ("slot", slot)
         assert steps[1].dst == ("mach", hot)
-        assert all(s.cross_boundary and s.nbytes == 1 * MB for s in steps)
+        assert all(crosses_boundary(s.src, s.dst) for s in steps)
+        engine.retire_frame(engine.busy_until, slot, spares[0])
+        assert engine.retired_bytes == 2 * MB
 
     def test_rejects_mid_swap_slot(self):
         engine, spares = make_ras_engine()

@@ -219,31 +219,34 @@ class TestBankRefresh:
 
 class TestCopyStretch:
     def test_copy_duration_per_region(self):
-        """Hand-computed durations of one copy per kind of step. The
-        on-package region refreshes [k*1000, k*1000 + 100), the
-        off-package region [k*3000, k*3000 + 300); the bus moves 2 B per
-        cycle on-package and 1 B per cycle across the boundary."""
+        """Hand-computed durations of one page copy per pair of endpoint
+        kinds. The on-package region refreshes [k*500, k*500 + 200), the
+        off-package region [k*3000, k*3000 + 300); a 64 KB page takes 128
+        cycles on the on-package interconnect (512 B per cycle) and 512
+        across the boundary (128 B per cycle)."""
         cfg = _cfg(refresh=False)
+        assert cfg.migration.macro_page_bytes == 64 * KB
         engine = MigrationEngine(
             cfg.address_map(), cfg.migration,
-            BusConfig(offpkg_bytes_per_cycle=1.0, onpkg_bytes_per_cycle=2.0),
-            onpkg_refresh=RefreshSchedule(1000, 100),
+            BusConfig(offpkg_bytes_per_cycle=128.0, onpkg_bytes_per_cycle=512.0),
+            onpkg_refresh=RefreshSchedule(500, 200),
             offpkg_refresh=RefreshSchedule(3000, 300),
         )
-        on_only = CopyStep("on", 200, cross_boundary=False,
-                           src=("slot", 0), dst=("slot", 1))
-        off_only = CopyStep("off", 400, src=("mach", 40), dst=("mach", 41))
-        crossing = CopyStep("cross", 100, src=("mach", 40), dst=("slot", 0))
-        # 100 cycles from 950: 50 before the window at 1000, 100 of
-        # window, 50 after
-        assert engine._copy_duration(950, on_only) == 200
-        # 400 cycles from 2800: 200 before the window at 3000, 300 of
-        # window, 200 after; the on-package windows do not apply
-        assert engine._copy_duration(2800, off_only) == 700
-        # 100 cycles from 2950 cross both regions' windows at 3000: the
-        # on-package one costs 100, the off-package one 300; the copy
+        on_only = CopyStep("on", ("slot", 0), ("slot", 1))
+        off_only = CopyStep("off", ("mach", 40), ("mach", 41))
+        crossing = CopyStep("cross", ("mach", 40), ("slot", 0))
+        # 128 cycles from 936: 64 before the window at 1000, 200 of
+        # window, 64 after
+        assert engine._copy_duration(936, on_only) == 328
+        # 512 cycles from 2744: 256 before the window at 3000, 300 of
+        # window, 256 after; the on-package windows do not apply
+        assert engine._copy_duration(2744, off_only) == 812
+        # 512 cycles from 2950 cross both regions' windows at 3000. The
+        # off-package one costs 300 (812 in all); on-package, 50 cycles
+        # run before 3000, 300 between the windows at 3000 and 3500 and
+        # the last 162 after it, 400 of window (912 in all). The copy
         # waits for the longer
-        assert engine._copy_duration(2950, crossing) == 400
+        assert engine._copy_duration(2950, crossing) == 912
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from repro.address import AddressMap
 from repro.config import MigrationConfig
 from repro.errors import MigrationError
 from repro.migration import template as template_module
-from repro.migration.algorithms import CopyStep, SwapCase
+from repro.migration.algorithms import CopyStep, SwapCase, crosses_boundary, touches_onpkg
 from repro.migration.engine import MigrationEngine
 from repro.migration.table import EMPTY, PageCategory, TranslationTable
 from repro.migration.template import swap_template
@@ -130,10 +130,12 @@ class TestTemplateMatchesBuilders:
         assert len(template.copies) == len(copies) == template.n_copies
         for mine, theirs in zip(template.copies, copies):
             assert mine.locations(roles) == (theirs.src, theirs.dst)
-            assert mine.cross_boundary == theirs.cross_boundary
+            assert mine.crosses == crosses_boundary(theirs.src, theirs.dst)
+            assert mine.touches_on == touches_onpkg(theirs.src, theirs.dst)
             assert mine.incoming == theirs.incoming
             assert mine.label.format(*roles) == theirs.label
-            assert theirs.nbytes == AMAP.macro_page_bytes
+        assert plan.page_bytes == AMAP.macro_page_bytes
+        assert template.n_copies * AMAP.macro_page_bytes == plan.total_copy_bytes
         assert template.n_cross * AMAP.macro_page_bytes == plan.cross_boundary_bytes
 
         # the table after every update, and the undo record from each
