@@ -64,7 +64,6 @@ from .errors import (
     TaskCrashError,
     TaskTimeoutError,
     TenancyError,
-    WatchdogError,
 )
 from .tenancy import (
     CrossTenantViolation,
@@ -136,7 +135,6 @@ __all__ = [
     "TenantRegistry",
     "TenantScheduler",
     "TenantSpec",
-    "WatchdogError",
     "baseline_latency",
     "effectiveness",
     "load_checkpoint",

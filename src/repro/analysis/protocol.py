@@ -12,9 +12,12 @@ intermediate states, so this module checks them all, statically:
    power-of-two geometry (canonicalised modulo renaming of off-package
    pages, which the step builders treat symmetrically);
 2. for every state and every legal (MRU, LRU) pair, take the
-   *declarative* plan emitted by :mod:`repro.migration.algorithms` —
-   the same ``SwapPlan`` the engine executes — and symbolically run it
-   against a versioned shadow memory;
+   *declarative* plan emitted by :mod:`repro.migration.algorithms` and
+   symbolically run it against a versioned shadow memory. The engine
+   runs the :class:`~repro.migration.template.SwapTemplate` derived
+   from that plan's shape, not the plan itself;
+   ``tests/test_swap_templates.py`` pins the two equal (copy steps,
+   table after every update, routing timeline);
 3. at every step boundary (and every sub-block micro-boundary under
    Live Migration) read **every** macro page, and re-run the plan once
    per (boundary, involved page, sub-block) with a symbolic write
@@ -50,6 +53,7 @@ window that the hardware closes by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -543,21 +547,14 @@ def reachable_states(amap: AddressMap, *, variant: str,
     step builders, so isomorphic states check identically).
     """
     basic = variant == MigrationAlgorithm.N
-
-    def fresh() -> TranslationTable:
-        return TranslationTable(amap, reserve_empty_slot=not basic)
-
-    boot = fresh()
+    boot = TranslationTable(amap, reserve_empty_slot=not basic)
     states: list[dict] = [boot.state_dict()]
     seen = {_canonical_key(boot)}
     queue = [states[0]]
     while queue:
         state = queue.pop(0)
-        table = fresh()
-        table.load_state_dict(state)
-        for mru, lru in candidate_pairs(table):
-            t = fresh()
-            t.load_state_dict(state)
+        for mru, lru in candidate_pairs(boot.clone(state)):
+            t = boot.clone(state)
             plan = (build_basic_swap_steps(t, mru, lru) if basic
                     else build_swap_steps(t, mru, lru))
             machine = _Machine(t)
@@ -595,22 +592,14 @@ def check_variant(
     report = VariantReport(variant=variant)
     states = reachable_states(amap, variant=variant, max_states=max_states)
     report.n_states = len(states)
+    boot = TranslationTable(amap, reserve_empty_slot=not basic)
     for state in states:
-        table = TranslationTable(amap, reserve_empty_slot=not basic)
-        table.load_state_dict(state)
-        for mru, lru in candidate_pairs(table):
-            t = TranslationTable(amap, reserve_empty_slot=not basic)
-            t.load_state_dict(state)
+        for mru, lru in candidate_pairs(boot.clone(state)):
+            t = boot.clone(state)
             plan = (build_basic_swap_steps(t, mru, lru) if basic
                     else build_swap_steps(t, mru, lru))
-
-            def make_table(state=state):
-                t = TranslationTable(amap, reserve_empty_slot=not basic)
-                t.load_state_dict(state)
-                return t
-
             res = check_plan(
-                make_table, plan, variant=variant,
+                partial(boot.clone, state), plan, variant=variant,
                 first_subblock=first_subblock,
                 max_violations=max_violations - len(report.violations),
             )
@@ -652,10 +641,10 @@ class FaultImpact:
     """Which checker invariants one injected fault class violates.
 
     ``expect_clean`` is the scenario's contract: True means the modelled
-    recovery machinery must leave **zero** violated invariants (the
-    ``repro-lint faults --fail-on-violation`` gate); False marks a raw
-    SEU scenario that violates invariants *by design* — that is what the
-    periodic audit exists to catch.
+    recovery machinery must leave **zero** violated invariants (plain
+    ``repro-lint faults`` exits 1 when such a scenario violates one);
+    False marks a raw SEU scenario that violates invariants *by design*
+    — that is what the periodic audit exists to catch.
     """
 
     fault: str                 # FaultKind value

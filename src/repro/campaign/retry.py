@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Callable
 
 from ..errors import CampaignError, TaskCrashError, TaskTimeoutError
 
@@ -89,20 +88,3 @@ class RetryPolicy:
         if attempt < 1:
             return 0.0
         return min(self.base_delay * BACKOFF_MULTIPLIER ** (attempt - 1), MAX_DELAY_S)
-
-    def call(self, fn: Callable, *args, clock: Clock | None = None, **kwargs):
-        """Run ``fn(*args, **kwargs)`` under this policy.
-
-        Returns ``(result, attempts_used)``. Non-retryable exceptions
-        (and the final retryable one once attempts are exhausted)
-        propagate to the caller.
-        """
-        clock = clock or Clock()
-        for attempt in range(1, self.max_attempts + 1):
-            try:
-                return fn(*args, **kwargs), attempt
-            except Exception as exc:  # repro-lint: disable=broad-except - retryability is classified below
-                if not self.is_retryable(exc) or attempt == self.max_attempts:
-                    raise
-                clock.sleep(self.backoff(attempt))
-        raise AssertionError("unreachable")  # pragma: no cover

@@ -23,10 +23,11 @@ that exhausts its attempts is marked ``failed`` in the manifest and the
 campaign completes with an explicit partial-results report
 (:meth:`CampaignReport.table`) instead of halting.
 
-With ``jobs=1`` and no timeout the supervisor runs tasks inline in the
-parent process, in submission order — byte-identical to a plain serial
-loop — so the fault-tolerant path is free until you opt into
-parallelism.
+With ``jobs=1`` and no timeout the supervisor runs each task once,
+inline in the parent process, in submission order — byte-identical to a
+plain serial loop — so the fault-tolerant path is free until you opt
+into parallelism. Only worker processes can crash or time out, so only
+they retry.
 """
 
 from __future__ import annotations
@@ -156,7 +157,8 @@ class CampaignSupervisor:
         Per-attempt wall-clock budget in seconds; ``None`` disables. It
         is the only hang detection: a silent worker is killed by it.
     retry:
-        A :class:`RetryPolicy`; defaults to ``RetryPolicy()``.
+        A :class:`RetryPolicy` for worker crashes and timeouts; defaults
+        to ``RetryPolicy()``. Inline tasks run once.
     manifest_path:
         Where to persist the run manifest. A re-invocation with the
         same path skips tasks the manifest already marks completed and
@@ -220,32 +222,31 @@ class CampaignSupervisor:
     # -- inline (serial, byte-identical) --------------------------------
 
     def _run_inline(self, tasks, manifest) -> dict[str, TaskOutcome]:
+        """Run each task once, in order, in this process.
+
+        Nothing here can crash a worker or blow a timeout, the two
+        failures a retry can change, so no task is retried.
+        """
         outcomes = {}
         for task in tasks:
             started = self.clock.monotonic()
-            attempts = 0
+            manifest.mark_running(task.task_id)
             try:
-                def attempt_once():
-                    nonlocal attempts
-                    attempts += 1
-                    manifest.mark_running(task.task_id)
-                    return task.fn(*task.args, **task.kwargs)
-
-                result, _ = self.retry.call(attempt_once, clock=self.clock)
+                result = task.fn(*task.args, **task.kwargs)
             except Exception as exc:  # noqa: BLE001  # repro-lint: disable=broad-except - recorded in the manifest, not fatal
                 duration = self.clock.monotonic() - started
                 error = f"{type(exc).__name__}: {exc}"
                 manifest.mark_failed(task.task_id, error, duration)
                 outcomes[task.task_id] = TaskOutcome(
                     task.task_id, FAILED, error=error,
-                    attempts=attempts, duration_s=duration,
+                    attempts=1, duration_s=duration,
                 )
             else:
                 duration = self.clock.monotonic() - started
                 manifest.mark_completed(task.task_id, duration, result)
                 outcomes[task.task_id] = TaskOutcome(
                     task.task_id, COMPLETED, result=result,
-                    attempts=attempts, duration_s=duration,
+                    attempts=1, duration_s=duration,
                 )
         return outcomes
 

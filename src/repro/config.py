@@ -302,23 +302,12 @@ class ResilienceConfig:
     #: consecutive swap failures / failed audits before the migration
     #: engine quarantines itself and falls back to static mapping
     max_consecutive_failures: int = 3
-    #: per-epoch total-latency budget for the watchdog (0 = no watchdog)
-    epoch_cycle_budget: int = 0
-    #: what the watchdog does on a breach: abort the run with a
-    #: :class:`~repro.errors.WatchdogError` or record a
-    #: ``DegradationEvent`` and keep going
-    watchdog_action: str = "raise"
 
     def __post_init__(self) -> None:
-        if self.audit_interval < 0 or self.epoch_cycle_budget < 0:
-            raise ConfigError("audit_interval and epoch_cycle_budget must be >= 0")
+        if self.audit_interval < 0:
+            raise ConfigError("audit_interval must be >= 0")
         if self.max_consecutive_failures <= 0:
             raise ConfigError("max_consecutive_failures must be positive")
-        if self.watchdog_action not in ("raise", "degrade"):
-            raise ConfigError(
-                f"watchdog_action must be 'raise' or 'degrade', "
-                f"got {self.watchdog_action!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -351,18 +340,15 @@ class RASConfig:
     scrub_interval_epochs: int = 0
     #: usable frames scrubbed per pass (round-robin cursor)
     scrub_frames_per_pass: int = 1
-    #: one scrub read covers this many bytes of a frame
-    scrub_stride_bytes: int = 4 * KB
     #: off-package machine pages (just below the Ω ghost page) reserved
     #: as retirement spares — invisible to the trace address space
     spare_pages: int = 2
     #: never retire below this many usable on-package frames
     min_usable_frames: int = 2
-    #: swap-candidate score penalty per ``wear_window`` lifetime writes
-    #: to the candidate's off-package machine page (0 = endurance-blind)
+    #: swap-candidate score penalty per
+    #: :data:`~repro.ras.wear.WEAR_WINDOW` lifetime writes to the
+    #: candidate's off-package machine page (0 = endurance-blind)
     wear_penalty: float = 0.0
-    #: lifetime-write normalisation window for the wear penalty
-    wear_window: int = 1024
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.ce_base_rate <= 1.0:
@@ -377,18 +363,14 @@ class RASConfig:
             raise ConfigError("ce_cost_cycles must be >= 0")
         if self.scrub_interval_epochs < 0:
             raise ConfigError("scrub_interval_epochs must be >= 0")
-        if self.scrub_frames_per_pass <= 0 or self.scrub_stride_bytes <= 0:
-            raise ConfigError(
-                "scrub_frames_per_pass and scrub_stride_bytes must be positive"
-            )
+        if self.scrub_frames_per_pass <= 0:
+            raise ConfigError("scrub_frames_per_pass must be positive")
         if self.spare_pages < 0:
             raise ConfigError("spare_pages must be >= 0")
         if self.min_usable_frames < 1:
             raise ConfigError("min_usable_frames must be >= 1")
-        if self.wear_penalty < 0 or self.wear_window <= 0:
-            raise ConfigError(
-                "wear_penalty must be >= 0 and wear_window positive"
-            )
+        if self.wear_penalty < 0:
+            raise ConfigError("wear_penalty must be >= 0")
         if self.enabled and self.spare_pages == 0:
             raise ConfigError(
                 "an enabled RAS subsystem needs at least one spare page "

@@ -11,9 +11,9 @@ chunk, or once per epoch when a boundary hook reads its result.
 Resilience hooks (all governed by :class:`~repro.config.ResilienceConfig`
 and off by default) run at the same boundary: seeded fault injection via
 an attached :class:`~repro.resilience.faults.FaultPlan`, ECC handling of
-transient DRAM errors, periodic translation-table audits with in-place
-repair, and a per-epoch cycle-budget watchdog. A checkpoint is the
-pickled simulator itself (see :mod:`repro.resilience.checkpoint`).
+transient DRAM errors, and periodic translation-table audits with
+in-place repair. A checkpoint is the pickled simulator itself (see
+:mod:`repro.resilience.checkpoint`).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ if TYPE_CHECKING:
 
 from ..config import SystemConfig
 from ..dram.refresh import RefreshSchedule
-from ..errors import SimulationError, TranslationTableError, WatchdogError
+from ..errors import SimulationError, TranslationTableError
 from ..memctrl.heterogeneous import ONE_EPOCH, HeterogeneousController
 from ..migration.engine import MigrationEngine
 from ..resilience.degradation import (
@@ -36,7 +36,6 @@ from ..resilience.degradation import (
     DRAM_CORRECTED,
     DRAM_UNCORRECTABLE,
     TABLE_REPAIRED,
-    WATCHDOG_BREACH,
     DegradationEvent,
 )
 from ..resilience.faults import EccModel, FaultKind, FaultPlan
@@ -174,13 +173,12 @@ class EpochSimulator:
                 self._disturb.shadow = self.shadow
         #: flush DRAM service once per epoch instead of once per chunk
         #: exactly when something at the epoch boundary reads serviced
-        #: latency or device state: the watchdog budget, RAS patrol scrubs
-        #: and disturbance victim refreshes (both go through the devices).
-        #: Both granularities are bit-identical; ``fused=False`` forces
-        #: the per-epoch flush for equivalence tests and benchmarks.
+        #: device state: RAS patrol scrubs and disturbance victim
+        #: refreshes (both go through the devices). Both granularities
+        #: are bit-identical; ``fused=False`` forces the per-epoch flush
+        #: for equivalence tests and benchmarks.
         self._flush_per_epoch = (
             not fused
-            or bool(config.resilience.epoch_cycle_budget)
             or self._ras is not None
             or self._disturb is not None
         )
@@ -317,8 +315,8 @@ class EpochSimulator:
         the shadow memory (which checks the chunk in one pass at its
         end), charge the in-flight migration's stall or copy
         interference, run the boundary hooks (ECC, RAS, disturbance,
-        watchdog, audit) and let the migration engine observe the epoch
-        and maybe swap.
+        audit) and let the migration engine observe the epoch and maybe
+        swap.
 
         DRAM service flushes through
         :meth:`~repro.memctrl.heterogeneous.HeterogeneousController.service_resolved`
@@ -423,16 +421,15 @@ class EpochSimulator:
                     eff_times[start:stop], ONE_EPOCH, extra[start:stop],
                 )
             now = int(tview[-1]) + 1
-            cycles = 0  # this epoch's boundary-hook cycles
             if pending_dram_errors:
-                cycles += self._run_ecc(
+                boundary_cycles += self._run_ecc(
                     pending_dram_errors, epoch_index, now, result
                 )
             if self._ras is not None:
                 # CE correction + patrol-scrub cycles count against this
-                # epoch (and its watchdog budget); a retirement's copy-out
-                # instead stalls subsequent accesses via the engine
-                cycles += self._ras.end_epoch(
+                # epoch; a retirement's copy-out instead stalls subsequent
+                # accesses via the engine
+                boundary_cycles += self._ras.end_epoch(
                     epoch_index, now, machine=machine, on=on, writes=writes,
                     n_on=int(np.count_nonzero(on)), n_total=stop - start,
                 )
@@ -440,28 +437,10 @@ class EpochSimulator:
                 # activation folding + the mitigation ladder; victim
                 # refreshes and throttling charge this epoch's cycles,
                 # escalation rides the RAS/migration machinery instead
-                cycles += self._disturb.end_epoch(
+                boundary_cycles += self._disturb.end_epoch(
                     epoch_index, now, pages=pages, machine=machine, on=on,
                     offsets=offsets_all[start:stop],
                 )
-            boundary_cycles += cycles
-            budget = resilience.epoch_cycle_budget
-            if budget:
-                # a budget always flushes per epoch, so latency is filled
-                epoch_cycles = int(latency[start:stop].sum()) + cycles
-                if epoch_cycles > budget:
-                    detail = (
-                        f"epoch {epoch_index} (t=[{t0}, {now})) spent "
-                        f"{epoch_cycles} cycles, budget {budget}"
-                    )
-                    if resilience.watchdog_action == "raise":
-                        raise WatchdogError(detail)
-                    self._events.append(
-                        DegradationEvent(
-                            time=now, epoch=epoch_index, kind=WATCHDOG_BREACH,
-                            detail=detail, recovered=True,
-                        )
-                    )
 
             if resilience.audit_interval and (
                 (epoch_index + 1) % resilience.audit_interval == 0

@@ -73,15 +73,6 @@ class CheckpointError(ReproError):
     """
 
 
-class WatchdogError(SimulationError):
-    """An epoch exceeded its configured cycle budget (runaway epoch).
-
-    The per-epoch watchdog converts silently diverging simulations —
-    e.g. a queue backlog growing without bound under a hostile trace —
-    into a diagnosable error naming the epoch and the budget it blew.
-    """
-
-
 class CampaignError(ReproError):
     """A campaign (multi-task sweep) was misused or its manifest is bad.
 

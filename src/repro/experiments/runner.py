@@ -138,7 +138,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--max-retries", type=int, default=1, metavar="K",
-        help="retries per task after the first attempt (default 1)",
+        help="retries after a worker crash or timeout, with --jobs > 1 or "
+             "--task-timeout (default 1)",
     )
     parser.add_argument(
         "--manifest", default=None, metavar="PATH",

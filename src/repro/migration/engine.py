@@ -624,7 +624,7 @@ class MigrationEngine:
             return
         for dst in destinations:
             if dst is not None and dst[0] == "mach":
-                self.wear.observe_copy(dst[1], self.amap.macro_page_bytes)
+                self.wear.observe_copy(dst[1])
 
     def _stall_copies(self, now: int, start: int, steps: list[CopyStep]) -> int:
         """Run ``steps`` back to back from ``start`` under a plan-less

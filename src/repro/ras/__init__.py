@@ -4,7 +4,7 @@ On-chip memory-controller support (the paper's central premise) gives
 the controller visibility the OS never had — so reliability machinery
 can live next to the migration engine: per-frame correctable-error
 telemetry with leaky-bucket thresholds, a patrol scrubber whose reads
-share the FR-FCFS timing models with demand traffic, predictive frame
+share the FIFO device models with demand traffic, predictive frame
 retirement with graceful on-package capacity degradation, and
 write-endurance counters that steer the swap policy away from worn
 off-package frames. Everything is gated behind

@@ -9,7 +9,7 @@ the controller:
    charges their inline-correction cycles;
 3. applies any ``CE_BURST`` faults the fault plan scheduled;
 4. when a patrol pass is due, issues timing-visible scrub reads through
-   the on-package FR-FCFS model (sharing bank state with the demand
+   the on-package FIFO device (sharing bank state with the demand
    stream, so scrub-vs-demand contention is real) and surfaces any
    latent CEs parked by ``SCRUB_LATENT`` faults;
 5. retires any frame whose leaky bucket crossed its threshold — the
@@ -34,7 +34,7 @@ import numpy as np
 from ..config import SystemConfig
 from ..migration.table import EMPTY
 from ..resilience.degradation import RETIREMENT_SUPPRESSED, DegradationEvent
-from .scrub import PatrolScrubber
+from .scrub import SCRUB_STRIDE_BYTES, PatrolScrubber
 from .telemetry import CETelemetry
 from .wear import WearModel
 
@@ -97,13 +97,12 @@ class RasController:
             self.n_frames,
             interval_epochs=self.ras.scrub_interval_epochs,
             frames_per_pass=self.ras.scrub_frames_per_pass,
-            stride_bytes=self.ras.scrub_stride_bytes,
             page_bytes=self.amap.macro_page_bytes,
         )
         self.wear = WearModel(
             self.amap.n_total_pages,
             penalty_weight=self.ras.wear_penalty,
-            window=self.ras.wear_window,
+            page_bytes=self.amap.macro_page_bytes,
         )
         engine.wear = self.wear
         #: unused spares, allocated in ascending machine-page order
@@ -204,19 +203,18 @@ class RasController:
         n_reads = self.scrubber.reads_per_frame
         machine = np.repeat(np.asarray(frames, dtype=np.int64), n_reads)
         offsets = np.tile(
-            np.arange(n_reads, dtype=np.int64) * self.scrubber.stride_bytes,
+            np.arange(n_reads, dtype=np.int64) * SCRUB_STRIDE_BYTES,
             len(frames),
         )
         local = self.amap.local_address(machine, offsets, True)
         times = np.full(machine.shape, now, dtype=np.int64)
         latency = self.controller.onpkg_model.access_latency(local, times)
         cycles = int(latency.sum())
-        latent = 0
-        for frame in frames:
-            count = self.scrubber.latent.pop(frame, 0)
+        latents = self.scrubber.collect_latents(frames)
+        for frame, count in zip(frames, latents):
             if count:
                 self.telemetry.record(frame, count, source="scrub")
-                latent += count
+        latent = sum(latents)
         self.scrubber.passes += 1
         self.scrubber.reads += int(machine.size)
         self.scrubber.cycles += cycles

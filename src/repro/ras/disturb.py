@@ -18,7 +18,7 @@ is the runtime orchestrator for that loop:
 
    * *victim refresh* — up to ``victim_refresh_max`` times per row the
      neighbour rows are refreshed with timing-visible reads through the
-     region's FR-FCFS model (the patrol-scrub idiom: contention with
+     region's FIFO device model (the patrol-scrub idiom: contention with
      demand traffic is real);
    * *escalation* — past the budget the controller throttles the
      channel (``throttle_cycles``) and takes the aggressor out of the

@@ -4,13 +4,19 @@ A patrol scrubber walks the on-package frames in the background,
 reading every sub-block so ECC gets a chance to see (and the telemetry
 to count) latent errors in rows the demand stream never touches. This
 module is pure scheduling — the RAS controller issues the actual reads
-through the FR-FCFS timing model so scrub-vs-demand contention is
-charged like any other background traffic.
+through the on-package FIFO device (:class:`~repro.dram.fastmodel.FastDevice`,
+via :meth:`~repro.dram.latency.LatencyModel.access_latency`), so
+scrub-vs-demand contention is charged like any other background traffic.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from ..units import KB
+
+#: one scrub read covers this many bytes of a frame
+SCRUB_STRIDE_BYTES = 4 * KB
 
 
 class PatrolScrubber:
@@ -22,15 +28,13 @@ class PatrolScrubber:
         *,
         interval_epochs: int,
         frames_per_pass: int,
-        stride_bytes: int,
         page_bytes: int,
     ):
         self.n_frames = int(n_frames)
         self.interval_epochs = int(interval_epochs)
         self.frames_per_pass = int(frames_per_pass)
-        self.stride_bytes = int(stride_bytes)
-        #: reads needed to cover one frame at the configured stride
-        self.reads_per_frame = max(1, page_bytes // stride_bytes)
+        #: reads needed to cover one frame at the scrub stride
+        self.reads_per_frame = max(1, page_bytes // SCRUB_STRIDE_BYTES)
         #: next frame id the cursor would scrub (skips retired frames)
         self.cursor = 0
         self.passes = 0
@@ -64,6 +68,7 @@ class PatrolScrubber:
         self.cursor = (frames[-1] + 1) % self.n_frames
         return frames
 
-    def collect_latents(self, frames: list[int]) -> int:
-        """Latent CEs surfaced by scrubbing ``frames`` (removed here)."""
-        return sum(self.latent.pop(f, 0) for f in frames)
+    def collect_latents(self, frames: list[int]) -> list[int]:
+        """Latent CEs surfaced by scrubbing ``frames``, one count per
+        frame in ``frames`` order (removed here)."""
+        return [self.latent.pop(f, 0) for f in frames]

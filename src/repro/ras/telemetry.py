@@ -25,8 +25,6 @@ class CETelemetry:
         self.leak = float(leak)
         #: current bucket level per frame (floats: the leak is fractional)
         self.level = np.zeros(self.n_frames, dtype=np.float64)
-        #: lifetime CE count per frame (never leaks; for reporting)
-        self.lifetime = np.zeros(self.n_frames, dtype=np.int64)
         self.ce_demand = 0
         self.ce_scrub = 0
         self.ce_burst = 0
@@ -34,7 +32,6 @@ class CETelemetry:
     def record(self, frame: int, count: int = 1, *, source: str = "demand") -> None:
         """``count`` CEs observed on ``frame`` via ``source``."""
         self.level[frame] += count
-        self.lifetime[frame] += count
         if source == "scrub":
             self.ce_scrub += count
         elif source == "burst":

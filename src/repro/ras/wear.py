@@ -4,8 +4,8 @@ MigrantStore's observation (PAPERS.md): migration traffic, not demand
 traffic, dominates writes to the slow tier, so endurance-aware
 placement must charge the *swaps* — every demotion rewrites a whole
 macro page onto some machine frame. The model keeps a lifetime write
-counter per machine page (demand writes count one cache line each,
-copies count their full size) and exposes a penalty the migration
+counter per machine page (demand writes count one cache line each, a
+copy counts one whole macro page) and exposes a penalty the migration
 engine subtracts from swap-candidate scores: a candidate whose machine
 frame is already worn loses the swap to a slightly-colder page on a
 fresher frame, spreading migration writes across the array.
@@ -17,16 +17,20 @@ import numpy as np
 
 #: one demand write wears one cache line
 LINE_BYTES = 64
+#: the penalty's normalisation: ``penalty_weight`` per this many
+#: lifetime writes (the units of the swap trigger's epoch counts)
+WEAR_WINDOW = 1024
 
 
 class WearModel:
     """Lifetime write counters over every machine page."""
 
     def __init__(
-        self, n_machine_pages: int, *, penalty_weight: float, window: int
+        self, n_machine_pages: int, *, penalty_weight: float, page_bytes: int
     ):
         self.penalty_weight = float(penalty_weight)
-        self.window = int(window)
+        #: line-sized writes one macro-page copy adds
+        self.copy_writes = max(1, int(page_bytes) // LINE_BYTES)
         #: line-sized write equivalents absorbed by each machine page
         self.writes = np.zeros(int(n_machine_pages), dtype=np.int64)
 
@@ -36,15 +40,16 @@ class WearModel:
         if pages.size:
             np.add.at(self.writes, pages, 1)
 
-    def observe_copy(self, machine_page: int, nbytes: int) -> None:
-        """A migration/retirement copy landed on ``machine_page``."""
-        self.writes[machine_page] += max(1, nbytes // LINE_BYTES)
+    def observe_copy(self, machine_page: int) -> None:
+        """A migration/retirement copy of one macro page landed on
+        ``machine_page``."""
+        self.writes[machine_page] += self.copy_writes
 
     def penalty(self, machine_pages: np.ndarray) -> np.ndarray:
-        """Score penalty per machine page: ``weight`` per ``window``
-        lifetime writes (the units of the swap trigger's epoch counts)."""
+        """Score penalty per machine page: ``penalty_weight`` per
+        :data:`WEAR_WINDOW` lifetime writes."""
         pages = np.asarray(machine_pages, dtype=np.int64)
-        return self.penalty_weight * self.writes[pages] / self.window
+        return self.penalty_weight * self.writes[pages] / WEAR_WINDOW
 
     @property
     def total_writes(self) -> int:

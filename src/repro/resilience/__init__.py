@@ -1,6 +1,6 @@
 """Resilience subsystem: fault injection, checkpoint/restore, degradation.
 
-Four pillars (ISSUE: robustness):
+Four pillars:
 
 * :mod:`.faults` — deterministic seeded fault injection (migration
   aborts, stuck table bits, bitmap corruption, transient DRAM errors
@@ -12,7 +12,7 @@ Four pillars (ISSUE: robustness):
   records emitted whenever a resilience mechanism fires (the engine's
   quarantine/static-mapping fallback lives in
   :mod:`repro.migration.engine`).
-* invariant auditing / watchdog — wired into
+* invariant auditing — wired into
   :class:`repro.core.simulator.EpochSimulator` and
   :meth:`repro.migration.table.TranslationTable.audit`, configured by
   :class:`repro.config.ResilienceConfig`.
@@ -30,15 +30,12 @@ from .degradation import (
     ABORT_RECOVERED,
     AUDIT_FAILED,
     DRAM_CORRECTED,
-    DRAM_RETRIED,
     DRAM_UNCORRECTABLE,
     FRAME_RETIRED,
     MIGRATION_QUARANTINED,
     RETIREMENT_SUPPRESSED,
     SWAP_FAILED,
     TABLE_REPAIRED,
-    TRACE_SALVAGED,
-    WATCHDOG_BREACH,
     DegradationEvent,
     summarize_events,
 )
@@ -62,7 +59,6 @@ __all__ = [
     "CheckpointBundle",
     "DegradationEvent",
     "DRAM_CORRECTED",
-    "DRAM_RETRIED",
     "DRAM_UNCORRECTABLE",
     "EccModel",
     "EccOutcome",
@@ -74,8 +70,6 @@ __all__ = [
     "RETIREMENT_SUPPRESSED",
     "SWAP_FAILED",
     "TABLE_REPAIRED",
-    "TRACE_SALVAGED",
-    "WATCHDOG_BREACH",
     "corrupt_trace_file",
     "load_checkpoint",
     "run_resumable",

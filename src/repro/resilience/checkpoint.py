@@ -35,12 +35,14 @@ from typing import Any
 from ..errors import CheckpointError
 
 CHECKPOINT_MAGIC = b"RPCKPT01"
-#: 5: the payload is the pickled simulator object graph, its in-flight
+#: 6: the payload is the pickled simulator object graph, its in-flight
 #: migration holding one array timeline over the swap's affected pages
-#: (version 4 pickled per-page timeline lists; versions 1-3 stored
-#: hand-written per-component state dicts beside the constructor flags).
-#: Older files are refused: their objects no longer load.
-CHECKPOINT_VERSION = 5
+#: and its RAS wear model sized by the macro page at construction
+#: (version 5 wear models took each copy's size per call; version 4
+#: pickled per-page timeline lists; versions 1-3 stored hand-written
+#: per-component state dicts beside the constructor flags). Older files
+#: are refused: their objects no longer load or run.
+CHECKPOINT_VERSION = 6
 _PREFIX = struct.Struct("<8sI32s")
 
 

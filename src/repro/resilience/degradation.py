@@ -21,11 +21,8 @@ ABORT_RECOVERED = "abort-recovered"
 AUDIT_FAILED = "audit-failed"
 TABLE_REPAIRED = "table-repaired"
 MIGRATION_QUARANTINED = "migration-quarantined"
-WATCHDOG_BREACH = "watchdog-breach"
 DRAM_CORRECTED = "dram-corrected"
-DRAM_RETRIED = "dram-retried"
 DRAM_UNCORRECTABLE = "dram-uncorrectable"
-TRACE_SALVAGED = "trace-salvaged"
 FRAME_RETIRED = "frame-retired"
 RETIREMENT_SUPPRESSED = "retirement-suppressed"
 VICTIM_REFRESHED = "victim-refreshed"

@@ -104,7 +104,8 @@ def write_checkpoint_version(path, simulator, version: int) -> None:
     """A checkpoint of ``simulator`` whose header claims format
     ``version`` (1: before RAS, tenancy and data-safe abort state; 2:
     sub-block recency on the engine, not the monitor; 3: per-component
-    state dicts instead of the pickled simulator)."""
+    state dicts instead of the pickled simulator; 4: per-page timeline
+    lists; 5: a wear model that took each copy's size per call)."""
     save_checkpoint(path, simulator, SimulationResult())
     with open(path, "r+b") as fh:
         fh.seek(len(CHECKPOINT_MAGIC))

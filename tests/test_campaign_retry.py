@@ -1,6 +1,7 @@
 """RetryPolicy: backoff shape and classification.
 
-No test here sleeps — time is injected through
+The policy's one retry loop is the supervisor's process path;
+``tests/test_campaign_supervisor.py`` drives it under a
 :class:`repro.campaign.FakeClock`.
 """
 
@@ -11,9 +12,9 @@ from repro.campaign.retry import MAX_DELAY_S
 from repro.errors import (
     CampaignError,
     FaultInjectionError,
+    SimulationError,
     TaskCrashError,
     TaskTimeoutError,
-    WatchdogError,
 )
 
 
@@ -28,23 +29,6 @@ class TestBackoffSequence:
         assert policy.backoff(6) == MAX_DELAY_S == 30.0
         assert policy.backoff(9) == 30.0
 
-    def test_call_sleeps_the_backoff_sequence(self):
-        clock = FakeClock()
-        policy = RetryPolicy(max_attempts=4, base_delay=0.5)
-        calls = []
-
-        def flaky():
-            calls.append(1)
-            if len(calls) < 4:
-                raise TaskCrashError("transient")
-            return "done"
-
-        result, attempts = policy.call(flaky, clock=clock)
-        assert result == "done"
-        assert attempts == 4
-        assert clock.sleeps == [0.5, 1.0, 2.0]
-        assert clock.now == pytest.approx(3.5)
-
     def test_first_try_has_no_delay(self):
         assert RetryPolicy().backoff(0) == 0.0
 
@@ -54,38 +38,14 @@ class TestClassification:
     def test_default_retryable_kinds(self, exc):
         assert RetryPolicy().is_retryable(exc)
 
-    # an injected-fault parameter error or a blown epoch budget is a pure
+    # an injected-fault parameter error or a simulation error is a pure
     # function of the config and trace: a rerun fails the same way
     @pytest.mark.parametrize("exc", [ValueError("x"), KeyError("x"),
                                      CampaignError("x"),
                                      FaultInjectionError("x"),
-                                     WatchdogError("x")])
+                                     SimulationError("x")])
     def test_default_non_retryable_kinds(self, exc):
         assert not RetryPolicy().is_retryable(exc)
-
-    def test_non_retryable_propagates_immediately(self):
-        clock = FakeClock()
-        calls = []
-
-        def bad():
-            calls.append(1)
-            raise ValueError("bug, not weather")
-
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=5).call(bad, clock=clock)
-        assert len(calls) == 1
-        assert clock.sleeps == []
-
-    def test_exhausted_retryable_raises_last_error(self):
-        clock = FakeClock()
-        policy = RetryPolicy(max_attempts=3, base_delay=0.1)
-
-        def always():
-            raise TaskCrashError("still broken")
-
-        with pytest.raises(TaskCrashError):
-            policy.call(always, clock=clock)
-        assert len(clock.sleeps) == 2  # retries, not attempts
 
 
 class TestValidation:

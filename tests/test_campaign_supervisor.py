@@ -21,9 +21,10 @@ from repro.campaign import (
     CampaignManifest,
     CampaignSupervisor,
     CampaignTask,
+    FakeClock,
     RetryPolicy,
 )
-from repro.errors import CampaignError
+from repro.errors import CampaignError, TaskCrashError
 from repro.stats.report import campaign_table
 
 FAST_RETRY = RetryPolicy(max_attempts=2, base_delay=0.01)
@@ -47,6 +48,10 @@ def sleep_forever():
 
 def raise_value_error():
     raise ValueError("deterministic bug, retrying cannot help")
+
+
+def raise_task_crash():
+    raise TaskCrashError("raised by the task itself, not a dead worker")
 
 
 def stop_self_then_sleep():
@@ -89,6 +94,17 @@ class TestInlineSerial:
         # siblings completed despite the failure
         assert report.result("good") == 6
         assert report.result("also-good") == 8
+
+    def test_inline_task_runs_once(self):
+        """Inline, no worker can crash or time out: a task that raises a
+        retryable error itself fails on its one attempt."""
+        report = CampaignSupervisor(retry=RetryPolicy(max_attempts=3)).run(
+            [CampaignTask("crash", raise_task_crash)]
+        )
+        outcome = report.by_id["crash"]
+        assert outcome.status == FAILED
+        assert outcome.attempts == 1
+        assert "TaskCrashError" in outcome.error
 
     def test_duplicate_task_ids_rejected(self):
         with pytest.raises(CampaignError, match="duplicate"):
@@ -154,6 +170,22 @@ class TestCrashIsolation:
         assert log.read_text().count("\n") == runs_before
         # skipped tasks still expose their manifest-stored results
         assert report2.result("ok3") == 6
+
+    def test_crashed_worker_relaunches_after_its_backoff(self):
+        """The process path is the one retry loop: a worker that crashes
+        is launched ``max_attempts`` times, each relaunch after its
+        backoff. FakeClock advances only on sleeps, so every wait the
+        supervisor sleeps is exactly the delay."""
+        retry = RetryPolicy(max_attempts=3, base_delay=0.5)
+        supervisor = CampaignSupervisor(jobs=2, retry=retry)
+        clock = supervisor.clock = FakeClock()
+        report = supervisor.run([CampaignTask("crash", crash_hard)])
+        outcome = report.by_id["crash"]
+        assert outcome.status == FAILED
+        assert outcome.attempts == retry.max_attempts
+        assert "TaskCrashError" in outcome.error
+        assert clock.sleeps == [retry.backoff(1), retry.backoff(2)]
+        assert clock.sleeps == [0.5, 1.0]
 
     def test_worker_exception_reaches_report(self):
         report = CampaignSupervisor(jobs=2, retry=FAST_RETRY,

@@ -241,7 +241,6 @@ class TestDeferredConsumers:
 #: flush-predicate cells: name -> whether the run flushes every epoch
 FLUSH_CELLS = {
     "unfused": True,
-    "watchdog": True,
     "ras": True,
     "disturb": True,
     "default": False,
@@ -257,8 +256,6 @@ def _flush_cell_system(cell):
     cfg, kwargs = _cfg(), {}
     if cell == "unfused":
         kwargs["fused"] = False
-    elif cell == "watchdog":
-        cfg = cfg.with_resilience(epoch_cycle_budget=1 << 40)
     elif cell == "ras":
         cfg = cfg.with_ras(enabled=True)
     elif cell == "disturb":

@@ -29,7 +29,6 @@ from repro.errors import (
     CheckpointError,
     MigrationError,
     TranslationTableError,
-    WatchdogError,
 )
 from repro.experiments import chaos_soak, hammer_soak
 from repro.migration.algorithms import (
@@ -43,7 +42,6 @@ from repro.resilience import (
     AUDIT_FAILED,
     MIGRATION_QUARANTINED,
     TABLE_REPAIRED,
-    WATCHDOG_BREACH,
     FaultEvent,
     FaultKind,
     FaultPlan,
@@ -590,7 +588,7 @@ class TestRollbackMatrix:
 
 
 # ----------------------------------------------------------------------
-# audits, repair, watchdog, ECC
+# audits, repair, ECC
 # ----------------------------------------------------------------------
 class TestAuditAndRepair:
     def test_stuck_bits_detected_and_repaired(self):
@@ -648,28 +646,6 @@ class TestAuditAndRepair:
             table.repair()
 
 
-class TestWatchdog:
-    def test_raise_mode(self):
-        cfg = config("live", epoch_cycle_budget=10, watchdog_action="raise")
-        sim = repro.EpochSimulator(cfg)
-        with pytest.raises(WatchdogError, match="budget"):
-            sim.run(synthetic_trace(n=2 * INTERVAL, seed=0))
-
-    def test_degrade_mode_records_and_finishes(self):
-        cfg = config("live", epoch_cycle_budget=10, watchdog_action="degrade")
-        sim = repro.EpochSimulator(cfg)
-        result = sim.run(synthetic_trace(n=4 * INTERVAL, seed=0))
-        assert result.n_accesses == 4 * INTERVAL
-        kinds = summarize_events(result.degradation_events)
-        assert kinds.get(WATCHDOG_BREACH) == 4
-
-    def test_generous_budget_is_silent(self):
-        cfg = config("live", epoch_cycle_budget=1 << 40)
-        sim = repro.EpochSimulator(cfg)
-        result = sim.run(synthetic_trace(n=2 * INTERVAL, seed=0))
-        assert not result.degradation_events
-
-
 class TestEcc:
     def test_transient_errors_fully_accounted(self):
         cfg = config("live")
@@ -721,8 +697,6 @@ class TestResilienceConfig:
             ResilienceConfig(audit_interval=-1)
         with pytest.raises(Exception):
             ResilienceConfig(max_consecutive_failures=0)
-        with pytest.raises(Exception):
-            ResilienceConfig(watchdog_action="panic")
 
     def test_with_resilience_builder(self):
         cfg = config()

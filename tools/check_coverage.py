@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Gate line coverage of the migration + datamodel trees.
+"""Gate line coverage of the migration, datamodel and tenancy trees.
 
 Reads a Cobertura ``coverage.xml`` (as written by ``pytest --cov
 --cov-report=xml``) with nothing but the standard library, aggregates
