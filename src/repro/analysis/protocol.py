@@ -281,8 +281,8 @@ def _execute_plan(machine: _Machine, plan: SwapPlan, *, live: bool,
     """Run the plan; call ``on_boundary(b, step_index, label)`` after the
     initial state and after every step / sub-block micro-step.
 
-    Stalling (N) plans get boundaries only at the ends — execution is
-    halted, so no access can observe the intermediate states.
+    A stalling (N) plan has one boundary, at its end — execution is
+    halted, so no access can observe the initial or intermediate states.
     """
     table = machine.table
     S = machine.S
@@ -321,18 +321,6 @@ def _execute_plan(machine: _Machine, plan: SwapPlan, *, live: bool,
             on_boundary(b, i, step.label)
             b += 1
     on_boundary(b, len(plan.steps) - 1, "plan complete")
-
-
-def _count_boundaries(plan: SwapPlan, *, live: bool, S: int) -> int:
-    if plan.stall:
-        return 2
-    n = 1  # initial
-    for step in plan.steps:
-        if isinstance(step, CopyStep) and live and step.incoming:
-            n += S
-        else:
-            n += 1
-    return n + 1  # final
 
 
 # ----------------------------------------------------------------------
@@ -379,7 +367,6 @@ def check_plan(
     S = amap.subblocks_per_page
     ghost = amap.ghost_page
     pages = [p for p in range(amap.n_total_pages) if p != ghost]
-    result.n_boundaries = _count_boundaries(plan, live=live, S=S)
 
     def violated(machine, invariant, b, i, label, page, sb, message):
         if len(result.violations) < max_violations:
@@ -396,7 +383,7 @@ def check_plan(
     seen_routes: dict[int, set[tuple[bool, int]]] = {p: set() for p in pages}
 
     def dry_boundary(b, i, label):
-        result.n_runs += 0
+        result.n_boundaries = b + 1
         try:
             machine.table.check_invariants()
         except TranslationTableError as exc:
@@ -456,8 +443,9 @@ def check_plan(
         )
 
     if plan.stall:
-        # execution is halted for the whole plan: the dry run's two
-        # boundaries are the only observable states; no write interleaving
+        # execution is halted for the whole plan: the dry run's one
+        # boundary, at its end, is the only observable state; no write
+        # interleaving
         return result
 
     # ---- exhaustive single-write interleavings ------------------------

@@ -9,7 +9,9 @@ engine feeds it every copy its plans perform — at the cycle the copy
 lands, so a read that races a half-landed fill is checked against what
 the machine location *actually holds at that time*.
 
-The model is deliberately identical to the checker's ``_Machine``:
+The model is deliberately identical to the checker's ``_Machine``
+(``tests/test_shadow_differential.py`` drives both through the same
+copies, links, writes and reads):
 
 * locations are ``("slot", i)`` / ``("mach", p)`` / ``("buf", 0)``;
 * a copy first kills any write-forwarding link through its destination,
@@ -24,8 +26,10 @@ The model is deliberately identical to the checker's ``_Machine``:
   harness asserts on the collected list).
 
 Timing: :meth:`ShadowMemory.feed` only buffers an epoch's routed
-accesses; :meth:`ShadowMemory.process` resolves the whole buffer and the
-engine's time-ordered op queue in one vectorised pass. Each queued op is
+accesses; :meth:`ShadowMemory.process` checks the whole buffer in one
+sequential compiled pass (``shadow_pass`` in ``dram/fifo_kernel.c``,
+loaded by :mod:`repro.dram.kernel`), which applies the engine's
+time-ordered op queue between the accesses. Each queued op is
 placed before the first buffered access with an equal-or-later timestamp
 (``times >= ready`` is how the controller serves a landed sub-block, so
 an op with ``time <= access_time`` has landed), never before its
@@ -48,7 +52,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..dram.kernel import shadow_pass
 from ..migration.table import Location, TranslationTable
+
+#: engine op kinds, in the order ``shadow_pass`` numbers them
+_OP_KINDS = ("copy", "link", "close")
 
 
 @dataclass(frozen=True)
@@ -75,16 +83,6 @@ class DataViolation:
             f"resolved to {self.location} holding {holds}, expected "
             f"page {self.page} g{self.expected[1]}"
         )
-
-
-def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Concatenated ``arange(lo[k], hi[k])`` for every k (empty if lo >= hi)."""
-    counts = np.maximum(hi - lo, 0)
-    total = int(counts.sum())
-    if not total:
-        return np.zeros(0, dtype=np.int64)
-    starts = np.cumsum(counts) - counts
-    return np.repeat(lo - starts, counts) + np.arange(total, dtype=np.int64)
 
 
 class ShadowMemory:
@@ -285,12 +283,11 @@ class ShadowMemory:
         self._buffered += len(times)
 
     def process(self) -> None:
-        """Check/record every buffered access in one vectorised pass.
+        """Check/record every buffered access in one compiled pass.
 
-        The queued ops that land inside the buffer get sequence numbers
-        between the accesses; writes, forwarded writes and copies become
-        value events on cells; one sort by (cell, sequence) gives each
-        read the last value its cell held before it. Afterwards
+        The pass (``shadow_pass`` in ``dram/fifo_kernel.c``) walks the
+        buffer in access order and applies each queued op that lands
+        inside it just before the access it lands before. Afterwards
         :attr:`violations`, :attr:`reads` and :attr:`writes` are
         complete and the buffer holds no array.
         """
@@ -302,101 +299,33 @@ class ShadowMemory:
             ))
 
     def _resolve(self, times, pages, subblocks, on, machine, writes) -> None:
-        n_sb = self.n_subblocks
-        writes = writes.astype(bool, copy=False)
         taken, pos = self._take_ops(times)
-        n, m = len(times), len(taken)
-        span = n + m + 1  # sequence numbers lie in [0, n + m)
-        # op j goes just before access pos[j], after the ops ahead of it
-        op_seq = pos + np.arange(m)
-        seq = np.arange(n) + np.cumsum(np.bincount(pos, minlength=n))
-
-        # Ω and RAS spares carry no data
-        dead = self._dead[pages]
-        if dead.any():
-            live = np.flatnonzero(~dead)
-            times, pages, subblocks, on, machine, writes, seq = (
-                a[live] for a in (times, pages, subblocks, on, machine, writes, seq)
-            )
-        loc = np.where(on, machine, machine + self._n_slots)
-        cell = loc * n_sb + subblocks
-        self._held[loc] = True
-        expected = self._expected_generations(pages * n_sb + subblocks, writes)
-        intervals, copy_src, copy_dst, copy_seq = self._walk_ops(
-            taken, op_seq.tolist(), span
+        ops, landed = [], []
+        for (_, kind, payload, _), before in zip(taken, pos.tolist()):
+            ends = [self._index(loc) for loc in payload[:2]] or [0, 0]
+            sbs = ()
+            if kind == "copy":
+                sbs = range(self.n_subblocks) if payload[2] is None else payload[2]
+                landed += sbs
+            ops.append((before, _OP_KINDS.index(kind), *ends, len(sbs)))
+        bad, (n_reads, n_writes), self._links = shadow_pass(
+            pages, subblocks, on, machine, writes, ops, landed, self._links,
+            (self._n_slots, self._dead, self._page, self._gen, self._held,
+             self._generation),
         )
-
-        # value events: writes and forwarded writes carry a literal value;
-        # a copy takes its source cell's value as of its sequence number
-        # (the cell's pre-pass value unless an event lands there earlier)
-        w = np.flatnonzero(writes)
-        fwd_from, fwd_dst = self._forwards(w, loc, seq, intervals, span)
-        lit = np.concatenate([w, fwd_from])
-        ev_cell = np.concatenate(
-            [cell[w], fwd_dst * n_sb + subblocks[fwd_from], copy_dst]
-        )
-        ev_key = ev_cell * span + np.concatenate([seq[lit], copy_seq])
-        ev_page = np.concatenate([pages[lit], self._page[copy_src]])
-        ev_gen = np.concatenate([expected[lit], self._gen[copy_src]])
-
-        # one sort orders the value events and the reads by (cell, seq);
-        # events sharing a key carry the same value (a write and its
-        # forward to the same cell, or duplicate links), so any order
-        # among them is as good as a stable one
-        r = np.flatnonzero(~writes)
-        n_ev = len(ev_key)
-        merged = np.argsort(np.concatenate([ev_key, cell[r] * span + seq[r]]))
-        is_ev = merged < n_ev
-        order = merged[is_ev]
-        # sorted events, plus a trailing sentinel that index -1 hits
-        ev_key = ev_key[order]
-        ev_cell = np.append(ev_cell[order], -1)
-
-        # each copy reads its source cell's last earlier event, if any;
-        # chains (slot -> buf -> mach) resolve by pointer jumping
-        ref = np.searchsorted(ev_key, copy_src * span + copy_seq) - 1
-        has_ref = ev_cell[ref] == copy_src
-        rank = np.empty_like(order)
-        rank[order] = np.arange(n_ev)
-        ptr = np.arange(n_ev)
-        ptr[rank[len(lit):][has_ref]] = ref[has_ref]
-        while True:
-            nxt = ptr[ptr]
-            if np.array_equal(nxt, ptr):
-                break
-            ptr = nxt
-        ev_page = np.append(ev_page[order][ptr], 0)
-        ev_gen = np.append(ev_gen[order][ptr], 0)
-
-        # reads, in (cell, seq) order: the cell's last value event
-        # before the read, else its pre-pass value
-        rs = r[merged[~is_ev] - n_ev]
-        at = (np.cumsum(is_ev) - 1)[~is_ev]
-        r_cell = cell[rs]
-        hit = ev_cell[at] == r_cell
-        found_page = np.where(hit, ev_page[at], self._page[r_cell])
-        found_gen = np.where(hit, ev_gen[at], self._gen[r_cell])
-        bad = np.flatnonzero((found_page != pages[rs]) | (found_gen != expected[rs]))
-        bad = bad[np.argsort(rs[bad])]  # access order
-        for a, fp, fg in zip(
-            rs[bad].tolist(), found_page[bad].tolist(), found_gen[bad].tolist()
-        ):
+        for a, fp, fg, eg in bad.tolist():
+            m = int(machine[a])
             self.violations.append(
                 DataViolation(
                     time=int(times[a]), page=int(pages[a]),
                     subblock=int(subblocks[a]),
-                    location=self._location(int(loc[a])),
+                    location=("slot", m) if on[a] else ("mach", m),
                     found=None if fp < 0 else (fp, fg),
-                    expected=(int(pages[a]), int(expected[a])),
+                    expected=(int(pages[a]), eg),
                 )
             )
-        self.reads += len(r)
-        self.writes += len(w)
-
-        # write-back: each cell keeps its last event
-        final = np.flatnonzero(ev_cell[1:] != ev_cell[:-1])  # sentinel last
-        self._page[ev_cell[final]] = ev_page[final]
-        self._gen[ev_cell[final]] = ev_gen[final]
+        self.reads += n_reads
+        self.writes += n_writes
 
     def _take_ops(self, times) -> tuple[list, np.ndarray]:
         """Dequeue the ops that land among the buffered accesses.
@@ -417,96 +346,6 @@ class ShadowMemory:
             np.array([op[3] for op in taken], dtype=np.int64),
         )
         return taken, np.maximum.accumulate(pos)
-
-    def _expected_generations(self, key, writes) -> np.ndarray:
-        """Per access, the generation its (page, sub-block) ``key`` holds
-        once the access is done: the prior one plus the writes so far.
-        The last access of each key leaves its count in _generation."""
-        # stable by key: the composite is unique, so quicksort suffices
-        order = np.argsort(key * len(key) + np.arange(len(key)))
-        key, writes = key[order], writes[order]
-        first = np.ones(len(key), dtype=bool)
-        first[1:] = key[1:] != key[:-1]
-        starts = np.flatnonzero(first)
-        counts = np.cumsum(writes, dtype=np.int64)
-        counts -= np.repeat(
-            counts[starts] - writes[starts], np.diff(starts, append=len(key))
-        )
-        gen = self._generation[key] + counts
-        tail = np.empty_like(first)  # the last access of each key
-        tail[:-1] = first[1:]
-        tail[-1:] = True
-        self._generation[key[tail]] = gen[tail]
-        expected = np.empty_like(gen)
-        expected[order] = gen
-        return expected
-
-    def _walk_ops(self, taken: list, op_seq: list[int], span: int):
-        """Walk the (short) list of taken ops in queue order.
-
-        Returns every forwarding link's live interval as ``(src, dst,
-        opened, killed)`` location indices and sequence numbers — a copy
-        to either end of a link, or a close, kills it; links still live
-        get ``killed = span`` and stay in ``_links`` — and the copy
-        events as flat arrays of source cell, destination cell and
-        sequence number.
-        """
-        n_sb = self.n_subblocks
-        links = [(s, d, -1) for s, d in self._links]
-        intervals: list[tuple[int, int, int, int]] = []
-        src_locs: list[int] = []
-        dst_locs: list[int] = []
-        seqs: list[int] = []
-        sbs: list[int] = []
-        touched: list[int] = []
-        every_sb = range(n_sb)
-        for (_, kind, payload, _), s in zip(taken, op_seq):
-            if kind == "copy":
-                src, dst = self._index(payload[0]), self._index(payload[1])
-                keep = []
-                for link in links:
-                    if dst in link[:2]:
-                        intervals.append((*link, s))
-                    else:
-                        keep.append(link)
-                links = keep
-                touched += (src, dst)
-                landed = every_sb if payload[2] is None else payload[2]
-                src_locs += [src] * len(landed)
-                dst_locs += [dst] * len(landed)
-                seqs += [s] * len(landed)
-                sbs += landed
-            elif kind == "link":
-                links.append((self._index(payload[0]), self._index(payload[1]), s))
-            else:
-                intervals += [(*link, s) for link in links]
-                links = []
-        intervals += [(*link, span) for link in links]
-        self._links = [(a, b) for a, b, _ in links]
-        self._held[touched] = True
-        sbs = np.array(sbs, dtype=np.int64)
-        return (
-            intervals,
-            np.array(src_locs, dtype=np.int64) * n_sb + sbs,
-            np.array(dst_locs, dtype=np.int64) * n_sb + sbs,
-            np.array(seqs, dtype=np.int64),
-        )
-
-    def _forwards(self, w, loc, seq, intervals, span):
-        """Writes ``w`` at a link's source inside its live interval,
-        forwarded to its destination: (write index, destination)."""
-        none = np.zeros(0, dtype=np.int64)
-        if not intervals or not len(w):
-            return none, none
-        iv = np.array(intervals, dtype=np.int64)
-        wkey = loc[w] * span + seq[w]
-        by_key = np.argsort(wkey)  # unique keys
-        wkey = wkey[by_key]
-        lo = np.searchsorted(wkey, iv[:, 0] * span + iv[:, 2], side="right")
-        hi = np.searchsorted(wkey, iv[:, 0] * span + iv[:, 3], side="left")
-        dst = np.repeat(iv[:, 1], np.maximum(hi - lo, 0))
-        self._held[dst] = True
-        return w[by_key[_ranges(lo, hi)]], dst
 
     # ------------------------------------------------------------------
     # end-of-run verification

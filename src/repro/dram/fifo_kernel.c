@@ -1,4 +1,7 @@
-/* Per-bank FIFO DRAM service with open-page row hits, one sequential pass.
+/* The simulator's two compiled loops, one sequential pass each:
+ * fifo_service (the DRAM fast model) and shadow_pass (the data shadow).
+ *
+ * fifo_service: per-bank FIFO DRAM service with open-page row hits.
  *
  * Access i goes to queue q = queue[i], row row[i], at arrival a. With s
  * the hit or miss cycles (hit iff row == open_row[q]) and prev the
@@ -69,4 +72,94 @@ int fifo_service(int64_t n, const int64_t *queue, const int64_t *row,
     }
     *n_hits = hits;
     return 0;
+}
+
+/* shadow_pass: check one buffered chunk of the data shadow
+ * (datamodel/shadow.py) in access order.
+ *
+ * A location is a slot, n_slots + a machine page, or the bounce buffer;
+ * its sub-block sb is cell loc * n_sb + sb, holding (cell_page, cell_gen),
+ * page -1 being garbage; generation[page * n_sb + sb] is the last written
+ * generation. Op j is (before, kind, src, dst, n_landed) and applies, in
+ * queue order, just before access `before`:
+ *   COPY  kills every link with an endpoint at dst, then copies the next
+ *         n_landed sub-blocks of `landed` from src to dst;
+ *   LINK  opens the link (src, dst); links has a spare row per op;
+ *   CLOSE kills every link.
+ * Access i is at on[i] ? machine[i] : n_slots + machine[i]; one to a dead
+ * page (Ω, a RAS spare) is skipped. A write bumps its generation and lands
+ * (page, generation) at its cell and through every link from there; a
+ * read whose cell holds anything else is a violation, appended to bad as
+ * (i, found page, found gen, expected gen). Every location touched gets
+ * held = 1, and counts gets (reads, writes). Returns the violation count,
+ * or -1 at the first page, sub-block or location out of range, leaving
+ * the state partial.
+ */
+enum { COPY, LINK, CLOSE };
+
+int64_t shadow_pass(int64_t n, const int64_t *page, const int64_t *subblock,
+                    const uint8_t *on, const int64_t *machine,
+                    const uint8_t *write, int64_t n_ops, const int64_t (*op)[5],
+                    const int64_t *landed, int64_t n_pages, int64_t n_slots,
+                    int64_t n_locs, int64_t n_sb, const uint8_t *dead,
+                    int64_t *cell_page, int64_t *cell_gen, uint8_t *held,
+                    int64_t *generation, int64_t (*links)[2], int64_t *n_links,
+                    int64_t *counts, int64_t (*bad)[4])
+{
+    int64_t j = 0, n_bad = 0, n_link = *n_links;
+    counts[0] = counts[1] = 0;
+    for (int64_t i = 0; i < n; i++) {
+        for (; j < n_ops && op[j][0] <= i; j++) {
+            int64_t kind = op[j][1], src = op[j][2], dst = op[j][3], kept = 0;
+            if (kind == CLOSE) {
+                n_link = 0;
+                continue;
+            }
+            if (src < 0 || src >= n_locs || dst < 0 || dst >= n_locs)
+                return -1;
+            if (kind == LINK) {
+                links[n_link][0] = src;
+                links[n_link++][1] = dst;
+                continue;
+            }
+            for (int64_t k = 0; k < n_link; k++)
+                if (links[k][0] != dst && links[k][1] != dst)
+                    links[kept][0] = links[k][0], links[kept++][1] = links[k][1];
+            n_link = kept;
+            held[src] = held[dst] = 1;
+            for (int64_t k = 0; k < op[j][4]; k++, landed++) {
+                if (*landed < 0 || *landed >= n_sb)
+                    return -1;
+                cell_page[dst * n_sb + *landed] = cell_page[src * n_sb + *landed];
+                cell_gen[dst * n_sb + *landed] = cell_gen[src * n_sb + *landed];
+            }
+        }
+        int64_t p = page[i], sb = subblock[i];
+        int64_t loc = on[i] ? machine[i] : n_slots + machine[i];
+        if (p < 0 || p >= n_pages || sb < 0 || sb >= n_sb)
+            return -1;
+        if (dead[p])
+            continue;
+        if (loc < 0 || loc >= n_locs)
+            return -1;
+        int64_t c = loc * n_sb + sb, *gen = generation + p * n_sb + sb;
+        held[loc] = 1;
+        counts[write[i] ? 1 : 0]++;
+        if (write[i]) {
+            cell_page[c] = p;
+            cell_gen[c] = ++*gen;
+            for (int64_t k = 0; k < n_link; k++) {
+                if (links[k][0] == loc) {
+                    held[links[k][1]] = 1;
+                    cell_page[links[k][1] * n_sb + sb] = p;
+                    cell_gen[links[k][1] * n_sb + sb] = *gen;
+                }
+            }
+        } else if (cell_page[c] != p || cell_gen[c] != *gen) {
+            bad[n_bad][0] = i, bad[n_bad][1] = cell_page[c];
+            bad[n_bad][2] = cell_gen[c], bad[n_bad++][3] = *gen;
+        }
+    }
+    *n_links = n_link;
+    return n_bad;
 }

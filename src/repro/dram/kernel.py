@@ -1,6 +1,10 @@
-"""Build, cache and load the compiled FIFO kernel (``fifo_kernel.c``).
+"""Build, cache and load the compiled kernel (``fifo_kernel.c``).
 
-The first import compiles the shipped C source with ``$CC``, else the
+The one C source holds the simulator's two compiled loops:
+:func:`fifo_service`, the DRAM fast model's FIFO pass, and
+:func:`shadow_pass`, the data shadow's per-chunk check
+(:mod:`repro.datamodel.shadow`); both come from one library. The first
+import compiles the shipped C source with ``$CC``, else the
 compiler Python was built with (``sysconfig``'s ``CC``), into
 ``$XDG_CACHE_HOME/repro`` (default ``~/.cache/repro``). The file name
 is a sha256 of the source, flags and platform, so later imports load it
@@ -76,7 +80,7 @@ def build(directory: Path, cc: list[str]) -> Path:
 
 
 def load(path: Path) -> ctypes.CDLL:
-    """Load a built kernel and declare ``fifo_service``'s signature."""
+    """Load a built kernel and declare its functions' signatures."""
     try:
         lib = ctypes.CDLL(str(path))
     except OSError as exc:
@@ -84,10 +88,12 @@ def load(path: Path) -> ctypes.CDLL:
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
     lib.fifo_service.argtypes = (i64, ptr, ptr, ptr, i64, ptr, i64, ptr, ptr, i64, i64, i64, ptr, ptr, ptr)
     lib.fifo_service.restype = ctypes.c_int
+    lib.shadow_pass.argtypes = (i64, *[ptr] * 5, i64, ptr, ptr, *[i64] * 4, *[ptr] * 9)
+    lib.shadow_pass.restype = i64
     return lib
 
 
-_fifo_service = load(build(cache_dir(), compiler())).fifo_service
+_lib = load(build(cache_dir(), compiler()))
 
 #: why ``fifo_service`` stopped, by its nonzero status
 _STATUS = {
@@ -115,7 +121,7 @@ def fifo_service(  # repro-domain: arrivals=useful_cycles, ready=useful_cycles
         raise SimulationError("kernel inputs must align")
     latency, scratch = np.empty(n, dtype=np.int64), np.zeros(4 * ready.size, dtype=np.int64)
     hits = ctypes.c_int64(0)
-    status = _fifo_service(
+    status = _lib.fifo_service(
         n, queues.ctypes.data, rows.ctypes.data, arrivals.ctypes.data,
         seg_starts.size, seg_starts.ctypes.data,
         ready.size, open_row.ctypes.data, ready.ctypes.data,
@@ -125,3 +131,39 @@ def fifo_service(  # repro-domain: arrivals=useful_cycles, ready=useful_cycles
     if status:
         raise SimulationError(f"DRAM service rejected: {_STATUS[status]}")
     return latency, hits.value, open_row, ready
+
+
+def shadow_pass(pages, subblocks, on, machine, writes, ops, landed, links, state):
+    """One shadow check (``fifo_kernel.c``) over a chunk of routed accesses.
+
+    ``ops`` holds one ``(before, kind, src, dst, n_landed)`` row per
+    engine op (kind 0 copy, 1 link, 2 close), ``landed`` the copies'
+    sub-blocks back to back, and ``links`` the live ``(src, dst)``
+    location pairs. ``state`` is the shadow's ``(n_slots, dead,
+    cell_page, cell_gen, held, generation)``; its arrays are updated in
+    place. Returns the violations as ``(access, found page, found gen,
+    expected gen)`` rows, ``(reads, writes)`` and the links after the pass.
+    """
+    pages, subblocks, machine, ops, landed = (
+        np.ascontiguousarray(a, dtype=np.int64) for a in (pages, subblocks, machine, ops, landed)
+    )
+    on, writes = (np.ascontiguousarray(a, dtype=bool) for a in (on, writes))
+    n_slots, dead, cell_page, cell_gen, held, generation = state
+    n, n_sb = pages.size, generation.size // dead.size
+    if not subblocks.size == on.size == machine.size == writes.size == n:
+        raise SimulationError("shadow inputs must align")
+    # a spare row per op, for the links it may open
+    pairs = np.array([*links, *[(0, 0)] * len(ops)], dtype=np.int64)
+    n_links = ctypes.c_int64(len(links))
+    bad, counts = np.empty((n, 4), dtype=np.int64), np.zeros(2, dtype=np.int64)
+    n_bad = _lib.shadow_pass(
+        n, pages.ctypes.data, subblocks.ctypes.data, on.ctypes.data,
+        machine.ctypes.data, writes.ctypes.data, len(ops), ops.ctypes.data,
+        landed.ctypes.data, dead.size, n_slots, held.size, n_sb, dead.ctypes.data,
+        cell_page.ctypes.data, cell_gen.ctypes.data, held.ctypes.data,
+        generation.ctypes.data, pairs.ctypes.data, ctypes.byref(n_links),
+        counts.ctypes.data, bad.ctypes.data,
+    )
+    if n_bad < 0:
+        raise SimulationError("shadow check rejected: a page, sub-block or location is out of range")
+    return bad[:n_bad], counts.tolist(), list(map(tuple, pairs[: n_links.value].tolist()))

@@ -121,7 +121,7 @@ class AnalysisError(ReproError):
 
 
 class KernelBuildError(ReproError):
-    """The compiled DRAM kernel could not be built or loaded on import.
+    """The compiled kernel (``fifo_kernel.c``) could not be built or loaded on import.
 
     ``stderr`` holds the compiler's diagnostics. There is no fallback.
     """

@@ -1,12 +1,13 @@
 """Scalar reference for :class:`repro.datamodel.ShadowMemory`.
 
-This is the shadow memory as it stood before the one-pass resolver: every
-buffered access and every queued engine op is applied one at a time, in
-time order, by plain Python. It lives under ``tests/`` only, as the
-oracle ``test_shadow_differential.py`` drives side by side with the
-vectorised implementation; no simulator code path uses it.
+Every access and every queued engine op is applied one at a time, in
+time order, by plain Python: the loop the simulator's shadow runs as one
+compiled pass per chunk (``shadow_pass`` in ``dram/fifo_kernel.c``). It
+lives under ``tests/`` only, as the oracle ``test_shadow_differential.py``
+drives side by side with :class:`~repro.datamodel.ShadowMemory`; no
+simulator code path uses it.
 
-Its ``process`` takes the chunk arrays directly (the vectorised class
+Its ``process`` takes the chunk arrays directly (the simulator's class
 splits that into ``feed`` + ``process()``), and its op queue holds plain
 ``(time, kind, payload)`` triples, which is also the checkpoint schema.
 """

@@ -1,4 +1,4 @@
-"""Building, caching and loading the compiled FIFO kernel.
+"""Building, caching and loading the compiled kernel.
 
 The kernel is compiled once per source hash into a per-user cache
 (``$XDG_CACHE_HOME/repro``). These tests point that cache at a
@@ -21,14 +21,25 @@ from repro.errors import KernelBuildError, ReproError
 #: the directory holding the ``repro`` package, wherever it is installed
 PACKAGE_ROOT = str(Path(repro.__file__).resolve().parents[1])
 
-#: import the package and serve a few accesses through the kernel
+#: import the package, serve a few accesses through the kernel and
+#: check a read that follows a write through the shadow's pass
 SMOKE = """
 import numpy as np
+from repro.analysis.protocol import model_address_map
 from repro.config import offpkg_dram_timing
+from repro.datamodel import ShadowMemory
 from repro.dram import DramGeometry, FastDevice
+from repro.migration.table import TranslationTable
 lat = FastDevice(DramGeometry(offpkg_dram_timing())).service(
     np.arange(64, dtype=np.int64) * 64, np.arange(64, dtype=np.int64))
 assert (lat > 0).all()
+table = TranslationTable(model_address_map())
+shadow = ShadowMemory(table)
+kind, machine = table.location(5)
+shadow.feed(np.arange(2), np.full(2, 5), np.ones(2, dtype=np.int64),
+            np.full(2, kind == "slot"), np.full(2, machine), np.array([True, False]))
+shadow.process()
+assert (shadow.reads, shadow.writes, shadow.violations) == (1, 1, [])
 print("served")
 """
 
@@ -71,7 +82,8 @@ class TestBuild:
         # a compiler that cannot run proves the second call never calls one
         assert kernel.build(tmp_path, ["/nonexistent/cc"]) == target
         assert target.stat().st_mtime_ns == stamp
-        assert kernel.load(target).fifo_service is not None
+        lib = kernel.load(target)
+        assert lib.fifo_service is not None and lib.shadow_pass is not None
         assert [p.name for p in tmp_path.iterdir()] == [target.name]
 
     def test_missing_compiler_raises_typed_error(self, tmp_path):

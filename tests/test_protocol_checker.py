@@ -30,7 +30,12 @@ from repro.analysis.protocol import (
 )
 from repro.config import MigrationAlgorithm
 from repro.errors import AnalysisError
-from repro.migration.algorithms import CopyStep, TableUpdate, build_swap_steps
+from repro.migration.algorithms import (
+    CopyStep,
+    TableUpdate,
+    build_basic_swap_steps,
+    build_swap_steps,
+)
 from repro.migration.recovery import recovery_plan
 from repro.migration.table import TranslationTable
 from repro.resilience.faults import FaultKind
@@ -158,6 +163,22 @@ class TestMutatedPlanRejected:
             fresh_table, stalled, variant=MigrationAlgorithm.N_MINUS_1
         )
         assert any(v.invariant == STALL_ONLY_N for v in res.violations)
+
+    def test_stalling_plan_residue_names_its_one_boundary(self):
+        """A stalling plan has one boundary, at its end: the QUIESCENCE
+        counterexample of a stray P bit left behind names boundary 0."""
+        t = TranslationTable(AMAP)
+        mru, lru = candidate_pairs(t)[0]
+        plan = build_basic_swap_steps(TranslationTable(AMAP), mru, lru)
+        stray = TableUpdate("stray P bit", (("set_pending", (0, True)),))
+        bad = dataclasses.replace(plan, steps=(*plan.steps, stray))
+        res = check_plan(
+            lambda: TranslationTable(AMAP), bad, variant=MigrationAlgorithm.N
+        )
+        assert res.n_boundaries == 1
+        (v,) = [v for v in res.violations if v.invariant == QUIESCENCE]
+        assert v.boundary == 0
+        assert "stray P bit" in v.message
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,13 @@
-"""Differential tests: the one-pass shadow memory against the scalar one.
+"""Differential tests: the shadow memory against the scalar one and the checker.
 
 :class:`repro.datamodel.ShadowMemory` buffers routed accesses with
-``feed`` and resolves the buffer and the engine's op queue in one
-vectorised pass per ``process()``. ``tests/shadow_reference.py`` keeps
-the per-access scalar shadow it replaced. These tests drive both with
-the same inputs and require equal violation lists (content and order),
-generations, read/write counts, ``verify_table`` sweeps and checkpoint
-state:
+``feed`` and checks the buffer, with the engine's op queue applied
+between the accesses, in one compiled pass per ``process()``
+(``shadow_pass`` in ``dram/fifo_kernel.c``). ``tests/shadow_reference.py``
+keeps the per-access scalar shadow, the loop that pass states in C.
+These tests drive both with the same inputs and require equal violation
+lists (content and order), generations, read/write counts,
+``verify_table`` sweeps and checkpoint state:
 
 * a Hypothesis fuzz over raw shadow operations (sub-block counts 1, 4
   and 16; whole and partial copies through the bounce buffer; links,
@@ -15,8 +16,11 @@ state:
   schedule floor decides; accesses to Ω and to RAS spares);
 * whole tracked simulations of every design, clean and with a bare
   rollback that serves dead data;
-* a checkpoint the scalar class wrote, resumed by the vectorised one.
-"""
+* a checkpoint the scalar class wrote, resumed by the compiled one.
+
+A second Hypothesis test drives the shadow and the protocol checker's
+``_Machine`` through the same untimed copies, links, writes and reads:
+the two are one model."""
 
 from __future__ import annotations
 
@@ -32,7 +36,10 @@ from hypothesis import strategies as st
 
 import repro
 from repro.address import AddressMap
+from repro.analysis.protocol import _Machine, model_address_map
 from repro.datamodel import ShadowMemory
+from repro.errors import SimulationError
+from repro.migration.algorithms import CopyStep
 from repro.migration.table import TranslationTable
 from repro.trace.record import make_chunk
 from repro.units import KB
@@ -206,6 +213,71 @@ def test_pass_of_only_dead_accesses_still_lands_its_ops():
     assert_same(ref, new)
 
 
+def test_out_of_range_access_is_rejected():
+    shadow = ShadowMemory(make_table(4))
+    shadow.feed(*(np.array([v]) for v in (0, N_PAGES, 0, False, 0, False)))
+    with pytest.raises(SimulationError, match="out of range"):
+        shadow.process()
+
+
+# ----------------------------------------------------------------------
+# one model with the protocol checker
+# ----------------------------------------------------------------------
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_matches_checker_machine(data):
+    """The shadow is the checker's ``_Machine`` made live: the same
+    untimed copies, links, writes and reads give the same read verdicts,
+    cells, generations and live links."""
+    table = TranslationTable(model_address_map())
+    n_sb, n_pages = table.amap.subblocks_per_page, table.amap.n_total_pages
+    checker, shadow = _Machine(table), ShadowMemory(table)
+    # a few locations per example, so copies, links and accesses meet
+    pool = data.draw(st.lists(st.sampled_from(
+        [("slot", i) for i in range(table.n_slots)]
+        + [("mach", p) for p in range(n_pages)] + [("buf", 0)]
+    ), min_size=2, max_size=5, unique=True))
+    loc = st.sampled_from(pool)
+    pages = [p for p in range(n_pages) if p not in table.dataless_pages]
+    pages = [p for p in pages if table.location(p) in pool] or pages
+    for _ in range(data.draw(st.integers(1, 30))):
+        action = data.draw(st.sampled_from(["copy", "link", "write", "read"]))
+        if action in ("copy", "link"):
+            step = CopyStep(action, data.draw(loc), data.draw(loc))
+        if action == "copy":
+            sbs = data.draw(st.none() | st.lists(
+                st.integers(0, n_sb - 1), min_size=1, max_size=n_sb, unique=True
+            ))
+            checker.copy(step, sbs)
+            payload = (step.src, step.dst, None if sbs is None else tuple(sbs))
+            shadow.schedule(0, "copy", payload)
+        elif action == "link":
+            checker.link(step)
+            shadow.schedule(0, "link", (step.src, step.dst))
+        else:
+            page = data.draw(st.sampled_from(pages))
+            sb = data.draw(st.integers(0, n_sb - 1))
+            kind, i = table.location(page)
+            seen = len(shadow.violations)
+            # the ops scheduled since the last access land just before it
+            shadow.feed(*(np.array([v]) for v in (
+                0, page, sb, kind == "slot", i, action == "write"
+            )))
+            shadow.process()
+            if action == "write":
+                checker.write(page, sb, live=True)
+            else:
+                clean = checker.read_check(page, sb, live=True) is None
+                assert clean == (len(shadow.violations) == seen)
+    shadow.flush()
+    state = shadow.state_dict()
+    assert state["contents"] == checker.contents
+    assert shadow.generation == checker.version
+    assert state["links"] == [
+        [link.src, link.dst] for link in checker.links if link.live
+    ]
+
+
 # ----------------------------------------------------------------------
 # whole tracked simulations
 # ----------------------------------------------------------------------
@@ -256,7 +328,7 @@ def test_tracked_simulation_matches_reference(algo, plan, bare, monkeypatch):
 def test_reference_checkpoint_resumes_identically(monkeypatch):
     """The shadow's compact state (its pickle form) is unchanged: a state
     the scalar shadow wrote mid-run continues bit-identically in the
-    vectorised one."""
+    compiled one."""
     cfg = config("live")
     trace = write_trace(cfg, n_epochs=8, seed=5)
     _, whole = run_with(ShadowMemory, monkeypatch, cfg, trace, abort_plan(1, 8))
