@@ -13,15 +13,20 @@ intermediate states, so this module checks them all, statically:
    pages, which the step builders treat symmetrically);
 2. for every state and every legal (MRU, LRU) pair, take the
    *declarative* plan emitted by :mod:`repro.migration.algorithms` and
-   symbolically run it against a versioned shadow memory. The engine
-   runs the :class:`~repro.migration.template.SwapTemplate` derived
-   from that plan's shape, not the plan itself;
+   run it once on the table, checking the table-state invariants at
+   every step boundary and recording a tape: the plan's copies and
+   links, and where every (page, sub-block) resolves at each boundary.
+   The engine runs the :class:`~repro.migration.template.SwapTemplate`
+   derived from that plan's shape, not the plan itself;
    ``tests/test_swap_templates.py`` pins the two equal (copy steps,
    table after every update, routing timeline);
-3. at every step boundary (and every sub-block micro-boundary under
-   Live Migration) read **every** macro page, and re-run the plan once
-   per (boundary, involved page, sub-block) with a symbolic write
-   injected there, checking every subsequent boundary.
+3. routing never depends on a write, so every interleaving is a replay
+   of the tape through the simulator's own data model, a copy of the
+   pre-swap :class:`~repro.datamodel.ShadowMemory` (one compiled pass,
+   the boundary index as the time): read **every** macro page at every
+   step boundary (and every sub-block micro-boundary under Live
+   Migration), and replay once per (boundary, involved page, sub-block)
+   with a write injected there, checking every subsequent boundary.
 
 Checked invariants (names are stable — tests and docs key off them):
 
@@ -52,6 +57,7 @@ window that the hardware closes by construction.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -59,6 +65,7 @@ import numpy as np
 
 from ..address import AddressMap
 from ..config import MigrationAlgorithm
+from ..datamodel.shadow import DataViolation, ShadowMemory
 from ..errors import AnalysisError, TranslationTableError
 from ..migration.algorithms import (
     CopyStep,
@@ -184,143 +191,82 @@ def model_address_map(*, slots: int = 4, total_pages: int = 8,
 
 
 # ----------------------------------------------------------------------
-# symbolic machine
+# plan execution: the table advances, the data ops go on a tape
 # ----------------------------------------------------------------------
 @dataclass
-class _Link:
-    """A live controller write-forwarding link from a completed copy."""
+class _Tape:
+    """What a run of a plan does to memory contents, recorded once.
 
-    src: Location
-    dst: Location
-    live: bool = True
-
-
-class _Machine:
-    """Versioned shadow memory + plan executor over a real table."""
-
-    def __init__(self, table: TranslationTable):
-        self.table = table
-        self.amap = table.amap
-        self.S = self.amap.subblocks_per_page
-        #: controller-private pages carrying no program data (Ω and any
-        #: RAS retirement spares)
-        self.dead = table.dataless_pages
-        if table.filling:
-            raise AnalysisError("checker requires a quiescent starting table")
-        #: location -> per-sub-block (page, version) or None (garbage)
-        self.contents: dict[Location, list[tuple[int, int] | None]] = {}
-        #: (page, subblock) -> current data version
-        self.version: dict[tuple[int, int], int] = {}
-        for page in range(self.amap.n_total_pages):
-            if page in self.dead:
-                continue
-            self.contents[table.location(page)] = [(page, 0) for _ in range(self.S)]
-        self.links: list[_Link] = []
-        self.trace: list[str] = []
-
-    # -- memory primitives ----------------------------------------------
-    def _cells(self, loc: Location) -> list[tuple[int, int] | None]:
-        if loc not in self.contents:
-            self.contents[loc] = [None] * self.S
-        return self.contents[loc]
-
-    def _close_links_at(self, loc: Location) -> None:
-        for link in self.links:
-            if link.live and (link.src == loc or link.dst == loc):
-                link.live = False
-
-    def copy(self, step: CopyStep, subblocks: list[int] | None = None) -> None:
-        # the first byte landing at dst kills any older copy stream through
-        # that location — its forwarding link must not fire again
-        self._close_links_at(step.dst)
-        src, dst = self._cells(step.src), self._cells(step.dst)
-        for sb in subblocks if subblocks is not None else range(self.S):
-            dst[sb] = src[sb]
-
-    def link(self, step: CopyStep) -> None:
-        """Open the write-forwarding link once a copy has fully landed."""
-        self.links.append(_Link(step.src, step.dst))
-
-    def resolve_loc(self, page: int, sb: int, *, live: bool) -> Location:
-        return self.table.location(page, sb if live else None)
-
-    def read_check(self, page: int, sb: int, *, live: bool) -> tuple[str, str] | None:
-        """None if the access is served correctly, else (invariant, msg)."""
-        loc = self.resolve_loc(page, sb, live=live)
-        cell = self._cells(loc)[sb]
-        expected = (page, self.version.get((page, sb), 0))
-        if cell == expected:
-            return None
-        holds = "garbage" if cell is None else f"page {cell[0]} v{cell[1]}"
-        invariant = VALID_COPY
-        if live and page == self.table._fill_page:
-            invariant = STALE_SUBBLOCK
-        return (
-            invariant,
-            f"read page {page} sub-block {sb} resolves to {loc} which holds "
-            f"{holds}, expected page {page} v{expected[1]}",
-        )
-
-    def write(self, page: int, sb: int, *, live: bool) -> str:
-        loc = self.resolve_loc(page, sb, live=live)
-        v = self.version.get((page, sb), 0) + 1
-        self.version[(page, sb)] = v
-        self._cells(loc)[sb] = (page, v)
-        # controller write-forwarding into a still-uncommitted copy
-        for link in self.links:
-            if link.live and link.src == loc:
-                self._cells(link.dst)[sb] = (page, v)
-        return f"write page {page} sb {sb} -> {loc} v{v}"
-
-
-# ----------------------------------------------------------------------
-# plan execution with boundary callbacks
-# ----------------------------------------------------------------------
-def _execute_plan(machine: _Machine, plan: SwapPlan, *, live: bool,
-                  first_subblock: int, on_boundary) -> None:
-    """Run the plan; call ``on_boundary(b, step_index, label)`` after the
-    initial state and after every step / sub-block micro-step.
-
-    A stalling (N) plan has one boundary, at its end — execution is
-    halted, so no access can observe the initial or intermediate states.
+    ``ops`` are ``(boundary, kind, payload)`` triples for
+    :meth:`~repro.datamodel.ShadowMemory.schedule`: an op recorded
+    between boundaries ``b - 1`` and ``b`` carries time ``b``, so it
+    lands before any access fed at boundary ``b``. ``trace`` is the
+    executed-step log.
     """
-    table = machine.table
-    S = machine.S
+
+    ops: list[tuple[int, str, tuple]] = field(default_factory=list)
+    trace: list[str] = field(default_factory=list)
+
+
+def _execute_plan(table: TranslationTable, plan: SwapPlan, tape: _Tape, *,
+                  live: bool, first_subblock: int = 0):
+    """Run the plan on ``table``, recording its copies and links on
+    ``tape``; yield ``(b, step_index, label)`` at the initial state and
+    after every step / sub-block micro-step.
+
+    A copy kills the write-forwarding links through its destination and
+    lands (:class:`~repro.datamodel.ShadowMemory` applies that rule);
+    once it has fully landed it opens its own link, and links live until
+    the run ends. A stalling (N) plan has one boundary, at its end —
+    execution is halted, so no access can observe the initial or
+    intermediate states.
+    """
+    S = table.amap.subblocks_per_page
     b = 0
     if not plan.stall:
-        on_boundary(b, -1, "initial state")
+        yield b, -1, "initial state"
         b += 1
     for i, step in enumerate(plan.steps):
         if isinstance(step, TableUpdate):
-            machine.trace.append(f"step {i}: table update: {step.label}")
+            tape.trace.append(f"step {i}: table update: {step.label}")
             step.apply(table)
             if not plan.stall:
-                on_boundary(b, i, step.label)
+                yield b, i, step.label
                 b += 1
             continue
         if live and step.incoming and table.filling:
-            order = [(first_subblock + k) % S for k in range(S)]
-            for j in order:
-                machine.copy(step, subblocks=[j])
-                machine.trace.append(
+            for j in [(first_subblock + k) % S for k in range(S)]:
+                tape.ops.append((b, "copy", (step.src, step.dst, (j,))))
+                tape.trace.append(
                     f"step {i}: {step.label} [sub-block {j} lands]"
                 )
                 if table.filling:
                     table.fill_subblock(j)
                 if not plan.stall:
-                    on_boundary(b, i, f"{step.label} [sub-block {j}]")
+                    yield b, i, f"{step.label} [sub-block {j}]"
                     b += 1
-            machine.link(step)
+            tape.ops.append((b, "link", (step.src, step.dst)))
             continue
-        machine.copy(step)
-        machine.trace.append(f"step {i}: copy: {step.label}")
+        tape.ops.append((b, "copy", (step.src, step.dst, None)))
+        tape.trace.append(f"step {i}: copy: {step.label}")
         if step.incoming and table.filling:
             table.end_fill()
-        machine.link(step)
+        tape.ops.append((b, "link", (step.src, step.dst)))
         if not plan.stall:
-            on_boundary(b, i, step.label)
+            yield b, i, step.label
             b += 1
-    on_boundary(b, len(plan.steps) - 1, "plan complete")
+    yield b, len(plan.steps) - 1, "plan complete"
+
+
+def _replay(prototype: ShadowMemory, *batches) -> ShadowMemory:
+    """One interleaving of a recorded plan: a copy of ``prototype`` (the
+    pre-plan contents with the tape's ops scheduled) is fed each batch
+    of ``feed`` arrays, timed by boundary, and checked in one pass."""
+    run = copy.copy(prototype)
+    for batch in batches:
+        run.feed(*batch)
+    run.process()
+    return run
 
 
 # ----------------------------------------------------------------------
@@ -338,11 +284,17 @@ def check_plan(
     """Exhaustively check one plan from the state ``make_table`` yields.
 
     ``make_table`` is a zero-argument factory returning a fresh
-    :class:`TranslationTable` in the pre-swap state (called once per
-    interleaving run). ``write_pages`` limits the write sweep; ``None``
-    means *pages whose resolution the dry run saw change* (every other
-    page's routing is constant across the plan, so a write there is
-    equivalent at every boundary).
+    :class:`TranslationTable` in the pre-swap state. The plan runs on it
+    once (the dry run), which checks the table-state invariants and
+    records a tape: the plan's copies and links, and per boundary where
+    every (page, sub-block) resolves. Routing never depends on a write,
+    so each interleaving — the dry run's reads, and each single write —
+    is one replay of that tape through a copy of the pre-swap
+    :class:`~repro.datamodel.ShadowMemory`, with the boundary index as
+    the time. ``write_pages`` limits the write sweep; ``None`` means
+    *pages whose resolution the dry run saw change* (every other page's
+    routing is constant across the plan, so a write there is equivalent
+    at every boundary).
     """
     live = variant == MigrationAlgorithm.LIVE
     expect_stall = variant == MigrationAlgorithm.N
@@ -362,75 +314,120 @@ def check_plan(
             )
         )
 
-    probe = make_table()
-    amap = probe.amap
-    S = amap.subblocks_per_page
-    ghost = amap.ghost_page
-    pages = [p for p in range(amap.n_total_pages) if p != ghost]
+    table = make_table()
+    if table.filling:
+        raise AnalysisError("checker requires a quiescent starting table")
+    #: the pre-swap contents; every replay starts from a copy of it
+    shadow = ShadowMemory(table)
+    amap = table.amap
+    n_pages, S, ghost = amap.n_total_pages, amap.subblocks_per_page, amap.ghost_page
+    pages = [p for p in range(n_pages) if p not in table.dataless_pages]
 
-    def violated(machine, invariant, b, i, label, page, sb, message):
+    # ---- dry run: the table-state invariants, and the tape -------------
+    tape = _Tape()
+    #: per boundary: step index, label, trace length, the Live fill page
+    marks: list[tuple[int, str, int, int | None]] = []
+    #: per boundary, per page and sub-block: (on-package, machine page)
+    routes: list[list[list[tuple[bool, int]]]] = []
+    #: table-state violations, keyed (boundary, 0 before its reads or 2 after)
+    found: list[tuple] = []
+    seen_routes: dict[int, set[tuple[bool, int]]] = {p: set() for p in pages}
+    failure = None
+    try:
+        for b, i, label in _execute_plan(table, plan, tape, live=live,
+                                         first_subblock=first_subblock):
+            result.n_boundaries = b + 1
+            marks.append((i, label, len(tape.trace),
+                          table._fill_page if live else None))
+            try:
+                table.check_invariants()
+            except TranslationTableError as exc:
+                found.append(((b, 0), TABLE_BIJECTION, None, None, str(exc)))
+            # Ω must never be mapped while the swap is pending
+            if (
+                bool(np.any(table.pair == ghost))
+                or ghost in table._slot_of
+                or table._fill_page == ghost
+            ):
+                found.append((
+                    (b, 0), GHOST_UNMAPPED, ghost, None,
+                    f"reserved page Ω ({ghost}) is mapped into the table",
+                ))
+            at_ghost = []
+            for p in pages:
+                seen_routes[p].add(table.resolve(p))
+                if table.resolve(p) == (False, ghost):
+                    at_ghost.append(p)
+            if len(at_ghost) > 1:
+                found.append((
+                    (b, 2), GHOST_EXCLUSIVE, None, None,
+                    f"pages {at_ghost} all resolve to Ω simultaneously",
+                ))
+            routes.append([
+                [table.resolve(p, sb if live else None) for sb in range(S)]
+                for p in range(n_pages)
+            ])
+    except TranslationTableError as exc:
+        failure = exc
+    for op in tape.ops:
+        shadow.schedule(*op)
+    route = np.array(routes, dtype=np.int64).reshape(len(marks), n_pages, S, 2)
+
+    def reads(b, p, sb) -> list[np.ndarray]:
+        """``feed`` arrays reading page ``p`` sub-block ``sb`` at boundary
+        ``b`` (arrays), each at its boundary's routing."""
+        return [b, p, sb, route[b, p, sb, 0], route[b, p, sb, 1],
+                np.zeros(len(b), dtype=bool)]
+
+    def replay(batch) -> list[DataViolation]:
+        run = _replay(shadow, batch)
+        result.n_checks += run.reads
+        return run.violations
+
+    def read_violation(v: DataViolation) -> tuple:
+        holds = "garbage" if v.found is None else f"page {v.found[0]} v{v.found[1]}"
+        return (
+            STALE_SUBBLOCK if v.page == marks[v.time][3] else VALID_COPY,
+            v.page, v.subblock,
+            f"read page {v.page} sub-block {v.subblock} resolves to "
+            f"{v.location} which holds {holds}, expected page {v.page} "
+            f"v{v.expected[1]}",
+        )
+
+    def violated(b, invariant, page, sb, message, trace):
         if len(result.violations) < max_violations:
+            i, label = marks[b][:2]
             result.violations.append(
                 Violation(
                     invariant=invariant, boundary=b, step_index=i,
                     step_label=label, page=page, subblock=sb,
-                    message=message, trace=tuple(machine.trace[-24:]),
+                    message=message, trace=tuple(trace[-24:]),
                 )
             )
 
-    # ---- dry run: reads everywhere, full table-state invariants -------
-    machine = _Machine(make_table())
-    seen_routes: dict[int, set[tuple[bool, int]]] = {p: set() for p in pages}
-
-    def dry_boundary(b, i, label):
-        result.n_boundaries = b + 1
-        try:
-            machine.table.check_invariants()
-        except TranslationTableError as exc:
-            violated(machine, TABLE_BIJECTION, b, i, label, None, None, str(exc))
-        # Ω must never be mapped while the swap is pending
-        if (
-            bool(np.any(machine.table.pair == ghost))
-            or ghost in machine.table._slot_of
-            or machine.table._fill_page == ghost
-        ):
-            violated(
-                machine, GHOST_UNMAPPED, b, i, label, ghost, None,
-                f"reserved page Ω ({ghost}) is mapped into the table",
-            )
-        at_ghost = []
-        for p in pages:
-            seen_routes[p].add(machine.table.resolve(p))
-            if machine.table.resolve(p) == (False, ghost):
-                at_ghost.append(p)
-            for sb in range(S):
-                result.n_checks += 1
-                bad = machine.read_check(p, sb, live=live)
-                if bad is not None:
-                    violated(machine, bad[0], b, i, label, p, sb, bad[1])
-        if len(at_ghost) > 1:
-            violated(
-                machine, GHOST_EXCLUSIVE, b, i, label, None, None,
-                f"pages {at_ghost} all resolve to Ω simultaneously",
-            )
-
-    try:
-        _execute_plan(machine, plan, live=live, first_subblock=first_subblock,
-                      on_boundary=dry_boundary)
-    except TranslationTableError as exc:
+    # every page and sub-block read at every boundary, in one replay
+    dry = replay(reads(*(
+        grid.ravel() for grid in np.meshgrid(
+            np.arange(len(marks)), np.array(pages), np.arange(S), indexing="ij"
+        )
+    )))
+    dry = [((v.time, 1), *read_violation(v)) for v in dry]
+    for (b, _), *rest in sorted(found + dry, key=lambda f: f[0]):
+        violated(b, *rest, tape.trace[:marks[b][2]])
+    if failure is not None:
         result.violations.append(
             Violation(
                 invariant=TABLE_BIJECTION, boundary=-1, step_index=-1,
                 step_label="plan application", page=None, subblock=None,
-                message=f"table rejected a step: {exc}",
-                trace=tuple(machine.trace[-24:]),
+                message=f"table rejected a step: {failure}",
+                trace=tuple(tape.trace[-24:]),
             )
         )
         return result
     result.n_runs += 1
 
     try:
-        machine.table.audit()
+        table.audit()
     except TranslationTableError as exc:
         result.violations.append(
             Violation(
@@ -438,7 +435,7 @@ def check_plan(
                 step_index=len(plan.steps) - 1, step_label="plan complete",
                 page=None, subblock=None,
                 message=f"post-swap residue: {exc}",
-                trace=tuple(machine.trace[-24:]),
+                trace=tuple(tape.trace[-24:]),
             )
         )
 
@@ -454,40 +451,35 @@ def check_plan(
             p for p in pages if len(seen_routes[p]) > 1
         ) or [plan.mru, plan.lru]
     write_subblocks = range(S) if live else range(1)
-
-    for wb in range(result.n_boundaries):
+    nb = result.n_boundaries
+    for wb in range(nb):
         for wp in write_pages:
+            # the run's one write (its sub-block set below), then the write
+            # page's every sub-block read at each boundary from the write's
+            # on, and at the last sub-block 0 of every page (the write must
+            # not have corrupted any other page's live copy)
+            batch = reads(
+                np.concatenate(([wb], np.repeat(np.arange(wb, nb), S),
+                                np.full(len(pages), nb - 1))),
+                np.concatenate(([wp], np.full((nb - wb) * S, wp), pages)),
+                np.concatenate(([0], np.tile(np.arange(S), nb - wb),
+                                np.zeros(len(pages), dtype=np.int64))),
+            )
+            batch[5][0] = True
             for wsb in write_subblocks:
-                m = _Machine(make_table())
-                state = {"armed": True}
-
-                def run_boundary(b, i, label, *, m=m, wb=wb, wp=wp, wsb=wsb,
-                                 state=state):
-                    if b == wb and state["armed"]:
-                        state["armed"] = False
-                        m.trace.append(f"boundary {b}: " + m.write(wp, wsb, live=live))
-                    if b >= wb:
-                        for sb in range(S):
-                            result.n_checks += 1
-                            bad = m.read_check(wp, sb, live=live)
-                            if bad is not None:
-                                violated(m, bad[0], b, i, label, wp, sb, bad[1])
-                    if b == result.n_boundaries - 1:
-                        # closing sweep: the write must not have corrupted
-                        # any other page's live copy
-                        for p in pages:
-                            result.n_checks += 1
-                            bad = m.read_check(p, 0, live=live)
-                            if bad is not None:
-                                violated(m, bad[0], b, i, label, p, 0, bad[1])
-
-                try:
-                    _execute_plan(m, plan, live=live,
-                                  first_subblock=first_subblock,
-                                  on_boundary=run_boundary)
-                except TranslationTableError as exc:  # pragma: no cover
-                    violated(m, TABLE_BIJECTION, -1, -1, "plan application",
-                             None, None, str(exc))
+                batch[2][0] = wsb
+                on, machine = route[wb, wp, wsb].tolist()
+                batch[3][0], batch[4][0] = on, machine
+                for v in replay(batch):
+                    # the trace up to v's boundary, with the run's one
+                    # write (generation 1) at its own
+                    loc = ("slot", machine) if on else ("mach", machine)
+                    cut = marks[wb][2]
+                    violated(v.time, *read_violation(v), [
+                        *tape.trace[:cut],
+                        f"boundary {wb}: write page {wp} sb {wsb} -> {loc} v1",
+                        *tape.trace[cut:marks[v.time][2]],
+                    ])
                 result.n_runs += 1
                 if len(result.violations) >= max_violations:
                     return result
@@ -545,9 +537,8 @@ def reachable_states(amap: AddressMap, *, variant: str,
             t = boot.clone(state)
             plan = (build_basic_swap_steps(t, mru, lru) if basic
                     else build_swap_steps(t, mru, lru))
-            machine = _Machine(t)
-            _execute_plan(machine, plan, live=False, first_subblock=0,
-                          on_boundary=lambda b, i, label: None)
+            for _ in _execute_plan(t, plan, _Tape(), live=False):
+                pass
             key = _canonical_key(t)
             if key not in seen:
                 seen.add(key)
@@ -620,10 +611,6 @@ def check_all_variants(
 # ----------------------------------------------------------------------
 # fault-injection impact analysis (resilience.faults -> invariants)
 # ----------------------------------------------------------------------
-class _HaltExecution(Exception):
-    """Internal: stop a plan after a chosen number of steps."""
-
-
 @dataclass(frozen=True)
 class FaultImpact:
     """Which checker invariants one injected fault class violates.
@@ -642,68 +629,70 @@ class FaultImpact:
     expect_clean: bool = True
 
 
-def _run_prefix(machine: _Machine, plan: SwapPlan, n_steps: int, *,
-                live: bool = False) -> None:
-    """Execute exactly the first ``n_steps`` steps of ``plan``."""
+def _run_prefix(table: TranslationTable, plan: SwapPlan,
+                n_boundaries: int | None = None, *,
+                live: bool = False) -> ShadowMemory:
+    """Run ``plan`` on ``table`` up to its boundary ``n_boundaries`` (to
+    its end: None); returns the memory contents it leaves, as a shadow."""
+    shadow = ShadowMemory(table)
+    tape = _Tape()
+    for b, _, _ in _execute_plan(table, plan, tape, live=live):
+        if n_boundaries is not None and b >= n_boundaries:
+            break
+    for op in tape.ops:
+        shadow.schedule(*op)
+    shadow.flush()
+    return shadow
 
-    def cb(b, i, label):
-        if b >= n_steps:
-            raise _HaltExecution
 
-    try:
-        _execute_plan(machine, plan, live=live, first_subblock=0,
-                      on_boundary=cb)
-    except _HaltExecution:
-        pass
-
-
-def _model_recovery(m: _Machine, pre_state: dict) -> list[CopyStep]:
+def _model_recovery(shadow: ShadowMemory, table: TranslationTable,
+                    pre_state: dict) -> list[CopyStep]:
     """Mirror the engine's data-safe abort recovery on the model.
 
-    The content map is read off the machine's *actual* cells (a location
+    The content map is read off the shadow's *actual* cells (a location
     is a live copy of page p only when every sub-block holds p at its
-    current version — a torn Live fill is garbage), the copy-back moves
-    come from the same :func:`repro.migration.recovery.recovery_moves`
+    current generation — a torn Live fill is garbage), the copy-back
+    moves come from the same :func:`repro.migration.recovery.recovery_moves`
     the engine executes, and the table is restored to its pre-swap
     snapshot afterwards, in the engine's order.
     """
-    table = m.table
     pre = table.clone(pre_state)
-
+    state = shadow.state_dict()
+    generation = state["generation"]
     content: dict[Location, int | None] = {}
-    for loc, cells in m.contents.items():
+    for loc, cells in state["contents"].items():
         page = None
         if cells[0] is not None:
             p = cells[0][0]
             if all(
-                cells[sb] == (p, m.version.get((p, sb), 0))
-                for sb in range(m.S)
+                cell == (p, generation.get((p, sb), 0))
+                for sb, cell in enumerate(cells)
             ):
                 page = p
         content[loc] = page
 
-    pages = [p for p in range(m.amap.n_total_pages) if p not in m.dead]
+    pages = [
+        p for p in range(table.amap.n_total_pages)
+        if p not in table.dataless_pages
+    ]
     target_of = {p: pre.location(p) for p in pages}
     prefer = {p: table.location(p) for p in pages}
     steps = recovery_moves(content, target_of, prefer=prefer)
     for step in steps:
-        m.copy(step)
-        m.trace.append(f"recovery: {step.label}")
+        shadow.apply_copy(step.src, step.dst)
     table.load_state_dict(pre_state)
     return steps
 
 
-def _sweep(machine: _Machine, *, live: bool = False) -> tuple[str, ...]:
-    """Invariant names violated by a full read sweep + audit."""
-    bad: set[str] = set()
-    table = machine.table
-    for page in range(machine.amap.n_total_pages):
-        if page in machine.dead:
-            continue
-        for sb in range(machine.S):
-            hit = machine.read_check(page, sb, live=live)
-            if hit is not None:
-                bad.add(hit[0])
+def _sweep(shadow: ShadowMemory, table: TranslationTable, *,
+           skip=()) -> tuple[str, ...]:
+    """Invariant names violated by the shadow's full read sweep (pages in
+    ``skip`` hold no data any more) and the table audit."""
+    bad = {
+        STALE_SUBBLOCK if v.page == table._fill_page else VALID_COPY
+        for v in shadow.verify_table(table)
+        if v.page not in skip
+    }
     try:
         table.audit()
     except TranslationTableError:
@@ -741,14 +730,14 @@ def fault_invariant_analysis(amap: AddressMap | None = None) -> list[FaultImpact
 
     # -- STUCK_P_BIT: SEU on a quiescent table --------------------------
     t = fresh()
-    m = _Machine(t)
+    m = ShadowMemory(t)
     t.p_bit[0] = True
     t._sync_page(0)            # the RAM lookup now bypasses row 0
     out.append(
         FaultImpact(
             fault=FaultKind.STUCK_P_BIT.value,
             scenario="P bit flips on a quiescent table (SEU)",
-            invariants=_sweep(m),
+            invariants=_sweep(m, t),
             note=(
                 "the page resolves to Ω, which holds no copy of it — the "
                 "periodic audit flags the stray bit and repair() clears it"
@@ -759,13 +748,13 @@ def fault_invariant_analysis(amap: AddressMap | None = None) -> list[FaultImpact
 
     # -- STUCK_F_BIT: SEU with no fill in progress ----------------------
     t = fresh()
-    m = _Machine(t)
+    m = ShadowMemory(t)
     t.f_bit[1] = True
     out.append(
         FaultImpact(
             fault=FaultKind.STUCK_F_BIT.value,
             scenario="F bit flips with no fill in progress (SEU)",
-            invariants=_sweep(m),
+            invariants=_sweep(m, t),
             note=(
                 "routing is unaffected (the fill registers are clear) but "
                 "the table no longer passes its between-epoch audit"
@@ -778,17 +767,16 @@ def fault_invariant_analysis(amap: AddressMap | None = None) -> list[FaultImpact
     t = fresh()
     mru, lru = case_a_inputs(t)
     plan = build_swap_steps(t, mru, lru)
-    m = _Machine(t)
     # boundary 3 = TU + two landed sub-blocks of the incoming fill
-    _run_prefix(m, plan, 3, live=True)
+    m = _run_prefix(t, plan, 3, live=True)
     if not t.filling:  # pragma: no cover - geometry guard
         raise AnalysisError("expected a fill in progress at boundary 3")
-    t.fill_bitmap[m.S - 1] = True   # claims a sub-block that never landed
+    t.fill_bitmap[-1] = True   # claims a sub-block that never landed
     out.append(
         FaultImpact(
             fault=FaultKind.BITMAP_CORRUPTION.value,
             scenario="fill-bitmap bit sets mid Live Migration fill",
-            invariants=_sweep(m, live=True),
+            invariants=_sweep(m, t),
             note=(
                 "the F-bit refinement serves the corrupted sub-block "
                 "on-package before its data lands — a stale read"
@@ -804,14 +792,13 @@ def fault_invariant_analysis(amap: AddressMap | None = None) -> list[FaultImpact
     mru, lru = case_a_inputs(t)
     plan = build_swap_steps(t, mru, lru)
     snapshot = t.state_dict()
-    m = _Machine(t)
-    _run_prefix(m, plan, 2)    # map TU + incoming copy, then abort
-    _model_recovery(m, snapshot)
+    m = _run_prefix(t, plan, 2)    # map TU + incoming copy, then abort
+    _model_recovery(m, t, snapshot)
     out.append(
         FaultImpact(
             fault=FaultKind.ABORT_SWAP.value,
             scenario="abort before the Ω-resolution copy, data-safe recovery",
-            invariants=_sweep(m),
+            invariants=_sweep(m, t),
             note=(
                 "no pre-swap home was overwritten yet: the recovery "
                 "planner emits no copy-back and the table rollback alone "
@@ -829,14 +816,13 @@ def fault_invariant_analysis(amap: AddressMap | None = None) -> list[FaultImpact
     mru, lru = case_a_inputs(t)
     plan = build_swap_steps(t, mru, lru)
     snapshot = t.state_dict()
-    m = _Machine(t)
-    _run_prefix(m, plan, 4)    # ... incoming copy, Ω copy, pending clear
-    _model_recovery(m, snapshot)
+    m = _run_prefix(t, plan, 4)    # ... incoming copy, Ω copy, pending clear
+    _model_recovery(m, t, snapshot)
     out.append(
         FaultImpact(
             fault=FaultKind.ABORT_SWAP.value,
             scenario="abort after the Ω-resolution copy, data-safe recovery",
-            invariants=_sweep(m),
+            invariants=_sweep(m, t),
             note=(
                 "the incoming page's old home was already overwritten; "
                 "the recovery planner copies the surviving on-package "
@@ -853,16 +839,15 @@ def fault_invariant_analysis(amap: AddressMap | None = None) -> list[FaultImpact
     mru, lru = case_a_inputs(t)
     plan = build_swap_steps(t, mru, lru)
     snapshot = t.state_dict()
-    m = _Machine(t)
-    _run_prefix(m, plan, 4, live=True)  # TU + 3 of 4 sub-blocks landed
+    m = _run_prefix(t, plan, 4, live=True)  # TU + 3 of 4 sub-blocks landed
     if not t.filling:  # pragma: no cover - geometry guard
         raise AnalysisError("expected a fill in progress mid-abort")
-    _model_recovery(m, snapshot)
+    _model_recovery(m, t, snapshot)
     out.append(
         FaultImpact(
             fault=FaultKind.ABORT_SWAP.value,
             scenario="Live fill torn mid-sub-block, data-safe recovery",
-            invariants=_sweep(m),
+            invariants=_sweep(m, t),
             note=(
                 "the half-landed fill destination is garbage as a whole "
                 "page; the content map never claims it, so recovery keeps "
@@ -873,12 +858,12 @@ def fault_invariant_analysis(amap: AddressMap | None = None) -> list[FaultImpact
 
     # -- DRAM_TRANSIENT: no translation-state impact --------------------
     t = fresh()
-    m = _Machine(t)
+    m = ShadowMemory(t)
     out.append(
         FaultImpact(
             fault=FaultKind.DRAM_TRANSIENT.value,
             scenario="transient DRAM read errors",
-            invariants=_sweep(m),   # sanity: a clean table sweeps clean
+            invariants=_sweep(m, t),   # sanity: a clean table sweeps clean
             note=(
                 "never touches translation state; detect/correct/retry is "
                 "the EccModel's job (resilience.faults.EccModel)"
@@ -894,27 +879,26 @@ def fault_invariant_analysis(amap: AddressMap | None = None) -> list[FaultImpact
             amap, reserve_empty_slot=True, reserved_pages=frozenset({spare})
         )
 
-    def retire(m: _Machine, slot: int) -> None:
+    def retire(m: ShadowMemory, t: TranslationTable, slot: int) -> None:
         # the engine's retire_frame: plan from the table to a retired
         # clone, copy, then commit the update
-        retired = m.table.clone()
+        retired = t.clone()
         retired.retire_slot(slot, spare)
-        for step in recovery_plan(m.table, [], target_table=retired):
-            m.copy(step)
-            m.trace.append(f"retirement: {step.label}")
-        m.table.retire_slot(slot, spare)
+        for step in recovery_plan(t, [], target_table=retired):
+            m.apply_copy(step.src, step.dst)
+        t.retire_slot(slot, spare)
 
     # (a) the dying frame is identity-mapped: one copy sends its page to
     #     the spare, and the slot leaves the pairing invariant for good
     t = fresh_ras()
-    m = _Machine(t)
-    retire(m, 1)
+    m = ShadowMemory(t)
+    retire(m, t, 1)
     out.append(
         FaultImpact(
             fault=FaultKind.CE_BURST.value,
             scenario="CE threshold crossed on an identity-mapped frame, "
                      "predictive retirement",
-            invariants=_sweep(m),
+            invariants=_sweep(m, t),
             note=(
                 "the frame's home page moves to the reserved spare before "
                 "the slot is marked retired; every page keeps exactly one "
@@ -929,17 +913,15 @@ def fault_invariant_analysis(amap: AddressMap | None = None) -> list[FaultImpact
     t = fresh_ras()
     mru, lru = case_a_inputs(t)
     plan = build_swap_steps(t, mru, lru)
-    m = _Machine(t)
-    _execute_plan(m, plan, live=False, first_subblock=0,
-                  on_boundary=lambda b, i, label: None)
+    m = _run_prefix(t, plan)
     target = int(t.slot_of(mru))
-    retire(m, target)
+    retire(m, t, target)
     out.append(
         FaultImpact(
             fault=FaultKind.CE_BURST.value,
             scenario="CE threshold crossed on a frame holding a migrated "
                      "page, predictive retirement",
-            invariants=_sweep(m),
+            invariants=_sweep(m, t),
             note=(
                 "retirement of a transposed frame is order-sensitive: the "
                 "occupant's homeward copy overwrites the home page's only "
@@ -950,12 +932,12 @@ def fault_invariant_analysis(amap: AddressMap | None = None) -> list[FaultImpact
 
     # -- SCRUB_LATENT: no translation-state impact ----------------------
     t = fresh_ras()
-    m = _Machine(t)
+    m = ShadowMemory(t)
     out.append(
         FaultImpact(
             fault=FaultKind.SCRUB_LATENT.value,
             scenario="latent CE surfaced by a patrol-scrub pass",
-            invariants=_sweep(m),   # sanity: a clean table sweeps clean
+            invariants=_sweep(m, t),   # sanity: a clean table sweeps clean
             note=(
                 "never touches translation state; the scrub read feeds the "
                 "CE telemetry, whose threshold drives CE_BURST-style "
@@ -970,14 +952,14 @@ def fault_invariant_analysis(amap: AddressMap | None = None) -> list[FaultImpact
     # path as CE_BURST; the flips themselves land in DRAM data arrays
     # (shadow-memory territory), not in the on-chip SRAM table.
     t = fresh_ras()
-    m = _Machine(t)
-    retire(m, 2)
+    m = ShadowMemory(t)
+    retire(m, t, 2)
     out.append(
         FaultImpact(
             fault=FaultKind.ROW_DISTURB.value,
             scenario="activation threshold crossed, mitigation escalates "
                      "to retiring the hammered frame",
-            invariants=_sweep(m),
+            invariants=_sweep(m, t),
             note=(
                 "disturbance flips corrupt victim-row *data* (caught by "
                 "the shadow-memory harness when unmitigated); the only "

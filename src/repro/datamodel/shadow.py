@@ -1,17 +1,16 @@
-"""Live data-content shadow memory for the runtime simulator.
+"""Data-content shadow memory: what every machine location holds.
 
+A :class:`ShadowMemory` mirrors every macro page's data as
+per-4KB-sub-block ``(page, write_generation)`` cells. In the runtime
+simulator the epoch loop feeds it every routed demand access, and the
+migration engine feeds it every copy its plans perform — at the cycle
+the copy lands, so a read that races a half-landed fill is checked
+against what the machine location *actually holds at that time*.
 :mod:`repro.analysis.protocol` checks the swap protocol *statically*
-against a symbolic versioned memory. This module is the same model made
-*live*: a :class:`ShadowMemory` mirrors every macro page's data as
-per-4KB-sub-block ``(page, write_generation)`` cells, the epoch loop
-feeds it every routed demand access, and the migration
-engine feeds it every copy its plans perform — at the cycle the copy
-lands, so a read that races a half-landed fill is checked against what
-the machine location *actually holds at that time*.
-
-The model is deliberately identical to the checker's ``_Machine``
-(``tests/test_shadow_differential.py`` drives both through the same
-copies, links, writes and reads):
+with the same class: it replays every interleaving of a plan's copies,
+links, writes and reads through a copy of one pre-plan shadow
+(``tests/test_shadow_differential.py`` pins that replay path to the
+scalar reference). The model:
 
 * locations are ``("slot", i)`` / ``("mach", p)`` / ``("buf", 0)``;
 * a copy first kills any write-forwarding link through its destination,
@@ -29,7 +28,11 @@ Timing: :meth:`ShadowMemory.feed` only buffers an epoch's routed
 accesses; :meth:`ShadowMemory.process` checks the whole buffer in one
 sequential compiled pass (``shadow_pass`` in ``dram/fifo_kernel.c``,
 loaded by :mod:`repro.dram.kernel`), which applies the engine's
-time-ordered op queue between the accesses. Each queued op is
+time-ordered op queue between the accesses. That pass is the only code
+that applies an engine op or an access to the cells:
+:meth:`~ShadowMemory.flush` and :meth:`~ShadowMemory.apply_copy` run it
+with no access, and :meth:`~ShadowMemory.verify_table` with only reads.
+Each queued op is
 placed before the first buffered access with an equal-or-later timestamp
 (``times >= ready`` is how the controller serves a landed sub-block, so
 an op with ``time <= access_time`` has landed), never before its
@@ -57,6 +60,8 @@ from ..migration.table import Location, TranslationTable
 
 #: engine op kinds, in the order ``shadow_pass`` numbers them
 _OP_KINDS = ("copy", "link", "close")
+#: the six access arrays of a pass that only applies ops
+_NO_ACCESSES = (np.empty(0, dtype=np.int64),) * 6
 
 
 @dataclass(frozen=True)
@@ -161,7 +166,7 @@ class ShadowMemory:
         ))
 
     # ------------------------------------------------------------------
-    # memory primitives (identical semantics to analysis.protocol._Machine)
+    # direct memory updates
     # ------------------------------------------------------------------
     def apply_copy(
         self,
@@ -169,22 +174,10 @@ class ShadowMemory:
         dst: Location,
         subblocks: tuple[int, ...] | None = None,
     ) -> None:
-        """One engine copy lands (whole page, or the given sub-blocks)."""
+        """One engine copy lands now (whole page, or the given
+        sub-blocks), ahead of every still-queued op."""
         self.process()
-        self._copy(src, dst, subblocks)
-
-    def _copy(self, src: Location, dst: Location, subblocks) -> None:
-        s, d = self._index(src), self._index(dst)
-        # the first byte landing at dst kills any older copy stream
-        # through that location
-        self._links = [link for link in self._links if d not in link]
-        sbs = (
-            np.arange(self.n_subblocks) if subblocks is None
-            else np.asarray(subblocks, dtype=np.int64)
-        )
-        src_cells, dst_cells = self._cell(src, sbs), self._cell(dst, sbs)
-        self._page[dst_cells] = self._page[src_cells]
-        self._gen[dst_cells] = self._gen[src_cells]
+        self._pass([(0, "copy", (src, dst, subblocks), 0)], [0], *_NO_ACCESSES)
 
     def corrupt(
         self, loc: Location, subblocks: tuple[int, ...], time: int | None = None
@@ -242,24 +235,16 @@ class ShadowMemory:
         """
         self._ops.append((int(time), kind, payload, self._buffered))
 
-    def _apply(self, kind: str, payload: tuple) -> None:
-        if kind == "copy":
-            self._copy(*payload)
-        elif kind == "link":
-            src, dst = payload
-            self._links.append((self._index(src), self._index(dst)))
-        else:
-            self._links.clear()
-
     def flush(self, until: int | None = None) -> None:
-        """Apply every queued op with ``time <= until`` (None: all)."""
+        """Apply every queued op with ``time <= until`` (None: all), in
+        one pass with no access."""
         self.process()
         ops = self._ops
         k = 0
         while k < len(ops) and (until is None or ops[k][0] <= until):
-            self._apply(ops[k][1], ops[k][2])
             k += 1
-        del ops[:k]
+        taken, self._ops = ops[:k], ops[k:]
+        self._pass(taken, [0] * k, *_NO_ACCESSES)
 
     def drop_pending(self) -> None:
         """Cancel not-yet-landed ops (quarantine quiesces the copy engine)."""
@@ -294,40 +279,48 @@ class ShadowMemory:
         buffer, n = self._buffer, self._buffered
         self._buffer, self._buffered = [], 0
         if n:
-            self._resolve(*(
+            arrays = [
                 c[0] if len(c) == 1 else np.concatenate(c) for c in zip(*buffer)
-            ))
+            ]
+            bad, (n_reads, n_writes) = self._pass(
+                *self._take_ops(arrays[0]), *arrays
+            )
+            self.violations += bad
+            self.reads += n_reads
+            self.writes += n_writes
 
-    def _resolve(self, times, pages, subblocks, on, machine, writes) -> None:
-        taken, pos = self._take_ops(times)
-        ops, landed = [], []
-        for (_, kind, payload, _), before in zip(taken, pos.tolist()):
+    def _pass(self, ops, before, times, pages, subblocks, on, machine, writes):
+        """Run ``shadow_pass`` over the accesses, op ``ops[j]`` landing
+        just before access ``before[j]`` (after the last one if that is
+        the access count). Returns the reads' violations and
+        ``(reads, writes)``; the caller decides whether to record them."""
+        rows, landed = [], []
+        for (_, kind, payload, _), at in zip(ops, before):
             ends = [self._index(loc) for loc in payload[:2]] or [0, 0]
             sbs = ()
             if kind == "copy":
                 sbs = range(self.n_subblocks) if payload[2] is None else payload[2]
                 landed += sbs
-            ops.append((before, _OP_KINDS.index(kind), *ends, len(sbs)))
-        bad, (n_reads, n_writes), self._links = shadow_pass(
-            pages, subblocks, on, machine, writes, ops, landed, self._links,
+            rows.append((at, _OP_KINDS.index(kind), *ends, len(sbs)))
+        bad, counts, self._links = shadow_pass(
+            pages, subblocks, on, machine, writes, rows, landed, self._links,
             (self._n_slots, self._dead, self._page, self._gen, self._held,
              self._generation),
         )
-        for a, fp, fg, eg in bad.tolist():
-            m = int(machine[a])
-            self.violations.append(
-                DataViolation(
-                    time=int(times[a]), page=int(pages[a]),
-                    subblock=int(subblocks[a]),
-                    location=("slot", m) if on[a] else ("mach", m),
-                    found=None if fp < 0 else (fp, fg),
-                    expected=(int(pages[a]), eg),
-                )
+        violations = [
+            DataViolation(
+                time=int(times[a]), page=int(pages[a]),
+                subblock=int(subblocks[a]),
+                location=("slot", int(machine[a])) if on[a]
+                else ("mach", int(machine[a])),
+                found=None if fp < 0 else (fp, fg),
+                expected=(int(pages[a]), eg),
             )
-        self.reads += n_reads
-        self.writes += n_writes
+            for a, fp, fg, eg in bad.tolist()
+        ]
+        return violations, counts
 
-    def _take_ops(self, times) -> tuple[list, np.ndarray]:
+    def _take_ops(self, times) -> tuple[list, list[int]]:
         """Dequeue the ops that land among the buffered accesses.
 
         Op j lands before the first access at ``>= time`` that is at or
@@ -345,7 +338,7 @@ class ShadowMemory:
             np.searchsorted(times, np.array([op[0] for op in taken], np.int64)),
             np.array([op[3] for op in taken], dtype=np.int64),
         )
-        return taken, np.maximum.accumulate(pos)
+        return taken, np.maximum.accumulate(pos).tolist()
 
     # ------------------------------------------------------------------
     # end-of-run verification
@@ -353,31 +346,38 @@ class ShadowMemory:
     def verify_table(self, table: TranslationTable) -> list[DataViolation]:
         """Final sweep: every page/sub-block the table can resolve must
         hold its last-written generation. Flushes all pending ops first;
-        returns the violations found (without recording them)."""
+        returns the violations found (without recording them).
+
+        The sweep is one batch of reads, page-major, through the same
+        pass as the demand stream, at ``time=-1``."""
         self.flush()
-        bad: list[DataViolation] = []
-        for page in np.flatnonzero(~self._dead).tolist():
-            for sb in range(self.n_subblocks):
-                loc = table.location(page, sb)
-                cell = self._cell(loc, sb)
-                gen = int(self._generation[page * self.n_subblocks + sb])
-                found = self._found(cell)
-                if found != (page, gen):
-                    bad.append(
-                        DataViolation(
-                            time=-1, page=page, subblock=sb, location=loc,
-                            found=found, expected=(page, gen),
-                        )
-                    )
-        return bad
-
-    def _found(self, cell: int) -> tuple[int, int] | None:
-        page = int(self._page[cell])
-        return None if page < 0 else (page, int(self._gen[cell]))
+        n_sb = self.n_subblocks
+        pages = np.repeat(np.flatnonzero(~self._dead), n_sb)
+        subblocks = np.tile(np.arange(n_sb), len(pages) // n_sb)
+        routes = [
+            table.resolve(p, sb) for p, sb in zip(pages.tolist(), subblocks.tolist())
+        ]
+        on, machine = np.array(routes, dtype=np.int64).reshape(-1, 2).T
+        reads = np.zeros(len(pages), dtype=bool)
+        return self._pass(
+            [], [], np.full(len(pages), -1), pages, subblocks, on, machine, reads
+        )[0]
 
     # ------------------------------------------------------------------
-    # checkpoint support
+    # copies and checkpoint support
     # ------------------------------------------------------------------
+    def __copy__(self) -> "ShadowMemory":
+        """An independent shadow in this one's state, sharing only the
+        geometry (the protocol checker starts each replay from one)."""
+        self.process()
+        twin = object.__new__(ShadowMemory)
+        twin.__dict__.update(self.__dict__)
+        for key in ("_page", "_gen", "_held", "_generation"):
+            twin.__dict__[key] = self.__dict__[key].copy()
+        twin.violations, twin._links = list(self.violations), list(self._links)
+        twin._ops, twin._buffer = list(self._ops), []
+        return twin
+
     def state_dict(self) -> dict:
         self.process()
         n_sb = self.n_subblocks

@@ -74,14 +74,17 @@ int fifo_service(int64_t n, const int64_t *queue, const int64_t *row,
     return 0;
 }
 
-/* shadow_pass: check one buffered chunk of the data shadow
- * (datamodel/shadow.py) in access order.
+/* shadow_pass: the data shadow's (datamodel/shadow.py) one rule for what a
+ * location holds. It applies a queue of engine ops and checks a batch of
+ * accesses in access order: a buffered chunk, a flush (no access), the
+ * final sweep (reads, no op) or one of the protocol checker's replays.
  *
  * A location is a slot, n_slots + a machine page, or the bounce buffer;
  * its sub-block sb is cell loc * n_sb + sb, holding (cell_page, cell_gen),
  * page -1 being garbage; generation[page * n_sb + sb] is the last written
  * generation. Op j is (before, kind, src, dst, n_landed) and applies, in
- * queue order, just before access `before`:
+ * queue order, just before access `before`, or after the last access if
+ * `before` is n (so a call with no access applies its ops alone):
  *   COPY  kills every link with an endpoint at dst, then copies the next
  *         n_landed sub-blocks of `landed` from src to dst;
  *   LINK  opens the link (src, dst); links has a spare row per op;
@@ -108,7 +111,7 @@ int64_t shadow_pass(int64_t n, const int64_t *page, const int64_t *subblock,
 {
     int64_t j = 0, n_bad = 0, n_link = *n_links;
     counts[0] = counts[1] = 0;
-    for (int64_t i = 0; i < n; i++) {
+    for (int64_t i = 0; i <= n; i++) {
         for (; j < n_ops && op[j][0] <= i; j++) {
             int64_t kind = op[j][1], src = op[j][2], dst = op[j][3], kept = 0;
             if (kind == CLOSE) {
@@ -134,6 +137,8 @@ int64_t shadow_pass(int64_t n, const int64_t *page, const int64_t *subblock,
                 cell_gen[dst * n_sb + *landed] = cell_gen[src * n_sb + *landed];
             }
         }
+        if (i == n)
+            break;
         int64_t p = page[i], sb = subblock[i];
         int64_t loc = on[i] ? machine[i] : n_slots + machine[i];
         if (p < 0 || p >= n_pages || sb < 0 || sb >= n_sb)

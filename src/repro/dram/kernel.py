@@ -2,8 +2,10 @@
 
 The one C source holds the simulator's two compiled loops:
 :func:`fifo_service`, the DRAM fast model's FIFO pass, and
-:func:`shadow_pass`, the data shadow's per-chunk check
-(:mod:`repro.datamodel.shadow`); both come from one library. The first
+:func:`shadow_pass`, the data shadow's pass, the only code that applies
+engine ops and accesses to memory contents
+(:mod:`repro.datamodel.shadow`, which the protocol checker replays
+through too); both come from one library. The first
 import compiles the shipped C source with ``$CC``, else the
 compiler Python was built with (``sysconfig``'s ``CC``), into
 ``$XDG_CACHE_HOME/repro`` (default ``~/.cache/repro``). The file name
@@ -137,9 +139,11 @@ def shadow_pass(pages, subblocks, on, machine, writes, ops, landed, links, state
     """One shadow check (``fifo_kernel.c``) over a chunk of routed accesses.
 
     ``ops`` holds one ``(before, kind, src, dst, n_landed)`` row per
-    engine op (kind 0 copy, 1 link, 2 close), ``landed`` the copies'
-    sub-blocks back to back, and ``links`` the live ``(src, dst)``
-    location pairs. ``state`` is the shadow's ``(n_slots, dead,
+    engine op (kind 0 copy, 1 link, 2 close), applied just before access
+    ``before``, or after the last one when ``before`` is the access
+    count: a call with no access applies its ops alone. ``landed`` holds
+    the copies' sub-blocks back to back, and ``links`` the live
+    ``(src, dst)`` location pairs. ``state`` is the shadow's ``(n_slots, dead,
     cell_page, cell_gen, held, generation)``; its arrays are updated in
     place. Returns the violations as ``(access, found page, found gen,
     expected gen)`` rows, ``(reads, writes)`` and the links after the pass.

@@ -15,9 +15,8 @@ from repro.analysis.protocol import (
     ALL_INVARIANTS,
     QUIESCENCE,
     STALL_ONLY_N,
+    TABLE_BIJECTION,
     VALID_COPY,
-    _Machine,
-    _execute_plan,
     _model_recovery,
     _run_prefix,
     _sweep,
@@ -50,24 +49,34 @@ def fresh_table() -> TranslationTable:
 # ----------------------------------------------------------------------
 # the unmodified protocol verifies clean, exhaustively
 # ----------------------------------------------------------------------
+def counts(r) -> tuple[int, int, int, int]:
+    return r.n_states, r.n_plans, r.n_runs, r.n_checks
+
+
 class TestProtocolClean:
+    """Each variant verifies clean, and does exactly the pinned work:
+    states, plans, interleaving runs and read checks. A checker that
+    dropped a run or a read would still say "ok"; these counts would
+    not match."""
+
     def test_basic_n_verifies(self):
         r = check_variant(MigrationAlgorithm.N)
         assert r.ok, "\n".join(v.format() for v in r.violations)
-        assert r.n_states > 1 and r.n_plans > 0 and r.n_checks > 0
+        # a stalling plan has one boundary and no write interleaving
+        assert counts(r) == (15, 180, 180, 5_040)
 
     def test_n_minus_1_verifies(self):
         r = check_variant(MigrationAlgorithm.N_MINUS_1)
         assert r.ok, "\n".join(v.format() for v in r.violations)
         # the write sweep must actually run (non-stalling design)
-        assert r.n_runs > r.n_plans
+        assert counts(r) == (32, 384, 12_288, 427_200)
 
     def test_live_migration_verifies(self):
         r = check_variant(MigrationAlgorithm.LIVE)
         assert r.ok, "\n".join(v.format() for v in r.violations)
         # Live interleaves at sub-block granularity: strictly more runs
         # than N-1 over the same closure
-        assert r.n_runs > r.n_plans
+        assert counts(r) == (32, 384, 63_552, 2_259_456)
 
     def test_live_wrapped_fill_start_verifies(self):
         # the critical (demanded) sub-block is filled first; a wrapped
@@ -76,6 +85,7 @@ class TestProtocolClean:
             MigrationAlgorithm.LIVE, first_subblock=2, max_states=6
         )
         assert r.ok, "\n".join(v.format() for v in r.violations)
+        assert counts(r) == (6, 72, 9_232, 308_016)
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(AnalysisError):
@@ -163,6 +173,35 @@ class TestMutatedPlanRejected:
             fresh_table, stalled, variant=MigrationAlgorithm.N_MINUS_1
         )
         assert any(v.invariant == STALL_ONLY_N for v in res.violations)
+
+    def test_rejected_table_update_ends_the_check(self):
+        """A step the table rejects is a ``table-bijection``
+        counterexample carrying the executed-step trace, whether the dry
+        run had reached a boundary (N-1: the initial state, whose reads
+        count) or not (a stalling N plan's one boundary is at its end)."""
+        bad = TableUpdate(
+            "double fill", (("begin_fill", (0, 5)), ("begin_fill", (1, 6)))
+        )
+        def n_table():
+            return TranslationTable(AMAP, reserve_empty_slot=False)
+
+        cases = [
+            (MigrationAlgorithm.N_MINUS_1, fresh_table, build_swap_steps, 28),
+            (MigrationAlgorithm.N, n_table, build_basic_swap_steps, 0),
+        ]
+        for variant, table, build, checks in cases:
+            plan = build(table(), *candidate_pairs(table())[0])
+            res = check_plan(
+                table, dataclasses.replace(plan, steps=(bad, *plan.steps)),
+                variant=variant,
+            )
+            (v,) = res.violations
+            assert (v.invariant, v.boundary, v.step_label) == (
+                TABLE_BIJECTION, -1, "plan application"
+            )
+            assert "already filling" in v.message
+            assert v.trace == ("step 0: table update: double fill",)
+            assert (res.n_runs, res.n_checks) == (0, checks)
 
     def test_stalling_plan_residue_names_its_one_boundary(self):
         """A stalling plan has one boundary, at its end: the QUIESCENCE
@@ -266,7 +305,7 @@ class TestLateAbortCounterexample:
     """
 
     @staticmethod
-    def _late_abort_machine():
+    def _late_abort():
         t = fresh_table()
         mru = next(
             p for p in range(t.n_slots, AMAP.n_total_pages)
@@ -274,21 +313,20 @@ class TestLateAbortCounterexample:
         )
         plan = build_swap_steps(t, mru, 0)
         snapshot = t.state_dict()
-        m = _Machine(t)
         # boundary 4 = map TU + incoming copy + Ω copy + pending clear
-        _run_prefix(m, plan, 4)
-        return m, snapshot
+        shadow = _run_prefix(t, plan, 4)
+        return shadow, t, snapshot
 
     def test_bare_rollback_reads_dead_data(self):
-        m, snapshot = self._late_abort_machine()
-        m.table.load_state_dict(snapshot)
-        assert VALID_COPY in _sweep(m)
+        shadow, t, snapshot = self._late_abort()
+        t.load_state_dict(snapshot)
+        assert VALID_COPY in _sweep(shadow, t)
 
     def test_data_safe_recovery_sweeps_clean(self):
-        m, snapshot = self._late_abort_machine()
-        steps = _model_recovery(m, snapshot)
+        shadow, t, snapshot = self._late_abort()
+        steps = _model_recovery(shadow, t, snapshot)
         assert steps, "late abort must require at least one copy-back"
-        assert _sweep(m) == ()
+        assert _sweep(shadow, t) == ()
 
 
 # ----------------------------------------------------------------------
@@ -298,7 +336,7 @@ GHOST = ("mach", AMAP.ghost_page)
 
 
 class TestReclamationModelCheck:
-    """Each release shape, driven through the versioned machine.
+    """Each release shape, driven through the shadow memory.
 
     The start state is one N-1 case-A swap from boot: page 4 sits in
     slot 3, page 3's data is parked at machine page 4, and slot 0 is
@@ -310,14 +348,11 @@ class TestReclamationModelCheck:
     """
 
     @staticmethod
-    def _swapped_machine() -> _Machine:
+    def _swapped():
         t = fresh_table()
-        plan = build_swap_steps(t, 4, 0)
-        m = _Machine(t)
-        _execute_plan(m, plan, live=False, first_subblock=0,
-                      on_boundary=lambda b, i, label: None)
+        shadow = _run_prefix(t, build_swap_steps(t, 4, 0))
         assert (t.slot_of(4), t.empty_slot()) == (3, 0)
-        return m
+        return shadow, t
 
     @pytest.mark.parametrize("released, expected", [
         # occupant 4 released: home page 3 comes back to its slot
@@ -333,21 +368,19 @@ class TestReclamationModelCheck:
     ], ids=["home-survives", "occupant-survives", "both-dead",
             "ghost-relocation", "occupant-and-ghost"])
     def test_release_sweeps_clean(self, released, expected):
-        m = self._swapped_machine()
-        before = m.table.clone()
-        m.table.release_pages(released)
-        steps = recovery_plan(before, [], target_table=m.table, skip=released)
+        shadow, t = self._swapped()
+        before = t.clone()
+        t.release_pages(released)
+        steps = recovery_plan(before, [], target_table=t, skip=released)
         assert [(step.src, step.dst) for step in steps] == expected
         for step in steps:
-            m.copy(step)
+            shadow.apply_copy(step.src, step.dst)
         # the released pages' data is dead: only survivors are swept
-        m.dead = m.dead | frozenset(released)
-        assert _sweep(m) == ()
+        assert _sweep(shadow, t, skip=released) == ()
 
     def test_unplanned_release_reads_dead_data(self):
         """The sweep has teeth: committing the release without its
         copies leaves surviving page 3 routed at page 4's bytes."""
-        m = self._swapped_machine()
-        m.table.release_pages([4])
-        m.dead = m.dead | {4}
-        assert VALID_COPY in _sweep(m)
+        shadow, t = self._swapped()
+        t.release_pages([4])
+        assert VALID_COPY in _sweep(shadow, t, skip=[4])

@@ -16,14 +16,19 @@ lists (content and order), generations, read/write counts,
   schedule floor decides; accesses to Ω and to RAS spares);
 * whole tracked simulations of every design, clean and with a bare
   rollback that serves dead data;
-* a checkpoint the scalar class wrote, resumed by the compiled one.
+* a checkpoint the scalar class wrote, resumed by the compiled one;
+* ``flush`` and ``apply_copy`` with nothing buffered, whose ops land in a
+  pass with no access.
 
-A second Hypothesis test drives the shadow and the protocol checker's
-``_Machine`` through the same untimed copies, links, writes and reads:
-the two are one model."""
+A second Hypothesis test drives the protocol checker's replay path
+(``analysis.protocol._replay``: the plan's untimed copies and links
+scheduled at boundary times, a copy of the pre-plan shadow, one pass)
+against the scalar reference: the checker and the simulator share one
+model of what a location holds."""
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import gc
 import pickle
@@ -36,10 +41,9 @@ from hypothesis import strategies as st
 
 import repro
 from repro.address import AddressMap
-from repro.analysis.protocol import _Machine, model_address_map
+from repro.analysis.protocol import _replay, model_address_map
 from repro.datamodel import ShadowMemory
 from repro.errors import SimulationError
-from repro.migration.algorithms import CopyStep
 from repro.migration.table import TranslationTable
 from repro.trace.record import make_chunk
 from repro.units import KB
@@ -213,6 +217,38 @@ def test_pass_of_only_dead_accesses_still_lands_its_ops():
     assert_same(ref, new)
 
 
+def test_flush_and_apply_copy_with_an_empty_buffer():
+    """With no access buffered, ``flush`` and ``apply_copy`` land their
+    ops in a pass of their own, as the scalar shadow applies them: a
+    copy kills the links into and out of its destination, a close kills
+    every link."""
+    table = make_table(4)
+    ref, new = ReferenceShadowMemory(table), ShadowMemory(table)
+    for shadow in (ref, new):
+        shadow.schedule(4, "copy", (("mach", 6), ("buf", 0), (1, 2)))
+        shadow.schedule(5, "link", (("mach", 6), ("slot", 1)))
+        shadow.schedule(5, "link", (("slot", 3), ("mach", 6)))
+        shadow.schedule(10, "copy", (("slot", 0), ("mach", 6), None))
+        shadow.flush(5)
+        shadow.apply_copy(("buf", 0), ("slot", 2), (2,))
+    assert new.state_dict()["ops"] == [(10, "copy", (("slot", 0), ("mach", 6), None))]
+    assert new.state_dict()["links"] == [
+        [("mach", 6), ("slot", 1)], [("slot", 3), ("mach", 6)],
+    ]
+    assert_same(ref, new)
+    for shadow in (ref, new):
+        shadow.flush()
+        shadow.schedule(11, "link", (("slot", 0), ("slot", 1)))
+        shadow.schedule(12, "close", ())
+        shadow.flush(11)
+    assert new.state_dict()["links"] == [[("slot", 0), ("slot", 1)]]
+    assert_same(ref, new)
+    for shadow in (ref, new):
+        shadow.flush()
+    assert new.state_dict()["ops"] == new.state_dict()["links"] == []
+    assert_same(ref, new)
+
+
 def test_out_of_range_access_is_rejected():
     shadow = ShadowMemory(make_table(4))
     shadow.feed(*(np.array([v]) for v in (0, N_PAGES, 0, False, 0, False)))
@@ -226,12 +262,14 @@ def test_out_of_range_access_is_rejected():
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_matches_checker_machine(data):
-    """The shadow is the checker's ``_Machine`` made live: the same
-    untimed copies, links, writes and reads give the same read verdicts,
-    cells, generations and live links."""
+    """The checker's replay of a plan is the scalar shadow: untimed
+    copies and links scheduled at the boundary they precede, and writes
+    and reads at the boundaries, give the same read verdicts, cells,
+    generations and live links. The replay leaves its prototype (the
+    pre-plan shadow every interleaving copies) as it was."""
     table = TranslationTable(model_address_map())
     n_sb, n_pages = table.amap.subblocks_per_page, table.amap.n_total_pages
-    checker, shadow = _Machine(table), ShadowMemory(table)
+    prototype, ref = ShadowMemory(table), ReferenceShadowMemory(table)
     # a few locations per example, so copies, links and accesses meet
     pool = data.draw(st.lists(st.sampled_from(
         [("slot", i) for i in range(table.n_slots)]
@@ -239,43 +277,42 @@ def test_matches_checker_machine(data):
     ), min_size=2, max_size=5, unique=True))
     loc = st.sampled_from(pool)
     pages = [p for p in range(n_pages) if p not in table.dataless_pages]
-    pages = [p for p in pages if table.location(p) in pool] or pages
-    for _ in range(data.draw(st.integers(1, 30))):
-        action = data.draw(st.sampled_from(["copy", "link", "write", "read"]))
-        if action in ("copy", "link"):
-            step = CopyStep(action, data.draw(loc), data.draw(loc))
-        if action == "copy":
-            sbs = data.draw(st.none() | st.lists(
-                st.integers(0, n_sb - 1), min_size=1, max_size=n_sb, unique=True
-            ))
-            checker.copy(step, sbs)
-            payload = (step.src, step.dst, None if sbs is None else tuple(sbs))
-            shadow.schedule(0, "copy", payload)
-        elif action == "link":
-            checker.link(step)
-            shadow.schedule(0, "link", (step.src, step.dst))
-        else:
-            page = data.draw(st.sampled_from(pages))
-            sb = data.draw(st.integers(0, n_sb - 1))
-            kind, i = table.location(page)
-            seen = len(shadow.violations)
-            # the ops scheduled since the last access land just before it
-            shadow.feed(*(np.array([v]) for v in (
-                0, page, sb, kind == "slot", i, action == "write"
-            )))
-            shadow.process()
-            if action == "write":
-                checker.write(page, sb, live=True)
+    reachable = [where for where in pool if where[0] != "buf"]
+    accesses = []
+    for boundary in range(data.draw(st.integers(1, 12))):
+        for _ in range(data.draw(st.integers(0, 3))):
+            src, dst = data.draw(loc), data.draw(loc)
+            if data.draw(st.booleans()):
+                sbs = data.draw(st.none() | st.lists(
+                    st.integers(0, n_sb - 1), min_size=1, max_size=n_sb,
+                    unique=True,
+                ).map(tuple))
+                op = (boundary, "copy", (src, dst, sbs))
             else:
-                clean = checker.read_check(page, sb, live=True) is None
-                assert clean == (len(shadow.violations) == seen)
-    shadow.flush()
-    state = shadow.state_dict()
-    assert state["contents"] == checker.contents
-    assert shadow.generation == checker.version
-    assert state["links"] == [
-        [link.src, link.dst] for link in checker.links if link.live
-    ]
+                op = (boundary, "link", (src, dst))
+            prototype.schedule(*op)
+            ref.schedule(*op)
+        for _ in range(data.draw(st.integers(0, 4))):
+            page = data.draw(st.sampled_from(pages))
+            # the page's home, or a location the ops also touch
+            kind, i = data.draw(
+                st.sampled_from([table.location(page), *reachable])
+            )
+            accesses.append((
+                boundary, page, data.draw(st.integers(0, n_sb - 1)),
+                kind == "slot", i, data.draw(st.booleans()),
+            ))
+    before = prototype.state_dict()
+    batches = [[np.array(column) for column in zip(*accesses)]] if accesses else []
+    run = _replay(prototype, *batches)
+    for batch in batches:
+        ref.process(*batch)
+    assert run.violations == ref.violations
+    for shadow in (run, ref):
+        shadow.flush()
+    assert_same(ref, run)
+    assert prototype.state_dict() == before
+    assert copy.copy(prototype).state_dict() == before
 
 
 # ----------------------------------------------------------------------
