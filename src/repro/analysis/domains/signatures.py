@@ -54,12 +54,8 @@ SIGNATURES: tuple[Signature, ...] = (
     # ---- the refresh time warp (repro.dram.refresh) ------------------
     Signature("RefreshSchedule.useful",
               (("t", D.WALL_CYCLES),), D.USEFUL_CYCLES),
-    Signature("RefreshSchedule.useful_np",
-              (("t", D.WALL_CYCLES),), D.USEFUL_CYCLES),
     Signature("RefreshSchedule.wall",
               (("u", D.USEFUL_CYCLES), ("begin", None)), D.WALL_CYCLES),
-    Signature("RefreshSchedule.wall_np",
-              (("u", D.USEFUL_CYCLES),), D.WALL_CYCLES),
     Signature("RefreshSchedule.stretch",
               (("start", D.WALL_CYCLES), ("useful_cycles", D.USEFUL_CYCLES)),
               D.WALL_CYCLES),

@@ -322,11 +322,13 @@ class EpochSimulator:
         :meth:`~repro.memctrl.heterogeneous.HeterogeneousController.service_resolved`
         either per epoch, before the boundary hooks, or once per chunk in
         one segmented call whose segments are the epoch boundaries (see
-        ``_flush_per_epoch``). The two are bit-identical because latency
-        never feeds back into control flow — trigger decisions depend only
-        on address resolution, access times and monitor state — and
-        :meth:`~repro.dram.fastmodel.FastDevice.service_segmented` is exact
-        per segment.
+        ``_flush_per_epoch``). Either way the flush is one compiled pass
+        over both regions (:func:`~repro.dram.kernel.flush_regions`). The
+        two are bit-identical because latency never feeds back into
+        control flow — trigger decisions depend only on address
+        resolution, access times and monitor state — and that pass
+        carries each region's queue state across segment ends exactly as
+        one call per segment would.
 
         The loop steps by span: one epoch or, where the chunk flushes at
         once, no fault plan is attached, audits are off and migration is

@@ -60,8 +60,8 @@ from ..migration.table import Location, TranslationTable
 
 #: engine op kinds, in the order ``shadow_pass`` numbers them
 _OP_KINDS = ("copy", "link", "close")
-#: the six access arrays of a pass that only applies ops
-_NO_ACCESSES = (np.empty(0, dtype=np.int64),) * 6
+#: the access times and packed accesses of a pass that only applies ops
+_NO_ACCESSES = (np.empty(0, dtype=np.int64), np.empty((0, 5), dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ class DataViolation:
 class ShadowMemory:
     """Versioned data-content mirror of the whole machine memory.
 
-    Cells are two flat arrays, page and generation, indexed by
+    Cells are one ``(page, generation)`` row each, indexed by
     ``location_index * n_subblocks + subblock``: slots first, then
     ``("mach", p)``, then ``("buf", 0)``. Page −1 is garbage.
     """
@@ -109,8 +109,8 @@ class ShadowMemory:
         self._dead = np.zeros(n_pages, dtype=bool)
         self._dead[sorted(table.dataless_pages)] = True
         #: per-cell (page, generation); page -1 = garbage
-        self._page = np.full(n_locs * n_sb, -1, dtype=np.int64)
-        self._gen = np.zeros(n_locs * n_sb, dtype=np.int64)
+        self._cells = np.zeros((n_locs * n_sb, 2), dtype=np.int64)
+        self._cells[:, 0] = -1
         #: locations the model has touched (the checkpoint's ``contents``)
         self._held = np.zeros(n_locs, dtype=bool)
         #: page * n_subblocks + subblock -> last written generation
@@ -128,7 +128,7 @@ class ShadowMemory:
         self._buffered = 0
         for page in np.flatnonzero(~self._dead).tolist():
             idx = self._index(table.location(page))
-            self._page[idx * n_sb:(idx + 1) * n_sb] = page
+            self._cells[idx * n_sb:(idx + 1) * n_sb, 0] = page
             self._held[idx] = True
 
     # ------------------------------------------------------------------
@@ -195,9 +195,8 @@ class ShadowMemory:
         self.flush(time)
         hit = 0
         for cell in self._cell(loc, np.array(subblocks, dtype=np.int64)).tolist():
-            if self._page[cell] >= 0:
-                self._page[cell] = -1
-                self._gen[cell] = 0
+            if self._cells[cell, 0] >= 0:
+                self._cells[cell] = (-1, 0)
                 hit += 1
         return hit
 
@@ -219,8 +218,8 @@ class ShadowMemory:
         gens = self._generation[page * n_sb:(page + 1) * n_sb]
         gens += 1
         cells = self._cell(loc, np.arange(n_sb))
-        self._page[cells] = page
-        self._gen[cells] = gens
+        self._cells[cells, 0] = page
+        self._cells[cells, 1] = gens
 
     # ------------------------------------------------------------------
     # engine-side op queue
@@ -279,21 +278,24 @@ class ShadowMemory:
         buffer, n = self._buffer, self._buffered
         self._buffer, self._buffered = [], 0
         if n:
-            arrays = [
-                c[0] if len(c) == 1 else np.concatenate(c) for c in zip(*buffer)
-            ]
+            times, *columns = zip(*buffer)
+            times = times[0] if len(times) == 1 else np.concatenate(times)
+            accesses = np.empty((n, 5), dtype=np.int64)
+            for col, parts in enumerate(columns):
+                np.concatenate(parts, out=accesses[:, col])
             bad, (n_reads, n_writes) = self._pass(
-                *self._take_ops(arrays[0]), *arrays
+                *self._take_ops(times), times, accesses
             )
             self.violations += bad
             self.reads += n_reads
             self.writes += n_writes
 
-    def _pass(self, ops, before, times, pages, subblocks, on, machine, writes):
-        """Run ``shadow_pass`` over the accesses, op ``ops[j]`` landing
-        just before access ``before[j]`` (after the last one if that is
-        the access count). Returns the reads' violations and
-        ``(reads, writes)``; the caller decides whether to record them."""
+    def _pass(self, ops, before, times, accesses):
+        """Run ``shadow_pass`` over the accesses, one ``(page, subblock,
+        on, machine, write)`` row each, op ``ops[j]`` landing just
+        before access ``before[j]`` (after the last one if that is the
+        access count). Returns the reads' violations and ``(reads,
+        writes)``; the caller decides whether to record them."""
         rows, landed = [], []
         for (_, kind, payload, _), at in zip(ops, before):
             ends = [self._index(loc) for loc in payload[:2]] or [0, 0]
@@ -303,21 +305,17 @@ class ShadowMemory:
                 landed += sbs
             rows.append((at, _OP_KINDS.index(kind), *ends, len(sbs)))
         bad, counts, self._links = shadow_pass(
-            pages, subblocks, on, machine, writes, rows, landed, self._links,
-            (self._n_slots, self._dead, self._page, self._gen, self._held,
-             self._generation),
+            accesses, rows, landed, self._links,
+            (self._n_slots, self._dead, self._cells, self._held, self._generation),
         )
-        violations = [
-            DataViolation(
-                time=int(times[a]), page=int(pages[a]),
-                subblock=int(subblocks[a]),
-                location=("slot", int(machine[a])) if on[a]
-                else ("mach", int(machine[a])),
-                found=None if fp < 0 else (fp, fg),
-                expected=(int(pages[a]), eg),
-            )
-            for a, fp, fg, eg in bad.tolist()
-        ]
+        violations = []
+        for a, fp, fg, eg in bad.tolist():
+            page, subblock, on, machine, _ = accesses[a].tolist()
+            violations.append(DataViolation(
+                time=int(times[a]), page=page, subblock=subblock,
+                location=("slot" if on else "mach", machine),
+                found=None if fp < 0 else (fp, fg), expected=(page, eg),
+            ))
         return violations, counts
 
     def _take_ops(self, times) -> tuple[list, list[int]]:
@@ -357,11 +355,10 @@ class ShadowMemory:
         routes = [
             table.resolve(p, sb) for p, sb in zip(pages.tolist(), subblocks.tolist())
         ]
-        on, machine = np.array(routes, dtype=np.int64).reshape(-1, 2).T
-        reads = np.zeros(len(pages), dtype=bool)
-        return self._pass(
-            [], [], np.full(len(pages), -1), pages, subblocks, on, machine, reads
-        )[0]
+        accesses = np.zeros((len(pages), 5), dtype=np.int64)  # reads
+        accesses[:, 0], accesses[:, 1] = pages, subblocks
+        accesses[:, 2:4] = np.array(routes, dtype=np.int64).reshape(-1, 2)
+        return self._pass([], [], np.full(len(pages), -1), accesses)[0]
 
     # ------------------------------------------------------------------
     # copies and checkpoint support
@@ -372,7 +369,7 @@ class ShadowMemory:
         self.process()
         twin = object.__new__(ShadowMemory)
         twin.__dict__.update(self.__dict__)
-        for key in ("_page", "_gen", "_held", "_generation"):
+        for key in ("_cells", "_held", "_generation"):
             twin.__dict__[key] = self.__dict__[key].copy()
         twin.violations, twin._links = list(self.violations), list(self._links)
         twin._ops, twin._buffer = list(self._ops), []
@@ -382,11 +379,8 @@ class ShadowMemory:
         self.process()
         n_sb = self.n_subblocks
         held = np.flatnonzero(self._held)
-        rows = zip(
-            held.tolist(),
-            self._page.reshape(-1, n_sb)[held].tolist(),
-            self._gen.reshape(-1, n_sb)[held].tolist(),
-        )
+        cells = self._cells.reshape(-1, n_sb, 2)[held]
+        rows = zip(held.tolist(), cells[..., 0].tolist(), cells[..., 1].tolist())
         return {
             "contents": {
                 self._location(idx): [
@@ -407,14 +401,13 @@ class ShadowMemory:
     def load_state_dict(self, state: dict) -> None:
         n_sb = self.n_subblocks
         self._buffer, self._buffered = [], 0
-        self._page[:] = -1
-        self._gen[:] = 0
+        self._cells[:] = (-1, 0)
         self._held[:] = False
         for loc, cells in state["contents"].items():
             for sb, value in enumerate(cells):
                 cell = self._cell(loc, sb)
                 if value is not None:
-                    self._page[cell], self._gen[cell] = value
+                    self._cells[cell] = value
         self._generation[:] = 0
         for (page, sb), gen in state["generation"].items():
             self._generation[page * n_sb + sb] = gen
@@ -444,8 +437,7 @@ class ShadowMemory:
         n_locs = self._buf_index + 1
         n_cells = n_locs * self.n_subblocks
         # load_state_dict overwrites every element
-        self._page = np.empty(n_cells, dtype=np.int64)
-        self._gen = np.empty(n_cells, dtype=np.int64)
+        self._cells = np.empty((n_cells, 2), dtype=np.int64)
         self._held = np.empty(n_locs, dtype=bool)
         self._generation = np.empty(
             self.amap.n_total_pages * self.n_subblocks, dtype=np.int64

@@ -3,8 +3,11 @@
 Per bank, request *i* departs at ``D_i = max(a_i, D_{i-1}) + s_i`` with
 service time ``s_i`` (row hit or conflict, decided in arrival order
 against the previous request's row). The compiled kernel
-(``fifo_kernel.c``, loaded by :mod:`repro.dram.kernel`) runs that
-recursion in one pass per call with per-queue state;
+(``flush_regions`` in ``fifo_kernel.c``, loaded by
+:mod:`repro.dram.kernel`) runs that recursion in one pass per call with
+per-queue state, for one device here and for both regions of the
+controller's flush at once
+(:meth:`~repro.memctrl.heterogeneous.HeterogeneousController.service_resolved`);
 ``tests/fastmodel_reference.py`` keeps the former vectorised numpy
 formulation as its exactness oracle. The FIFO order (instead of
 FR-FCFS's hit-first reordering) slightly *underestimates* row-hit rates
@@ -14,11 +17,12 @@ disagreement against the event-driven reference.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from ..errors import SimulationError
 from . import kernel
-from .refresh import RefreshSchedule
 from .timing import DramGeometry
 
 _ONE_SEGMENT = np.zeros(1, dtype=np.int64)
@@ -31,10 +35,6 @@ class FastDevice:
         self.geometry = geometry
         self.row_hits = 0
         self.row_conflicts = 0
-        #: with refresh enabled, the whole recursion (including the
-        #: persistent ``_ready`` carry) runs on the warp's useful clock;
-        #: wall latencies are recovered at the end of each pass
-        self._refresh = RefreshSchedule.from_timing(geometry.timing)
         # persistent per-queue state so successive chunks continue seamlessly
         nq = geometry.n_queues
         self._open_row = np.full(nq, -1, dtype=np.int64)
@@ -45,6 +45,24 @@ class FastDevice:
         self._ready[:] = 0
         self.row_hits = 0
         self.row_conflicts = 0
+
+    def region(self, base: int = 0, shift: int = 0, overhead: int = 0) -> list[int]:
+        """This device's row of a :func:`~repro.dram.kernel.flush_regions`
+        region table: local address ``(page - base) << shift | offset``,
+        ``overhead`` cycles added to every latency. With refresh enabled
+        the whole recursion (the persistent ``_ready`` carry included)
+        runs on the refresh warp's useful clock, and wall latencies are
+        recovered per access."""
+        geo, t = self.geometry, self.geometry.timing
+        return [
+            base, shift, overhead, t.n_channels, t.n_banks, geo.row_bytes.bit_length() - 1,
+            t.hit_cycles, t.miss_cycles, t.max_queue_wait,
+            t.refresh_interval, t.refresh_cycles if t.refresh_interval else 0,
+        ]
+
+    @cached_property
+    def _region(self) -> np.ndarray:
+        return np.array([self.region()], dtype=np.int64)
 
     def service(self, addr: np.ndarray, arrivals: np.ndarray) -> np.ndarray:
         """Per-access latency (cycles), aligned with the input order."""
@@ -69,42 +87,9 @@ class FastDevice:
         checks time order once per chunk). A rejected call leaves the
         device as it was.
         """
-        addr = np.asarray(addr, dtype=np.int64)
-        arrivals = np.asarray(arrivals, dtype=np.int64)
-        if addr.shape != arrivals.shape:
-            raise SimulationError("addr and arrivals must align")
-        if addr.shape[0] == 0:
-            return np.zeros(0, dtype=np.int64)
-        seg_starts = np.asarray(seg_starts, dtype=np.int64)
-        if seg_starts.size == 0 or seg_starts[0] != 0:
-            raise SimulationError("seg_starts must begin with 0")
-        wall_arrivals = None
-        if self._refresh is not None:
-            # run the whole recursion on the useful clock: refresh
-            # windows vanish from the timeline, so a request queued or
-            # mid-service across a tREFI boundary is suspended for tRFC
-            # exactly like the event-driven Bank model. The warp is a
-            # pure function of global time, so it commutes with segment
-            # boundaries and the fused-exactness contract is unchanged.
-            wall_arrivals = arrivals  # repro-domain: wall_cycles - pre-warp instants
-            arrivals = self._refresh.useful_np(arrivals)
-        queues, rows = self.geometry.queues_and_rows(addr)
-        timing = self.geometry.timing
-        latency, hits, self._open_row, self._ready = kernel.fifo_service(
-            queues, rows, arrivals, seg_starts, self._open_row, self._ready,
-            timing.hit_cycles, timing.miss_cycles, timing.max_queue_wait,
+        return kernel.flush_regions(
+            (self,), self._region, None, addr, None, arrivals, seg_starts, None
         )
-        self.row_hits += hits
-        self.row_conflicts += latency.size - hits
-
-        if wall_arrivals is not None:
-            # useful-domain departure -> wall clock: every refresh
-            # window overlapped by the wait or the service shows up in
-            # the reported latency
-            latency += arrivals  # repro-domain: useful_cycles - capped departures, input order
-            latency = self._refresh.wall_np(latency)
-            latency -= wall_arrivals
-        return latency
 
     @property
     def row_hit_rate(self) -> float:

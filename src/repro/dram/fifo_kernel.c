@@ -1,77 +1,229 @@
 /* The simulator's two compiled loops, one sequential pass each:
- * fifo_service (the DRAM fast model) and shadow_pass (the data shadow).
+ * flush_regions (the DRAM fast model) and shadow_pass (the data shadow).
  *
- * fifo_service: per-bank FIFO DRAM service with open-page row hits.
+ * flush_regions: a flush of routed accesses through up to two DRAM
+ * regions at once, each a set of per-bank FIFO queues with open-page row
+ * hits (the Fig 3 controller: translate first, then each region
+ * schedules its own accesses).
  *
- * Access i goes to queue q = queue[i], row row[i], at arrival a. With s
- * the hit or miss cycles (hit iff row == open_row[q]) and prev the
- * queue's previous uncapped departure in this segment (ready[q] on its
- * first access in the segment):
+ * Access i goes to region r = on ? on[i] : 0, whose row of `region` is
+ * (base, shift, overhead, n_channels, n_banks, row_shift, hit, miss, cap,
+ * R, F). Its region-local address is ((page[i] - base) << shift) |
+ * offset[i], offset 0 when `offset` is NULL (AddressMap.local_address).
+ * With a = local >> row_shift the queue is (a mod n_channels) * n_banks
+ * + (a div n_channels) mod n_banks and the row a div (n_channels *
+ * n_banks) (DramGeometry.queues_and_rows); shifts and masks stand in
+ * for the division when both counts are powers of two.
  *
- *     d = max(a, prev) + s,   latency[i] = min(d - a, s + cap).
+ * When R > 0 the region refreshes (dram/refresh.py): wall time t maps to
+ * useful time u = k (R - F) + max(0, t mod R - F), k = t div R, the
+ * recursion runs on u and the departure maps back with completion
+ * semantics, wall(v) = j R + (v mod P ? F + v mod P : 0), j = v div P,
+ * P = R - F. Otherwise u = t. With s the hit or miss cycles (hit iff
+ * row == open_row[q]) and prev the queue's previous uncapped departure
+ * in this segment (ready[q] on its first access in the segment):
  *
- * At each segment end every queue touched in it carries
- * ready[q] = min(d_last, a_last + cap) into the next segment, so the
- * pass is one call per segment by definition. open_row and ready are
- * updated in place; scratch holds 4 * n_queues zeros. Returns 0, or stops
- * at the first failure: 1 an int64 overflow (nothing wraps), 2 bad
- * seg_starts, 3 a queue out of range, leaving the outputs partial.
+ *     d = max(u, prev) + s,   w = min(d - u, s + cap),
+ *     latency[i] = wall(u + w) - t + overhead + add_all + extra[i]
+ *
+ * (extra 0 when NULL). At each segment end every queue touched in it
+ * carries ready[q] = min(d_last, u_last + cap) into the next segment, so
+ * the pass is one call per segment by definition, for each region.
+ * open_row<r> and ready<r> are region r's per-queue state; they,
+ * and counts[2r] (row hits) and counts[2r + 1] (accesses), are updated
+ * only when the call succeeds. Returns 0, or stops at the first failure,
+ * leaving latency partial: 1 an int64 overflow (nothing wraps), 2 bad
+ * seg_starts, 3 a region-local address below 0 or past int64, 4 no
+ * memory for the scratch state.
  */
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
 #define ADD(x, y, out) __builtin_add_overflow((x), (y), (out))
 
-int fifo_service(int64_t n, const int64_t *queue, const int64_t *row,
-                 const int64_t *arrival, int64_t n_seg,
-                 const int64_t *seg_starts, int64_t n_queues,
-                 int64_t *open_row, int64_t *ready, int64_t hit_cycles,
-                 int64_t miss_cycles, int64_t cap, int64_t *scratch,
-                 int64_t *latency, int64_t *n_hits)
-{
-    int64_t hit_limit, miss_limit, hits = 0;
-    if (ADD(hit_cycles, cap, &hit_limit) || ADD(miss_cycles, cap, &miss_limit))
-        return 1;
-    /* per queue: last uncapped departure and arrival, the segment
-     * (1-based) that last touched it; and the queues this segment touched */
-    int64_t *depart = scratch, *last_arrival = scratch + n_queues;
-    int64_t *stamp = scratch + 2 * n_queues, *touched = scratch + 3 * n_queues;
+/* the columns of a region's row */
+enum { BASE, SHIFT, OVERHEAD, CHANNELS, BANKS, ROW_SHIFT, HIT, MISS, CAP, INTERVAL, WINDOW, N_PARAM };
 
+typedef struct {
+    /* the address decode; page_bytes = 1 << shift, as a multiply is
+     * cheaper than a variable shift */
+    int64_t base, page_bytes, max_page, row_shift, n_ch, n_bk;
+    int64_t ch_mask, ch_shift, bk_mask, row_bits;
+    int pow2;
+    /* service cycles and latency limit, indexed by hit (a table, so no
+     * branch on the row-hit outcome); cycles added to every latency */
+    int64_t cycles[2], limit[2], add, cap, interval, window;
+    /* per queue: open row, carried readiness, and the last uncapped
+     * departure and useful arrival in this segment */
+    int64_t *open_row, *ready, *depart, *last_u;
+    int64_t n_queues;
+} Region;
+
+static int log2_exact(int64_t x)
+{
+    return x > 0 && (x & (x - 1)) == 0 ? __builtin_ctzll((unsigned long long)x) : -1;
+}
+
+/* floor division and its non-negative remainder, for a divisor > 0 */
+static inline int64_t floor_divmod(int64_t x, int64_t y, int64_t *rem)
+{
+    int64_t q = x / y, r = x % y;
+    if (r < 0)
+        q--, r += y;
+    *rem = r;
+    return q;
+}
+
+/* a segment starts: each queue departs from its carried readiness, and
+ * its last arrival is set so that, if the segment leaves it untouched,
+ * carry_out carries that readiness again (cap > 0, so this fits) */
+static void carry_in(Region *g)
+{
+    for (int64_t q = 0; q < g->n_queues; q++) {
+        g->depart[q] = g->ready[q];
+        g->last_u[q] = INT64_MAX - g->cap;
+    }
+}
+
+/* a segment ends: each queue carries min(d_last, u_last + cap) */
+static int carry_out(Region *g)
+{
+    for (int64_t q = 0; q < g->n_queues; q++) {
+        int64_t capped;
+        if (ADD(g->last_u[q], g->cap, &capped))
+            return 1;
+        g->ready[q] = g->depart[q] < capped ? g->depart[q] : capped;
+    }
+    return 0;
+}
+
+static int serve(int64_t n, const uint8_t *on, const int64_t *page,
+                 const int64_t *offset, const int64_t *arrival,
+                 const int64_t *extra, int64_t n_seg, const int64_t *seg_starts,
+                 Region *reg, int64_t n_regions, int64_t *latency, int64_t *tally)
+{
+    /* row hits, all and in region 1, and region 1's accesses */
+    int64_t hits = 0, hits_1 = 0, count_1 = 0;
+    if (n_seg < 1 || seg_starts[0] != 0)
+        return 2;
     for (int64_t k = 0; k < n_seg; k++) {
         int64_t lo = seg_starts[k], hi = k + 1 < n_seg ? seg_starts[k + 1] : n;
-        int64_t n_touched = 0;
-        if (lo < 0 || hi < lo || hi > n)
+        if (hi < lo || hi > n)
             return 2;
+        for (int64_t r = 0; r < n_regions; r++)
+            carry_in(reg + r);
         for (int64_t i = lo; i < hi; i++) {
-            int64_t q = queue[i], a = arrival[i], prev, d, wait;
-            if (q < 0 || q >= n_queues)
+            int r = on ? on[i] : 0;
+            Region *g = reg + r;
+            int64_t p, local, a, q, row, t = arrival[i], u = t;
+            if (__builtin_sub_overflow(page[i], g->base, &p) || p < 0 || p > g->max_page)
                 return 3;
-            if (stamp[q] != k + 1) {
-                stamp[q] = k + 1;
-                touched[n_touched++] = q;
-                prev = ready[q];
+            local = p * g->page_bytes | (offset ? offset[i] : 0);
+            if (local < 0)
+                return 3;
+            a = local >> g->row_shift;
+            if (g->pow2) {
+                q = (a & g->ch_mask) * g->n_bk + (a >> g->ch_shift & g->bk_mask);
+                row = a >> g->row_bits;
             } else {
-                prev = depart[q];
+                int64_t b = a / g->n_ch;
+                q = (a - b * g->n_ch) * g->n_bk + b % g->n_bk;
+                row = b / g->n_bk;
             }
-            int hit = row[i] == open_row[q];
+            if (g->interval) {
+                int64_t pos, periods = floor_divmod(t, g->interval, &pos);
+                u = periods * (g->interval - g->window) + (pos > g->window ? pos - g->window : 0);
+            }
+            int64_t prev = g->depart[q], d, wait;
+            int hit = row == g->open_row[q];
             hits += hit;
-            if (ADD(a > prev ? a : prev, hit ? hit_cycles : miss_cycles, &d) ||
-                __builtin_sub_overflow(d, a, &wait))
+            hits_1 += hit & r;
+            count_1 += r;
+            if (ADD(u > prev ? u : prev, g->cycles[hit], &d) ||
+                __builtin_sub_overflow(d, u, &wait))
                 return 1;
-            int64_t limit = hit ? hit_limit : miss_limit;
-            latency[i] = wait < limit ? wait : limit;
-            depart[q] = d;
-            last_arrival[q] = a;
-            open_row[q] = row[i];
-        }
-        for (int64_t j = 0; j < n_touched; j++) {
-            int64_t q = touched[j], capped;
-            if (ADD(last_arrival[q], cap, &capped))
+            wait = wait < g->limit[hit] ? wait : g->limit[hit];
+            g->depart[q] = d;
+            g->last_u[q] = u;
+            g->open_row[q] = row;
+            if (g->interval) {
+                /* u + wait <= d, so it fits */
+                int64_t rem, periods = floor_divmod(u + wait, g->interval - g->window, &rem), wall;
+                if (__builtin_mul_overflow(periods, g->interval, &wall) ||
+                    (rem && ADD(wall, g->window + rem, &wall)) ||
+                    __builtin_sub_overflow(wall, t, &wait))
+                    return 1;
+            }
+            if (ADD(wait, g->add, &wait) || (extra && ADD(wait, extra[i], &wait)))
                 return 1;
-            ready[q] = depart[q] < capped ? depart[q] : capped;
+            latency[i] = wait;
         }
+        for (int64_t r = 0; r < n_regions; r++)
+            if (carry_out(reg + r))
+                return 1;
     }
-    *n_hits = hits;
+    /* (row hits, accesses) of region 0, then of region 1 */
+    tally[0] = hits - hits_1, tally[1] = n - count_1;
+    tally[2] = hits_1, tally[3] = count_1;
     return 0;
+}
+
+int flush_regions(int64_t n, const uint8_t *on, const int64_t *page,
+                  const int64_t *offset, const int64_t *arrival,
+                  const int64_t *extra, int64_t n_seg,
+                  const int64_t *seg_starts, int64_t n_regions,
+                  const int64_t (*region)[N_PARAM], int64_t *open_row0,
+                  int64_t *ready0, int64_t *open_row1, int64_t *ready1,
+                  int64_t add_all, int64_t *counts, int64_t *latency)
+{
+    Region reg[2];
+    int64_t *state[4] = {open_row0, ready0, open_row1, ready1}, total = 0;
+    if (n_regions < 1 || n_regions > 2)
+        return 2;
+    for (int64_t r = 0; r < n_regions; r++) {
+        const int64_t *c = region[r];
+        Region *g = reg + r;
+        int ch = log2_exact(c[CHANNELS]), bk = log2_exact(c[BANKS]);
+        if (c[SHIFT] < 0 || c[SHIFT] > 62)
+            return 3;
+        *g = (Region){
+            .base = c[BASE], .page_bytes = (int64_t)1 << c[SHIFT],
+            .max_page = INT64_MAX >> c[SHIFT], .row_shift = c[ROW_SHIFT],
+            .n_ch = c[CHANNELS], .n_bk = c[BANKS], .ch_mask = c[CHANNELS] - 1,
+            .ch_shift = ch, .bk_mask = c[BANKS] - 1, .row_bits = ch + bk,
+            .pow2 = ch >= 0 && bk >= 0, .cycles = {c[MISS], c[HIT]}, .cap = c[CAP],
+            .interval = c[INTERVAL], .window = c[WINDOW], .n_queues = c[CHANNELS] * c[BANKS],
+        };
+        if (ADD(c[MISS], c[CAP], &g->limit[0]) || ADD(c[HIT], c[CAP], &g->limit[1]) ||
+            ADD(c[OVERHEAD], add_all, &g->add))
+            return 1;
+        total += g->n_queues;
+    }
+    int64_t *scratch = calloc(4 * total, sizeof *scratch), *next = scratch;
+    if (!scratch)
+        return 4;
+    for (int64_t r = 0; r < n_regions; r++) {
+        Region *g = reg + r;
+        int64_t **arrays[] = {&g->open_row, &g->ready, &g->depart, &g->last_u};
+        for (int j = 0; j < 4; j++, next += g->n_queues)
+            *arrays[j] = next;
+        memcpy(g->open_row, state[2 * r], g->n_queues * sizeof *next);
+        memcpy(g->ready, state[2 * r + 1], g->n_queues * sizeof *next);
+    }
+    int64_t tally[4];
+    int status = serve(n, on, page, offset, arrival, extra, n_seg, seg_starts,
+                       reg, n_regions, latency, tally);
+    if (status == 0)
+        for (int64_t r = 0; r < n_regions; r++) {
+            Region *g = reg + r;
+            memcpy(state[2 * r], g->open_row, g->n_queues * sizeof *next);
+            memcpy(state[2 * r + 1], g->ready, g->n_queues * sizeof *next);
+            counts[2 * r] += tally[2 * r];
+            counts[2 * r + 1] += tally[2 * r + 1];
+        }
+    free(scratch);
+    return status;
 }
 
 /* shadow_pass: the data shadow's (datamodel/shadow.py) one rule for what a
@@ -80,7 +232,7 @@ int fifo_service(int64_t n, const int64_t *queue, const int64_t *row,
  * final sweep (reads, no op) or one of the protocol checker's replays.
  *
  * A location is a slot, n_slots + a machine page, or the bounce buffer;
- * its sub-block sb is cell loc * n_sb + sb, holding (cell_page, cell_gen),
+ * its sub-block sb is cell[loc * n_sb + sb], holding (page, generation),
  * page -1 being garbage; generation[page * n_sb + sb] is the last written
  * generation. Op j is (before, kind, src, dst, n_landed) and applies, in
  * queue order, just before access `before`, or after the last access if
@@ -89,27 +241,27 @@ int fifo_service(int64_t n, const int64_t *queue, const int64_t *row,
  *         n_landed sub-blocks of `landed` from src to dst;
  *   LINK  opens the link (src, dst); links has a spare row per op;
  *   CLOSE kills every link.
- * Access i is at on[i] ? machine[i] : n_slots + machine[i]; one to a dead
+ * Access i is the row (page, subblock, on, machine, write) of `access`,
+ * at location on ? machine : n_slots + machine; one to a dead
  * page (Ω, a RAS spare) is skipped. A write bumps its generation and lands
  * (page, generation) at its cell and through every link from there; a
  * read whose cell holds anything else is a violation, appended to bad as
  * (i, found page, found gen, expected gen). Every location touched gets
- * held = 1, and counts gets (reads, writes). Returns the violation count,
+ * held = 1. io holds the live link count, in and out, then gets (reads,
+ * writes). Returns the violation count,
  * or -1 at the first page, sub-block or location out of range, leaving
  * the state partial.
  */
 enum { COPY, LINK, CLOSE };
 
-int64_t shadow_pass(int64_t n, const int64_t *page, const int64_t *subblock,
-                    const uint8_t *on, const int64_t *machine,
-                    const uint8_t *write, int64_t n_ops, const int64_t (*op)[5],
-                    const int64_t *landed, int64_t n_pages, int64_t n_slots,
-                    int64_t n_locs, int64_t n_sb, const uint8_t *dead,
-                    int64_t *cell_page, int64_t *cell_gen, uint8_t *held,
-                    int64_t *generation, int64_t (*links)[2], int64_t *n_links,
-                    int64_t *counts, int64_t (*bad)[4])
+int64_t shadow_pass(int64_t n, const int64_t (*access)[5], int64_t n_ops,
+                    const int64_t (*op)[5], const int64_t *landed,
+                    int64_t n_pages, int64_t n_slots, int64_t n_locs,
+                    int64_t n_sb, const uint8_t *dead, int64_t (*cell)[2],
+                    uint8_t *held, int64_t *generation, int64_t (*links)[2],
+                    int64_t *io, int64_t (*bad)[4])
 {
-    int64_t j = 0, n_bad = 0, n_link = *n_links;
+    int64_t j = 0, n_bad = 0, n_link = io[0], *counts = io + 1;
     counts[0] = counts[1] = 0;
     for (int64_t i = 0; i <= n; i++) {
         for (; j < n_ops && op[j][0] <= i; j++) {
@@ -133,14 +285,14 @@ int64_t shadow_pass(int64_t n, const int64_t *page, const int64_t *subblock,
             for (int64_t k = 0; k < op[j][4]; k++, landed++) {
                 if (*landed < 0 || *landed >= n_sb)
                     return -1;
-                cell_page[dst * n_sb + *landed] = cell_page[src * n_sb + *landed];
-                cell_gen[dst * n_sb + *landed] = cell_gen[src * n_sb + *landed];
+                cell[dst * n_sb + *landed][0] = cell[src * n_sb + *landed][0];
+                cell[dst * n_sb + *landed][1] = cell[src * n_sb + *landed][1];
             }
         }
         if (i == n)
             break;
-        int64_t p = page[i], sb = subblock[i];
-        int64_t loc = on[i] ? machine[i] : n_slots + machine[i];
+        int64_t p = access[i][0], sb = access[i][1], write = access[i][4];
+        int64_t loc = access[i][2] ? access[i][3] : n_slots + access[i][3];
         if (p < 0 || p >= n_pages || sb < 0 || sb >= n_sb)
             return -1;
         if (dead[p])
@@ -149,22 +301,22 @@ int64_t shadow_pass(int64_t n, const int64_t *page, const int64_t *subblock,
             return -1;
         int64_t c = loc * n_sb + sb, *gen = generation + p * n_sb + sb;
         held[loc] = 1;
-        counts[write[i] ? 1 : 0]++;
-        if (write[i]) {
-            cell_page[c] = p;
-            cell_gen[c] = ++*gen;
+        counts[write ? 1 : 0]++;
+        if (write) {
+            cell[c][0] = p;
+            cell[c][1] = ++*gen;
             for (int64_t k = 0; k < n_link; k++) {
                 if (links[k][0] == loc) {
                     held[links[k][1]] = 1;
-                    cell_page[links[k][1] * n_sb + sb] = p;
-                    cell_gen[links[k][1] * n_sb + sb] = *gen;
+                    cell[links[k][1] * n_sb + sb][0] = p;
+                    cell[links[k][1] * n_sb + sb][1] = *gen;
                 }
             }
-        } else if (cell_page[c] != p || cell_gen[c] != *gen) {
-            bad[n_bad][0] = i, bad[n_bad][1] = cell_page[c];
-            bad[n_bad][2] = cell_gen[c], bad[n_bad++][3] = *gen;
+        } else if (cell[c][0] != p || cell[c][1] != *gen) {
+            bad[n_bad][0] = i, bad[n_bad][1] = cell[c][0];
+            bad[n_bad][2] = cell[c][1], bad[n_bad++][3] = *gen;
         }
     }
-    *n_links = n_link;
+    io[0] = n_link;
     return n_bad;
 }

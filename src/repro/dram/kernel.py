@@ -1,7 +1,8 @@
 """Build, cache and load the compiled kernel (``fifo_kernel.c``).
 
 The one C source holds the simulator's two compiled loops:
-:func:`fifo_service`, the DRAM fast model's FIFO pass, and
+:func:`flush_regions`, the DRAM flush (address decode, refresh warp and
+the FIFO pass of both regions), the only DRAM service code, and
 :func:`shadow_pass`, the data shadow's pass, the only code that applies
 engine ops and accesses to memory contents
 (:mod:`repro.datamodel.shadow`, which the protocol checker replays
@@ -88,86 +89,107 @@ def load(path: Path) -> ctypes.CDLL:
     except OSError as exc:
         raise KernelBuildError(f"cannot load the built kernel {path}: {exc}") from exc
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    lib.fifo_service.argtypes = (i64, ptr, ptr, ptr, i64, ptr, i64, ptr, ptr, i64, i64, i64, ptr, ptr, ptr)
-    lib.fifo_service.restype = ctypes.c_int
-    lib.shadow_pass.argtypes = (i64, *[ptr] * 5, i64, ptr, ptr, *[i64] * 4, *[ptr] * 9)
+    lib.flush_regions.argtypes = (i64, *[ptr] * 5, i64, ptr, i64, *[ptr] * 5, i64, ptr, ptr)
+    lib.flush_regions.restype = ctypes.c_int
+    lib.shadow_pass.argtypes = (i64, ptr, i64, ptr, ptr, *[i64] * 4, *[ptr] * 7)
     lib.shadow_pass.restype = i64
     return lib
 
 
 _lib = load(build(cache_dir(), compiler()))
 
-#: why ``fifo_service`` stopped, by its nonzero status
+#: why ``flush_regions`` stopped, by its nonzero status
 _STATUS = {
-    1: "a departure or capped backlog passes int64",
-    2: "seg_starts must be non-decreasing and within the call",
-    3: "an address decodes to no DRAM queue",
+    1: "a departure, latency or capped backlog passes int64",
+    2: "seg_starts must begin with 0, be non-decreasing and stay within the call",
+    3: "a region-local address is negative or passes int64",
+    4: "no memory for the scratch state",
 }
 
 
-def fifo_service(  # repro-domain: arrivals=useful_cycles, ready=useful_cycles
-    queues, rows, arrivals, seg_starts, open_row, ready, hit_cycles, miss_cycles, cap
-):
-    """One FIFO pass (``fifo_kernel.c``) over per-access queue, row and arrival.
+def _address(a) -> int | None:
+    return None if a is None else a.ctypes.data
 
-    Returns the latencies in input order, the row-hit count and the
-    per-queue ``(open_row, ready)`` after the pass, as new arrays: a
-    rejected call raises :class:`SimulationError` and changes nothing.
+
+def flush_regions(  # repro-domain: arrivals=wall_cycles, return=wall_cycles
+    devices, regions, on, pages, offsets, arrivals, seg_starts, extra, add=0
+):
+    """One pass (``fifo_kernel.c``) over a flush, through one or two devices.
+
+    Access ``i`` goes to ``devices[on[i]]`` (``devices[0]`` when ``on``
+    is None), at the region-local address composed from ``pages[i]``
+    and ``offsets[i]`` (0 when None) by that device's row of
+    ``regions``, an int64 ``(len(devices), 11)`` table of ``(base,
+    shift, overhead, n_channels, n_banks, row_shift, hit, miss, cap,
+    tREFI, tRFC)``. ``arrivals`` are wall cycles, non-decreasing (not
+    checked), and ``seg_starts`` the segment starts, beginning with 0.
+    Returns each access's latency plus its region's overhead, ``add``
+    and ``extra[i]`` (0 when None). Each device's ``_open_row``,
+    ``_ready``, ``row_hits`` and ``row_conflicts`` are updated only
+    when the call succeeds; a rejected call raises
+    :class:`SimulationError` and changes nothing.
     """
-    queues, rows, arrivals, seg_starts = (
-        np.ascontiguousarray(a, dtype=np.int64) for a in (queues, rows, arrivals, seg_starts)
+    pages, arrivals, seg_starts = (
+        np.ascontiguousarray(a, dtype=np.int64) for a in (pages, arrivals, seg_starts)
     )
-    open_row, ready = np.array(open_row, dtype=np.int64), np.array(ready, dtype=np.int64)
+    offsets, extra = (
+        None if a is None else np.ascontiguousarray(a, dtype=np.int64) for a in (offsets, extra)
+    )
+    on = None if on is None else np.ascontiguousarray(on, dtype=bool)
     n = arrivals.size
-    if queues.size != n or rows.size != n or ready.size != open_row.size:
-        raise SimulationError("kernel inputs must align")
-    latency, scratch = np.empty(n, dtype=np.int64), np.zeros(4 * ready.size, dtype=np.int64)
-    hits = ctypes.c_int64(0)
-    status = _lib.fifo_service(
-        n, queues.ctypes.data, rows.ctypes.data, arrivals.ctypes.data,
-        seg_starts.size, seg_starts.ctypes.data,
-        ready.size, open_row.ctypes.data, ready.ctypes.data,
-        hit_cycles, miss_cycles, cap, scratch.ctypes.data, latency.ctypes.data,
-        ctypes.byref(hits),
+    if any(a is not None and a.shape != arrivals.shape for a in (on, pages, offsets, extra)):
+        raise SimulationError("flush inputs must align")
+    if regions.dtype != np.int64 or regions.shape != (len(devices), 11) or (on is None) != (len(devices) == 1):
+        raise SimulationError("a flush takes one region row per device, and on with two")
+    if n == 0:
+        return np.zeros(0, dtype=np.int64)
+    state = [_address(a) for d in devices for a in (d._open_row, d._ready)]
+    counts, latency = np.zeros(2 * len(devices), dtype=np.int64), np.empty(n, dtype=np.int64)
+    status = _lib.flush_regions(
+        n, _address(on), pages.ctypes.data, _address(offsets), arrivals.ctypes.data,
+        _address(extra), seg_starts.size, seg_starts.ctypes.data, len(devices),
+        regions.ctypes.data, *state, *[None] * (4 - len(state)), add,
+        counts.ctypes.data, latency.ctypes.data,
     )
     if status:
         raise SimulationError(f"DRAM service rejected: {_STATUS[status]}")
-    return latency, hits.value, open_row, ready
+    for device, (hits, count) in zip(devices, counts.reshape(-1, 2).tolist()):
+        device.row_hits += hits
+        device.row_conflicts += count - hits
+    return latency
 
 
-def shadow_pass(pages, subblocks, on, machine, writes, ops, landed, links, state):
+def shadow_pass(accesses, ops, landed, links, state):
     """One shadow check (``fifo_kernel.c``) over a chunk of routed accesses.
 
-    ``ops`` holds one ``(before, kind, src, dst, n_landed)`` row per
-    engine op (kind 0 copy, 1 link, 2 close), applied just before access
-    ``before``, or after the last one when ``before`` is the access
-    count: a call with no access applies its ops alone. ``landed`` holds
-    the copies' sub-blocks back to back, and ``links`` the live
-    ``(src, dst)`` location pairs. ``state`` is the shadow's ``(n_slots, dead,
-    cell_page, cell_gen, held, generation)``; its arrays are updated in
-    place. Returns the violations as ``(access, found page, found gen,
-    expected gen)`` rows, ``(reads, writes)`` and the links after the pass.
+    ``accesses`` holds one int64 ``(page, subblock, on, machine,
+    write)`` row per access, in access order. ``ops`` holds one
+    ``(before, kind, src, dst, n_landed)`` row per engine op (kind 0
+    copy, 1 link, 2 close), applied just before access ``before``, or
+    after the last one when ``before`` is the access count: a call with
+    no access applies its ops alone. ``landed`` holds the copies'
+    sub-blocks back to back, and ``links`` the live ``(src, dst)``
+    location pairs. ``state`` is the shadow's ``(n_slots, dead, cells,
+    held, generation)``, ``cells`` holding one ``(page, generation)``
+    row per cell; its arrays are updated in place. Returns the
+    violations as ``(access, found page, found gen, expected gen)``
+    rows, ``(reads, writes)`` and the links after the pass.
     """
-    pages, subblocks, machine, ops, landed = (
-        np.ascontiguousarray(a, dtype=np.int64) for a in (pages, subblocks, machine, ops, landed)
-    )
-    on, writes = (np.ascontiguousarray(a, dtype=bool) for a in (on, writes))
-    n_slots, dead, cell_page, cell_gen, held, generation = state
-    n, n_sb = pages.size, generation.size // dead.size
-    if not subblocks.size == on.size == machine.size == writes.size == n:
-        raise SimulationError("shadow inputs must align")
+    ops, landed = (np.ascontiguousarray(a, dtype=np.int64) for a in (ops, landed))
+    n_slots, dead, cells, held, generation = state
+    n, n_sb = len(accesses), generation.size // dead.size
+    if accesses.dtype != np.int64 or accesses.shape[1:] != (5,) or not accesses.flags.c_contiguous:
+        raise SimulationError("shadow accesses must be a C-contiguous int64 (n, 5) array")
     # a spare row per op, for the links it may open
     pairs = np.array([*links, *[(0, 0)] * len(ops)], dtype=np.int64)
-    n_links = ctypes.c_int64(len(links))
-    bad, counts = np.empty((n, 4), dtype=np.int64), np.zeros(2, dtype=np.int64)
+    io, bad = np.array([len(links), 0, 0], dtype=np.int64), np.empty((n, 4), dtype=np.int64)
     n_bad = _lib.shadow_pass(
-        n, pages.ctypes.data, subblocks.ctypes.data, on.ctypes.data,
-        machine.ctypes.data, writes.ctypes.data, len(ops), ops.ctypes.data,
-        landed.ctypes.data, dead.size, n_slots, held.size, n_sb, dead.ctypes.data,
-        cell_page.ctypes.data, cell_gen.ctypes.data, held.ctypes.data,
-        generation.ctypes.data, pairs.ctypes.data, ctypes.byref(n_links),
-        counts.ctypes.data, bad.ctypes.data,
+        n, accesses.ctypes.data, len(ops), ops.ctypes.data, landed.ctypes.data,
+        dead.size, n_slots, held.size, n_sb, dead.ctypes.data, cells.ctypes.data,
+        held.ctypes.data, generation.ctypes.data, pairs.ctypes.data, io.ctypes.data,
+        bad.ctypes.data,
     )
     if n_bad < 0:
         raise SimulationError("shadow check rejected: a page, sub-block or location is out of range")
-    return bad[:n_bad], counts.tolist(), list(map(tuple, pairs[: n_links.value].tolist()))
+    n_links, reads, writes = io.tolist()
+    return bad[:n_bad], [reads, writes], list(map(tuple, pairs[:n_links].tolist()))

@@ -20,7 +20,9 @@ boundary is suspended for tRFC and resumes, no matter whether the bank
 was idle, queued, or mid-burst when the window opened. Because the warp
 is a pure function of global time (not of per-call state), the fused
 segmented flush stays bit-identical to a per-epoch flush: warping
-commutes with segment boundaries.
+commutes with segment boundaries. The fast model's compiled flush
+(``flush_regions`` in ``fifo_kernel.c``) applies the same two maps per
+access.
 
 The same schedule prices refresh-vs-migration-copy contention: a swap
 copy touching a refreshing region stalls for every window its transfer
@@ -28,8 +30,6 @@ overlaps (:meth:`RefreshSchedule.stretch`).
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from ..config import DramTiming
 from ..errors import ConfigError
@@ -40,7 +40,7 @@ class RefreshSchedule:
 
     Stateless: both directions are closed-form in global time, so the
     object needs no checkpoint entry and is shared freely between the
-    bank model, the vectorised fast model, and the migration engine.
+    bank model and the migration engine.
     """
 
     __slots__ = ("interval", "window", "useful_per_period")
@@ -92,22 +92,3 @@ class RefreshSchedule:
         if useful_cycles <= 0:
             return 0
         return self.wall(self.useful(start) + useful_cycles) - int(start)
-
-    # ---- vectorised -----------------------------------------------------
-
-    def useful_np(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=np.int64)
-        k, pos = np.divmod(t, np.int64(self.interval))
-        pos -= np.int64(self.window)
-        np.maximum(pos, 0, out=pos)
-        k *= np.int64(self.useful_per_period)
-        k += pos
-        return k
-
-    def wall_np(self, u: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`wall` with completion semantics."""
-        u = np.asarray(u, dtype=np.int64)
-        k, rem = np.divmod(u, np.int64(self.useful_per_period))
-        k *= np.int64(self.interval)
-        out = np.where(rem == 0, k, k + np.int64(self.window) + rem)
-        return out

@@ -15,10 +15,13 @@ Every translated access pays the table's 2-cycle RAM/CAM lookup
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from ..address import AddressMap
 from ..config import SystemConfig
+from ..dram import kernel
 from ..dram.latency import LatencyModel
 from ..migration.engine import ActiveMigration
 from ..migration.overhead import translation_cycles
@@ -173,6 +176,21 @@ class HeterogeneousController:
         latency = self.service_resolved(on, machine, offsets, times, ONE_EPOCH, extra)
         return latency, on, machine
 
+    @cached_property
+    def _regions(self) -> np.ndarray:
+        """The flush's region table: off-package (``on`` False) first,
+        local addresses rebased to 0 at the DIMMs, as
+        :meth:`AddressMap.local_address` composes them."""
+        amap = self.amap
+        return np.array([
+            self.offpkg_model.device.region(
+                amap.n_onpkg_pages, amap.offset_bits, self.offpkg_model.path_overhead
+            ),
+            self.onpkg_model.device.region(
+                0, amap.offset_bits, self.onpkg_model.path_overhead
+            ),
+        ], dtype=np.int64)
+
     def service_resolved(
         self,
         on: np.ndarray,
@@ -182,38 +200,23 @@ class HeterogeneousController:
         seg_starts: np.ndarray,
         extra: np.ndarray,
     ) -> np.ndarray:
-        """Flush resolved accesses through each region's device.
+        """Flush resolved accesses through both regions' devices at once.
 
         ``seg_starts`` are the epoch boundaries (global indices into the
-        flush, starting at 0). Each region takes one
-        :meth:`FastDevice.service_segmented` call, bit-identical to a
-        ``service()`` call per segment. ``times`` are
-        effective arrival times (stalls applied), non-decreasing as
-        ``service_segmented`` requires; ``extra`` carries the
-        per-access stall + interference cycles of
-        :meth:`migration_windows`. Translation overhead is applied here.
+        flush, starting at 0). One compiled pass
+        (:func:`~repro.dram.kernel.flush_regions`) picks each access's
+        region from ``on``, composes its region-local address, decodes
+        its queue and row, applies the region's refresh warp and runs
+        the region's FIFO recursion, bit-identical to one
+        ``service()`` call per segment and region. ``times`` are
+        effective arrival times (stalls applied), non-decreasing;
+        ``extra`` carries the per-access stall + interference cycles of
+        :meth:`migration_windows`. Each latency includes its region's
+        path overhead and the translation overhead. A rejected flush
+        raises :class:`~repro.errors.SimulationError` and leaves both
+        devices unchanged.
         """
-        n = on.shape[0]
-        n_on = int(np.count_nonzero(on))
-        latency = np.empty(n, dtype=np.int64)
-        for model, count, onpkg in (
-            (self.onpkg_model, n_on, True),
-            (self.offpkg_model, n - n_on, False),
-        ):
-            if count == 0:
-                continue
-            if count == n:
-                # single-region flush: no select/gather/scatter round-trip
-                sel, segs = slice(None), seg_starts
-            else:
-                sel = np.flatnonzero(on if onpkg else ~on)
-                segs = np.searchsorted(sel, seg_starts)
-                segs = segs[segs < count]
-            dev = model.device
-            local = self.amap.local_address(machine[sel], offsets[sel], onpkg)
-            lat = dev.service_segmented(local, times[sel], segs)
-            lat += model.path_overhead
-            latency[sel] = lat
-        latency += self._translation
-        latency += extra
-        return latency
+        return kernel.flush_regions(
+            (self.offpkg_model.device, self.onpkg_model.device), self._regions,
+            on, machine, offsets, times, seg_starts, extra, self._translation,
+        )

@@ -1,16 +1,18 @@
 """Vectorised numpy reference for :class:`repro.dram.fastmodel.FastDevice`.
 
 This is the device core as it stood before the compiled FIFO kernel:
-one stable sort by queue, a restarted cumsum/cummax Lindley pass, and a
-group pass that threads the capped carry where the queue cap binds at a
-segment boundary. It lives under ``tests/`` only, as the exactness
-oracle ``test_dram.py`` drives side by side with the kernel; no
+numpy address decode (``DramGeometry.queues_and_rows``) and refresh warp
+(:func:`useful_np`, :func:`wall_np`), one stable sort by queue, a
+restarted cumsum/cummax Lindley pass, and a group pass that threads the
+capped carry where the queue cap binds at a segment boundary. It lives
+under ``tests/`` only, as the exactness oracle ``test_dram.py`` and
+``test_flush_differential.py`` drive side by side with the kernel; no
 simulator code path uses it.
 
-:class:`ReferenceFastDevice` keeps ``FastDevice``'s constructor and
-state and restores its former ``service`` and ``service_segmented``.
-Its restart offsets must fit int64, so it raises
-:class:`SimulationError` on an arrival span the kernel serves exactly.
+:class:`ReferenceFastDevice` keeps ``FastDevice``'s state and restores
+its former ``service`` and ``service_segmented``. Its restart offsets
+must fit int64, so it raises :class:`SimulationError` on an arrival span
+the kernel serves exactly.
 """
 
 from __future__ import annotations
@@ -18,9 +20,29 @@ from __future__ import annotations
 import numpy as np
 
 from repro.dram.fastmodel import FastDevice
+from repro.dram.refresh import RefreshSchedule
 from repro.errors import SimulationError
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def useful_np(sched: RefreshSchedule, t: np.ndarray) -> np.ndarray:
+    """Vectorised :meth:`RefreshSchedule.useful`."""
+    t = np.asarray(t, dtype=np.int64)
+    k, pos = np.divmod(t, np.int64(sched.interval))
+    pos -= np.int64(sched.window)
+    np.maximum(pos, 0, out=pos)
+    k *= np.int64(sched.useful_per_period)
+    k += pos
+    return k
+
+
+def wall_np(sched: RefreshSchedule, u: np.ndarray) -> np.ndarray:
+    """Vectorised :meth:`RefreshSchedule.wall` with completion semantics."""
+    u = np.asarray(u, dtype=np.int64)
+    k, rem = np.divmod(u, np.int64(sched.useful_per_period))
+    k *= np.int64(sched.interval)
+    return np.where(rem == 0, k, k + np.int64(sched.window) + rem)
 
 
 def _cummax_restarted(t: np.ndarray, labels: np.ndarray, label_max: int) -> np.ndarray:
@@ -49,6 +71,10 @@ def _cummax_restarted(t: np.ndarray, labels: np.ndarray, label_max: int) -> np.n
 
 class ReferenceFastDevice(FastDevice):
     """``FastDevice`` with the numpy core in place of the kernel."""
+
+    def __init__(self, geometry):
+        super().__init__(geometry)
+        self._refresh = RefreshSchedule.from_timing(geometry.timing)
 
     def service(self, addr: np.ndarray, arrivals: np.ndarray) -> np.ndarray:
         """Per-access latency (cycles), aligned with the input order."""
@@ -114,7 +140,7 @@ class ReferenceFastDevice(FastDevice):
             # pure function of global time, so it commutes with segment
             # boundaries and the fused-exactness contract is unchanged.
             wall_arrivals = arrivals  # repro-domain: wall_cycles - pre-warp instants
-            arrivals = self._refresh.useful_np(arrivals)
+            arrivals = useful_np(self._refresh, arrivals)
         queues, rows = self.geometry.queues_and_rows(addr)
 
         # Every full-width temporary here is a fresh multi-MB allocation
@@ -227,7 +253,7 @@ class ReferenceFastDevice(FastDevice):
             # window overlapped by the wait or the service shows up in
             # the reported latency
             latency += arrivals  # = useful-domain departures, input order
-            latency = self._refresh.wall_np(latency)
+            latency = wall_np(self._refresh, latency)
             latency -= wall_arrivals
         return latency
 

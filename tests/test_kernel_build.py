@@ -21,18 +21,29 @@ from repro.errors import KernelBuildError, ReproError
 #: the directory holding the ``repro`` package, wherever it is installed
 PACKAGE_ROOT = str(Path(repro.__file__).resolve().parents[1])
 
-#: import the package, serve a few accesses through the kernel and
-#: check a read that follows a write through the shadow's pass
+#: import the package, serve a few accesses through one device and a
+#: two-region flush through the controller, and check a read that
+#: follows a write through the shadow's pass
 SMOKE = """
 import numpy as np
+from repro import scaled_config
 from repro.analysis.protocol import model_address_map
 from repro.config import offpkg_dram_timing
 from repro.datamodel import ShadowMemory
 from repro.dram import DramGeometry, FastDevice
+from repro.memctrl.heterogeneous import ONE_EPOCH, HeterogeneousController
 from repro.migration.table import TranslationTable
 lat = FastDevice(DramGeometry(offpkg_dram_timing())).service(
     np.arange(64, dtype=np.int64) * 64, np.arange(64, dtype=np.int64))
 assert (lat > 0).all()
+ctrl = HeterogeneousController(scaled_config())
+on = np.arange(64) % 2 == 0
+machine = np.where(on, 0, ctrl.amap.n_onpkg_pages)
+times = np.arange(64, dtype=np.int64)
+lat = ctrl.service_resolved(on, machine, times * 64, times, ONE_EPOCH, 0 * times)
+assert (lat > 0).all()
+for model in (ctrl.onpkg_model, ctrl.offpkg_model):
+    assert model.device.row_hits + model.device.row_conflicts == 32
 table = TranslationTable(model_address_map())
 shadow = ShadowMemory(table)
 kind, machine = table.location(5)
@@ -83,7 +94,9 @@ class TestBuild:
         assert kernel.build(tmp_path, ["/nonexistent/cc"]) == target
         assert target.stat().st_mtime_ns == stamp
         lib = kernel.load(target)
-        assert lib.fifo_service is not None and lib.shadow_pass is not None
+        assert lib.flush_regions is not None and lib.shadow_pass is not None
+        # one FIFO loop: the per-region pass it replaced is gone
+        assert not hasattr(lib, "fifo_service")
         assert [p.name for p in tmp_path.iterdir()] == [target.name]
 
     def test_missing_compiler_raises_typed_error(self, tmp_path):
