@@ -61,7 +61,7 @@ from ..migration.table import Location, TranslationTable
 #: engine op kinds, in the order ``shadow_pass`` numbers them
 _OP_KINDS = ("copy", "link", "close")
 #: the access times and packed accesses of a pass that only applies ops
-_NO_ACCESSES = (np.empty(0, dtype=np.int64), np.empty((0, 5), dtype=np.int64))
+_NO_ACCESSES = (np.empty(0, dtype=np.int64), np.empty((5, 0), dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -280,9 +280,9 @@ class ShadowMemory:
         if n:
             times, *columns = zip(*buffer)
             times = times[0] if len(times) == 1 else np.concatenate(times)
-            accesses = np.empty((n, 5), dtype=np.int64)
-            for col, parts in enumerate(columns):
-                np.concatenate(parts, out=accesses[:, col])
+            accesses = np.empty((5, n), dtype=np.int64)
+            for field, parts in enumerate(columns):
+                np.concatenate(parts, out=accesses[field])
             bad, (n_reads, n_writes) = self._pass(
                 *self._take_ops(times), times, accesses
             )
@@ -291,8 +291,9 @@ class ShadowMemory:
             self.writes += n_writes
 
     def _pass(self, ops, before, times, accesses):
-        """Run ``shadow_pass`` over the accesses, one ``(page, subblock,
-        on, machine, write)`` row each, op ``ops[j]`` landing just
+        """Run ``shadow_pass`` over the accesses, whose ``(page,
+        subblock, on, machine, write)`` are the rows of ``accesses``, op
+        ``ops[j]`` landing just
         before access ``before[j]`` (after the last one if that is the
         access count). Returns the reads' violations and ``(reads,
         writes)``; the caller decides whether to record them."""
@@ -310,7 +311,7 @@ class ShadowMemory:
         )
         violations = []
         for a, fp, fg, eg in bad.tolist():
-            page, subblock, on, machine, _ = accesses[a].tolist()
+            page, subblock, on, machine, _ = accesses[:, a].tolist()
             violations.append(DataViolation(
                 time=int(times[a]), page=page, subblock=subblock,
                 location=("slot" if on else "mach", machine),
@@ -355,9 +356,9 @@ class ShadowMemory:
         routes = [
             table.resolve(p, sb) for p, sb in zip(pages.tolist(), subblocks.tolist())
         ]
-        accesses = np.zeros((len(pages), 5), dtype=np.int64)  # reads
-        accesses[:, 0], accesses[:, 1] = pages, subblocks
-        accesses[:, 2:4] = np.array(routes, dtype=np.int64).reshape(-1, 2)
+        accesses = np.zeros((5, len(pages)), dtype=np.int64)  # reads
+        accesses[0], accesses[1] = pages, subblocks
+        accesses[2:4] = np.array(routes, dtype=np.int64).reshape(-1, 2).T
         return self._pass([], [], np.full(len(pages), -1), accesses)[0]
 
     # ------------------------------------------------------------------

@@ -241,8 +241,9 @@ int flush_regions(int64_t n, const uint8_t *on, const int64_t *page,
  *         n_landed sub-blocks of `landed` from src to dst;
  *   LINK  opens the link (src, dst); links has a spare row per op;
  *   CLOSE kills every link.
- * Access i is the row (page, subblock, on, machine, write) of `access`,
- * at location on ? machine : n_slots + machine; one to a dead
+ * Access i is column i of `access`, whose five rows of n are page,
+ * subblock, on, machine and write; it is at location on ? machine :
+ * n_slots + machine, and one to a dead
  * page (Ω, a RAS spare) is skipped. A write bumps its generation and lands
  * (page, generation) at its cell and through every link from there; a
  * read whose cell holds anything else is a violation, appended to bad as
@@ -254,7 +255,7 @@ int flush_regions(int64_t n, const uint8_t *on, const int64_t *page,
  */
 enum { COPY, LINK, CLOSE };
 
-int64_t shadow_pass(int64_t n, const int64_t (*access)[5], int64_t n_ops,
+int64_t shadow_pass(int64_t n, const int64_t *access, int64_t n_ops,
                     const int64_t (*op)[5], const int64_t *landed,
                     int64_t n_pages, int64_t n_slots, int64_t n_locs,
                     int64_t n_sb, const uint8_t *dead, int64_t (*cell)[2],
@@ -291,8 +292,8 @@ int64_t shadow_pass(int64_t n, const int64_t (*access)[5], int64_t n_ops,
         }
         if (i == n)
             break;
-        int64_t p = access[i][0], sb = access[i][1], write = access[i][4];
-        int64_t loc = access[i][2] ? access[i][3] : n_slots + access[i][3];
+        int64_t p = access[i], sb = access[n + i], write = access[4 * n + i];
+        int64_t loc = access[2 * n + i] ? access[3 * n + i] : n_slots + access[3 * n + i];
         if (p < 0 || p >= n_pages || sb < 0 || sb >= n_sb)
             return -1;
         if (dead[p])

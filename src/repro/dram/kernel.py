@@ -162,8 +162,9 @@ def flush_regions(  # repro-domain: arrivals=wall_cycles, return=wall_cycles
 def shadow_pass(accesses, ops, landed, links, state):
     """One shadow check (``fifo_kernel.c``) over a chunk of routed accesses.
 
-    ``accesses`` holds one int64 ``(page, subblock, on, machine,
-    write)`` row per access, in access order. ``ops`` holds one
+    ``accesses`` is a C-contiguous int64 ``(5, n)`` array whose rows
+    are the accesses' ``page``, ``subblock``, ``on``, ``machine`` and
+    ``write``, in access order. ``ops`` holds one
     ``(before, kind, src, dst, n_landed)`` row per engine op (kind 0
     copy, 1 link, 2 close), applied just before access ``before``, or
     after the last one when ``before`` is the access count: a call with
@@ -177,9 +178,9 @@ def shadow_pass(accesses, ops, landed, links, state):
     """
     ops, landed = (np.ascontiguousarray(a, dtype=np.int64) for a in (ops, landed))
     n_slots, dead, cells, held, generation = state
-    n, n_sb = len(accesses), generation.size // dead.size
-    if accesses.dtype != np.int64 or accesses.shape[1:] != (5,) or not accesses.flags.c_contiguous:
-        raise SimulationError("shadow accesses must be a C-contiguous int64 (n, 5) array")
+    n, n_sb = accesses.shape[-1], generation.size // dead.size
+    if accesses.dtype != np.int64 or accesses.shape != (5, n) or not accesses.flags.c_contiguous:
+        raise SimulationError("shadow accesses must be a C-contiguous int64 (5, n) array")
     # a spare row per op, for the links it may open
     pairs = np.array([*links, *[(0, 0)] * len(ops)], dtype=np.int64)
     io, bad = np.array([len(links), 0, 0], dtype=np.int64), np.empty((n, 4), dtype=np.int64)
